@@ -7,5 +7,3 @@ operators with constructive spectral solvers.
 """
 
 __version__ = "0.1.0"
-
-from ._accel import NUMBA_ENABLED  # noqa: F401

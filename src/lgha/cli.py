@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -33,7 +34,7 @@ from .corpus import random_gauss_product
 from .jets import standard_corpus
 from .quadrature import (BudgetExceeded, SampledField, box_grid, dft_forward,
                          monte_carlo, so4_quadrature, u2_quadrature,
-                         DEFAULT_GRID_BUDGET)
+                         DEFAULT_GRID_BUDGET, MIN_MC_SAMPLES)
 
 SUITE_NAMES = ("groups", "nil-plancherel", "so4", "sl4-plancherel",
                "sp4-plancherel", "semidirect-plancherel",
@@ -70,9 +71,18 @@ class SuiteConfig:
         cfg.budget_bandlimit = float(budgets.get("max_so4_bandlimit",
                                                  cfg.budget_bandlimit))
         cfg.tolerances = dict(payload.get("tolerances", {}))
-        if cfg.budget_grid <= 0 or cfg.budget_mc <= 0 or cfg.budget_bandlimit < 0:
-            raise ConfigError("budgets must be positive")
+        cfg.validate()
         return cfg
+
+    def validate(self):
+        """Reject budgets the suites cannot run with (exit code 2)."""
+        if not self.budget_grid > 0:
+            raise ConfigError("grid budget must be positive")
+        if not self.budget_mc >= MIN_MC_SAMPLES:
+            raise ConfigError(
+                f"Monte Carlo budget must be at least {MIN_MC_SAMPLES}")
+        if not self.budget_bandlimit >= 0:
+            raise ConfigError("band-limit budget must be >= 0")
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
@@ -98,6 +108,12 @@ def _row(name, anchor, lhs, rhs, tol, passed=None, exact=False):
     return {"name": name, "anchor": anchor, "lhs": lhs_f, "rhs": rhs_f,
             "abs_err": abs_err, "rel_err": rel_err, "tol": tol,
             "pass": bool(passed)}
+
+
+def _worst(*vals):
+    """Largest value, or NaN if any value is NaN (builtin max drops a NaN that
+    follows a finite value: max(0.0, nan) == 0.0)."""
+    return math.nan if any(math.isnan(v) for v in vals) else max(vals)
 
 
 def _err_row(name, anchor, err, tol, passed=None):
@@ -149,7 +165,7 @@ def suite_groups(cfg: SuiteConfig):
     X = rng.uniform(-1.5, 1.5, size=(1000, 9))
     Yv = rng.uniform(-1.5, 1.5, size=(1000, 9))
     Z = G.L_mul(X, Yv)
-    err = max(
+    err = _worst(
         np.max(np.abs(G.L_embed_twisted(Z)
                       - G.L_embed_twisted(X) @ G.L_embed_twisted(Yv))),
         np.max(np.abs(Z[:, [3, 4, 7]] - X[:, [3, 4, 7]] - Yv[:, [3, 4, 7]])),
@@ -163,7 +179,7 @@ def suite_groups(cfg: SuiteConfig):
                            cfg.tol("l-associativity", 1e-12)))
 
     err = np.max(np.abs(G.L_mul(G.L_inv(X), X)))
-    err = max(err, np.max(np.abs(G.nil_mul(G.nil_inv(p), p))))
+    err = _worst(err, np.max(np.abs(G.nil_mul(G.nil_inv(p), p))))
     checks.append(_err_row("two-sided-inverse", "group-axioms", err,
                            cfg.tol("two-sided-inverse", 1e-12)))
 
@@ -178,7 +194,7 @@ def suite_groups(cfg: SuiteConfig):
     sq = rng.uniform(-1.5, 1.5, size=(1000, 4))
     m1 = G.spn_matrix_block(sp)
     m2 = G.spn_matrix_block(sq)
-    werr = max(
+    werr = _worst(
         np.max(np.abs(m1 @ G.SP_FORM_BLOCK @ np.swapaxes(m1, -1, -2)
                       - G.SP_FORM_BLOCK)),
         np.max(np.abs(G.spn_matrix_block(G.spn_mul(sp, sq)) - m1 @ m2)),
@@ -189,7 +205,7 @@ def suite_groups(cfg: SuiteConfig):
     recon = 0.0
     for _ in range(1000):
         g = G.random_sl4(rng)
-        recon = max(recon, G.iwasawa_decompose(g).reconstruction_error(g))
+        recon = _worst(recon, G.iwasawa_decompose(g).reconstruction_error(g))
     checks.append(_err_row("iwasawa-sl4", "iwasawa-reconstruction", recon,
                            cfg.tol("iwasawa-sl4", 1e-10)))
 
@@ -197,10 +213,10 @@ def suite_groups(cfg: SuiteConfig):
     for _ in range(1000):
         g = G.random_sp4(rng)
         fac = G.iwasawa_decompose(g)
-        recon = max(recon, fac.reconstruction_error(g))
-        symp = max(symp, G.symplectic_error(fac.k.entries),
-                   G.symplectic_error(fac.a.entries),
-                   G.symplectic_error(fac.n.entries))
+        recon = _worst(recon, fac.reconstruction_error(g))
+        symp = _worst(symp, G.symplectic_error(fac.k.entries),
+                      G.symplectic_error(fac.a.entries),
+                      G.symplectic_error(fac.n.entries))
     checks.append(_err_row("iwasawa-sp4", "iwasawa-reconstruction", recon,
                            cfg.tol("iwasawa-sp4", 1e-10)))
     checks.append(_err_row("iwasawa-sp4-factors", "symplectic-factor-preservation",
@@ -211,7 +227,7 @@ def suite_groups(cfg: SuiteConfig):
         t = rng.uniform(-1.0, 1.0, size=3)
         mf = G.modulus_factor(t)
         jac = _fd_conjugation_jacobian(t)
-        worst = max(worst, abs(mf - jac) / abs(mf))
+        worst = _worst(worst, abs(mf - jac) / abs(mf))
     checks.append(_err_row("modulus-vs-jacobian", "conjugation-modulus",
                            worst, cfg.tol("modulus-vs-jacobian", 1e-8)))
     return checks
@@ -244,7 +260,7 @@ def suite_nil_plancherel(cfg: SuiteConfig):
     worst = 0.0
     for _ in range(3):
         f = random_gauss_product(rng, 6, poly=True)
-        worst = max(worst, NF.plancherel_N_check(f)["rel_err"])
+        worst = _worst(worst, NF.plancherel_N_check(f)["rel_err"])
     checks.append(_err_row("plancherel-separable", "plancherel-nilpotent",
                            worst, cfg.tol("plancherel-separable", 1e-8)))
 
@@ -300,7 +316,7 @@ def suite_nil_plancherel(cfg: SuiteConfig):
         ell[4] = 0.0  # the equality holds exactly on this slice of L
         res = NF.lifted_convolution_check(fw, u, ell, n=cfg.budget_mc,
                                           seed=cfg.check_seed(f"lifted-{i}"))
-        worst = max(worst, res["rel_err"])
+        worst = _worst(worst, res["rel_err"])
     checks.append(_err_row("lifted-convolution", "twisted-vs-flat-convolution",
                            worst, cfg.tol("lifted-convolution", 2e-2)))
 
@@ -328,7 +344,7 @@ def suite_so4(cfg: SuiteConfig):
     worst = 0.0
     for j in (0.5, 1.0, 1.5, 2.0, 3.0):
         for beta in rng.uniform(0, np.pi, size=4):
-            worst = max(worst, np.max(np.abs(
+            worst = _worst(worst, np.max(np.abs(
                 PW.wigner_d(j, beta) - PW.wigner_d_reference(j, beta))))
     checks.append(_err_row("wigner-reference", "wigner-matrix-plumbing",
                            worst, cfg.tol("wigner-reference", 1e-12)))
@@ -338,13 +354,14 @@ def suite_so4(cfg: SuiteConfig):
     err = abs(spec.coeffs[(0.0, 0.0)][0, 0] - 1.0)
     for lbl, c in spec.coeffs.items():
         if lbl != (0.0, 0.0):
-            err = max(err, float(np.max(np.abs(c))))
+            err = _worst(err, float(np.max(np.abs(c))))
     checks.append(_err_row("schur-orthogonality", "peter-weyl-orthogonality",
                            err, cfg.tol("schur-orthogonality", 1e-12)))
 
     ref, vals = PW.random_band_limited(rng, J, quad)
     back = PW.compact_transform(vals, quad, J)
-    err = max(np.max(np.abs(back.coeffs[l] - ref.coeffs[l])) for l in ref.coeffs)
+    err = _worst(*(np.max(np.abs(back.coeffs[l] - ref.coeffs[l]))
+                   for l in ref.coeffs))
     checks.append(_err_row("transform-roundtrip", "peter-weyl-orthogonality",
                            err, cfg.tol("transform-roundtrip", 1e-12)))
 
@@ -356,7 +373,7 @@ def suite_so4(cfg: SuiteConfig):
               rng.uniform(0, 4 * np.pi))
         direct = sum(PW.so4_dim(l) * np.trace(ref.coeffs[l] @ PW.so4_rep(l, el, er))
                      for l in ref.coeffs)
-        worst = max(worst, abs(PW.compact_inverse(back, el, er) - direct))
+        worst = _worst(worst, abs(PW.compact_inverse(back, el, er) - direct))
     checks.append(_err_row("inversion-pointwise", "peter-weyl-inversion",
                            worst, cfg.tol("inversion-pointwise", 1e-10)))
 
@@ -379,8 +396,8 @@ def suite_so4(cfg: SuiteConfig):
     err = 0.0
     for lbl in PW.so4_labels(J):
         d = PW.so4_dim(lbl)
-        err = max(err, np.max(np.abs(PW.so4_rep(lbl, el_neg, el_neg)
-                                     - np.eye(d))))
+        err = _worst(err, np.max(np.abs(PW.so4_rep(lbl, el_neg, el_neg)
+                                        - np.eye(d))))
     checks.append(_err_row("center-parity", "double-cover-parity", err,
                            cfg.tol("center-parity", 1e-12)))
 
@@ -394,30 +411,18 @@ def _convolution_order_error(rng):
     """T(phi * f) = Tf . Tphi at band limit 1, by double quadrature."""
     J = 1.0
     quad = so4_quadrature(J)
-    fspec, fvals = PW.random_band_limited(rng, J, quad)
+    _, fvals = PW.random_band_limited(rng, J, quad)
     gspec, gvals = PW.random_band_limited(rng, J, quad)
-    # conv(x) = int g(k^{-1} x) f(k) dk; transform via the double sum
-    # T(conv)(l) = sum_k sum_x w_k w_x g(k^{-1} x) f(k) rep(x^{-1})
-    # substitute x = k u:  = [int g(u) rep(u^{-1}) du] [int f(k) rep(k^{-1}) dk]
-    # evaluated here without the substitution for one label.
-    label = (0.5, 0.5)
-    d = PW.so4_dim(label)
+    # conv(x) = int g(k^{-1} x) f(k) dk has the transform T(conv) = Tg . Tf;
+    # synthesize it on the nodes, then check it against the convolution
+    # integral evaluated by quadrature at a few nodes.
     wl, wr = quad.left.weights, quad.right.weights
-    # direct double quadrature is |K|^2; contract the left/right factors
-    # stage-wise instead: for each k node pair, g(k^{-1} x) over all x is a
-    # synthesized translate - use coefficient identity instead at one node
-    tf = PW.compact_transform(fvals, quad, J).coeffs[label]
-    tg = PW.compact_transform(gvals, quad, J).coeffs[label]
-    # build conv values on nodes from the coefficient product and transform
-    conv_spec = {label: tg @ tf}
-    for lbl in PW.so4_labels(J):
-        if lbl != label:
-            tfl = PW.compact_transform(fvals, quad, J).coeffs[lbl]
-            tgl = PW.compact_transform(gvals, quad, J).coeffs[lbl]
-            conv_spec[lbl] = tgl @ tfl
+    tf = PW.compact_transform(fvals, quad, J).coeffs
+    tg = PW.compact_transform(gvals, quad, J).coeffs
+    # (0.5, 0.5) first: synthesize sums the labels in this order
+    labels = [(0.5, 0.5)] + [l for l in PW.so4_labels(J) if l != (0.5, 0.5)]
+    conv_spec = {l: tg[l] @ tf[l] for l in labels}
     conv_vals = PW.synthesize(PW.CompactSpectrum(conv_spec), quad)
-    # independent check: evaluate the convolution integral by quadrature at
-    # a few nodes and compare with the synthesized values
     idxs = [(0, 0), (3, 7), (11, 5)]
     worst = 0.0
     for (i, j) in idxs:
@@ -430,7 +435,6 @@ def _convolution_order_error(rng):
             ka = quad.left.euler[a]
             ua = PW.euler_from_su2(
                 np.conj(PW.su2_from_euler(*ka)).T @ PW.su2_from_euler(*el))
-            inner = 0.0 + 0.0j
             row = np.zeros(quad.right.node_count, dtype=complex)
             for b in range(quad.right.node_count):
                 kb = quad.right.euler[b]
@@ -441,7 +445,7 @@ def _convolution_order_error(rng):
                     for l in gspec.coeffs)
                 row[b] = gval * fvals[a, b]
             val += wl[a] * np.sum(wr * row)
-        worst = max(worst, abs(val - conv_vals[i, j]))
+        worst = _worst(worst, abs(val - conv_vals[i, j]))
     return worst
 
 
@@ -498,7 +502,7 @@ def suite_sl4(cfg: SuiteConfig):
         g = G.random_sl4(rng).entries
         h = G.random_so4(rng).entries
         k1 = G.random_so4(rng).entries
-        worst = max(worst, IP.upsilon_invariance_error(fm, g, h, k1))
+        worst = _worst(worst, IP.upsilon_invariance_error(fm, g, h, k1))
     checks.append(_err_row("upsilon-invariance", "compact-shift-invariance",
                            worst, cfg.tol("upsilon-invariance", 1e-10)))
 
@@ -551,7 +555,7 @@ def _kna_spot_error(rng):
                                             a_grids, n_idx, a_idx)
         fact = spec.value(label, n_idx, a_idx)
         scale = max(np.max(np.abs(oracle)), 1e-300)
-        worst = max(worst, float(np.max(np.abs(oracle - fact)) / scale))
+        worst = _worst(worst, float(np.max(np.abs(oracle - fact)) / scale))
     return worst
 
 
@@ -588,11 +592,11 @@ def suite_sp4(cfg: SuiteConfig):
 
     pts = rng.normal(size=(50, 4))
     mats = IP.sp4_n_chart(pts)
-    err = max(G.symplectic_error(m) for m in mats)
+    err = _worst(*(G.symplectic_error(m) for m in mats))
     prod = mats[0] @ mats[1]
-    err = max(err, G.symplectic_error(prod),
-              float(np.max(np.abs(np.tril(prod, -1)))),
-              float(np.max(np.abs(np.diag(prod) - 1.0))))
+    err = _worst(err, G.symplectic_error(prod),
+                 float(np.max(np.abs(np.tril(prod, -1)))),
+                 float(np.max(np.abs(np.diag(prod) - 1.0))))
     checks.append(_err_row("sp4-unipotent-chart", "symplectic-unipotent-chart",
                            err, cfg.tol("sp4-unipotent-chart", 1e-12)))
     return checks
@@ -620,7 +624,7 @@ def suite_semidirect(cfg: SuiteConfig):
         g1 = G.random_sl4(rng).entries
         g2 = G.random_sl4(rng).entries
         vv, gg = IP.semidirect_mul(v, g1, v2, g2)
-        worst = max(worst, np.max(np.abs(
+        worst = _worst(worst, np.max(np.abs(
             IP.affine_embed(vv, gg)
             - IP.affine_embed(v, g1) @ IP.affine_embed(v2, g2))))
     checks.append(_err_row("semidirect-law", "semidirect-group-law", worst,
@@ -636,7 +640,7 @@ def suite_semidirect(cfg: SuiteConfig):
         g = G.random_sl4(rng).entries
         h = G.random_sl4(rng).entries
         q = G.random_sl4(rng).entries
-        worst = max(worst, IP.q_lift_invariance_error(fp, v, g, h, q))
+        worst = _worst(worst, IP.q_lift_invariance_error(fp, v, g, h, q))
     checks.append(_err_row("translation-lift-invariance",
                            "semidirect-lift-invariance", worst,
                            cfg.tol("translation-lift-invariance", 1e-10)))
@@ -713,7 +717,7 @@ def suite_operator_identities(cfg: SuiteConfig):
     hb = D.shear_reflect_map()
     err = 0.0 if hb.check_inverse() else 1.0
     for m in (D.shear_map(), D.flip_y_shear_map(), D.flip_x_shear_map()):
-        err = max(err, 0.0 if m.check_inverse() else 1.0)
+        err = _worst(err, 0.0 if m.check_inverse() else 1.0)
     checks.append(_err_row("coordinate-map-inverses", "polynomial-involutions",
                            err, 0.5, passed=(err == 0.0)))
 
@@ -900,7 +904,8 @@ def main(argv=None) -> int:
         prog="lgha", description="verification suites for the harmonic "
         "analysis library")
     parser.add_argument("--suite", default=None, choices=SUITE_NAMES)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="overrides the config file's seed (default 42)")
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=None, help="report output path")
     parser.add_argument("--format", default="json", choices=("json", "csv"))
@@ -910,10 +915,6 @@ def main(argv=None) -> int:
     parser.add_argument("--budget-mc", type=float, default=None)
     parser.add_argument("--budget-bandlimit", type=float, default=None)
     args = parser.parse_args(argv)
-
-    if os.environ.get("LGHA_THREADS"):
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["LGHA_THREADS"])
-        os.environ.setdefault("MKL_NUM_THREADS", os.environ["LGHA_THREADS"])
 
     if args.list:
         for name in SUITE_NAMES:
@@ -926,13 +927,15 @@ def main(argv=None) -> int:
                 cfg = SuiteConfig.from_json(json.load(fh))
         else:
             cfg = SuiteConfig()
-        cfg.seed = args.seed
+        if args.seed is not None:
+            cfg.seed = args.seed
         if args.budget_grid is not None:
             cfg.budget_grid = int(args.budget_grid)
         if args.budget_mc is not None:
             cfg.budget_mc = int(args.budget_mc)
         if args.budget_bandlimit is not None:
             cfg.budget_bandlimit = args.budget_bandlimit
+        cfg.validate()
         if args.suite is None:
             raise ConfigError("--suite is required (or use --list)")
     except (ConfigError, OSError, json.JSONDecodeError) as ex:

@@ -83,12 +83,6 @@ class GaussProduct:
             out = out * f.values(pts[..., k])
         return out
 
-    def values_mesh(self, *axes):
-        out = np.ones(np.broadcast(*axes).shape, dtype=complex)
-        for k, f in enumerate(self.factors):
-            out = out * f.values(axes[k])
-        return out
-
     def ft(self, xis):
         xis = np.asarray(xis, dtype=float)
         out = np.ones(xis.shape[:-1], dtype=complex)

@@ -673,11 +673,6 @@ class PolyGauss:
              + (x - self.mu[2]) ** 2)
         return self.poly.eval(z, y, x) * np.exp(-q / (2.0 * self.sigma ** 2))
 
-    def values_mesh(self, z, y, x):
-        q = ((z - self.mu[0]) ** 2 + (y - self.mu[1]) ** 2
-             + (x - self.mu[2]) ** 2)
-        return self.poly.eval(z, y, x) * np.exp(-q / (2.0 * self.sigma ** 2))
-
     def jet_at(self, point) -> Jet:
         zj, yj, xj = Jet.coordinates(point)
         q = ((zj - self.mu[0]) ** 2 + (yj - self.mu[1]) ** 2
@@ -737,8 +732,7 @@ def parse_op(text: str) -> PolyDiffOp:
             inner = parse_sum()
             if take() != ")":
                 raise ValueError("unbalanced parenthesis")
-            return [(sign * 1.0, None, None)] + inner if False else \
-                [(c * sign, p, d) for (c, p, d) in inner]
+            return [(c * sign, p, d) for (c, p, d) in inner]
         if t == "i":
             return [(sign * 1j, None, None)]
         if t in ("z", "y", "x"):

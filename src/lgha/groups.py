@@ -24,11 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import nil_mul_batch, nil_inv_batch, heis_mul_batch
-
 __all__ = [
-    "MatrixElement", "NilPoint6", "LPoint9", "HeisPoint3", "SpNPoint4",
-    "IwasawaFactors", "SymplecticViolation", "NearSingular",
+    "MatrixElement", "IwasawaFactors", "SymplecticViolation", "NearSingular",
     "nil_mul", "nil_inv", "nil_embed", "nil_from_matrix",
     "L_mul", "L_inv", "L_embed_twisted", "rho1", "rho2",
     "heis_mul", "heis_inv", "heis_embed",
@@ -128,67 +125,6 @@ def _coords(obj, n):
     return a
 
 
-@dataclass(frozen=True)
-class NilPoint6:
-    """Point of the six-parameter unipotent group."""
-
-    x1: float; x2: float; x3: float; x4: float; x5: float; x6: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.x1, self.x2, self.x3, self.x4, self.x5, self.x6],
-                        dtype=dtype or float)
-
-    @classmethod
-    def from_array(cls, a):
-        return cls(*np.asarray(a, dtype=float))
-
-
-@dataclass(frozen=True)
-class LPoint9:
-    """Point of the nine-parameter auxiliary group L."""
-
-    x6: float; x5: float; x4: float; x3: float; x2: float
-    t3: float; t2: float; x1: float; t1: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.x6, self.x5, self.x4, self.x3, self.x2,
-                         self.t3, self.t2, self.x1, self.t1],
-                        dtype=dtype or float)
-
-    @classmethod
-    def from_array(cls, a):
-        return cls(*np.asarray(a, dtype=float))
-
-
-@dataclass(frozen=True)
-class HeisPoint3:
-    """Point of the three-parameter nilpotent symplectic group, law
-    (z,y,x)(c,b,a) = (z + c + xb - ay, y + b, x + a)."""
-
-    z: float; y: float; x: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.z, self.y, self.x], dtype=dtype or float)
-
-    @classmethod
-    def from_array(cls, a):
-        return cls(*np.asarray(a, dtype=float))
-
-
-@dataclass(frozen=True)
-class SpNPoint4:
-    """Point of the four-parameter nilpotent symplectic group."""
-
-    x: float; y: float; z: float; t: float
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.x, self.y, self.z, self.t], dtype=dtype or float)
-
-    @classmethod
-    def from_array(cls, a):
-        return cls(*np.asarray(a, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # six-parameter unipotent group N
 # ---------------------------------------------------------------------------
@@ -196,11 +132,23 @@ class SpNPoint4:
 
 def nil_mul(p, q):
     """Group law of N in coordinates (vectorized over leading axes)."""
-    return nil_mul_batch(_coords(p, 6), _coords(q, 6))
+    p = _coords(p, 6)
+    q = _coords(q, 6)
+    out = p + q
+    out[..., 2] += p[..., 0] * q[..., 1]
+    out[..., 4] += p[..., 1] * q[..., 3]
+    out[..., 5] += p[..., 0] * q[..., 4] + p[..., 2] * q[..., 3]
+    return out
 
 
 def nil_inv(p):
-    return nil_inv_batch(_coords(p, 6))
+    p = _coords(p, 6)
+    out = -p.copy()
+    out[..., 2] += p[..., 0] * p[..., 1]
+    out[..., 4] += p[..., 1] * p[..., 3]
+    out[..., 5] += p[..., 0] * p[..., 4] + p[..., 2] * p[..., 3] \
+        - p[..., 0] * p[..., 1] * p[..., 3]
+    return out
 
 
 def nil_embed(p) -> np.ndarray:
@@ -306,7 +254,12 @@ def nil_to_L(p) -> np.ndarray:
 
 
 def heis_mul(p, q):
-    return heis_mul_batch(_coords(p, 3), _coords(q, 3))
+    """Law (z,y,x)(c,b,a) = (z + c + xb - ay, y + b, x + a) (vectorized)."""
+    p = _coords(p, 3)
+    q = _coords(q, 3)
+    out = p + q
+    out[..., 0] += p[..., 2] * q[..., 1] - q[..., 2] * p[..., 1]
+    return out
 
 
 def heis_inv(p):
@@ -473,15 +426,16 @@ def sp4_algebra_basis(form=None) -> np.ndarray:
     return null.reshape(-1, 4, 4)
 
 
+_SP4_BASIS = sp4_algebra_basis()  # adapted form; random_sp4 draws in it
+
+
 def sp4_iwasawa_dimension_audit(form=None):
     """Dimensions (dim k, dim a, dim n) of the intersections of the symplectic
     algebra with the antisymmetric, diagonal, and strictly upper triangular
     subspaces; for the adapted form these are (4, 2, 4)."""
     basis = sp4_algebra_basis(form)
-    flat = basis.reshape(len(basis), 16)
 
     def subdim(mask):
-        proj = flat.copy().reshape(len(basis), 4, 4)
         # dimension of intersection = len(basis) - rank of complement projection
         comp = np.array([ (b - mask(b)).ravel() for b in basis ])
         return len(basis) - np.linalg.matrix_rank(comp, tol=1e-10)
@@ -506,11 +460,11 @@ def random_sl4(rng, scale: float = 0.5) -> MatrixElement:
     return MatrixElement(expm(x), "SL4")
 
 
-def random_sp4(rng, scale: float = 0.4, form=None) -> MatrixElement:
+def random_sp4(rng, scale: float = 0.4) -> MatrixElement:
     from scipy.linalg import expm
 
-    basis = sp4_algebra_basis(form)
-    x = np.tensordot(rng.normal(0.0, scale, size=len(basis)), basis, axes=1)
+    x = np.tensordot(rng.normal(0.0, scale, size=len(_SP4_BASIS)), _SP4_BASIS,
+                     axes=1)
     g = expm(x)
     return MatrixElement(g, "SP4")
 
@@ -521,17 +475,3 @@ def random_so4(rng) -> MatrixElement:
     if np.linalg.det(q) < 0:
         q[:, [0, 1]] = q[:, [1, 0]]
     return MatrixElement(q, "SO4")
-
-
-def matrix_to_json(m) -> str:
-    """Debug dump: row-major JSON array of float64 rows."""
-    import json
-
-    m = m.entries if isinstance(m, MatrixElement) else np.asarray(m, dtype=float)
-    return json.dumps([[float(v) for v in row] for row in m])
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    import json
-
-    return np.asarray(json.loads(text), dtype=float)

@@ -18,10 +18,9 @@ from typing import Optional
 import numpy as np
 
 from . import peterweyl as pw
-from ._accel import pairwise_sum
 from .corpus import GaussProduct
 from .quadrature import (EulerQuadSO4, U2Quad, SampledField, box_grid,
-                         dft_forward)
+                         dft_forward, pairwise_sum)
 
 __all__ = [
     "SeparableKNAFunction", "KNASpectrum",

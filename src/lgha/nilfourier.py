@@ -17,18 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from ._accel import pairwise_sum, heis_conv_grid
 from .corpus import GaussProduct, product_overlap
 from .quadrature import (SampledField, Spectrum, box_grid, dft_forward,
-                         integrate, monte_carlo, norm2, MCResult,
+                         integrate, monte_carlo, norm2, pairwise_sum, MCResult,
                          DEFAULT_GRID_BUDGET)
 
 __all__ = [
     "reduce_to_nil", "LiftedFunction", "lift_to_L", "invariance_shift",
     "nil_shift_of_L", "flat_shift_of_L",
-    "convolve_N", "fourier_N", "fourier_N_separable",
+    "convolve_N", "fourier_N",
     "plancherel_N_check", "parseval_N_check", "lifted_convolution_check",
-    "heis_convolve_grid_field",
 ]
 
 NIL_AXES = ("x1", "x2", "x3", "x4", "x5", "x6")
@@ -192,13 +190,6 @@ def convolve_N(phi, f, at, method: str = "grid", box=6.0,
     raise ValueError("method must be 'grid' or 'mc'")
 
 
-def heis_convolve_grid_field(phi_vals, gpts, mpts, psi_mu, psi_sigma, psi_k,
-                             weight):
-    """Grid convolution on the three-parameter group against a Gaussian times
-    plane wave (hot kernel; see _accel)."""
-    return heis_conv_grid(phi_vals, gpts, mpts, psi_mu, psi_sigma, psi_k, weight)
-
-
 # ---------------------------------------------------------------------------
 # Fourier transform and Plancherel on N
 # ---------------------------------------------------------------------------
@@ -207,16 +198,6 @@ def heis_convolve_grid_field(phi_vals, gpts, mpts, psi_mu, psi_sigma, psi_k,
 def fourier_N(field: SampledField) -> Spectrum:
     """Six-axis Euclidean transform in the global chart of N."""
     return dft_forward(field, axes=[a.name for a in field.grid.axes])
-
-
-def fourier_N_separable(f: GaussProduct, grids_1d):
-    """Product of one-dimensional transforms of a separable function; returns
-    the list of per-axis spectra."""
-    out = []
-    for factor, grid in zip(f.factors, grids_1d):
-        fld = SampledField(grid, factor.values(grid.axes[0].nodes()))
-        out.append(dft_forward(fld))
-    return out
 
 
 def plancherel_N_check(f, box: float = 6.0, count: int = 14,

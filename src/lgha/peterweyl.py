@@ -20,8 +20,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from ._accel import pairwise_sum
-from .quadrature import EulerQuadSO4, SU2Quad, U2Quad
+from .quadrature import EulerQuadSO4, SU2Quad, U2Quad, pairwise_sum
 
 __all__ = [
     "ParityViolation", "wigner_jy", "wigner_d", "wigner_d_reference",

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import pairwise_sum
-
 DEFAULT_GRID_BUDGET = 2 ** 25
 DEFAULT_SO4_NODE_BUDGET = 2 ** 21
+MIN_MC_SAMPLES = 1000
+_MC_CHUNK = 1 << 19  # samples drawn and summed per Monte Carlo block
 
 AXIS_KINDS = ("uniform-periodic", "uniform-box", "gauss-legendre")
 
@@ -116,6 +116,25 @@ def box_grid(names, lo, hi, count, budget=DEFAULT_GRID_BUDGET) -> GridSpec:
     axes = [Axis(n, "uniform-box", lo[i], hi[i], int(count[i]))
             for i, n in enumerate(names)]
     return GridSpec(axes, budget=budget)
+
+
+def pairwise_sum(a):
+    """Deterministic pairwise reduction of an array (complex or real), flattened.
+
+    One fixed halving tree: a[0]+a[1], a[2]+a[3], ... per level, odd tail
+    kept; the result does not depend on threading or memory layout.
+    """
+    a = np.ravel(a)
+    if a.size == 0:
+        return 0.0 + 0.0j if np.iscomplexobj(a) else 0.0
+    a = np.ascontiguousarray(a)
+    while a.size > 1:
+        half = a.size // 2
+        tail = a[2 * half:]
+        a = a[0:2 * half:2] + a[1:2 * half:2]
+        if tail.size:
+            a = np.concatenate([a, tail])
+    return a[0]
 
 
 @dataclass
@@ -270,16 +289,15 @@ class MCResult:
         return abs(self.estimate - other_value) <= nsigma * max(self.stderr, 1e-300)
 
 
-def monte_carlo(integrand, mean, sigma, n: int, seed: int,
-                chunk: int = 1 << 19) -> MCResult:
+def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
     """Importance-sampled integral of `integrand` over R^d.
 
     Samples are drawn from a diagonal Gaussian N(mean, diag(sigma^2)) using a
     Philox counter-based generator, so results are reproducible bit-for-bit
     for a fixed seed.  `integrand` maps an (m, d) array to m complex values.
     """
-    if n < 1000:
-        raise ValueError("need at least 1000 samples")
+    if n < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), mean.shape)
     d = mean.size
@@ -290,7 +308,7 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int,
     sums2 = []
     remaining = n
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_MC_CHUNK, remaining)
         x = mean + sigma * rng.standard_normal((m, d))
         logpdf = lognorm - 0.5 * np.sum(((x - mean) / sigma) ** 2, axis=1)
         w = np.asarray(integrand(x), dtype=complex) * np.exp(-logpdf)

@@ -1,10 +1,12 @@
 """CLI surface: suites, report schema, determinism, exit codes, formats."""
 
 import json
+import math
 import subprocess
 import sys
 
 from lgha import cli
+from lgha import iwasawa_plancherel as IP
 
 
 def run_cli(*args):
@@ -39,10 +41,34 @@ def test_bad_config_file(tmp_path):
 
 
 def test_bad_budget_rejected(tmp_path):
+    # budgets below their floors, from the config file or from a flag
+    cases = [
+        ({"max_grid_points": -5}, ()),
+        (None, ("--budget-grid", "0")),
+        (None, ("--budget-mc", "500")),
+        ({"max_mc_samples": 500}, ()),
+        (None, ("--budget-bandlimit", "-1")),
+    ]
+    for budgets, flags in cases:
+        args = ["--suite", "hormander", *flags]
+        if budgets is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"budgets": budgets}))
+            args += ["--config", str(cfg)]
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (budgets, flags, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+def test_seed_flag_overrides_config_seed(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"budgets": {"max_grid_points": -5}}))
-    proc = run_cli("--suite", "hormander", "--config", str(cfg))
-    assert proc.returncode == 2
+    cfg.write_text(json.dumps({"seed": 7}))
+    out = tmp_path / "report.json"
+    for flags, seed in (((), 7), (("--seed", "3"), 3)):
+        proc = run_cli("--suite", "hormander", "--config", str(cfg),
+                       "--out", str(out), *flags)
+        assert proc.returncode == 0
+        assert json.loads(out.read_text())["seed"] == seed
 
 
 def test_hormander_suite_report_schema(tmp_path):
@@ -109,3 +135,20 @@ def test_tolerance_override():
     row = next(c for c in report["checks"] if c["name"] == "nil-law-vs-matrix")
     assert row["tol"] == 1e-30
     assert not row["pass"]
+
+
+def test_nan_error_fails_its_row(monkeypatch):
+    # a NaN after a finite value must not vanish in the worst-case fold
+    original = IP.upsilon_invariance_error
+    calls = []
+
+    def nan_on_second_call(*args):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else original(*args)
+
+    monkeypatch.setattr(IP, "upsilon_invariance_error", nan_on_second_call)
+    cfg = cli.SuiteConfig(seed=42, budget_bandlimit=0.5)
+    rows = {c["name"]: c for c in cli.suite_sl4(cfg)}
+    assert math.isnan(rows["upsilon-invariance"]["lhs"])
+    assert not rows["upsilon-invariance"]["pass"]
+    assert all(c["pass"] for n, c in rows.items() if n != "upsilon-invariance")

@@ -192,18 +192,3 @@ def test_sp4_algebra_dimensions():
     # the block form is not compatible with the triangular flag
     assert G.sp4_iwasawa_dimension_audit(G.SP_FORM_BLOCK)[2] == 3
 
-
-def test_matrix_json_dump():
-    g = G.random_sl4(rng)
-    back = G.matrix_from_json(G.matrix_to_json(g))
-    assert np.array_equal(back, g.entries)
-
-
-def test_point_dataclasses_roundtrip():
-    p = G.NilPoint6(1, 2, 3, 4, 5, 6)
-    assert np.array_equal(np.asarray(p), [1, 2, 3, 4, 5, 6])
-    assert G.NilPoint6.from_array(np.asarray(p)) == p
-    l = G.LPoint9(*range(9))
-    assert np.array_equal(np.asarray(l), np.arange(9))
-    h = G.HeisPoint3(0.5, -1.0, 2.0)
-    assert np.asarray(h)[2] == 2.0

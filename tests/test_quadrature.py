@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lgha import quadrature as Q
-from lgha._accel import pairwise_sum
+from lgha.quadrature import pairwise_sum
 
 rng = np.random.default_rng(202)
 
@@ -160,6 +160,12 @@ def test_field_io_roundtrip(tmp_path):
     assert np.array_equal(g.values, f.values)
     assert g.grid.names == f.grid.names
     assert g.grid.axes[0].kind == "uniform-box"
+
+
+def test_pairwise_sum_empty_and_small():
+    assert pairwise_sum(np.array([])) == 0.0
+    assert pairwise_sum(np.array([1.5])) == 1.5
+    assert pairwise_sum(np.array([1.0, 2.0, 3.0])) == 6.0
 
 
 def test_pairwise_sum_matches_fsum():
