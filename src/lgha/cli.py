@@ -41,8 +41,55 @@ SUITE_NAMES = ("groups", "nil-plancherel", "so4", "sl4-plancherel",
                "operator-identities", "hormander", "solvers", "all")
 
 
+# every row the nine suites emit, in report order; a config's tolerance keys
+# must name one of them
+CHECK_NAMES = (
+    # groups
+    "nil-law-vs-matrix", "nil-inverse-formula", "l-law-vs-matrix",
+    "l-associativity", "two-sided-inverse", "heis-law-vs-matrix",
+    "spn-embedding", "iwasawa-sl4", "iwasawa-sp4", "iwasawa-sp4-factors",
+    "modulus-vs-jacobian",
+    # nil-plancherel
+    "plancherel-separable", "plancherel-bump", "plancherel-bump-mc",
+    "parseval-grid", "parseval-mc", "lifted-convolution", "lift-invariance",
+    # so4
+    "wigner-reference", "schur-orthogonality", "transform-roundtrip",
+    "inversion-pointwise", "identity-point-inversion", "compact-plancherel",
+    "center-parity", "convolution-order",
+    # sl4-plancherel
+    "kna-plancherel-trivial", "kna-plancherel-halfint", "kna-plancherel-full",
+    "kna-spot-check", "upsilon-invariance", "upsilon-restriction",
+    # sp4-plancherel
+    "sp4-plancherel", "sp4-plancherel-trivial", "sp4-dimension-audit",
+    "sp4-unipotent-chart",
+    # semidirect-plancherel
+    "semidirect-plancherel", "semidirect-law", "translation-lift-invariance",
+    # operator-identities
+    "lewy-conjugation", "lewy-pair-conjugation", "shear-first-order",
+    "shear-laplacian", "left-laplacian-transport", "right-laplacian-transport",
+    "four-factor-conjugation", "single-factor-swap",
+    "coordinate-map-inverses", "mutation-sensitivity",
+    "operator-dsl-roundtrip",
+    # hormander
+    "bracket-identity", "bracket-rank", "bracket-depth-one",
+    # solvers
+    "cr-roundtrip", "cr-symbol", "cr-incompatible-rejected", "lewy-roundtrip",
+    "lewy-roundtrip-residual", "lewy-generic-residual", "four-stage-roundtrip",
+)
+
+
 class ConfigError(ValueError):
     pass
+
+
+def _number(kind, value, what):
+    """kind(value) for a number read from a config file or a flag; a value
+    kind rejects (a string, NaN or infinity for int) is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}") \
+            from None
 
 
 @dataclass
@@ -55,27 +102,42 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, payload: dict) -> "SuiteConfig":
+        if not isinstance(payload, dict):
+            raise ConfigError("a config must be a JSON object")
         known = {"seed", "budgets", "tolerances"}
         extra = set(payload) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         cfg = cls()
-        cfg.seed = int(payload.get("seed", cfg.seed))
+        cfg.seed = _number(int, payload.get("seed", cfg.seed), "seed")
         budgets = payload.get("budgets", {})
+        tolerances = payload.get("tolerances", {})
+        if not (isinstance(budgets, dict) and isinstance(tolerances, dict)):
+            raise ConfigError('"budgets" and "tolerances" must be objects')
         bkeys = {"max_grid_points", "max_mc_samples", "max_so4_bandlimit"}
         bextra = set(budgets) - bkeys
         if bextra:
             raise ConfigError(f"unknown budget keys: {sorted(bextra)}")
-        cfg.budget_grid = int(budgets.get("max_grid_points", cfg.budget_grid))
-        cfg.budget_mc = int(budgets.get("max_mc_samples", cfg.budget_mc))
-        cfg.budget_bandlimit = float(budgets.get("max_so4_bandlimit",
-                                                 cfg.budget_bandlimit))
-        cfg.tolerances = dict(payload.get("tolerances", {}))
+        cfg.budget_grid = _number(int, budgets.get("max_grid_points",
+                                                   cfg.budget_grid),
+                                  "max_grid_points")
+        cfg.budget_mc = _number(int, budgets.get("max_mc_samples",
+                                                 cfg.budget_mc),
+                                "max_mc_samples")
+        cfg.budget_bandlimit = _number(float, budgets.get(
+            "max_so4_bandlimit", cfg.budget_bandlimit), "max_so4_bandlimit")
+        cfg.tolerances = {
+            name: _number(float, tol, f"tolerance {name!r}")
+            for name, tol in tolerances.items()}
         cfg.validate()
         return cfg
 
     def validate(self):
-        """Reject budgets the suites cannot run with (exit code 2)."""
+        """Reject budgets the suites cannot run with and tolerance keys that
+        name no check (exit code 2)."""
+        unknown = sorted(set(self.tolerances) - set(CHECK_NAMES))
+        if unknown:
+            raise ConfigError(f"unknown tolerance keys: {unknown}")
         if not self.budget_grid > 0:
             raise ConfigError("grid budget must be positive")
         if not self.budget_mc >= MIN_MC_SAMPLES:
@@ -401,52 +463,19 @@ def suite_so4(cfg: SuiteConfig):
     checks.append(_err_row("center-parity", "double-cover-parity", err,
                            cfg.tol("center-parity", 1e-12)))
 
+    # convolution theorem T(g * f) = Tg . Tf at band limit 1, synthesized on
+    # the nodes and checked against the convolution integral by quadrature
+    cquad = so4_quadrature(1.0)
+    _, fvals = PW.random_band_limited(rng, 1.0, cquad)
+    gspec, gvals = PW.random_band_limited(rng, 1.0, cquad)
+    tf = PW.compact_transform(fvals, cquad, 1.0).coeffs
+    tg = PW.compact_transform(gvals, cquad, 1.0).coeffs
+    conv = PW.synthesize(PW.CompactSpectrum({l: tg[l] @ tf[l] for l in tg}),
+                         cquad)
     checks.append(_err_row("convolution-order", "compact-convolution",
-                           _convolution_order_error(rng),
+                           PW.convolution_order_error(gspec, fvals, conv, cquad),
                            cfg.tol("convolution-order", 1e-9)))
     return checks
-
-
-def _convolution_order_error(rng):
-    """T(phi * f) = Tf . Tphi at band limit 1, by double quadrature."""
-    J = 1.0
-    quad = so4_quadrature(J)
-    _, fvals = PW.random_band_limited(rng, J, quad)
-    gspec, gvals = PW.random_band_limited(rng, J, quad)
-    # conv(x) = int g(k^{-1} x) f(k) dk has the transform T(conv) = Tg . Tf;
-    # synthesize it on the nodes, then check it against the convolution
-    # integral evaluated by quadrature at a few nodes.
-    wl, wr = quad.left.weights, quad.right.weights
-    tf = PW.compact_transform(fvals, quad, J).coeffs
-    tg = PW.compact_transform(gvals, quad, J).coeffs
-    # (0.5, 0.5) first: synthesize sums the labels in this order
-    labels = [(0.5, 0.5)] + [l for l in PW.so4_labels(J) if l != (0.5, 0.5)]
-    conv_spec = {l: tg[l] @ tf[l] for l in labels}
-    conv_vals = PW.synthesize(PW.CompactSpectrum(conv_spec), quad)
-    idxs = [(0, 0), (3, 7), (11, 5)]
-    worst = 0.0
-    for (i, j) in idxs:
-        el = quad.left.euler[i]
-        er = quad.right.euler[j]
-        # x fixed; integrate over k with g evaluated at k^{-1} x via the
-        # band-limited synthesis at composed Euler angles
-        val = 0.0 + 0.0j
-        for a in range(quad.left.node_count):
-            ka = quad.left.euler[a]
-            ua = PW.euler_from_su2(
-                np.conj(PW.su2_from_euler(*ka)).T @ PW.su2_from_euler(*el))
-            row = np.zeros(quad.right.node_count, dtype=complex)
-            for b in range(quad.right.node_count):
-                kb = quad.right.euler[b]
-                ub = PW.euler_from_su2(
-                    np.conj(PW.su2_from_euler(*kb)).T @ PW.su2_from_euler(*er))
-                gval = sum(PW.so4_dim(l) * np.trace(
-                    gspec.coeffs[l] @ PW.so4_rep(l, ua, ub))
-                    for l in gspec.coeffs)
-                row[b] = gval * fvals[a, b]
-            val += wl[a] * np.sum(wr * row)
-        worst = _worst(worst, abs(val - conv_vals[i, j]))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +571,20 @@ def _kna_spot_error(rng):
               for g, fac in zip(a_grids, w.factors)]
     spec = IP.KNASpectrum(tu, n_spec, a_spec)
 
+    euclid = {}
+
     def blackbox(el, er, npts, tpts):
-        uval = complex(sum(PW.so4_dim(l) * np.trace(c @ PW.so4_rep(l, el, er))
-                           for l, c in coeffs.items()))
-        return uval * np.outer(v.values(npts), w.values(tpts))
+        # D^{1/2} is the defining representation of SU(2), so the compact
+        # factor 4 tr[C (U_l (x) U_r)] needs none of the Wigner code that the
+        # factorized path runs on
+        rep = np.einsum("pab,pcd->pacbd", PW.su2_from_euler(el),
+                        PW.su2_from_euler(er)).reshape(-1, 4, 4)
+        uval = 4.0 * np.einsum("ij,pji->p", coeffs[label], rep)
+        # the oracle passes the same points with every block of node pairs
+        key = (npts.tobytes(), tpts.tobytes())
+        if key not in euclid:
+            euclid[key] = np.outer(v.values(npts), w.values(tpts))
+        return uval[:, None, None] * euclid[key]
 
     worst = 0.0
     for _ in range(5):
@@ -930,9 +969,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.budget_grid is not None:
-            cfg.budget_grid = int(args.budget_grid)
+            cfg.budget_grid = _number(int, args.budget_grid, "--budget-grid")
         if args.budget_mc is not None:
-            cfg.budget_mc = int(args.budget_mc)
+            cfg.budget_mc = _number(int, args.budget_mc, "--budget-mc")
         if args.budget_bandlimit is not None:
             cfg.budget_bandlimit = args.budget_bandlimit
         cfg.validate()

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import peterweyl as pw
 from .corpus import GaussProduct
-from .quadrature import (EulerQuadSO4, U2Quad, SampledField, box_grid,
-                         dft_forward, pairwise_sum)
+from .quadrature import (BLOCK_ENTRIES, EulerQuadSO4, U2Quad, SampledField,
+                         box_grid, dft_forward, pairwise_sum)
 
 __all__ = [
     "SeparableKNAFunction", "KNASpectrum",
@@ -298,8 +298,10 @@ def nested_transform_oracle(fn, quad, label, n_grids, a_grids, n_freq_idx,
 
     with the same discrete measures the factorized path uses, iterated as a
     nested sum: compact node pairs outside, the (n, t) product grid inside.
-    fn maps ((3,), (3,), (Nn, dn), (Nt, dt)) to an (Nn, Nt) value array.
-    Intended for small grids; the cost is |K|^2 x |n-grid| x |t-grid|.
+    fn maps node stacks ((P, 3), (P, 3)) and the grid points ((Nn, dn),
+    (Nt, dt)) to a (P, Nn, Nt) value array; it is called on blocks of node
+    pairs of about BLOCK_ENTRIES values each.  Intended for small grids; the
+    cost is |K|^2 x |n-grid| x |t-grid|.
     """
     n_nodes = [g.axes[0].nodes() for g in n_grids]
     t_nodes = [g.axes[0].nodes() for g in a_grids]
@@ -317,15 +319,16 @@ def nested_transform_oracle(fn, quad, label, n_grids, a_grids, n_freq_idx,
 
     pair_phase = np.outer(np.exp(-1j * npts @ xi), np.exp(-1j * tpts @ lam))
 
-    d = pw.so4_dim(label)
-    acc = np.zeros((d, d), dtype=complex)
-    wl, wr = quad.left.weights, quad.right.weights
-    for i in range(quad.left.node_count):
-        el = quad.left.euler[i]
-        for jn in range(quad.right.node_count):
-            er = quad.right.euler[jn]
-            rep_inv = pw.so4_rep(label, el, er).conj().T
-            vals = fn(el, er, npts, tpts)
-            s = complex(pairwise_sum((vals * pair_phase).ravel()))
-            acc += wl[i] * wr[jn] * s * rep_inv
-    return acc * n_w * t_w
+    n_right = quad.right.node_count
+    el = np.repeat(quad.left.euler, n_right, axis=0)
+    er = np.tile(quad.right.euler, (quad.left.node_count, 1))
+    w = np.outer(quad.left.weights, quad.right.weights).ravel()
+    step = -(-BLOCK_ENTRIES // pair_phase.size)  # rounded up, at least 1
+    phase = pair_phase.ravel()
+    s = np.concatenate([
+        fn(el[b:b + step], er[b:b + step], npts, tpts).reshape(-1, phase.size)
+        @ phase for b in range(0, w.size, step)])
+    # sum_p w s rep(k_p)^{-1} = conj(sum_p conj(w s) rep(k_p))^T: no
+    # conjugated copy of the representation stack
+    acc = np.einsum("p,pij->ji", (w * s).conj(), pw.so4_rep(label, el, er))
+    return acc.conj() * n_w * t_w

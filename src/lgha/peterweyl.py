@@ -20,17 +20,24 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .quadrature import EulerQuadSO4, SU2Quad, U2Quad, pairwise_sum
+from .quadrature import (BLOCK_ENTRIES, EulerQuadSO4, SU2Quad, U2Quad,
+                         pairwise_sum)
 
 __all__ = [
     "ParityViolation", "wigner_jy", "wigner_d", "wigner_d_reference",
     "wigner_D", "wigner_D_stack", "su2_from_euler", "euler_from_su2",
     "so4_labels", "so4_dim", "so4_rep", "CompactSpectrum",
     "compact_transform", "synthesize", "compact_inverse",
+    "convolution_order_error",
     "compact_plancherel_check", "random_band_limited",
     "u2_labels", "u2_dim", "u2_rep", "u2_transform", "u2_synthesize",
     "u2_plancherel_check", "random_u2_band_limited",
 ]
+
+
+# node pairs (left index, right index) at which convolution_order_error
+# evaluates the convolution integral
+_CONV_SPOT_NODES = ((0, 0), (3, 7), (11, 5))
 
 
 class ParityViolation(ValueError):
@@ -112,9 +119,9 @@ def wigner_D(j, alpha, beta, gamma) -> np.ndarray:
 
 
 def wigner_D_stack(j, euler: np.ndarray) -> np.ndarray:
-    """D^j at an (n, 3) array of Euler triples -> (n, d, d)."""
+    """D^j at a (..., 3) array of Euler triples -> (..., d, d)."""
     euler = np.asarray(euler, dtype=float)
-    return wigner_D(j, euler[:, 0], euler[:, 1], euler[:, 2])
+    return wigner_D(j, euler[..., 0], euler[..., 1], euler[..., 2])
 
 
 # ---------------------------------------------------------------------------
@@ -122,43 +129,48 @@ def wigner_D_stack(j, euler: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def su2_from_euler(alpha, beta, gamma) -> np.ndarray:
+def su2_from_euler(euler) -> np.ndarray:
+    """SU(2) elements at a (..., 3) array of Euler triples -> (..., 2, 2)."""
+    euler = np.asarray(euler, dtype=float)
+    alpha, beta, gamma = euler[..., 0], euler[..., 1], euler[..., 2]
     ca, sa = np.cos(beta / 2.0), np.sin(beta / 2.0)
-    return np.array([
-        [ca * np.exp(-0.5j * (alpha + gamma)), -sa * np.exp(-0.5j * (alpha - gamma))],
-        [sa * np.exp(0.5j * (alpha - gamma)), ca * np.exp(0.5j * (alpha + gamma))],
-    ])
+    u = np.empty(euler.shape[:-1] + (2, 2), dtype=complex)
+    u[..., 0, 0] = ca * np.exp(-0.5j * (alpha + gamma))
+    u[..., 0, 1] = -sa * np.exp(-0.5j * (alpha - gamma))
+    u[..., 1, 0] = sa * np.exp(0.5j * (alpha - gamma))
+    u[..., 1, 1] = ca * np.exp(0.5j * (alpha + gamma))
+    return u
 
 
-def euler_from_su2(u: np.ndarray):
-    """Euler triple (alpha in [0,2pi), beta in [0,pi], gamma in [0,4pi))
-    reproducing the SU(2) element exactly (no sign ambiguity)."""
+def euler_from_su2(u: np.ndarray) -> np.ndarray:
+    """Euler triples (alpha in [0,2pi), beta in [0,pi], gamma in [0,4pi))
+    reproducing a (..., 2, 2) array of SU(2) elements exactly (no sign
+    ambiguity) -> (..., 3)."""
     u = np.asarray(u, dtype=complex)
-    c = abs(u[0, 0])
-    beta = 2.0 * np.arctan2(abs(u[1, 0]), c)
-    if abs(u[1, 0]) < 1e-14:       # beta ~ 0: only alpha+gamma matters
-        alpha = 0.0
-        gamma = (-2.0 * np.angle(u[0, 0])) % (4.0 * np.pi)
-        return alpha, 0.0, gamma
-    if c < 1e-14:                  # beta ~ pi: only alpha-gamma matters
-        alpha = 0.0
-        gamma = (-2.0 * np.angle(u[1, 0])) % (4.0 * np.pi)
-        return alpha, np.pi, gamma
-    s = -np.angle(u[0, 0])         # (alpha+gamma)/2
-    t = np.angle(u[1, 0])          # (alpha-gamma)/2
-    alpha = s + t
+    a, b = np.abs(u[..., 0, 0]), np.abs(u[..., 1, 0])
+    beta = 2.0 * np.arctan2(b, a)
+    s = -np.angle(u[..., 0, 0])    # (alpha+gamma)/2
+    t = np.angle(u[..., 1, 0])     # (alpha-gamma)/2
+    alpha = s + t                  # in [-2pi, 2pi]
     gamma = s - t
-    flips = 0
-    while alpha < 0:
-        alpha += 2.0 * np.pi
-        flips += 1
-    while alpha >= 2.0 * np.pi:
-        alpha -= 2.0 * np.pi
-        flips += 1
-    if flips % 2:
-        gamma += 2.0 * np.pi
+    # Wrap alpha in two steps, each shifting gamma by 2pi to keep the
+    # element: alpha = -4e-16 rounds to 2pi after the first step and to 0
+    # after the second, where a single floor-based step would stop at 2pi.
+    low = alpha < 0
+    alpha = np.where(low, alpha + 2.0 * np.pi, alpha)
+    high = alpha >= 2.0 * np.pi
+    alpha = np.where(high, alpha - 2.0 * np.pi, alpha)
+    gamma = np.where(low != high, gamma + 2.0 * np.pi, gamma)
+    # poles: only alpha+gamma (beta ~ 0) or alpha-gamma (beta ~ pi) matters
+    north = b < 1e-14
+    south = ~north & (a < 1e-14)
+    alpha = np.where(north | south, 0.0, alpha)
+    beta = np.where(north, 0.0, np.where(south, np.pi, beta))
+    gamma = np.where(north, 2.0 * s, np.where(south, -2.0 * t, gamma))
     gamma = gamma % (4.0 * np.pi)
-    return float(alpha), float(beta), float(gamma)
+    # -1e-16 % 4pi rounds to 4pi itself, the same element as 0
+    gamma = np.where(gamma < 4.0 * np.pi, gamma, 0.0)
+    return np.stack([alpha, beta, gamma], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +195,20 @@ def so4_labels(J):
 
 
 def so4_rep(label, euler_left, euler_right) -> np.ndarray:
-    """Representation matrix at a point of the double cover: the Kronecker
-    product D^{j1} otimes D^{j2}.  Well defined on SO(4) by the parity rule."""
+    """Representation matrices at points of the double cover: the Kronecker
+    product D^{j1} otimes D^{j2}, broadcast over the leading axes of the
+    (..., 3) Euler triples, so (n, 3) inputs give (n, d, d) and one point
+    gives (d, d).  Well defined on SO(4) by the parity rule."""
     j1, j2 = label
     if (_check_half_integer(j1) + _check_half_integer(j2)) % 2:
         raise ParityViolation(f"label {label} has half-odd j1 + j2")
-    d1 = wigner_D(j1, *euler_left)
-    d2 = wigner_D(j2, *euler_right)
-    return np.kron(d1, d2)
+    d1 = wigner_D_stack(j1, euler_left)
+    d2 = wigner_D_stack(j2, euler_right)
+    # a broadcast product, not einsum: its complex products round exactly
+    # like np.kron's
+    kron = d1[..., :, None, :, None] * d2[..., None, :, None, :]
+    n1, n2 = d1.shape[-1], d2.shape[-1]
+    return kron.reshape(kron.shape[:-4] + (n1 * n2, n1 * n2))
 
 
 @dataclass
@@ -261,6 +279,43 @@ def compact_inverse(spec: CompactSpectrum, euler_left, euler_right) -> complex:
         rep = so4_rep(lbl, euler_left, euler_right)
         val += so4_dim(lbl) * np.trace(c @ rep)
     return complex(val)
+
+
+def convolution_order_error(g_spec: CompactSpectrum, f_values: np.ndarray,
+                            conv_values: np.ndarray, quad: EulerQuadSO4) -> float:
+    """Worst |(g * f)(x) - conv_values[x]| over the spot nodes x, where
+
+      (g * f)(x) = int g(k^{-1} x) f(k) dk
+
+    is summed by quadrature over the node pairs k, with g evaluated
+    pointwise, sum over labels of d tr[C_label rep(k^{-1} x)] as in
+    compact_inverse, at the composed elements k^{-1} x: an SU(2) product and
+    an Euler extraction on each factor.  Neither synthesize nor the
+    convolution theorem T(g * f) = Tg . Tf, which conv_values (node values)
+    is expected to satisfy, enters the quadrature side.
+    """
+    left = su2_from_euler(quad.left.euler)
+    right = su2_from_euler(quad.right.euler)
+    wl, wr = quad.left.weights, quad.right.weights
+    errs = []
+    for i, j in _CONV_SPOT_NODES:
+        # composed elements k^{-1} x, (n_left, 1, 3) and (n_right, 3)
+        el = euler_from_su2(left.conj().swapaxes(-1, -2) @ left[i])[:, None]
+        er = euler_from_su2(right.conj().swapaxes(-1, -2) @ right[j])
+        val = 0.0
+        for lbl, c in g_spec.coeffs.items():
+            d = so4_dim(lbl)
+            # a block holds d * d representation entries and one g value
+            # per node pair
+            step = max(1, BLOCK_ENTRIES // (len(wl) * (d * d + 1)))
+            for b in range(0, len(wr), step):
+                rep = so4_rep(lbl, el, er[b:b + step])
+                # one label's term of g; the trace by einsum, without the
+                # c @ rep product compact_inverse forms
+                g = np.einsum("ij,...ji->...", d * c, rep)
+                val += wl @ (g * f_values[:, b:b + step]) @ wr[b:b + step]
+        errs.append(abs(val - conv_values[i, j]))
+    return float(np.max(errs))
 
 
 def compact_plancherel_check(f_values: np.ndarray, quad: EulerQuadSO4, J):

@@ -17,6 +17,8 @@ DEFAULT_GRID_BUDGET = 2 ** 25
 DEFAULT_SO4_NODE_BUDGET = 2 ** 21
 MIN_MC_SAMPLES = 1000
 _MC_CHUNK = 1 << 19  # samples drawn and summed per Monte Carlo block
+# complex entries (512 KB) in one temporary block of the pointwise oracles
+BLOCK_ENTRIES = 1 << 15
 
 AXIS_KINDS = ("uniform-periodic", "uniform-box", "gauss-legendre")
 

@@ -39,6 +39,11 @@ def _verdict(num, label, ok, detail):
     assert ok, line
 
 
+def test_check_names_are_the_report_rows(full_report):
+    # the list a config's tolerance keys are validated against
+    assert [c["name"] for c in full_report["checks"]] == list(cli.CHECK_NAMES)
+
+
 def test_criterion_01_group_law_oracles(full_report):
     rows = _rows(full_report, "nil-law-vs-matrix", "l-law-vs-matrix",
                  "heis-law-vs-matrix")

@@ -35,19 +35,30 @@ def test_missing_suite_is_config_error():
 
 def test_bad_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"unknown_key": 1}))
-    proc = run_cli("--suite", "hormander", "--config", str(cfg))
-    assert proc.returncode == 2
+    for payload in ({"unknown_key": 1}, 5, {"budgets": 5},
+                    {"tolerances": [1]}):
+        cfg.write_text(json.dumps(payload))
+        proc = run_cli("--suite", "hormander", "--config", str(cfg))
+        assert proc.returncode == 2, (payload, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 def test_bad_budget_rejected(tmp_path):
-    # budgets below their floors, from the config file or from a flag
+    # budgets below their floors or not finite numbers, from the config file
+    # or from a flag
     cases = [
         ({"max_grid_points": -5}, ()),
         (None, ("--budget-grid", "0")),
         (None, ("--budget-mc", "500")),
         ({"max_mc_samples": 500}, ()),
         (None, ("--budget-bandlimit", "-1")),
+        (None, ("--budget-grid", "nan")),
+        (None, ("--budget-grid", "inf")),
+        (None, ("--budget-mc", "nan")),
+        (None, ("--budget-bandlimit", "nan")),
+        ({"max_grid_points": "abc"}, ()),
+        ({"max_mc_samples": None}, ()),
+        ({"max_so4_bandlimit": "abc"}, ()),
     ]
     for budgets, flags in cases:
         args = ["--suite", "hormander", *flags]
@@ -58,6 +69,19 @@ def test_bad_budget_rejected(tmp_path):
         proc = run_cli(*args)
         assert proc.returncode == 2, (budgets, flags, proc.stderr)
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:"), proc.stderr
+
+
+def test_bad_tolerance_rejected(tmp_path):
+    # a key that names no check row, or a value that is not a number
+    cfg = tmp_path / "cfg.json"
+    for tolerances, word in (({"no-such-check": 1e-3}, "no-such-check"),
+                             ({"nil-law-vs-matrix": "tight"}, "tight")):
+        cfg.write_text(json.dumps({"tolerances": tolerances}))
+        proc = run_cli("--suite", "hormander", "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert word in proc.stderr
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):

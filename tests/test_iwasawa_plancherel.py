@@ -65,30 +65,38 @@ def test_transform_linearity_in_f():
                          - 3.0 * t1.k_part.coeffs[(0.5, 0.5)])) < 1e-12
 
 
-def test_spot_check_against_nested_quadrature():
-    quad = so4_quadrature(0.5)
-    label = (0.5, 0.5)
-    coeffs = {label: (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 4}
-    v = random_gauss_product(rng, 6)
-    w = random_gauss_product(rng, 3)
-    count = 3
+def _spot_case(quad, J, label, count, n_dim=6, a_dim=3):
+    """A separable K/N/A function with one compact label, as an opaque
+    function of node stacks for the nested oracle, and its factorized
+    transform on count-point grids."""
+    d = pw.so4_dim(label)
+    coeffs = pw.CompactSpectrum(
+        {label: (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d})
+    v = random_gauss_product(rng, n_dim)
+    w = random_gauss_product(rng, a_dim)
     n_grids = [box_grid((n,), *fac.suggested_axis(), count)
                for n, fac in zip(ip.N_AXES, v.factors)]
     a_grids = [box_grid((n,), *fac.suggested_axis(), count)
                for n, fac in zip(ip.A_AXES, w.factors)]
-    tu = pw.compact_transform(
-        pw.synthesize(pw.CompactSpectrum(coeffs), quad), quad, 0.5)
+    tu = pw.compact_transform(pw.synthesize(coeffs, quad), quad, J)
     n_spec = [dft_forward(SampledField(g, fac.values(g.axes[0].nodes())))
               for g, fac in zip(n_grids, v.factors)]
     a_spec = [dft_forward(SampledField(g, fac.values(g.axes[0].nodes())))
               for g, fac in zip(a_grids, w.factors)]
-    spec = ip.KNASpectrum(tu, n_spec, a_spec)
 
     def blackbox(el, er, npts, tpts):
-        uval = complex(sum(pw.so4_dim(l) * np.trace(c @ pw.so4_rep(l, el, er))
-                           for l, c in coeffs.items()))
-        return uval * np.outer(v.values(npts), w.values(tpts))
+        c = coeffs.coeffs[label]
+        uval = d * np.einsum("ij,pji->p", c, pw.so4_rep(label, el, er))
+        return uval[:, None, None] * np.outer(v.values(npts), w.values(tpts))
 
+    return blackbox, ip.KNASpectrum(tu, n_spec, a_spec), n_grids, a_grids
+
+
+def test_spot_check_against_nested_quadrature():
+    quad = so4_quadrature(0.5)
+    label = (0.5, 0.5)
+    count = 3
+    blackbox, spec, n_grids, a_grids = _spot_case(quad, 0.5, label, count)
     n_idx = tuple(rng.integers(0, count, size=6))
     a_idx = tuple(rng.integers(0, count, size=3))
     oracle = ip.nested_transform_oracle(blackbox, quad, label, n_grids,
@@ -96,6 +104,26 @@ def test_spot_check_against_nested_quadrature():
     fact = spec.value(label, n_idx, a_idx)
     scale = max(np.max(np.abs(oracle)), 1e-300)
     assert np.max(np.abs(oracle - fact)) / scale < 1e-6
+
+
+def test_nested_oracle_fails_at_wrong_label_or_frequency():
+    quad = so4_quadrature(1.0)
+    label, other = (1.0, 0.0), (0.0, 1.0)  # same dimension
+    # band limit 1 has 144^2 node pairs: few Euclidean axes keep it quick
+    blackbox, spec, n_grids, a_grids = _spot_case(quad, 1.0, label, 6,
+                                                  n_dim=2, a_dim=1)
+    n_idx, a_idx = (1, 2), (1,)
+    fact = spec.value(label, n_idx, a_idx)
+
+    def rel_err(lbl, n, a):
+        oracle = ip.nested_transform_oracle(blackbox, quad, lbl, n_grids,
+                                            a_grids, n, a)
+        return np.max(np.abs(oracle - fact)) / np.max(np.abs(fact))
+
+    assert rel_err(label, n_idx, a_idx) < 1e-6
+    assert rel_err(other, n_idx, a_idx) > 1e-6
+    assert rel_err(label, (2, 2), a_idx) > 1e-6
+    assert rel_err(label, n_idx, (2,)) > 1e-6
 
 
 def test_sp4_restriction_plancherel():

@@ -38,9 +38,96 @@ def test_euler_roundtrip_including_poles():
               rng.uniform(0, 4 * np.pi)) for _ in range(100)]
     cases += [(1.0, 0.0, 2.0), (0.5, np.pi, 1.0), (0.0, 1e-9, 3.0)]
     for e in cases:
-        u = pw.su2_from_euler(*e)
+        u = pw.su2_from_euler(e)
         e2 = pw.euler_from_su2(u)
-        assert np.max(np.abs(pw.su2_from_euler(*e2) - u)) < 1e-9
+        assert np.max(np.abs(pw.su2_from_euler(e2) - u)) < 1e-9
+
+
+def _euler_from_su2_loop(u):
+    """One SU(2) element at a time, wrapping alpha with while loops: the
+    reference for the batched euler_from_su2."""
+    c = abs(u[0, 0])
+    beta = 2.0 * np.arctan2(abs(u[1, 0]), c)
+    if abs(u[1, 0]) < 1e-14:
+        return 0.0, 0.0, (-2.0 * np.angle(u[0, 0])) % (4.0 * np.pi)
+    if c < 1e-14:
+        return 0.0, np.pi, (-2.0 * np.angle(u[1, 0])) % (4.0 * np.pi)
+    s = -np.angle(u[0, 0])
+    t = np.angle(u[1, 0])
+    alpha, gamma = s + t, s - t
+    flips = 0
+    while alpha < 0:
+        alpha += 2.0 * np.pi
+        flips += 1
+    while alpha >= 2.0 * np.pi:
+        alpha -= 2.0 * np.pi
+        flips += 1
+    if flips % 2:
+        gamma += 2.0 * np.pi
+    return alpha, beta, gamma % (4.0 * np.pi)
+
+
+def test_batched_euler_helpers_on_composed_nodes():
+    # all composed elements k_a^{-1} k_b of the band-limit-1 node set, the
+    # elements the convolution oracle builds
+    su2 = pw.su2_from_euler(so4_quadrature(1.0).left.euler)
+    u = su2.conj().swapaxes(-1, -2)[:, None] @ su2[None, :]
+    e = pw.euler_from_su2(u)
+    assert e.shape == (144, 144, 3)
+    assert np.max(np.abs(pw.su2_from_euler(e) - u)) < 1e-14
+    alpha, beta, gamma = e[..., 0], e[..., 1], e[..., 2]
+    assert np.all((alpha >= 0) & (alpha < 2 * np.pi))
+    assert np.all((beta >= 0) & (beta <= np.pi))
+    assert np.all((gamma >= 0) & (gamma < 4 * np.pi))
+    # k_72^{-1} k_2 has alpha = -4.4e-16 before the wrap, and alpha + 2pi
+    # rounds to 2pi: the second wrap step brings it to 0, where a
+    # floor-based wrap would stop at 2pi
+    assert -1e-15 < np.angle(u[72, 2, 1, 0]) - np.angle(u[72, 2, 0, 0]) < 0
+    assert alpha[72, 2] == 0.0
+    loop = np.array([[_euler_from_su2_loop(x) for x in row] for row in u])
+    rounded_up = loop[..., 2] == 4 * np.pi  # the loop's gamma % 4pi
+    assert rounded_up.sum() > 0
+    loop[..., 2][rounded_up] = 0.0
+    # alpha and gamma bit for bit; beta through the vectorized arctan2
+    assert np.array_equal(e[..., [0, 2]], loop[..., [0, 2]])
+    assert np.max(np.abs(e[..., 1] - loop[..., 1])) <= 1e-15
+    # poles, one element at a time
+    for pole in ((1.0, 0.0, 2.0), (0.5, np.pi, 1.0)):
+        x = pw.su2_from_euler(pole)
+        assert np.array_equal(pw.euler_from_su2(x), _euler_from_su2_loop(x))
+
+
+def test_stacked_so4_rep_matches_single_points():
+    el = np.stack([rng.uniform(0, 2 * np.pi, 30), rng.uniform(0, np.pi, 30),
+                   rng.uniform(0, 4 * np.pi, 30)], axis=-1)
+    er = el[::-1].copy()
+    for lbl in pw.so4_labels(1.0):
+        stack = pw.so4_rep(lbl, el, er)
+        d = pw.so4_dim(lbl)
+        assert stack.shape == (30, d, d)
+        single = np.stack([pw.so4_rep(lbl, a, b) for a, b in zip(el, er)])
+        assert np.max(np.abs(stack - single)) <= 1e-15
+        kron = np.stack([np.kron(pw.wigner_D(lbl[0], *a), pw.wigner_D(lbl[1], *b))
+                         for a, b in zip(el, er)])
+        assert np.array_equal(single, kron)
+    # broadcasting: (n, 1, 3) against (m, 3) gives every pair
+    grid = pw.so4_rep((0.5, 0.5), el[:, None], er[:4])
+    assert grid.shape == (30, 4, 4, 4)
+    assert np.array_equal(grid[7, 2], pw.so4_rep((0.5, 0.5), el[7], er[2]))
+
+
+def test_convolution_oracle_detects_swapped_product():
+    quad = so4_quadrature(1.0)
+    _, fvals = pw.random_band_limited(rng, 1.0, quad)
+    gspec, gvals = pw.random_band_limited(rng, 1.0, quad)
+    tf = pw.compact_transform(fvals, quad, 1.0).coeffs
+    tg = pw.compact_transform(gvals, quad, 1.0).coeffs
+    right = pw.synthesize(pw.CompactSpectrum({l: tg[l] @ tf[l] for l in tg}),
+                          quad)
+    swapped = pw.synthesize(pw.CompactSpectrum({l: tf[l] @ tg[l] for l in tg}),
+                            quad)
+    assert pw.convolution_order_error(gspec, fvals, right, quad) < 1e-12
+    assert pw.convolution_order_error(gspec, fvals, swapped, quad) > 1e-9
 
 
 def test_wigner_homomorphism():
@@ -50,7 +137,7 @@ def test_wigner_homomorphism():
                   rng.uniform(0, 4 * np.pi))
             e2 = (rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
                   rng.uniform(0, 4 * np.pi))
-            u12 = pw.su2_from_euler(*e1) @ pw.su2_from_euler(*e2)
+            u12 = pw.su2_from_euler(e1) @ pw.su2_from_euler(e2)
             lhs = pw.wigner_D(j, *pw.euler_from_su2(u12))
             rhs = pw.wigner_D(j, *e1) @ pw.wigner_D(j, *e2)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -156,7 +243,7 @@ def test_u2_rep_well_defined_on_quotient():
     lbl = (2, -1)
     theta = 0.7
     e = (1.1, 0.9, 2.3)
-    u = pw.su2_from_euler(*e)
+    u = pw.su2_from_euler(e)
     e_neg = pw.euler_from_su2(-u)
     a = pw.u2_rep(lbl, theta, e)
     b = pw.u2_rep(lbl, theta + np.pi, e_neg)
