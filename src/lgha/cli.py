@@ -385,7 +385,7 @@ def suite_nil_plancherel(cfg: SuiteConfig):
     F = NF.lift_to_L(fw.values)
     lpts = rng.normal(size=(1000, 9))
     hrk = rng.normal(size=(1000, 3))
-    shifted = np.stack([NF.invariance_shift(lpts[i], *hrk[i]) for i in range(1000)])
+    shifted = NF.invariance_shift(lpts, *hrk.T)
     err = np.max(np.abs(F(shifted) - F(lpts)))
     checks.append(_err_row("lift-invariance", "lift-invariance-nilpotent",
                            err, cfg.tol("lift-invariance", 1e-10)))
@@ -857,6 +857,8 @@ def suite_solvers(cfg: SuiteConfig):
     checks.append(_err_row("lewy-roundtrip-residual", "conjugated-solve",
                            res["residual"],
                            cfg.tol("lewy-roundtrip-residual", 1e-3)))
+    # release the first solve's 160^3 fields before the second one runs
+    del res, grid, zs, ys, xs, href, mask
 
     gg = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j,
                               (1, 1, 0): -0.15, (0, 1, 2): -0.1}), sigma=0.65)

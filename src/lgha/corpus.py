@@ -28,9 +28,14 @@ class GaussPoly1D:
     c2: complex = 0.0
 
     def values(self, x):
+        # zero coefficients are skipped: for finite x, c0 + 0 t + 0 t^2 is c0
         t = np.asarray(x, dtype=float) - self.mu
-        return (self.c0 + self.c1 * t + self.c2 * t * t) \
-            * np.exp(-t * t / (2.0 * self.sigma ** 2))
+        p = self.c0
+        if self.c1 != 0:
+            p = p + self.c1 * t
+        if self.c2 != 0:
+            p = p + self.c2 * t * t
+        return p * np.exp(-t * t / (2.0 * self.sigma ** 2))
 
     def ft(self, xi):
         """Exact continuum transform: int f(x) exp(-i xi x) dx."""

@@ -139,12 +139,23 @@ class Poly3:
         return Poly3(out)
 
     def eval(self, z, y, x):
-        out = 0
-        for (a, b, c), co in self.terms.items():
-            out = out + co * np.asarray(z) ** a * np.asarray(y) ** b * np.asarray(x) ** c
-        if not self.terms:
-            return np.zeros(np.broadcast(z, y, x).shape, dtype=complex)
-        return out
+        """Evaluate on broadcastable arrays (or scalars).  Powers of each
+        variable are built once by repeated multiplication; each monomial is
+        a real product added into one complex accumulator."""
+        args = [np.asarray(v) for v in (z, y, x)]
+        out = np.zeros(np.broadcast_shapes(*(v.shape for v in args)),
+                       dtype=complex)
+        powers = [[None, v] for v in args]  # powers[i][k] = args[i] ** k
+        for m, co in self.terms.items():
+            mono = None
+            for table, k in zip(powers, m):
+                if k == 0:
+                    continue
+                while len(table) <= k:
+                    table.append(table[-1] * table[1])
+                mono = table[k] if mono is None else mono * table[k]
+            out += co if mono is None else co * mono
+        return out if out.ndim else out[()]
 
     def eval_jet(self, zj: Jet, yj: Jet, xj: Jet) -> Jet:
         out = Jet()

@@ -143,7 +143,7 @@ def nil_mul(p, q):
 
 def nil_inv(p):
     p = _coords(p, 6)
-    out = -p.copy()
+    out = -p
     out[..., 2] += p[..., 0] * p[..., 1]
     out[..., 4] += p[..., 1] * p[..., 3]
     out[..., 5] += p[..., 0] * p[..., 4] + p[..., 2] * p[..., 3] \

@@ -19,7 +19,7 @@ import numpy as np
 from . import groups
 from .corpus import GaussProduct, product_overlap
 from .quadrature import (SampledField, Spectrum, box_grid, dft_forward,
-                         integrate, monte_carlo, norm2, pairwise_sum, MCResult,
+                         monte_carlo, norm2, pairwise_sum, MCResult,
                          DEFAULT_GRID_BUDGET)
 
 __all__ = [
@@ -155,34 +155,73 @@ def _nil_grid(box, count, budget):
     return box_grid(NIL_AXES, lo, hi, count, budget=budget)
 
 
+def _pointwise(fn):
+    """A callable on (..., 6) arrays for a callable or a GaussProduct."""
+    return fn.values if isinstance(fn, GaussProduct) else fn
+
+
+def _outer(factors) -> np.ndarray:
+    """Outer product of 1-D arrays, one axis each."""
+    out = factors[0]
+    for fac in factors[1:]:
+        out = np.multiply.outer(out, fac)
+    return out
+
+
 def convolve_N(phi, f, at, method: str = "grid", box=6.0,
                count: int = 12, n: int = 1 << 20, seed: int = 0,
                sampler=None, param: str = "right",
                budget: int = DEFAULT_GRID_BUDGET):
     """Noncommutative convolution (phi * f)(at) = int f(g^{-1} h) phi(g) dg.
 
+    phi and f are callables on (..., 6) arrays or GaussProduct functions.
     param="right" substitutes u = g^{-1} h (f is evaluated plainly, phi at
-    h u^{-1}); param="left" integrates over g directly.  Both substitutions
-    are measure preserving (unit Jacobians).  method="grid" uses a tensor
-    box rule (box is a half-width or a (lo, hi) pair of 6-vectors),
-    method="mc" importance sampling with a reported standard error.
+    h u^{-1}); param="left" integrates over g directly (phi is evaluated
+    plainly, f through the group law).  Both substitutions are measure
+    preserving (unit Jacobians).  method="grid" uses a tensor box rule (box
+    is a half-width or a (lo, hi) pair of 6-vectors) summed one slab of the
+    first axis at a time; a plainly evaluated GaussProduct is taken there
+    as the outer product of its 1-D factor values.  method="mc" uses
+    importance sampling with a reported standard error.
     """
     at = np.asarray(at, dtype=float)
-
     if param == "right":
-        def integrand(u):
-            return f(u) * phi(groups.nil_mul(np.broadcast_to(at, u.shape), groups.nil_inv(u)))
+        plain, phi_at = f, _pointwise(phi)
+
+        def shifted(u):
+            return phi_at(groups.nil_mul(np.broadcast_to(at, u.shape),
+                                         groups.nil_inv(u)))
     elif param == "left":
-        def integrand(g):
-            return f(groups.nil_mul(groups.nil_inv(g), np.broadcast_to(at, g.shape))) * phi(g)
+        plain, f_at = phi, _pointwise(f)
+
+        def shifted(g):
+            return f_at(groups.nil_mul(groups.nil_inv(g),
+                                       np.broadcast_to(at, g.shape)))
     else:
         raise ValueError("param must be 'right' or 'left'")
+    plain_at = _pointwise(plain)
+
+    def integrand(u):
+        return plain_at(u) * shifted(u)
 
     if method == "grid":
         grid = _nil_grid(box, count, budget)
-        field = SampledField.from_callable(
-            grid, lambda *mesh: integrand(np.stack(mesh, axis=-1)))
-        return integrate(field)
+        first, rest = grid.axes[0], grid.axes[1:]
+        u = np.empty(tuple(a.count for a in rest) + (6,))
+        for k, mesh in enumerate(np.meshgrid(*[a.nodes() for a in rest],
+                                             indexing="ij")):
+            u[..., k + 1] = mesh
+        w_rest = _outer([a.weights() for a in rest])
+        fac = None
+        if isinstance(plain, GaussProduct):
+            fac = plain.factor_values([a.nodes() for a in grid.axes])
+            rest_values = _outer(fac[1:])
+        sums = []
+        for i, (x0, w0) in enumerate(zip(first.nodes(), first.weights())):
+            u[..., 0] = x0
+            vals = plain_at(u) if fac is None else fac[0][i] * rest_values
+            sums.append(pairwise_sum(vals * shifted(u) * (w0 * w_rest)))
+        return complex(pairwise_sum(np.asarray(sums)))
     if method == "mc":
         mean = np.zeros(6) if sampler is None else np.asarray(sampler[0], dtype=float)
         sig = np.ones(6) if sampler is None else np.asarray(sampler[1], dtype=float)
@@ -256,7 +295,7 @@ def parseval_N_check(f, phi, method: str = "grid", count: int = 16,
     box = (center - 7.5 * width - 0.3, center + 7.5 * width + 0.3)
     # the sampler is deliberately wider than the integrand's envelope so the
     # importance weights carry genuine variance
-    lhs = convolve_N(phi_check, f.values, np.zeros(6), method=method, box=box,
+    lhs = convolve_N(phi_check, f, np.zeros(6), method=method, box=box,
                      count=count, n=n, seed=seed,
                      sampler=(center, 1.35 * width), budget=budget)
     if isinstance(lhs, MCResult):
@@ -277,7 +316,7 @@ def lifted_convolution_check(f, u, lpoint, n: int = 1 << 20, seed: int = 0):
     proportional to that coordinate.  Both sides are importance-sampled
     Monte Carlo estimates with a shared sample budget.
     """
-    F = lift_to_L(f.values if isinstance(f, GaussProduct) else f)
+    F = lift_to_L(_pointwise(f))
     lpoint = np.asarray(lpoint, dtype=float)
 
     def side_nil(y):

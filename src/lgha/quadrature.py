@@ -155,17 +155,16 @@ class SampledField:
             raise ValueError("field contains non-finite values")
 
     @classmethod
-    def from_callable(cls, grid: GridSpec, fn, chunk_axis0: bool = True):
+    def from_callable(cls, grid: GridSpec, fn):
         """Sample fn(*coordinate_arrays) on the grid.
 
         Large grids are evaluated in chunks along the first axis to bound
         peak memory.
         """
-        shape = grid.shape
-        if not chunk_axis0 or grid.size <= 2 ** 20:
+        if grid.size <= 2 ** 20:
             mesh = grid.meshgrid()
             return cls(grid, np.asarray(fn(*mesh), dtype=complex))
-        out = np.empty(shape, dtype=complex)
+        out = np.empty(grid.shape, dtype=complex)
         first = grid.axes[0].nodes()
         rest = np.meshgrid(*[a.nodes() for a in grid.axes[1:]], indexing="ij")
         for i, x0 in enumerate(first):
@@ -234,17 +233,21 @@ def _first_node(ax: Axis) -> float:
     return ax.lo if ax.kind == "uniform-periodic" else ax.lo + 0.5 * ax.step
 
 
-def _phase_factors(grid: GridSpec, axes):
-    """Per-axis factor h * exp(-i xi x0) turning an FFT into the continuum
-    transform's Riemann sum."""
-    factors = []
+def _phase_factor(grid: GridSpec, axes) -> np.ndarray:
+    """Product over the named axes of h * exp(-i xi x0), broadcast over the
+    grid: the one factor turning an FFT into the continuum transform's
+    Riemann sum."""
+    factor = None
     for name in axes:
         ax = grid.axis(name)
         if ax.kind not in ("uniform-periodic", "uniform-box"):
             raise AxisKindMismatch(f"axis {name} is not uniform")
         xi = 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.step)
-        factors.append(ax.step * np.exp(-1j * xi * _first_node(ax)))
-    return factors
+        shape = [1] * len(grid.axes)
+        shape[grid.index(name)] = ax.count
+        fac = (ax.step * np.exp(-1j * xi * _first_node(ax))).reshape(shape)
+        factor = fac if factor is None else factor * fac
+    return factor
 
 
 def dft_forward(field: SampledField, axes=None) -> Spectrum:
@@ -255,22 +258,16 @@ def dft_forward(field: SampledField, axes=None) -> Spectrum:
     axes = tuple(axes)
     idxs = [field.grid.index(n) for n in axes]
     vals = np.fft.fftn(field.values, axes=idxs)
-    for name, fac in zip(axes, _phase_factors(field.grid, axes)):
-        k = field.grid.index(name)
-        shape = [1] * vals.ndim
-        shape[k] = fac.size
-        vals = vals * fac.reshape(shape)
+    if axes:  # over no axes fftn returns field.values itself: never write it
+        vals *= _phase_factor(field.grid, axes)
     return Spectrum(field.grid, axes, vals)
 
 
 def dft_inverse(spec: Spectrum) -> SampledField:
     """Exact inverse of dft_forward (composes to the identity on grid data)."""
     vals = spec.values
-    for name, fac in zip(spec.axes, _phase_factors(spec.grid, spec.axes)):
-        k = spec.grid.index(name)
-        shape = [1] * vals.ndim
-        shape[k] = fac.size
-        vals = vals / fac.reshape(shape)
+    if spec.axes:
+        vals = vals / _phase_factor(spec.grid, spec.axes)
     idxs = [spec.grid.index(n) for n in spec.axes]
     return SampledField(spec.grid, np.fft.ifftn(vals, axes=idxs))
 

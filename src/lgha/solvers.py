@@ -238,7 +238,9 @@ def four_stage_operator() -> PolyDiffOp:
 def four_stage_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
                      nx: int = 96, pad: float = 1.0, reject_tol: float = 1e-6):
     """Solve the four-stage composition by four chained spectral inversions
-    inside the shear conjugation."""
+    inside the shear conjugation.  Returns the solution field, the grid and
+    the largest projected-mode report of the four stages; the solve is
+    checked by its manufactured round trip, not by a residual."""
     sz, sy, sx = support
     yh, xh = sy + pad, sx + pad
     z_half = sz + 2.0 * yh * xh + pad
@@ -253,14 +255,7 @@ def four_stage_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
     for op in (cr_pair_R(), cr_pair_R_star(), cr_pair_R_star(), cr_pair_R()):
         stage, info = cr_solve(stage, op, reject_tol=reject_tol)
         infos.append(info["projected_rel"])
-    f = shear_reflect_field(stage)
-
-    windowed = SampledField(grid, f.values * plateau_window(grid))
-    applied = spectral_apply(four_stage_operator(), windowed)
-    g_on_grid = np.asarray(g(np.stack([zs, ys, xs], axis=-1)), dtype=complex)
-    mask = interior_mask(grid, frac=0.5, z_half=sz)
-    residual = interior_rel_error(applied.values, g_on_grid, mask)
-    return {"f": f, "grid": grid, "residual": residual,
+    return {"f": shear_reflect_field(stage), "grid": grid,
             "projected_rel": max(infos)}
 
 

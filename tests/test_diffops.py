@@ -79,6 +79,54 @@ def test_degree_overflow():
 # ---------------------------------------------------------------------------
 
 
+def _poly_eval_reference(poly, z, y, x):
+    """Poly3.eval as one `**` per monomial and variable."""
+    out = 0
+    for (a, b, c), co in poly.terms.items():
+        out = out + co * np.asarray(z) ** a * np.asarray(y) ** b * np.asarray(x) ** c
+    if not poly.terms:
+        return np.zeros(np.broadcast(z, y, x).shape, dtype=complex)
+    return out
+
+
+def _random_poly3(gen, max_degree, nterms):
+    terms = {}
+    for _ in range(nterms):
+        m = gen.multinomial(gen.integers(0, max_degree + 1), [1 / 3] * 3)
+        terms[tuple(int(k) for k in m)] = complex(*gen.normal(size=2))
+    return D.Poly3(terms)
+
+
+def _assert_close(got, want, rtol=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == complex
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
+
+
+def test_poly3_eval_matches_power_formula():
+    gen = np.random.default_rng(611)  # the module rng stays as other tests see it
+    n = 9
+    zc, yc, xc = (gen.uniform(-2.5, 2.5, size=n).reshape(s)
+                  for s in ((n, 1, 1), (1, n, 1), (1, 1, n)))
+    full = [np.broadcast_to(v, (n, n, n)).copy() for v in (zc, yc, xc)]
+    for degree in range(7):
+        for _ in range(4):
+            poly = _random_poly3(gen, degree, 8)
+            _assert_close(poly.eval(zc, yc, xc),
+                          _poly_eval_reference(poly, zc, yc, xc))
+            _assert_close(poly.eval(*full), _poly_eval_reference(poly, *full))
+            pt = tuple(float(v) for v in gen.normal(size=3))
+            got = poly.eval(*pt)
+            assert np.ndim(got) == 0
+            _assert_close(got, _poly_eval_reference(poly, *pt))
+    empty = D.Poly3()
+    assert np.array_equal(empty.eval(zc, yc, xc), np.zeros((n, n, n), complex))
+    assert empty.eval(0.5, 1.0, 2.0) == 0
+    # a constant still broadcasts to the full shape
+    assert D.Poly3.const(2.0).eval(zc, yc, xc).shape == (n, n, n)
+
+
 class _CoordX:
     def jet_at(self, pts):
         pts = np.asarray(pts, dtype=float)

@@ -16,6 +16,18 @@ def test_nil_identity_and_inverse():
     assert np.allclose(G.nil_inv(e), e, atol=0)
 
 
+def test_nil_inverse_equals_copying_form_bit_for_bit():
+    p = np.random.default_rng(1011).uniform(-3, 3, size=(500, 6))
+    keep = p.copy()
+    old = -p.copy()
+    old[..., 2] += p[..., 0] * p[..., 1]
+    old[..., 4] += p[..., 1] * p[..., 3]
+    old[..., 5] += p[..., 0] * p[..., 4] + p[..., 2] * p[..., 3] \
+        - p[..., 0] * p[..., 1] * p[..., 3]
+    assert np.array_equal(G.nil_inv(p), old)
+    assert np.array_equal(p, keep)
+
+
 def test_nil_law_matches_matrix_product():
     p = rng.uniform(-2, 2, size=(500, 6))
     q = rng.uniform(-2, 2, size=(500, 6))

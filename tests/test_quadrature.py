@@ -50,6 +50,33 @@ def test_dft_roundtrip():
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
+def test_dft_roundtrip_3d_non_cubic():
+    gen = np.random.default_rng(2021)
+    grid = Q.GridSpec([Q.Axis("z", "uniform-box", -7.0, 5.0, 12),
+                       Q.Axis("y", "uniform-periodic", 0.5, 3.0, 10),
+                       Q.Axis("x", "uniform-box", -2.0, 2.0, 7)])
+    vals = gen.normal(size=grid.shape) + 1j * gen.normal(size=grid.shape)
+    f = Q.SampledField(grid, vals.copy())
+    for axes in (None, ("y",), ("x", "z"), ()):
+        spec = Q.dft_forward(f, axes=axes)
+        before = spec.values.copy()
+        back = Q.dft_inverse(spec)
+        assert np.max(np.abs(back.values - vals)) < 1e-13
+        # neither transform writes into its argument
+        assert np.array_equal(f.values, vals)
+        assert np.array_equal(spec.values, before)
+    # the folded phase factor is the product of the per-axis factors
+    spec = Q.dft_forward(f)
+    expect = np.fft.fftn(vals)
+    for k, ax in enumerate(grid.axes):
+        xi = 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.step)
+        shape = [1, 1, 1]
+        shape[k] = ax.count
+        x0 = ax.nodes()[0]
+        expect = expect * (ax.step * np.exp(-1j * xi * x0)).reshape(shape)
+    assert np.max(np.abs(spec.values - expect)) < 1e-14 * np.max(np.abs(expect))
+
+
 def test_dft_single_harmonic_spike():
     ax = Q.Axis("x", "uniform-periodic", 0.0, 2 * np.pi, 32)
     grid = Q.GridSpec([ax])

@@ -1,0 +1,44 @@
+"""Row-by-row diff of two JSON reports."""
+
+import json
+
+from lgha import report_diff
+
+
+def _report(*rows):
+    return {"checks": [
+        {"name": name, "anchor": "a", "lhs": lhs, "rhs": 0.0, "abs_err": lhs,
+         "rel_err": lhs, "tol": 1e-6, "pass": passed}
+        for name, lhs, passed in rows]}
+
+
+def test_report_diff_lists_moved_rows_and_flags_verdicts(tmp_path, capsys):
+    def run(old, new):
+        paths = []
+        for label, rep in (("old", old), ("new", new)):
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps(rep))
+            paths.append(str(path))
+        code = report_diff.main(paths)
+        return code, capsys.readouterr().out
+
+    base = _report(("a", 1e-9, True), ("b", 2e-9, True))
+    code, out = run(base, base)
+    assert code == 0 and out.strip().endswith("0 moved; names and verdicts agree")
+
+    code, out = run(base, _report(("a", 1e-9, True), ("b", 3e-9, True)))
+    assert code == 0
+    assert "b: d_lhs +1.000e-09  d_rhs 0  err 2e-09 -> 3e-09  pass" in out
+    assert "a:" not in out
+
+    code, out = run(base, _report(("a", 1e-9, True), ("b", 2e-3, False)))
+    assert code == 1 and "pass -> FAIL" in out
+
+    code, out = run(base, _report(("a", 1e-9, True), ("c", 2e-9, True)))
+    assert code == 1 and "b: only in OLD" in out and "c: only in NEW" in out
+
+    code, _ = run(base, _report(("b", 2e-9, True), ("a", 1e-9, True)))
+    assert code == 1  # same rows in another order
+
+    assert report_diff.main([str(tmp_path / "old.json"),
+                             str(tmp_path / "missing.json")]) == 2
