@@ -36,11 +36,6 @@ from .quadrature import (BudgetExceeded, SampledField, box_grid, dft_forward,
                          monte_carlo, so4_quadrature, u2_quadrature,
                          DEFAULT_GRID_BUDGET, MIN_MC_SAMPLES)
 
-SUITE_NAMES = ("groups", "nil-plancherel", "so4", "sl4-plancherel",
-               "sp4-plancherel", "semidirect-plancherel",
-               "operator-identities", "hormander", "solvers", "all")
-
-
 # every row the nine suites emit, in report order; a config's tolerance keys
 # must name one of them
 CHECK_NAMES = (
@@ -75,6 +70,15 @@ CHECK_NAMES = (
     # solvers
     "cr-roundtrip", "cr-symbol", "cr-incompatible-rejected", "lewy-roundtrip",
     "lewy-roundtrip-residual", "lewy-generic-residual", "four-stage-roundtrip",
+)
+
+# rows whose verdict no tolerance enters (a Monte Carlo agreement, an exact
+# count, a raised exception, a boolean property); a config may not set one
+FIXED_VERDICT_NAMES = (
+    "plancherel-bump-mc", "parseval-mc", "sp4-dimension-audit",
+    "coordinate-map-inverses", "mutation-sensitivity",
+    "operator-dsl-roundtrip", "bracket-identity", "bracket-rank",
+    "bracket-depth-one", "cr-incompatible-rejected",
 )
 
 
@@ -133,11 +137,16 @@ class SuiteConfig:
         return cfg
 
     def validate(self):
-        """Reject budgets the suites cannot run with and tolerance keys that
-        name no check (exit code 2)."""
+        """Reject budgets the suites cannot run with, tolerance keys that
+        name no check and tolerance keys of fixed-verdict rows (exit code
+        2)."""
         unknown = sorted(set(self.tolerances) - set(CHECK_NAMES))
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {unknown}")
+        fixed = sorted(set(self.tolerances) & set(FIXED_VERDICT_NAMES))
+        if fixed:
+            raise ConfigError(
+                f"tolerance keys of rows with a fixed verdict: {fixed}")
         if not self.budget_grid > 0:
             raise ConfigError("grid budget must be positive")
         if not self.budget_mc >= MIN_MC_SAMPLES:
@@ -157,19 +166,15 @@ class SuiteConfig:
         return int(self.seed + zlib.crc32(name.encode()) % 100003)
 
 
-def _row(name, anchor, lhs, rhs, tol, passed=None, exact=False):
-    lhs_f = float(np.real(lhs)) if not isinstance(lhs, str) else lhs
-    rhs_f = float(np.real(rhs)) if not isinstance(rhs, str) else rhs
-    abs_err = abs(complex(lhs) - complex(rhs)) if not isinstance(lhs, str) else None
-    rel_err = None
-    if abs_err is not None:
-        scale = max(abs(complex(lhs)), abs(complex(rhs)), 1e-300)
-        rel_err = abs_err / scale
+def _row(name, anchor, lhs, rhs, tol, passed=None):
+    abs_err = abs(complex(lhs) - complex(rhs))
+    scale = max(abs(complex(lhs)), abs(complex(rhs)), 1e-300)
+    rel_err = abs_err / scale
     if passed is None:
-        passed = bool((abs_err if exact else rel_err) <= tol)
-    return {"name": name, "anchor": anchor, "lhs": lhs_f, "rhs": rhs_f,
-            "abs_err": abs_err, "rel_err": rel_err, "tol": tol,
-            "pass": bool(passed)}
+        passed = bool(rel_err <= tol)
+    return {"name": name, "anchor": anchor, "lhs": float(np.real(lhs)),
+            "rhs": float(np.real(rhs)), "abs_err": abs_err,
+            "rel_err": rel_err, "tol": tol, "pass": bool(passed)}
 
 
 def _worst(*vals):
@@ -483,14 +488,6 @@ def suite_so4(cfg: SuiteConfig):
 # ---------------------------------------------------------------------------
 
 
-def _so4_coeff_table(rng, J):
-    coeffs = {}
-    for lbl in PW.so4_labels(J):
-        d = PW.so4_dim(lbl)
-        coeffs[lbl] = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
-    return PW.CompactSpectrum(coeffs)
-
-
 def suite_sl4(cfg: SuiteConfig):
     checks = []
     rng = cfg.rng("sl4-plancherel")
@@ -514,7 +511,7 @@ def suite_sl4(cfg: SuiteConfig):
                        res["lhs"], res["rhs"],
                        cfg.tol("kna-plancherel-halfint", 1e-6)))
 
-    f = IP.SeparableKNAFunction(_so4_coeff_table(rng, J),
+    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, J, quad),
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
     res = IP.plancherel_sl4_check(f, quad, J)
@@ -604,20 +601,16 @@ def suite_sp4(cfg: SuiteConfig):
     M = 1
     quad = u2_quadrature(M)
 
-    coeffs = {}
-    for lbl in PW.u2_labels(M):
-        d = PW.u2_dim(lbl)
-        coeffs[lbl] = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
-    f = IP.SeparableKNAFunction(PW.CompactSpectrum(coeffs),
+    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, M, quad),
                                 random_gauss_product(rng, 4),
-                                random_gauss_product(rng, 2), compact="u2")
+                                random_gauss_product(rng, 2))
     res = IP.sp4_restrict_check(f, quad, M)
     checks.append(_row("sp4-plancherel", "symplectic-restricted-plancherel",
                        res["lhs"], res["rhs"], cfg.tol("sp4-plancherel", 1e-6)))
 
     trivial = PW.CompactSpectrum({(0, 0): np.array([[1.0 + 0.0j]])})
     f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 4),
-                                random_gauss_product(rng, 2), compact="u2")
+                                random_gauss_product(rng, 2))
     res = IP.sp4_restrict_check(f, quad, M)
     checks.append(_row("sp4-plancherel-trivial", "symplectic-restricted-plancherel",
                        res["lhs"], res["rhs"],
@@ -647,7 +640,7 @@ def suite_semidirect(cfg: SuiteConfig):
     J = 1.0
     quad = so4_quadrature(J)
 
-    f = IP.SeparableKNAFunction(_so4_coeff_table(rng, J),
+    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, J, quad),
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3),
                                 r=random_gauss_product(rng, 4))
@@ -896,13 +889,14 @@ SUITES = {
     "hormander": suite_hormander,
     "solvers": suite_solvers,
 }
+SUITE_NAMES = (*SUITES, "all")
 
 
 def run_suite(suite: str, cfg: SuiteConfig) -> dict:
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; see --list")
     t0 = time.time()
-    names = [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
+    names = list(SUITES) if suite == "all" else [suite]
     checks = []
     for name in names:
         checks.extend(SUITES[name](cfg))

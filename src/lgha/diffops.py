@@ -35,8 +35,8 @@ __all__ = [
     "cauchy_riemann", "cauchy_riemann_star", "lewy", "lewy_star",
     "lewy_conjugate_true", "laplacian_2d", "laplacian_3d",
     "heis_laplacian_left", "heis_laplacian_right", "sheared_laplacian",
-    "sublaplacian", "sublaplacian_shifted", "squares_xy", "squares_xyz",
-    "first_order_invariant", "wave_type_invariant", "span_shifted_op",
+    "sublaplacian", "squares_xy", "squares_xyz", "first_order_invariant",
+    "span_shifted_op",
     "hormander_P", "hormander_P_bar", "hormander_Q4",
     "shear_reflect_map", "shear_map", "shear_map_inv", "flip_y_shear_map",
     "flip_x_shear_map",
@@ -586,11 +586,6 @@ def sublaplacian() -> PolyDiffOp:
                dzz=4.0 * (Y * Y + X * X))
 
 
-def sublaplacian_shifted() -> PolyDiffOp:
-    """sublaplacian - 4i dz."""
-    return sublaplacian() + _op(dz=-4.0j)
-
-
 def squares_xy() -> PolyDiffOp:
     xo, yo = vf_x().as_diffop(), vf_y().as_diffop()
     return xo @ xo + yo @ yo
@@ -604,12 +599,6 @@ def squares_xyz() -> PolyDiffOp:
 def first_order_invariant() -> PolyDiffOp:
     """y dz + dx + i dy + ix dz."""
     return _op(dx=1.0, dy=1.0j, dz=Y + 1.0j * X)
-
-
-def wave_type_invariant() -> PolyDiffOp:
-    """dxx - dyy - 2x dz dy + 2y dz dx + (y^2 - x^2) dzz + dzz."""
-    return _op(dxx=1.0, dyy=-1.0, dzy=-2.0 * X, dzx=2.0 * Y,
-               dzz=Y * Y - X * X + ONE)
 
 
 def span_shifted_op() -> PolyDiffOp:

@@ -26,8 +26,7 @@ __all__ = [
     "SeparableKNAFunction", "KNASpectrum",
     "kna_transform", "plancherel_sl4_check",
     "sp4_n_chart", "sp4_a_chart", "sp4_restrict_check",
-    "semidirect_mul", "affine_embed", "semidirect_transform",
-    "plancherel_semidirect_check",
+    "semidirect_mul", "affine_embed", "plancherel_semidirect_check",
     "lift_upsilon", "lift_h", "lift_q",
     "upsilon_invariance_error", "q_lift_invariance_error",
     "nested_transform_oracle",
@@ -35,24 +34,22 @@ __all__ = [
 
 N_AXES = ("x1", "x2", "x3", "x4", "x5", "x6")
 A_AXES = ("t1", "t2", "t3")
+R_AXES = ("v1", "v2", "v3", "v4")
+# nodes per axis on which each 1-D Euclidean factor is sampled
+COUNT = 64
 
 
 @dataclass
 class SeparableKNAFunction:
     """f(k n a) = u(k) v(n) w(t(a)), with optional translation factor r(v0)
     for the semidirect product.  u is a band-limited coefficient table on the
-    compact factor; v, w, r are separable Gaussian-type products."""
+    compact factor, SO(4) or U(2) as the quadrature it is checked on; v, w, r
+    are separable Gaussian-type products."""
 
     u: pw.CompactSpectrum
     v: GaussProduct
     w: GaussProduct
     r: Optional[GaussProduct] = None
-    compact: str = "so4"  # or "u2"
-
-    def u_values(self, quad):
-        if self.compact == "so4":
-            return pw.synthesize(self.u, quad)
-        return pw.u2_synthesize(self.u, quad)
 
 
 @dataclass
@@ -66,7 +63,7 @@ class KNASpectrum:
     a_spectra: list
     r_spectra: Optional[list] = None
 
-    def value(self, label, n_idx, a_idx, r_idx=None) -> np.ndarray:
+    def value(self, label, n_idx, a_idx) -> np.ndarray:
         """Transform value at one spectral grid point: the label matrix scaled
         by the scalar Euclidean factors."""
         scal = 1.0 + 0.0j
@@ -74,80 +71,49 @@ class KNASpectrum:
             scal *= s.values[i]
         for s, i in zip(self.a_spectra, a_idx):
             scal *= s.values[i]
-        if r_idx is not None:
-            for s, i in zip(self.r_spectra, r_idx):
-                scal *= s.values[i]
         return scal * self.k_part.coeffs[label]
 
-    def spectral_norm2(self, dim_fn) -> float:
-        """sum_labels d ||T||_HS^2 times the (2 pi)-normalized L2 masses of
-        every Euclidean spectral factor."""
-        total = self.k_part.hs_norm2_weighted(dim_fn)
-        for s in self.n_spectra + self.a_spectra + (self.r_spectra or []):
-            total *= s.integrate_abs2() / (2.0 * np.pi)
-        return float(total)
 
-
-def _euclid_spectra(g: GaussProduct, names, count: int):
-    """Sample each 1-D factor on its own suggested box and transform."""
-    out = []
-    fields = []
-    for name, factor in zip(names, g.factors):
-        lo, hi = factor.suggested_axis()
-        grid = box_grid((name,), lo, hi, count)
-        fld = SampledField(grid, factor.values(grid.axes[0].nodes()))
-        fields.append(fld)
-        out.append(dft_forward(fld))
-    return out, fields
-
-
-def kna_transform(f: SeparableKNAFunction, quad, J, count: int = 64) -> KNASpectrum:
-    """T F f(lambda, xi, label) = Tu(label) Fv(xi) Fw(lambda); the character of
-    the diagonal part is the Euclidean phase exp(-i lambda . t) in the logA
-    chart."""
-    if f.compact == "so4":
-        tu = pw.compact_transform(f.u_values(quad), quad, J)
-    else:
-        tu = pw.u2_transform(f.u_values(quad), quad, J)
-    n_names = N_AXES[: f.v.dim]
-    a_names = A_AXES[: f.w.dim]
-    n_spec, _ = _euclid_spectra(f.v, n_names, count)
-    a_spec, _ = _euclid_spectra(f.w, a_names, count)
-    r_spec = None
-    if f.r is not None:
-        r_spec, _ = _euclid_spectra(f.r, ("v1", "v2", "v3", "v4"), count)
-    return KNASpectrum(tu, n_spec, a_spec, r_spec)
-
-
-def _group_side_norm2(f: SeparableKNAFunction, quad, count: int) -> float:
-    if f.compact == "so4":
-        w = np.outer(quad.left.weights, quad.right.weights)
-    else:
-        w = np.outer(quad.theta_weights, quad.su2.weights)
-    uvals = f.u_values(quad)
-    lhs = float(pairwise_sum((np.abs(uvals) ** 2 * w).ravel()).real)
-    for g, names in ((f.v, N_AXES), (f.w, A_AXES)):
-        _, fields = _euclid_spectra(g, names[: g.dim], count)
-        for fld in fields:
-            vals = np.abs(fld.values) ** 2 * fld.grid.axes[0].weights()
+def _kna_plancherel(f: SeparableKNAFunction, quad, J):
+    """The factorized transform T F f(lambda, xi, label) = Tu(label) Fv(xi)
+    Fw(lambda) (times Fr(eta) with a translation factor), and both sides of
+    its Plancherel identity, each a product by Fubini: the compact check on
+    u times one 1-D Euclidean identity per axis, with (2 pi)^{-1} per axis
+    on the spectral side.  u is synthesized once on the nodes of quad, whose
+    type picks the compact group, and each 1-D factor is sampled once on
+    COUNT nodes of its own suggested box.  The character of the diagonal
+    part is the Euclidean phase exp(-i lambda . t) in the logA chart."""
+    uvals = pw.compact_group(quad).synthesize(f.u, quad)
+    compact = pw.compact_plancherel_check(uvals, quad, J)
+    lhs, rhs = compact["lhs"], compact["rhs"]
+    spectra = []
+    for g, names in ((f.v, N_AXES), (f.w, A_AXES), (f.r, R_AXES)):
+        if g is None:
+            spectra.append(None)
+            continue
+        out = []
+        for name, factor in zip(names, g.factors):
+            grid = box_grid((name,), *factor.suggested_axis(), COUNT)
+            fld = SampledField(grid, factor.values(grid.axes[0].nodes()))
+            vals = np.abs(fld.values) ** 2 * grid.axes[0].weights()
             lhs *= float(pairwise_sum(vals).real)
-    if f.r is not None:
-        _, fields = _euclid_spectra(f.r, ("v1", "v2", "v3", "v4"), count)
-        for fld in fields:
-            vals = np.abs(fld.values) ** 2 * fld.grid.axes[0].weights()
-            lhs *= float(pairwise_sum(vals).real)
-    return lhs
-
-
-def plancherel_sl4_check(f: SeparableKNAFunction, quad: EulerQuadSO4, J,
-                         count: int = 64):
-    """||f||^2 over dk dn dt against the label sum of weighted
-    Hilbert-Schmidt masses with (2 pi)^{-9} on the spectral side."""
-    lhs = _group_side_norm2(f, quad, count)
-    spec = kna_transform(f, quad, J, count)
-    rhs = spec.spectral_norm2(pw.so4_dim)
+            out.append(dft_forward(fld))
+            rhs *= out[-1].integrate_abs2() / (2.0 * np.pi)
+        spectra.append(out)
+    spec = KNASpectrum(compact["spectrum"], *spectra)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
+
+
+def kna_transform(f: SeparableKNAFunction, quad, J) -> KNASpectrum:
+    """The factorized transform of f; see _kna_plancherel."""
+    return _kna_plancherel(f, quad, J)["spectrum"]
+
+
+def plancherel_sl4_check(f: SeparableKNAFunction, quad: EulerQuadSO4, J):
+    """||f||^2 over dk dn dt against the label sum of weighted
+    Hilbert-Schmidt masses with (2 pi)^{-9} on the spectral side."""
+    return _kna_plancherel(f, quad, J)
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +146,15 @@ def sp4_a_chart(t) -> np.ndarray:
                      np.exp(-t[..., 1]), np.exp(-t[..., 0])], axis=-1)
 
 
-def sp4_restrict_check(f: SeparableKNAFunction, quad: U2Quad, M: int,
-                       count: int = 64):
+def sp4_restrict_check(f: SeparableKNAFunction, quad: U2Quad, M: int):
     """Plancherel identity restricted to the symplectic subgroup: U(2)
     coefficients, a four-dimensional unipotent chart and a two-dimensional
     diagonal chart, with (2 pi)^{-6} on the spectral side."""
-    if f.compact != "u2":
-        raise ValueError("symplectic restriction expects a U(2) factor")
+    if not isinstance(quad, U2Quad):
+        raise ValueError("symplectic restriction expects a U(2) quadrature")
     if f.v.dim != 4 or f.w.dim != 2:
         raise ValueError("expected dim N = 4 and dim A = 2")
-    lhs = _group_side_norm2(f, quad, count)
-    spec = kna_transform(f, quad, M, count)
-    rhs = spec.spectral_norm2(pw.u2_dim)
-    rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
+    return _kna_plancherel(f, quad, M)
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +177,13 @@ def affine_embed(v, g) -> np.ndarray:
     return m
 
 
-def semidirect_transform(f: SeparableKNAFunction, quad, J,
-                         count: int = 64) -> KNASpectrum:
-    """Adds the Euclidean factor exp(-i <eta, v>) on the translation part."""
-    if f.r is None:
-        raise ValueError("semidirect transform needs a translation factor")
-    return kna_transform(f, quad, J, count)
-
-
 def plancherel_semidirect_check(f: SeparableKNAFunction, quad: EulerQuadSO4,
-                                J, count: int = 64):
+                                J):
     """Plancherel on the semidirect product: thirteen Euclidean dimensions
     (4 + 6 + 3), so (2 pi)^{-13} on the spectral side."""
     if f.r is None:
         raise ValueError("needs a translation factor")
-    lhs = _group_side_norm2(f, quad, count)
-    spec = semidirect_transform(f, quad, J, count)
-    rhs = spec.spectral_norm2(pw.so4_dim)
-    rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
+    return _kna_plancherel(f, quad, J)
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,6 @@ class LiftedFunction:
     def __call__(self, lpts):
         return self.base(reduce_to_nil(lpts))
 
-    def on_nil(self, npts):
-        return self.base(np.asarray(npts, dtype=float))
-
 
 def lift_to_L(f) -> LiftedFunction:
     return LiftedFunction(f)

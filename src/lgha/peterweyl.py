@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, sqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,9 +30,9 @@ __all__ = [
     "so4_labels", "so4_dim", "so4_rep", "CompactSpectrum",
     "compact_transform", "synthesize", "compact_inverse",
     "convolution_order_error",
-    "compact_plancherel_check", "random_band_limited",
     "u2_labels", "u2_dim", "u2_rep", "u2_transform", "u2_synthesize",
-    "u2_plancherel_check", "random_u2_band_limited",
+    "CompactGroup", "compact_group", "compact_plancherel_check",
+    "random_spectrum", "random_band_limited",
 ]
 
 
@@ -318,28 +319,6 @@ def convolution_order_error(g_spec: CompactSpectrum, f_values: np.ndarray,
     return float(np.max(errs))
 
 
-def compact_plancherel_check(f_values: np.ndarray, quad: EulerQuadSO4, J):
-    """Returns lhs = int |f|^2 dk, rhs = sum d ||Tf||_HS^2, and their
-    relative error."""
-    w = np.outer(quad.left.weights, quad.right.weights)
-    lhs = float(pairwise_sum((np.abs(f_values) ** 2 * w).ravel()).real)
-    spec = compact_transform(f_values, quad, J)
-    rhs = spec.hs_norm2_weighted(so4_dim)
-    rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
-
-
-def random_band_limited(rng, J, quad: EulerQuadSO4):
-    """Random coefficient table and its synthesized node values; by Schur
-    orthogonality the transform of the synthesis returns the table."""
-    coeffs = {}
-    for lbl in so4_labels(J):
-        d = so4_dim(lbl)
-        coeffs[lbl] = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
-    spec = CompactSpectrum(coeffs)
-    return spec, synthesize(spec, quad)
-
-
 # ---------------------------------------------------------------------------
 # U(2)
 # ---------------------------------------------------------------------------
@@ -392,19 +371,60 @@ def u2_synthesize(spec: CompactSpectrum, quad: U2Quad) -> np.ndarray:
     return vals
 
 
-def u2_plancherel_check(f_values: np.ndarray, quad: U2Quad, M: int):
-    w = np.outer(quad.theta_weights, quad.su2.weights)
-    lhs = float(pairwise_sum((np.abs(f_values) ** 2 * w).ravel()).real)
-    spec = u2_transform(f_values, quad, M)
-    rhs = spec.hs_norm2_weighted(u2_dim)
+# ---------------------------------------------------------------------------
+# either compact factor, chosen by the type of the quadrature
+# ---------------------------------------------------------------------------
+
+
+class CompactGroup(NamedTuple):
+    """The label set, dimensions, transform, synthesis and product node
+    weights of one compact group."""
+
+    labels: Callable
+    dim: Callable
+    transform: Callable
+    synthesize: Callable
+    weights: np.ndarray
+
+
+def compact_group(quad) -> CompactGroup:
+    """SO(4) for an EulerQuadSO4, U(2) for a U2Quad.  The functions are
+    looked up when called, so a rebinding of a module attribute (a tracer, a
+    test double) reaches them."""
+    if isinstance(quad, EulerQuadSO4):
+        return CompactGroup(so4_labels, so4_dim, compact_transform, synthesize,
+                            np.outer(quad.left.weights, quad.right.weights))
+    if isinstance(quad, U2Quad):
+        return CompactGroup(u2_labels, u2_dim, u2_transform, u2_synthesize,
+                            np.outer(quad.theta_weights, quad.su2.weights))
+    raise TypeError(f"no compact group for {type(quad).__name__}")
+
+
+def compact_plancherel_check(f_values: np.ndarray, quad, J):
+    """Returns lhs = int |f|^2 dk, rhs = sum d ||Tf||_HS^2, and their
+    relative error."""
+    group = compact_group(quad)
+    mass = np.abs(f_values) ** 2 * group.weights
+    lhs = float(pairwise_sum(mass.ravel()).real)
+    spec = group.transform(f_values, quad, J)
+    rhs = spec.hs_norm2_weighted(group.dim)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
 
 
-def random_u2_band_limited(rng, M: int, quad: U2Quad):
+def random_spectrum(rng, J, quad) -> CompactSpectrum:
+    """Random coefficient table up to band limit J, each label's d x d
+    matrix of complex normals scaled by 1/d, drawn in label order."""
+    group = compact_group(quad)
     coeffs = {}
-    for lbl in u2_labels(M):
-        d = u2_dim(lbl)
+    for lbl in group.labels(J):
+        d = group.dim(lbl)
         coeffs[lbl] = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
-    spec = CompactSpectrum(coeffs)
-    return spec, u2_synthesize(spec, quad)
+    return CompactSpectrum(coeffs)
+
+
+def random_band_limited(rng, J, quad):
+    """Random coefficient table and its synthesized node values; by Schur
+    orthogonality the transform of the synthesis returns the table."""
+    spec = random_spectrum(rng, J, quad)
+    return spec, compact_group(quad).synthesize(spec, quad)

@@ -376,10 +376,6 @@ class EulerQuadSO4:
     def node_count(self) -> int:
         return self.left.node_count * self.right.node_count
 
-    def total_weight(self) -> float:
-        return float(pairwise_sum(self.left.weights)
-                     * pairwise_sum(self.right.weights))
-
 
 def so4_quadrature(J: float, budget: int = DEFAULT_SO4_NODE_BUDGET) -> EulerQuadSO4:
     q = su2_quadrature(J, budget=budget)

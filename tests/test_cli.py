@@ -73,15 +73,18 @@ def test_bad_budget_rejected(tmp_path):
 
 
 def test_bad_tolerance_rejected(tmp_path):
-    # a key that names no check row, or a value that is not a number
+    # a key that names no check row, a value that is not a number, or a key
+    # of a row whose verdict no tolerance enters
     cfg = tmp_path / "cfg.json"
     for tolerances, word in (({"no-such-check": 1e-3}, "no-such-check"),
-                             ({"nil-law-vs-matrix": "tight"}, "tight")):
+                             ({"nil-law-vs-matrix": "tight"}, "tight"),
+                             ({"bracket-rank": 1e-30}, "bracket-rank")):
         cfg.write_text(json.dumps({"tolerances": tolerances}))
         proc = run_cli("--suite", "hormander", "--config", str(cfg))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("config error:")
         assert word in proc.stderr
+    assert set(cli.FIXED_VERDICT_NAMES) < set(cli.CHECK_NAMES)
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):

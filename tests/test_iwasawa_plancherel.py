@@ -13,15 +13,6 @@ from lgha.quadrature import (SampledField, box_grid, dft_forward,
 rng = np.random.default_rng(505)
 
 
-def _so4_table(J):
-    coeffs = {}
-    for lbl in pw.so4_labels(J):
-        d = pw.so4_dim(lbl)
-        coeffs[lbl] = (rng.normal(size=(d, d))
-                       + 1j * rng.normal(size=(d, d))) / d
-    return pw.CompactSpectrum(coeffs)
-
-
 def test_plancherel_trivial_label():
     quad = so4_quadrature(1.0)
     f = ip.SeparableKNAFunction(
@@ -36,7 +27,8 @@ def test_plancherel_trivial_label():
 
 def test_plancherel_full_band():
     quad = so4_quadrature(2.0)
-    f = ip.SeparableKNAFunction(_so4_table(2.0), random_gauss_product(rng, 6),
+    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, 2.0, quad),
+                                random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
     res = ip.plancherel_sl4_check(f, quad, 2.0)
     assert res["rel_err"] < 1e-6
@@ -128,23 +120,52 @@ def test_nested_oracle_fails_at_wrong_label_or_frequency():
 
 def test_sp4_restriction_plancherel():
     quad = u2_quadrature(1)
-    coeffs = {}
-    for lbl in pw.u2_labels(1):
-        d = pw.u2_dim(lbl)
-        coeffs[lbl] = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
-    f = ip.SeparableKNAFunction(pw.CompactSpectrum(coeffs),
+    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, 1, quad),
                                 random_gauss_product(rng, 4),
-                                random_gauss_product(rng, 2), compact="u2")
+                                random_gauss_product(rng, 2))
     res = ip.sp4_restrict_check(f, quad, 1)
     assert res["rel_err"] < 1e-6
+    assert list(res["spectrum"].k_part.coeffs) == pw.u2_labels(1)
+
+
+def test_u2_table_with_so4_quadrature_rejected():
+    # the quadrature picks the compact group: an SO(4) rule reads the U(2)
+    # label (1, -1) as (j1, j2) = (1, -1), which is no SO(4) label
+    gen = np.random.default_rng(5052)
+    f = ip.SeparableKNAFunction(
+        pw.CompactSpectrum({(1, -1): np.eye(3, dtype=complex)}),
+        random_gauss_product(gen, 6), random_gauss_product(gen, 3))
+    with pytest.raises(ValueError):
+        ip.plancherel_sl4_check(f, so4_quadrature(1.0), 1.0)
+    with pytest.raises(ValueError):
+        ip.sp4_restrict_check(f, so4_quadrature(1.0), 1)
+
+
+def test_kna_check_synthesizes_once_through_the_module(monkeypatch):
+    # the dispatcher looks synthesize up when called, so a rebinding of the
+    # module attribute (as a tracer does) sees every call
+    gen = np.random.default_rng(5051)
+    calls = []
+    original = pw.synthesize
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(pw, "synthesize", counting)
+    quad = so4_quadrature(0.5)
+    f = ip.SeparableKNAFunction(pw.random_spectrum(gen, 0.5, quad),
+                                random_gauss_product(gen, 6),
+                                random_gauss_product(gen, 3))
+    assert ip.plancherel_sl4_check(f, quad, 0.5)["rel_err"] < 1e-6
+    assert len(calls) == 1
 
 
 def test_sp4_restriction_dimension_validation():
     quad = u2_quadrature(1)
     f = ip.SeparableKNAFunction(
         pw.CompactSpectrum({(0, 0): np.array([[1.0 + 0j]])}),
-        random_gauss_product(rng, 6), random_gauss_product(rng, 3),
-        compact="u2")
+        random_gauss_product(rng, 6), random_gauss_product(rng, 3))
     with pytest.raises(ValueError):
         ip.sp4_restrict_check(f, quad, 1)
 
@@ -165,7 +186,8 @@ def test_sp4_charts():
 
 def test_semidirect_plancherel_and_law():
     quad = so4_quadrature(0.5)
-    f = ip.SeparableKNAFunction(_so4_table(0.5), random_gauss_product(rng, 6),
+    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, 0.5, quad),
+                                random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3),
                                 r=random_gauss_product(rng, 4))
     res = ip.plancherel_semidirect_check(f, quad, 0.5)
@@ -181,10 +203,11 @@ def test_semidirect_plancherel_and_law():
 
 def test_semidirect_transform_requires_translation_factor():
     quad = so4_quadrature(0.5)
-    f = ip.SeparableKNAFunction(_so4_table(0.5), random_gauss_product(rng, 6),
+    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, 0.5, quad),
+                                random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
     with pytest.raises(ValueError):
-        ip.semidirect_transform(f, quad, 0.5)
+        ip.plancherel_semidirect_check(f, quad, 0.5)
 
 
 def test_upsilon_lift_invariance_and_restriction():

@@ -230,12 +230,30 @@ def test_spectrum_json_serialization():
 
 def test_u2_transform_roundtrip_and_plancherel():
     quad = u2_quadrature(1)
-    spec, vals = pw.random_u2_band_limited(rng, 1, quad)
+    spec, vals = pw.random_band_limited(rng, 1, quad)
     back = pw.u2_transform(vals, quad, 1)
     err = max(np.max(np.abs(back.coeffs[l] - spec.coeffs[l]))
               for l in spec.coeffs)
     assert err < 1e-12
-    assert pw.u2_plancherel_check(vals, quad, 1)["rel_err"] < 1e-10
+    res = pw.compact_plancherel_check(vals, quad, 1)
+    assert res["rel_err"] < 1e-10
+    assert list(res["spectrum"].coeffs) == pw.u2_labels(1)
+
+
+def test_random_spectrum_matches_per_label_loop():
+    for quad, J, labels, dim in (
+            (so4_quadrature(2.0), 2.0, pw.so4_labels(2.0), pw.so4_dim),
+            (u2_quadrature(1), 1, pw.u2_labels(1), pw.u2_dim)):
+        spec = pw.random_spectrum(np.random.default_rng(3031), J, quad)
+        assert list(spec.coeffs) == labels
+        # the per-label loop random_spectrum replaces, kept as a reference
+        gen = np.random.default_rng(3031)
+        for lbl in labels:
+            d = dim(lbl)
+            ref = (gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))) / d
+            assert np.array_equal(spec.coeffs[lbl], ref)
+    with pytest.raises(TypeError):
+        pw.compact_group(su2_quadrature(0.5))
 
 
 def test_u2_rep_well_defined_on_quotient():
