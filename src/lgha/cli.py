@@ -300,7 +300,8 @@ def suite_groups(cfg: SuiteConfig):
     return checks
 
 
-def _fd_conjugation_jacobian(log_a, h=1e-6):
+def _fd_conjugation_jacobian(log_a):
+    h = 1e-6
     a = np.diag(np.exp(np.concatenate([log_a, [-np.sum(log_a)]])))
     ainv = np.diag(1.0 / np.diag(a))
 

@@ -61,9 +61,9 @@ class GaussPoly1D:
         a4 = abs(c2) ** 2
         return float(a0 * m0 + a2 * m2 + a4 * m4)
 
-    def suggested_axis(self, pad: float = 8.0):
-        lo = self.mu - pad * self.sigma
-        hi = self.mu + pad * self.sigma
+    def suggested_axis(self):
+        lo = self.mu - 8.0 * self.sigma
+        hi = self.mu + 8.0 * self.sigma
         return lo, hi
 
 

@@ -35,8 +35,7 @@ __all__ = [
     "cauchy_riemann", "cauchy_riemann_star", "lewy", "lewy_star",
     "lewy_conjugate_true", "laplacian_2d", "laplacian_3d",
     "heis_laplacian_left", "heis_laplacian_right", "sheared_laplacian",
-    "sublaplacian", "squares_xy", "squares_xyz", "first_order_invariant",
-    "span_shifted_op",
+    "first_order_invariant",
     "hormander_P", "hormander_P_bar", "hormander_Q4",
     "shear_reflect_map", "shear_map", "shear_map_inv", "flip_y_shear_map",
     "flip_x_shear_map",
@@ -265,10 +264,6 @@ class PolyDiffOp:
                     p = Poly3.const(p)
                 if p:
                     self.terms[tuple(m)] = p
-
-    @classmethod
-    def identity(cls):
-        return cls({(0, 0, 0): ONE})
 
     @classmethod
     def partial(cls, axis: int, coeff=1.0):
@@ -580,30 +575,9 @@ def sheared_laplacian() -> PolyDiffOp:
                dzx=2.0 * Y, dzy=2.0 * X)
 
 
-def sublaplacian() -> PolyDiffOp:
-    """dxx + dyy + 4x dz dy - 4y dz dx + 4(y^2 + x^2) dzz."""
-    return _op(dxx=1.0, dyy=1.0, dzy=4.0 * X, dzx=-4.0 * Y,
-               dzz=4.0 * (Y * Y + X * X))
-
-
-def squares_xy() -> PolyDiffOp:
-    xo, yo = vf_x().as_diffop(), vf_y().as_diffop()
-    return xo @ xo + yo @ yo
-
-
-def squares_xyz() -> PolyDiffOp:
-    zo = vf_z().as_diffop()
-    return squares_xy() + zo @ zo
-
-
 def first_order_invariant() -> PolyDiffOp:
     """y dz + dx + i dy + ix dz."""
     return _op(dx=1.0, dy=1.0j, dz=Y + 1.0j * X)
-
-
-def span_shifted_op() -> PolyDiffOp:
-    """X + iY - 4iZ = ix dz + i dy - y dz + dx - 4i dz."""
-    return _op(dx=1.0, dy=1.0j, dz=1.0j * X - Y - 4.0j * ONE)
 
 
 def hormander_P() -> PolyDiffOp:

@@ -13,7 +13,7 @@ Conventions
   QR-type Iwasawa factors of a symplectic matrix are again symplectic, and
   for which K = U(2), A two-dimensional and N four-dimensional add up to the
   full ten dimensions.  The block form [[0, I], [-I, 0]] (`SP_FORM_BLOCK`) is
-  equivalent via the basis swap e3 <-> e4 (`block_to_adapted`).
+  equivalent via the basis swap e3 <-> e4.
 * The diagonal subgroup A is charted by logA in R^3 with the fourth entry
   e^{-t1-t2-t3}.
 """
@@ -27,11 +27,11 @@ import numpy as np
 __all__ = [
     "MatrixElement", "IwasawaFactors", "SymplecticViolation", "NearSingular",
     "nil_mul", "nil_inv", "nil_embed", "nil_from_matrix",
-    "L_mul", "L_inv", "L_embed_twisted", "rho1", "rho2",
-    "heis_mul", "heis_inv", "heis_embed",
-    "spn_mul", "spn_matrix_block", "spn_embed",
+    "L_mul", "L_inv", "L_embed_twisted",
+    "heis_mul", "heis_embed",
+    "spn_mul", "spn_matrix_block",
     "iwasawa_decompose", "modulus_factor",
-    "SP_FORM", "SP_FORM_BLOCK", "block_to_adapted", "adapted_to_block",
+    "SP_FORM", "SP_FORM_BLOCK",
     "symplectic_error", "sp4_algebra_basis", "sp4_iwasawa_dimension_audit",
     "random_sl4", "random_sp4", "random_so4",
 ]
@@ -57,15 +57,6 @@ SP_FORM_BLOCK = np.block([
 SP_FORM = _SWAP34 @ SP_FORM_BLOCK @ _SWAP34.T
 
 
-def block_to_adapted(g):
-    """Conjugate a block-form symplectic matrix into the adapted basis."""
-    return _SWAP34 @ np.asarray(g, dtype=float) @ _SWAP34
-
-
-def adapted_to_block(g):
-    return _SWAP34 @ np.asarray(g, dtype=float) @ _SWAP34
-
-
 def symplectic_error(g, form=None) -> float:
     form = SP_FORM if form is None else form
     g = np.asarray(g, dtype=float)
@@ -81,7 +72,6 @@ class MatrixElement:
 
     entries: np.ndarray
     tag: str
-    check: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -90,8 +80,7 @@ class MatrixElement:
         object.__setattr__(self, "entries", m)
         if self.tag not in _TAGS:
             raise ValueError(f"unknown tag {self.tag!r}")
-        if self.check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         m = self.entries
@@ -177,25 +166,6 @@ def nil_from_matrix(m) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rho2(x3, x2, y):
-    """Action of the plane on 3-vectors: (y6,y5,y4) -> (y6+x3*y4, y5+x2*y4, y4)."""
-    y = np.asarray(y, dtype=float)
-    out = y.copy()
-    out[..., 0] = y[..., 0] + x3 * y[..., 2]
-    out[..., 1] = y[..., 1] + x2 * y[..., 2]
-    return out
-
-
-def rho1(x1, y):
-    """Action of the line on 5-tuples:
-    (y6,y5,y4,y3,y2) -> (y6+x1*y5, y5, y4, y3+x1*y2, y2)."""
-    y = np.asarray(y, dtype=float)
-    out = y.copy()
-    out[..., 0] = y[..., 0] + x1 * y[..., 1]
-    out[..., 3] = y[..., 3] + x1 * y[..., 4]
-    return out
-
-
 def L_mul(X, Y):
     """Group law of L (vectorized).  The (x6,x5,x4) block is twisted by the
     (t3,t2,t1) triple; (x3,x2,x1) are plain translations."""
@@ -235,19 +205,6 @@ def L_embed_twisted(X) -> np.ndarray:
     return m
 
 
-def nil_to_L(p) -> np.ndarray:
-    """Embed N into L: x-block plus (t3,t2,t1) = (x3,x2,x1), zero elsewhere."""
-    p = _coords(p, 6)
-    out = np.zeros(p.shape[:-1] + (9,))
-    out[..., 0] = p[..., 5]
-    out[..., 1] = p[..., 4]
-    out[..., 2] = p[..., 3]
-    out[..., 5] = p[..., 2]
-    out[..., 6] = p[..., 1]
-    out[..., 8] = p[..., 0]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # three-parameter nilpotent symplectic group
 # ---------------------------------------------------------------------------
@@ -260,10 +217,6 @@ def heis_mul(p, q):
     out = p + q
     out[..., 0] += p[..., 2] * q[..., 1] - q[..., 2] * p[..., 1]
     return out
-
-
-def heis_inv(p):
-    return -_coords(p, 3)
 
 
 def heis_embed(p) -> np.ndarray:
@@ -314,18 +267,6 @@ def spn_mul(p, q):
     t = t1 + t2
     y = y1 + y2 + x1 * (z2 - x2 * t2) - z1 * x2
     return np.stack([x, y, z, t], axis=-1)
-
-
-def spn_embed(p) -> MatrixElement:
-    """Embed into the symplectic group (adapted basis).  The construction is
-    checked against the block form before conjugating; a failure indicates a
-    transcription bug, not bad data."""
-    m = spn_matrix_block(p)
-    if m.ndim != 2:
-        raise ValueError("spn_embed takes a single point")
-    if symplectic_error(m, SP_FORM_BLOCK) > 1e-10:
-        raise SymplecticViolation("constructed matrix is not symplectic")
-    return MatrixElement(block_to_adapted(m), "SP4")
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +393,18 @@ def sp4_iwasawa_dimension_audit(form=None):
     return subdim(antisym), subdim(diagonal), subdim(upper)
 
 
-def random_sl4(rng, scale: float = 0.5) -> MatrixElement:
+def random_sl4(rng) -> MatrixElement:
     from scipy.linalg import expm
 
-    x = rng.normal(0.0, scale, size=(4, 4))
+    x = rng.normal(0.0, 0.5, size=(4, 4))
     x -= np.trace(x) / 4.0 * np.eye(4)
     return MatrixElement(expm(x), "SL4")
 
 
-def random_sp4(rng, scale: float = 0.4) -> MatrixElement:
+def random_sp4(rng) -> MatrixElement:
     from scipy.linalg import expm
 
-    x = np.tensordot(rng.normal(0.0, scale, size=len(_SP4_BASIS)), _SP4_BASIS,
+    x = np.tensordot(rng.normal(0.0, 0.4, size=len(_SP4_BASIS)), _SP4_BASIS,
                      axes=1)
     g = expm(x)
     return MatrixElement(g, "SP4")

@@ -23,11 +23,10 @@ from .quadrature import (BLOCK_ENTRIES, EulerQuadSO4, U2Quad, SampledField,
                          box_grid, dft_forward, pairwise_sum)
 
 __all__ = [
-    "SeparableKNAFunction", "KNASpectrum",
-    "kna_transform", "plancherel_sl4_check",
-    "sp4_n_chart", "sp4_a_chart", "sp4_restrict_check",
+    "SeparableKNAFunction", "KNASpectrum", "plancherel_sl4_check",
+    "sp4_n_chart", "sp4_restrict_check",
     "semidirect_mul", "affine_embed", "plancherel_semidirect_check",
-    "lift_upsilon", "lift_h", "lift_q",
+    "lift_upsilon", "lift_q",
     "upsilon_invariance_error", "q_lift_invariance_error",
     "nested_transform_oracle",
 ]
@@ -105,11 +104,6 @@ def _kna_plancherel(f: SeparableKNAFunction, quad, J):
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
 
 
-def kna_transform(f: SeparableKNAFunction, quad, J) -> KNASpectrum:
-    """The factorized transform of f; see _kna_plancherel."""
-    return _kna_plancherel(f, quad, J)["spectrum"]
-
-
 def plancherel_sl4_check(f: SeparableKNAFunction, quad: EulerQuadSO4, J):
     """||f||^2 over dk dn dt against the label sum of weighted
     Hilbert-Schmidt masses with (2 pi)^{-9} on the spectral side."""
@@ -137,13 +131,6 @@ def sp4_n_chart(params) -> np.ndarray:
     m[..., 1, 3] = n13 - n12 * n23
     m[..., 2, 3] = -n12
     return m
-
-
-def sp4_a_chart(t) -> np.ndarray:
-    """diag(e^{t1}, e^{t2}, e^{-t2}, e^{-t1})."""
-    t = np.asarray(t, dtype=float)
-    return np.stack([np.exp(t[..., 0]), np.exp(t[..., 1]),
-                     np.exp(-t[..., 1]), np.exp(-t[..., 0])], axis=-1)
 
 
 def sp4_restrict_check(f: SeparableKNAFunction, quad: U2Quad, M: int):
@@ -205,15 +192,6 @@ def upsilon_invariance_error(f, g, h, k1) -> float:
     """|U(g h, h^{-1} k1) - U(g, k1)| for h in the compact factor."""
     lifted = lift_upsilon(f)
     return abs(lifted(g @ h, h.T @ k1) - lifted(g, k1))
-
-
-def lift_h(f):
-    """h(f)(v, g) = f(g v, g) on the semidirect product."""
-
-    def lifted(v, g):
-        return f(g @ np.asarray(v, dtype=float), g)
-
-    return lifted
 
 
 def lift_q(f):

@@ -229,15 +229,15 @@ class GaussianBump:
         return out
 
 
-def standard_corpus(rng, n_waves: int = 4, n_bumps: int = 6):
-    """Mixed corpus of plane waves, Gaussians, and Gaussian-times-polynomial
-    functions with exact jets."""
+def standard_corpus(rng):
+    """Mixed corpus of four plane waves and six bumps, alternately Gaussians
+    and Gaussian-times-polynomial functions, all with exact jets."""
     from .diffops import Poly3
 
     corpus = []
-    for _ in range(n_waves):
+    for _ in range(4):
         corpus.append(PlaneWave(*rng.uniform(-1.5, 1.5, size=3)))
-    for i in range(n_bumps):
+    for i in range(6):
         mu = rng.uniform(-0.5, 0.5, size=3)
         sigma = rng.uniform(0.8, 1.6)
         if i % 2 == 0:

@@ -167,39 +167,27 @@ def _outer(factors) -> np.ndarray:
 
 def convolve_N(phi, f, at, method: str = "grid", box=6.0,
                count: int = 12, n: int = 1 << 20, seed: int = 0,
-               sampler=None, param: str = "right",
-               budget: int = DEFAULT_GRID_BUDGET):
+               sampler=None, budget: int = DEFAULT_GRID_BUDGET):
     """Noncommutative convolution (phi * f)(at) = int f(g^{-1} h) phi(g) dg.
 
     phi and f are callables on (..., 6) arrays or GaussProduct functions.
-    param="right" substitutes u = g^{-1} h (f is evaluated plainly, phi at
-    h u^{-1}); param="left" integrates over g directly (phi is evaluated
-    plainly, f through the group law).  Both substitutions are measure
-    preserving (unit Jacobians).  method="grid" uses a tensor box rule (box
-    is a half-width or a (lo, hi) pair of 6-vectors) summed one slab of the
-    first axis at a time; a plainly evaluated GaussProduct is taken there
-    as the outer product of its 1-D factor values.  method="mc" uses
-    importance sampling with a reported standard error.
+    The integral is taken over u = g^{-1} h, a measure-preserving
+    substitution (unit Jacobian): f is evaluated plainly, phi at h u^{-1}.
+    method="grid" uses a tensor box rule (box is a half-width or a (lo, hi)
+    pair of 6-vectors) summed one slab of the first axis at a time; a
+    GaussProduct f is taken there as the outer product of its 1-D factor
+    values.  method="mc" uses importance sampling with a reported standard
+    error.
     """
     at = np.asarray(at, dtype=float)
-    if param == "right":
-        plain, phi_at = f, _pointwise(phi)
+    f_at, phi_at = _pointwise(f), _pointwise(phi)
 
-        def shifted(u):
-            return phi_at(groups.nil_mul(np.broadcast_to(at, u.shape),
-                                         groups.nil_inv(u)))
-    elif param == "left":
-        plain, f_at = phi, _pointwise(f)
-
-        def shifted(g):
-            return f_at(groups.nil_mul(groups.nil_inv(g),
-                                       np.broadcast_to(at, g.shape)))
-    else:
-        raise ValueError("param must be 'right' or 'left'")
-    plain_at = _pointwise(plain)
+    def shifted(u):
+        return phi_at(groups.nil_mul(np.broadcast_to(at, u.shape),
+                                     groups.nil_inv(u)))
 
     def integrand(u):
-        return plain_at(u) * shifted(u)
+        return f_at(u) * shifted(u)
 
     if method == "grid":
         grid = _nil_grid(box, count, budget)
@@ -210,13 +198,13 @@ def convolve_N(phi, f, at, method: str = "grid", box=6.0,
             u[..., k + 1] = mesh
         w_rest = _outer([a.weights() for a in rest])
         fac = None
-        if isinstance(plain, GaussProduct):
-            fac = plain.factor_values([a.nodes() for a in grid.axes])
+        if isinstance(f, GaussProduct):
+            fac = f.factor_values([a.nodes() for a in grid.axes])
             rest_values = _outer(fac[1:])
         sums = []
         for i, (x0, w0) in enumerate(zip(first.nodes(), first.weights())):
             u[..., 0] = x0
-            vals = plain_at(u) if fac is None else fac[0][i] * rest_values
+            vals = f_at(u) if fac is None else fac[0][i] * rest_values
             sums.append(pairwise_sum(vals * shifted(u) * (w0 * w_rest)))
         return complex(pairwise_sum(np.asarray(sums)))
     if method == "mc":

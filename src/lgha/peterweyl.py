@@ -13,7 +13,6 @@ exp(i theta (m1+m2)) times D^{(m1-m2)/2}.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, sqrt
@@ -30,7 +29,7 @@ __all__ = [
     "so4_labels", "so4_dim", "so4_rep", "CompactSpectrum",
     "compact_transform", "synthesize", "compact_inverse",
     "convolution_order_error",
-    "u2_labels", "u2_dim", "u2_rep", "u2_transform", "u2_synthesize",
+    "u2_labels", "u2_dim", "u2_transform", "u2_synthesize",
     "CompactGroup", "compact_group", "compact_plancherel_check",
     "random_spectrum", "random_band_limited",
 ]
@@ -226,14 +225,6 @@ class CompactSpectrum:
         return float(sum(dim_fn(lbl) * np.sum(np.abs(c) ** 2)
                          for lbl, c in self.coeffs.items()))
 
-    def to_json(self) -> str:
-        payload = {}
-        for lbl, mat in self.coeffs.items():
-            key = "(" + ",".join(repr(float(x)) if isinstance(lbl[0], float)
-                                 else repr(int(x)) for x in lbl) + ")"
-            payload[key] = [[float(v.real), float(v.imag)] for v in mat.ravel()]
-        return json.dumps(payload)
-
 
 def _dstacks(quad: SU2Quad, js):
     return {j: wigner_D_stack(j, quad.euler) for j in sorted(set(js))}
@@ -329,22 +320,17 @@ def u2_dim(label) -> int:
     return m1 - m2 + 1
 
 
-def u2_labels(M: int):
-    """Integer pairs m1 >= m2 with |m1|, |m2| <= M."""
+def u2_labels(M):
+    """Integer pairs m1 >= m2 with |m1|, |m2| <= M, for a nonnegative
+    integral M (an integral float such as 1.0 is accepted)."""
+    if M < 0 or M != int(M):
+        raise ValueError(f"U(2) band limit {M!r} is not a nonnegative integer")
+    M = int(M)
     out = []
     for m1 in range(-M, M + 1):
         for m2 in range(-M, m1 + 1):
             out.append((m1, m2))
     return out
-
-
-def u2_rep(label, theta, euler) -> np.ndarray:
-    """Highest-weight model: det-power phase times an SU(2) Wigner matrix."""
-    m1, m2 = label
-    if m1 < m2:
-        raise ValueError("label requires m1 >= m2")
-    j = (m1 - m2) / 2.0
-    return np.exp(1j * theta * (m1 + m2)) * wigner_D(j, *euler)
 
 
 def u2_transform(f_values: np.ndarray, quad: U2Quad, M: int) -> CompactSpectrum:

@@ -24,7 +24,7 @@ from .quadrature import Axis, GridSpec, SampledField, dft_forward, norm2
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
     "solver_grid", "lewy_solve", "four_stage_operator", "four_stage_solve",
-    "interior_mask", "interior_rel_error", "fd_residual_spotcheck",
+    "interior_mask", "interior_rel_error",
 ]
 
 SOLVE_AXES = ("z", "y", "x")
@@ -51,13 +51,12 @@ def _freq_mesh(field: SampledField):
     return out
 
 
-def cr_solve(g: SampledField, op: PolyDiffOp, zero_tol: float = 1e-10,
-             reject_tol: float = 1e-6):
+def cr_solve(g: SampledField, op: PolyDiffOp):
     """Solve op f = g spectrally for a constant-coefficient operator.
 
-    Modes where |symbol| < zero_tol are projected to zero; the projected
+    Modes where |symbol| < 1e-10 are projected to zero; the projected
     L2 mass relative to ||g|| is reported, and IncompatibleRHS is raised
-    when it exceeds reject_tol.  Returns (solution field, info dict).
+    when it exceeds 1e-6.  Returns (solution field, info dict).
     """
     if not op.is_constant_coefficient:
         raise ValueError("cr_solve needs a constant-coefficient operator")
@@ -65,15 +64,15 @@ def cr_solve(g: SampledField, op: PolyDiffOp, zero_tol: float = 1e-10,
     xiz, xiy, xix = _freq_mesh(g)
     sym = op.symbol(xiz, xiy, xix)
     sym = np.broadcast_to(sym, spec.values.shape)
-    mask = np.abs(sym) < zero_tol
+    mask = np.abs(sym) < 1e-10
 
     gnorm2 = norm2(g)
     proj2 = float(np.sum(np.abs(spec.values[mask]) ** 2)) * spec.freq_weight() \
         / (2.0 * np.pi) ** len(spec.axes)
     projected_rel = float(np.sqrt(proj2 / max(gnorm2, 1e-300)))
-    if projected_rel > reject_tol:
+    if projected_rel > 1e-6:
         raise IncompatibleRHS(
-            f"projected mass {projected_rel:.3e} exceeds {reject_tol:.1e}")
+            f"projected mass {projected_rel:.3e} exceeds 1.0e-06")
 
     vals = np.where(mask, 0.0, spec.values / np.where(mask, 1.0, sym))
     out = spec
@@ -187,7 +186,7 @@ def interior_rel_error(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
 
 
 def lewy_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
-               nx: int = 96, pad: float = 1.0, reject_tol: float = 1e-6):
+               nx: int = 96, pad: float = 1.0):
     """Constructive solve of the shear-conjugate Lewy-type equation
     (-dx - i dy - (2y + 2ix) dz) f = g.
 
@@ -211,7 +210,7 @@ def lewy_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
         g(np.stack([zs - 2.0 * xs * ys, ys, -xs], axis=-1)), dtype=complex)
     gtilde = SampledField(grid, gvals)
 
-    u, info = cr_solve(gtilde, cauchy_riemann(), reject_tol=reject_tol)
+    u, info = cr_solve(gtilde, cauchy_riemann())
     f = shear_reflect_field(u)
 
     windowed = SampledField(grid, f.values * plateau_window(grid))
@@ -236,7 +235,7 @@ def four_stage_operator() -> PolyDiffOp:
 
 
 def four_stage_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
-                     nx: int = 96, pad: float = 1.0, reject_tol: float = 1e-6):
+                     nx: int = 96, pad: float = 1.0):
     """Solve the four-stage composition by four chained spectral inversions
     inside the shear conjugation.  Returns the solution field, the grid and
     the largest projected-mode report of the four stages; the solve is
@@ -253,45 +252,7 @@ def four_stage_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
 
     infos = []
     for op in (cr_pair_R(), cr_pair_R_star(), cr_pair_R_star(), cr_pair_R()):
-        stage, info = cr_solve(stage, op, reject_tol=reject_tol)
+        stage, info = cr_solve(stage, op)
         infos.append(info["projected_rel"])
     return {"f": shear_reflect_field(stage), "grid": grid,
             "projected_rel": max(infos)}
-
-
-def fd_residual_spotcheck(op: PolyDiffOp, field: SampledField, g,
-                          npts: int = 40, seed: int = 0, h: float = None):
-    """Independent check of op f = g at interior grid points using fourth
-    order central finite differences on the sampled field (first-order
-    operators only)."""
-    if op.order != 1:
-        raise ValueError("finite-difference spot check supports order 1")
-    grid = field.grid
-    rng = np.random.Generator(np.random.Philox(seed))
-    shape = grid.shape
-    nodes = [ax.nodes() for ax in grid.axes]
-    steps = [ax.step for ax in grid.axes]
-    idx = np.stack([rng.integers(4, s - 4, size=npts) for s in shape], axis=1)
-
-    worst = 0.0
-    for row in idx:
-        i, j, k = (int(v) for v in row)
-        pt = (nodes[0][i], nodes[1][j], nodes[2][k])
-        val = 0.0 + 0.0j
-        for m, poly in op.terms.items():
-            if sum(m) == 0:
-                val += complex(poly.eval(*pt)) * field.values[i, j, k]
-                continue
-            axis = m.index(1)
-            sl = [i, j, k]
-            stencil = []
-            for off in (-2, -1, 1, 2):
-                s2 = list(sl)
-                s2[axis] += off
-                stencil.append(field.values[tuple(s2)])
-            d = (stencil[0] - 8 * stencil[1] + 8 * stencil[2] - stencil[3]) \
-                / (12.0 * steps[axis])
-            val += complex(poly.eval(*pt)) * d
-        ref = complex(np.asarray(g(np.array(pt)[None, :]))[0])
-        worst = max(worst, abs(val - ref))
-    return worst

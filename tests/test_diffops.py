@@ -151,7 +151,8 @@ def test_plane_wave_symbol_oracle():
     k = (0.9, -1.3, 0.4)
     f = PlaneWave(*k)
     pts = rng.normal(size=(20, 3))
-    for op in (D.lewy(), D.lewy_star(), D.cauchy_riemann(), D.sublaplacian()):
+    for op in (D.lewy(), D.lewy_star(), D.cauchy_riemann(),
+               D.sheared_laplacian()):
         vals = op.apply(f, pts)
         # exact action on a plane wave: polynomial coefficients at the point
         # times (ik)^alpha
@@ -305,15 +306,16 @@ def test_hormander_rank():
 
 def test_squares_operators():
     # X^2 + Y^2 has no dz^2-free certificate; just pin the expansions
-    s = D.squares_xy()
+    xo, yo, zo = (v.as_diffop() for v in (D.vf_x(), D.vf_y(), D.vf_z()))
+    s = xo @ xo + yo @ yo
     expect = D.PolyDiffOp({
         (0, 0, 2): D.ONE, (0, 2, 0): D.ONE,
         (1, 1, 0): 2.0 * D.X, (1, 0, 1): -2.0 * D.Y,
         (2, 0, 0): D.X * D.X + D.Y * D.Y,
     })
     assert s == expect
-    assert D.squares_xyz() == expect + D.PolyDiffOp({(2, 0, 0): D.ONE})
-    assert D.heis_laplacian_left() == D.squares_xyz()
+    assert s + zo @ zo == expect + D.PolyDiffOp({(2, 0, 0): D.ONE})
+    assert D.heis_laplacian_left() == s + zo @ zo
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +343,8 @@ def test_dsl_parse_known_operator():
 
 
 def test_dsl_roundtrip_canonical():
-    for op in (D.lewy(), D.sublaplacian(), D.hormander_Q4(),
-               D.first_order_invariant(), D.span_shifted_op()):
+    for op in (D.lewy(), D.sheared_laplacian(), D.hormander_Q4(),
+               D.first_order_invariant()):
         text = D.format_op(op)
         assert D.parse_op(text) == op
 

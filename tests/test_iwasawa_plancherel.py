@@ -47,12 +47,12 @@ def test_transform_linearity_in_f():
     quad = so4_quadrature(0.5)
     v = random_gauss_product(rng, 6)
     w = random_gauss_product(rng, 3)
-    t1 = ip.kna_transform(ip.SeparableKNAFunction(
+    t1 = ip.plancherel_sl4_check(ip.SeparableKNAFunction(
         pw.CompactSpectrum({(0.5, 0.5): np.eye(4, dtype=complex)}), v, w),
-        quad, 0.5)
-    t2 = ip.kna_transform(ip.SeparableKNAFunction(
+        quad, 0.5)["spectrum"]
+    t2 = ip.plancherel_sl4_check(ip.SeparableKNAFunction(
         pw.CompactSpectrum({(0.5, 0.5): 3.0 * np.eye(4, dtype=complex)}), v, w),
-        quad, 0.5)
+        quad, 0.5)["spectrum"]
     assert np.max(np.abs(t2.k_part.coeffs[(0.5, 0.5)]
                          - 3.0 * t1.k_part.coeffs[(0.5, 0.5)])) < 1e-12
 
@@ -180,7 +180,7 @@ def test_sp4_charts():
     prod = mats[0] @ mats[1]
     assert G.symplectic_error(prod) < 1e-12
     t = rng.normal(size=2)
-    a = np.diag(ip.sp4_a_chart(t))
+    a = np.diag(np.exp([t[0], t[1], -t[1], -t[0]]))
     assert G.symplectic_error(a) < 1e-12
 
 
@@ -231,10 +231,10 @@ def test_h_lift_and_q_lift():
         return np.exp(1j * np.sum(v)) * np.exp(1j * np.trace(g)) \
             * np.exp(-0.05 * np.sum(g * g))
 
-    hf = ip.lift_h(fp)
+    # at h = 1 the triple-group lift is the semidirect lift f(g v, g)
     v = rng.normal(size=4)
     g = G.random_sl4(rng).entries
-    assert hf(v, g) == fp(g @ v, g)
+    assert ip.lift_q(fp)(v, g, np.eye(4)) == fp(g @ v, g)
     for _ in range(200):
         v = rng.normal(size=4)
         g = G.random_sl4(rng).entries

@@ -1,7 +1,10 @@
-"""Package surface: every name a module exports exists."""
+"""Package surface: every name a module exports exists, and every public
+name has a caller outside the tests."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import lgha
 
@@ -20,3 +23,23 @@ def test_every_all_name_resolves():
             exec(f"from lgha.{name} import *", namespace)
             assert set(mod.__all__) <= set(namespace)
     assert {"groups", "nilfourier"} <= set(exporting)
+
+
+def test_every_public_library_name_has_a_caller():
+    """Each public top-level function or class of an lgha module is named,
+    as a name or an attribute, somewhere in the package or the benchmark
+    besides its own definition.  Tests, strings and __all__ do not count."""
+    pkg = Path(lgha.__file__).resolve().parent
+    bench = pkg.parents[1] / "perfbench"
+    assert (bench / "harness.py").is_file()
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(pkg.glob("*.py")) + sorted(bench.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [f"{path.stem}.{node.name}"
+              for path, tree in trees.items() if path.parent == pkg
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert not unused, unused

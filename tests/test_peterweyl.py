@@ -1,12 +1,11 @@
 """Wigner matrices, SO(4) and U(2) representations, compact transform."""
 
-import json
-
 import numpy as np
 import pytest
 
 from lgha import peterweyl as pw
-from lgha.quadrature import so4_quadrature, su2_quadrature, u2_quadrature
+from lgha.quadrature import (SU2Quad, U2Quad, so4_quadrature, su2_quadrature,
+                             u2_quadrature)
 
 rng = np.random.default_rng(303)
 
@@ -219,15 +218,6 @@ def test_inversion_and_plancherel_band_limited():
         assert abs(pw.compact_inverse(res["spectrum"], el, er) - direct) < 1e-10
 
 
-def test_spectrum_json_serialization():
-    quad = so4_quadrature(0.5)
-    spec, _ = pw.random_band_limited(rng, 0.5, quad)
-    payload = json.loads(spec.to_json())
-    assert "(0.5,0.5)" in payload
-    flat = payload["(0.5,0.5)"]
-    assert len(flat) == 16 and len(flat[0]) == 2
-
-
 def test_u2_transform_roundtrip_and_plancherel():
     quad = u2_quadrature(1)
     spec, vals = pw.random_band_limited(rng, 1, quad)
@@ -257,18 +247,32 @@ def test_random_spectrum_matches_per_label_loop():
 
 
 def test_u2_rep_well_defined_on_quotient():
-    # (theta, s) and (theta + pi, -s) give the same representation matrix
-    lbl = (2, -1)
-    theta = 0.7
-    e = (1.1, 0.9, 2.3)
-    u = pw.su2_from_euler(e)
-    e_neg = pw.euler_from_su2(-u)
-    a = pw.u2_rep(lbl, theta, e)
-    b = pw.u2_rep(lbl, theta + np.pi, e_neg)
-    assert np.max(np.abs(a - b)) < 1e-12
+    # (theta, s) and (theta + pi, -s) are one element of U(2): a synthesized
+    # half-odd label takes one value at both node pairs
+    e = np.array([1.1, 0.9, 2.3])
+    e_neg = pw.euler_from_su2(-pw.su2_from_euler(e))
+    su2 = SU2Quad(1.5, np.stack([e, e_neg]), np.full(2, 0.5))
+    quad = U2Quad(2, np.array([0.7, 0.7 + np.pi]), np.full(2, 0.5), su2)
+    c = np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)
+    vals = pw.u2_synthesize(pw.CompactSpectrum({(2, -1): c}), quad)
+    assert abs(vals[0, 0] - vals[1, 1]) < 1e-12 * abs(vals[0, 0])
+    assert abs(vals[0, 0] - vals[0, 1]) > 1e-3 * abs(vals[0, 0])
 
 
 def test_u2_labels():
     labels = pw.u2_labels(1)
     assert (1, -1) in labels and (0, 0) in labels and (-1, 1) not in labels
     assert pw.u2_dim((1, -1)) == 3
+
+
+def test_u2_labels_accept_an_integral_float():
+    assert pw.u2_labels(1.0) == pw.u2_labels(1)
+    assert all(type(m) is int for lbl in pw.u2_labels(1.0) for m in lbl)
+    spec = pw.random_spectrum(np.random.default_rng(3032), 1.0, u2_quadrature(1))
+    assert list(spec.coeffs) == pw.u2_labels(1)
+
+
+def test_u2_labels_reject_a_non_integral_or_negative_band_limit():
+    for M in (1.5, -1, -1.0):
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            pw.u2_labels(M)

@@ -142,15 +142,3 @@ def test_interior_mask_and_window():
     win = S.plateau_window(grid, flat_frac=0.6)
     assert np.all(win[mask] == 1.0)
     assert win[0, 0, 0] < 1e-3  # cell-centered nodes stop short of the edge
-
-
-def test_fd_residual_spotcheck_on_manufactured():
-    w = D.PolyGauss(D.Poly3({(0, 0, 1): 1.0}), sigma=1.0)
-    op = D.lewy_conjugate_true()
-    g = w.apply_diffop(op)
-    grid = S.solver_grid(5, 3.5, 3.5, 96, 72, 72)
-    zs, ys, xs = grid.meshgrid()
-    f = SampledField(grid, w.values(np.stack([zs, ys, xs], axis=-1)))
-    worst = S.fd_residual_spotcheck(op, f, lambda pts: g.values(pts),
-                                    npts=25, seed=3)
-    assert worst < 5e-4
