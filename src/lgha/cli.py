@@ -32,54 +32,92 @@ from . import diffops as D
 from . import solvers as SV
 from .corpus import random_gauss_product
 from .jets import standard_corpus
-from .quadrature import (BudgetExceeded, SampledField, box_grid, dft_forward,
-                         monte_carlo, so4_quadrature, u2_quadrature,
-                         DEFAULT_GRID_BUDGET, MIN_MC_SAMPLES)
+from .quadrature import (BudgetExceeded, SampledField, monte_carlo,
+                         so4_quadrature, u2_quadrature, DEFAULT_GRID_BUDGET,
+                         MIN_MC_SAMPLES)
 
-# every row the nine suites emit, in report order; a config's tolerance keys
-# must name one of them
-CHECK_NAMES = (
-    # groups
-    "nil-law-vs-matrix", "nil-inverse-formula", "l-law-vs-matrix",
-    "l-associativity", "two-sided-inverse", "heis-law-vs-matrix",
-    "spn-embedding", "iwasawa-sl4", "iwasawa-sp4", "iwasawa-sp4-factors",
-    "modulus-vs-jacobian",
-    # nil-plancherel
-    "plancherel-separable", "plancherel-bump", "plancherel-bump-mc",
-    "parseval-grid", "parseval-mc", "lifted-convolution", "lift-invariance",
-    # so4
-    "wigner-reference", "schur-orthogonality", "transform-roundtrip",
-    "inversion-pointwise", "identity-point-inversion", "compact-plancherel",
-    "center-parity", "convolution-order",
-    # sl4-plancherel
-    "kna-plancherel-trivial", "kna-plancherel-halfint", "kna-plancherel-full",
-    "kna-spot-check", "upsilon-invariance", "upsilon-restriction",
-    # sp4-plancherel
-    "sp4-plancherel", "sp4-plancherel-trivial", "sp4-dimension-audit",
-    "sp4-unipotent-chart",
-    # semidirect-plancherel
-    "semidirect-plancherel", "semidirect-law", "translation-lift-invariance",
-    # operator-identities
-    "lewy-conjugation", "lewy-pair-conjugation", "shear-first-order",
-    "shear-laplacian", "left-laplacian-transport", "right-laplacian-transport",
-    "four-factor-conjugation", "single-factor-swap",
-    "coordinate-map-inverses", "mutation-sensitivity",
-    "operator-dsl-roundtrip",
-    # hormander
-    "bracket-identity", "bracket-rank", "bracket-depth-one",
-    # solvers
-    "cr-roundtrip", "cr-symbol", "cr-incompatible-rejected", "lewy-roundtrip",
-    "lewy-roundtrip-residual", "lewy-generic-residual", "four-stage-roundtrip",
-)
-
-# rows whose verdict no tolerance enters (a Monte Carlo agreement, an exact
-# count, a raised exception, a boolean property); a config may not set one
-FIXED_VERDICT_NAMES = (
-    "plancherel-bump-mc", "parseval-mc", "sp4-dimension-audit",
-    "coordinate-map-inverses", "mutation-sensitivity",
-    "operator-dsl-roundtrip", "bracket-identity", "bracket-rank",
-    "bracket-depth-one", "cr-incompatible-rejected",
-)
+# Every row the nine suites emit, by suite in report order: its name, the
+# anchor slug naming the identity or plumbing it checks, its default
+# tolerance, and FIXED on a row whose verdict no tolerance enters (a Monte
+# Carlo agreement, an exact count, a raised exception, a boolean property),
+# whose tolerance a config may not set.
+FIXED = True
+ROWS = {
+    "groups": (
+        ("nil-law-vs-matrix", "unipotent-group-law", 1e-12),
+        ("nil-inverse-formula", "unipotent-inverse", 1e-12),
+        ("l-law-vs-matrix", "nine-parameter-group-law", 1e-12),
+        ("l-associativity", "group-axioms", 1e-12),
+        ("two-sided-inverse", "group-axioms", 1e-12),
+        ("heis-law-vs-matrix", "three-parameter-group-law", 1e-12),
+        ("spn-embedding", "four-parameter-symplectic", 1e-12),
+        ("iwasawa-sl4", "iwasawa-reconstruction", 1e-10),
+        ("iwasawa-sp4", "iwasawa-reconstruction", 1e-10),
+        ("iwasawa-sp4-factors", "symplectic-factor-preservation", 1e-10),
+        ("modulus-vs-jacobian", "conjugation-modulus", 1e-8)),
+    "nil-plancherel": (
+        ("plancherel-separable", "plancherel-nilpotent", 1e-8),
+        ("plancherel-bump", "plancherel-nilpotent", 1e-6),
+        ("plancherel-bump-mc", "plancherel-nilpotent", 3.0, FIXED),
+        ("parseval-grid", "parseval-pairing", 1e-6),
+        ("parseval-mc", "parseval-pairing", 3.0, FIXED),
+        ("lifted-convolution", "twisted-vs-flat-convolution", 2e-2),
+        ("lift-invariance", "lift-invariance-nilpotent", 1e-10)),
+    "so4": (
+        ("wigner-reference", "wigner-matrix-plumbing", 1e-12),
+        ("schur-orthogonality", "peter-weyl-orthogonality", 1e-12),
+        ("transform-roundtrip", "peter-weyl-orthogonality", 1e-12),
+        ("inversion-pointwise", "peter-weyl-inversion", 1e-10),
+        ("identity-point-inversion", "peter-weyl-inversion", 1e-10),
+        ("compact-plancherel", "peter-weyl-plancherel", 1e-10),
+        ("center-parity", "double-cover-parity", 1e-12),
+        ("convolution-order", "compact-convolution", 1e-9)),
+    "sl4-plancherel": (
+        ("kna-plancherel-trivial", "combined-plancherel", 1e-6),
+        ("kna-plancherel-halfint", "combined-plancherel", 1e-6),
+        ("kna-plancherel-full", "combined-plancherel", 1e-6),
+        ("kna-spot-check", "combined-transform-factorization", 1e-6),
+        ("upsilon-invariance", "compact-shift-invariance", 1e-10),
+        ("upsilon-restriction", "lift-restriction", 1e-12)),
+    "sp4-plancherel": (
+        ("sp4-plancherel", "symplectic-restricted-plancherel", 1e-6),
+        ("sp4-plancherel-trivial", "symplectic-restricted-plancherel", 1e-6),
+        ("sp4-dimension-audit", "iwasawa-dimension-count", 0.0, FIXED),
+        ("sp4-unipotent-chart", "symplectic-unipotent-chart", 1e-12)),
+    "semidirect-plancherel": (
+        ("semidirect-plancherel", "semidirect-plancherel", 1e-6),
+        ("semidirect-law", "semidirect-group-law", 1e-12),
+        ("translation-lift-invariance", "semidirect-lift-invariance", 1e-10)),
+    "operator-identities": (
+        ("lewy-conjugation", "conjugation-identity", 1e-9),
+        ("lewy-pair-conjugation", "conjugation-identity", 1e-9),
+        ("shear-first-order", "conjugation-identity", 1e-9),
+        ("shear-laplacian", "conjugation-identity", 1e-9),
+        ("left-laplacian-transport", "conjugation-identity", 1e-9),
+        ("right-laplacian-transport", "conjugation-identity", 1e-9),
+        ("four-factor-conjugation", "conjugation-identity", 1e-9),
+        ("single-factor-swap", "conjugation-identity", 1e-9),
+        ("coordinate-map-inverses", "polynomial-involutions", 0.5, FIXED),
+        ("mutation-sensitivity", "test-sensitivity", 1e-3, FIXED),
+        ("operator-dsl-roundtrip", "operator-dsl", 0.5, FIXED)),
+    "hormander": (
+        ("bracket-identity", "bracket-relations", 0.5, FIXED),
+        ("bracket-rank", "span-condition", 0.5, FIXED),
+        ("bracket-depth-one", "span-condition", 0.5, FIXED)),
+    "solvers": (
+        ("cr-roundtrip", "constant-coefficient-solve", 1e-6),
+        ("cr-symbol", "operator-symbol", 1e-12),
+        ("cr-incompatible-rejected", "kernel-mode-projection", 0.5, FIXED),
+        ("lewy-roundtrip", "conjugated-solve", 1e-4),
+        ("lewy-roundtrip-residual", "conjugated-solve", 1e-3),
+        ("lewy-generic-residual", "conjugated-solve", 1e-3),
+        ("four-stage-roundtrip", "fourth-order-solve", 1e-3)),
+}
+_ROWS = {row[0]: row for rows in ROWS.values() for row in rows}
+# a config's tolerance keys must name a row of CHECK_NAMES and none of
+# FIXED_VERDICT_NAMES
+CHECK_NAMES = tuple(_ROWS)
+FIXED_VERDICT_NAMES = tuple(name for name, row in _ROWS.items() if row[3:])
 
 
 class ConfigError(ValueError):
@@ -155,7 +193,11 @@ class SuiteConfig:
         if not self.budget_bandlimit >= 0:
             raise ConfigError("band-limit budget must be >= 0")
 
-    def tol(self, name: str, default: float) -> float:
+    def tol(self, name: str, default: float = None) -> float:
+        """The config's tolerance of a row, else default, else the row's
+        default tolerance in ROWS."""
+        if default is None:
+            default = _ROWS[name][2]
         return float(self.tolerances.get(name, default))
 
     def rng(self, name: str) -> np.random.Generator:
@@ -166,30 +208,39 @@ class SuiteConfig:
         return int(self.seed + zlib.crc32(name.encode()) % 100003)
 
 
-def _row(name, anchor, lhs, rhs, tol, passed=None):
-    abs_err = abs(complex(lhs) - complex(rhs))
-    scale = max(abs(complex(lhs)), abs(complex(rhs)), 1e-300)
-    rel_err = abs_err / scale
-    if passed is None:
-        passed = bool(rel_err <= tol)
-    return {"name": name, "anchor": anchor, "lhs": float(np.real(lhs)),
-            "rhs": float(np.real(rhs)), "abs_err": abs_err,
-            "rel_err": rel_err, "tol": tol, "pass": bool(passed)}
-
-
 def _worst(*vals):
     """Largest value, or NaN if any value is NaN (builtin max drops a NaN that
     follows a finite value: max(0.0, nan) == 0.0)."""
     return math.nan if any(math.isnan(v) for v in vals) else max(vals)
 
 
-def _err_row(name, anchor, err, tol, passed=None):
-    """Row for maximum-error style checks: lhs is the observed error."""
-    if passed is None:
-        passed = bool(err <= tol)
-    return {"name": name, "anchor": anchor, "lhs": float(err), "rhs": 0.0,
-            "abs_err": float(err), "rel_err": float(err), "tol": tol,
-            "pass": bool(passed)}
+def _recorder(cfg: SuiteConfig):
+    """A suite's list of rows and the function that appends one.
+    row(name, err) records an observed error: lhs, abs_err and rel_err are
+    err, rhs is 0 (row(name, not ok) records 1 for a property that fails).
+    row(name, lhs, rhs) records two compared values and their relative
+    error.  The anchor comes from ROWS and the tolerance from
+    cfg.tol(name, tol); the verdict is rel_err <= tol unless passed is
+    given."""
+    checks = []
+
+    def row(name, lhs, rhs=None, tol=None, passed=None):
+        tol = cfg.tol(name, tol)
+        if rhs is None:
+            lhs = abs_err = rel_err = float(lhs)
+            rhs = 0.0
+        else:
+            abs_err = abs(complex(lhs) - complex(rhs))
+            rel_err = abs_err / max(abs(complex(lhs)), abs(complex(rhs)),
+                                    1e-300)
+            lhs, rhs = float(np.real(lhs)), float(np.real(rhs))
+        if passed is None:
+            passed = rel_err <= tol
+        checks.append({"name": name, "anchor": _ROWS[name][1], "lhs": lhs,
+                       "rhs": rhs, "abs_err": abs_err, "rel_err": rel_err,
+                       "tol": tol, "pass": bool(passed)})
+
+    return checks, row
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +265,18 @@ def _inverse_product_formula(Y, Xp):
 
 
 def suite_groups(cfg: SuiteConfig):
-    checks = []
+    checks, row = _recorder(cfg)
     rng = cfg.rng("groups")
 
     p = rng.uniform(-1.5, 1.5, size=(1000, 6))
     q = rng.uniform(-1.5, 1.5, size=(1000, 6))
     err = np.max(np.abs(G.nil_embed(G.nil_mul(p, q))
                         - G.nil_embed(p) @ G.nil_embed(q)))
-    checks.append(_err_row("nil-law-vs-matrix", "unipotent-group-law",
-                           err, cfg.tol("nil-law-vs-matrix", 1e-12)))
+    row("nil-law-vs-matrix", err)
 
     err = np.max(np.abs(G.nil_mul(G.nil_inv(p), q)
                         - _inverse_product_formula(p, q)))
-    checks.append(_err_row("nil-inverse-formula", "unipotent-inverse",
-                           err, cfg.tol("nil-inverse-formula", 1e-12)))
+    row("nil-inverse-formula", err)
 
     X = rng.uniform(-1.5, 1.5, size=(1000, 9))
     Yv = rng.uniform(-1.5, 1.5, size=(1000, 9))
@@ -237,25 +286,21 @@ def suite_groups(cfg: SuiteConfig):
                       - G.L_embed_twisted(X) @ G.L_embed_twisted(Yv))),
         np.max(np.abs(Z[:, [3, 4, 7]] - X[:, [3, 4, 7]] - Yv[:, [3, 4, 7]])),
     )
-    checks.append(_err_row("l-law-vs-matrix", "nine-parameter-group-law",
-                           err, cfg.tol("l-law-vs-matrix", 1e-12)))
+    row("l-law-vs-matrix", err)
 
     W = rng.uniform(-1.5, 1.5, size=(1000, 9))
     err = np.max(np.abs(G.L_mul(G.L_mul(X, Yv), W) - G.L_mul(X, G.L_mul(Yv, W))))
-    checks.append(_err_row("l-associativity", "group-axioms", err,
-                           cfg.tol("l-associativity", 1e-12)))
+    row("l-associativity", err)
 
     err = np.max(np.abs(G.L_mul(G.L_inv(X), X)))
     err = _worst(err, np.max(np.abs(G.nil_mul(G.nil_inv(p), p))))
-    checks.append(_err_row("two-sided-inverse", "group-axioms", err,
-                           cfg.tol("two-sided-inverse", 1e-12)))
+    row("two-sided-inverse", err)
 
     h1 = rng.uniform(-1.5, 1.5, size=(1000, 3))
     h2 = rng.uniform(-1.5, 1.5, size=(1000, 3))
     err = np.max(np.abs(G.heis_embed(G.heis_mul(h1, h2))
                         - G.heis_embed(h1) @ G.heis_embed(h2)))
-    checks.append(_err_row("heis-law-vs-matrix", "three-parameter-group-law",
-                           err, cfg.tol("heis-law-vs-matrix", 1e-12)))
+    row("heis-law-vs-matrix", err)
 
     sp = rng.uniform(-1.5, 1.5, size=(1000, 4))
     sq = rng.uniform(-1.5, 1.5, size=(1000, 4))
@@ -266,15 +311,13 @@ def suite_groups(cfg: SuiteConfig):
                       - G.SP_FORM_BLOCK)),
         np.max(np.abs(G.spn_matrix_block(G.spn_mul(sp, sq)) - m1 @ m2)),
     )
-    checks.append(_err_row("spn-embedding", "four-parameter-symplectic",
-                           werr, cfg.tol("spn-embedding", 1e-12)))
+    row("spn-embedding", werr)
 
     recon = 0.0
     for _ in range(1000):
         g = G.random_sl4(rng)
         recon = _worst(recon, G.iwasawa_decompose(g).reconstruction_error(g))
-    checks.append(_err_row("iwasawa-sl4", "iwasawa-reconstruction", recon,
-                           cfg.tol("iwasawa-sl4", 1e-10)))
+    row("iwasawa-sl4", recon)
 
     recon = symp = 0.0
     for _ in range(1000):
@@ -284,10 +327,8 @@ def suite_groups(cfg: SuiteConfig):
         symp = _worst(symp, G.symplectic_error(fac.k.entries),
                       G.symplectic_error(fac.a.entries),
                       G.symplectic_error(fac.n.entries))
-    checks.append(_err_row("iwasawa-sp4", "iwasawa-reconstruction", recon,
-                           cfg.tol("iwasawa-sp4", 1e-10)))
-    checks.append(_err_row("iwasawa-sp4-factors", "symplectic-factor-preservation",
-                           symp, cfg.tol("iwasawa-sp4-factors", 1e-10)))
+    row("iwasawa-sp4", recon)
+    row("iwasawa-sp4-factors", symp)
 
     worst = 0.0
     for _ in range(100):
@@ -295,8 +336,7 @@ def suite_groups(cfg: SuiteConfig):
         mf = G.modulus_factor(t)
         jac = _fd_conjugation_jacobian(t)
         worst = _worst(worst, abs(mf - jac) / abs(mf))
-    checks.append(_err_row("modulus-vs-jacobian", "conjugation-modulus",
-                           worst, cfg.tol("modulus-vs-jacobian", 1e-8)))
+    row("modulus-vs-jacobian", worst)
     return checks
 
 
@@ -322,21 +362,18 @@ def _fd_conjugation_jacobian(log_a):
 
 
 def suite_nil_plancherel(cfg: SuiteConfig):
-    checks = []
+    checks, row = _recorder(cfg)
     rng = cfg.rng("nil-plancherel")
 
     worst = 0.0
     for _ in range(3):
         f = random_gauss_product(rng, 6, poly=True)
         worst = _worst(worst, NF.plancherel_N_check(f)["rel_err"])
-    checks.append(_err_row("plancherel-separable", "plancherel-nilpotent",
-                           worst, cfg.tol("plancherel-separable", 1e-8)))
+    row("plancherel-separable", worst)
 
     # non-separable bump on a capped grid; degrade to a coarser grid with
     # Monte Carlo confirmation when the point budget is tight
     count = min(12, max(6, int(cfg.budget_grid ** (1.0 / 6.0))))
-    degraded = count < 12
-    tol_bump = cfg.tol("plancherel-bump", 2e-2 if degraded else 1e-6)
 
     def bump(pts):
         r2 = np.sum(pts ** 2, axis=-1)
@@ -348,15 +385,13 @@ def suite_nil_plancherel(cfg: SuiteConfig):
     # budget forces a coarser grid
     res = NF.plancherel_N_check(bump, box=0.45 * count, count=count,
                                 budget=max(cfg.budget_grid, count ** 6))
-    checks.append(_err_row("plancherel-bump", "plancherel-nilpotent",
-                           res["rel_err"], tol_bump))
+    row("plancherel-bump", res["rel_err"], tol=2e-2 if count < 12 else None)
     mc = monte_carlo(lambda x: np.abs(bump(x)) ** 2, np.zeros(6),
                      np.full(6, 0.9 / np.sqrt(2.0)),
                      min(cfg.budget_mc, 1 << 19),
                      cfg.check_seed("plancherel-bump-mc"))
-    checks.append(_row("plancherel-bump-mc", "plancherel-nilpotent",
-                       res["lhs"], mc.estimate.real,
-                       tol=3.0, passed=mc.agrees(res["lhs"])))
+    row("plancherel-bump-mc", res["lhs"], mc.estimate.real,
+        passed=mc.agrees(res["lhs"]))
 
     f = random_gauss_product(rng, 6, sigma_range=(0.8, 1.2), mu_scale=0.4,
                              poly=True)
@@ -365,16 +400,14 @@ def suite_nil_plancherel(cfg: SuiteConfig):
     # under a tight grid budget the pairing check degrades to a coarser grid
     # at Monte Carlo tolerance (the MC row below confirms independently)
     pcount = min(17, max(6, int(cfg.budget_grid ** (1.0 / 6.0))))
-    ptol = cfg.tol("parseval-grid", 1e-6 if pcount >= 17 else 2e-2)
     res = NF.parseval_N_check(f, phi, method="grid", count=pcount,
                               budget=max(cfg.budget_grid, pcount ** 6))
-    checks.append(_row("parseval-grid", "parseval-pairing", res["lhs"],
-                       res["rhs"], ptol))
+    row("parseval-grid", res["lhs"], res["rhs"],
+        tol=2e-2 if pcount < 17 else None)
 
     res = NF.parseval_N_check(f, phi, method="mc", n=cfg.budget_mc,
                               seed=cfg.check_seed("parseval-mc"))
-    checks.append(_row("parseval-mc", "parseval-pairing", res["lhs"],
-                       res["rhs"], tol=3.0, passed=res["within_3sigma"]))
+    row("parseval-mc", res["lhs"], res["rhs"], passed=res["within_3sigma"])
 
     fw = random_gauss_product(rng, 6, sigma_range=(1.1, 1.5), mu_scale=0.3)
     u = random_gauss_product(rng, 6, sigma_range=(0.4, 0.6), mu_scale=0.3)
@@ -385,16 +418,14 @@ def suite_nil_plancherel(cfg: SuiteConfig):
         res = NF.lifted_convolution_check(fw, u, ell, n=cfg.budget_mc,
                                           seed=cfg.check_seed(f"lifted-{i}"))
         worst = _worst(worst, res["rel_err"])
-    checks.append(_err_row("lifted-convolution", "twisted-vs-flat-convolution",
-                           worst, cfg.tol("lifted-convolution", 2e-2)))
+    row("lifted-convolution", worst)
 
     F = NF.lift_to_L(fw.values)
     lpts = rng.normal(size=(1000, 9))
     hrk = rng.normal(size=(1000, 3))
     shifted = NF.invariance_shift(lpts, *hrk.T)
     err = np.max(np.abs(F(shifted) - F(lpts)))
-    checks.append(_err_row("lift-invariance", "lift-invariance-nilpotent",
-                           err, cfg.tol("lift-invariance", 1e-10)))
+    row("lift-invariance", err)
     return checks
 
 
@@ -404,7 +435,7 @@ def suite_nil_plancherel(cfg: SuiteConfig):
 
 
 def suite_so4(cfg: SuiteConfig):
-    checks = []
+    checks, row = _recorder(cfg)
     rng = cfg.rng("so4")
     J = min(2.0, cfg.budget_bandlimit)
     quad = so4_quadrature(J)
@@ -414,8 +445,7 @@ def suite_so4(cfg: SuiteConfig):
         for beta in rng.uniform(0, np.pi, size=4):
             worst = _worst(worst, np.max(np.abs(
                 PW.wigner_d(j, beta) - PW.wigner_d_reference(j, beta))))
-    checks.append(_err_row("wigner-reference", "wigner-matrix-plumbing",
-                           worst, cfg.tol("wigner-reference", 1e-12)))
+    row("wigner-reference", worst)
 
     ones = np.ones((quad.left.node_count, quad.right.node_count))
     spec = PW.compact_transform(ones, quad, J)
@@ -423,15 +453,13 @@ def suite_so4(cfg: SuiteConfig):
     for lbl, c in spec.coeffs.items():
         if lbl != (0.0, 0.0):
             err = _worst(err, float(np.max(np.abs(c))))
-    checks.append(_err_row("schur-orthogonality", "peter-weyl-orthogonality",
-                           err, cfg.tol("schur-orthogonality", 1e-12)))
+    row("schur-orthogonality", err)
 
     ref, vals = PW.random_band_limited(rng, J, quad)
     back = PW.compact_transform(vals, quad, J)
     err = _worst(*(np.max(np.abs(back.coeffs[l] - ref.coeffs[l]))
                    for l in ref.coeffs))
-    checks.append(_err_row("transform-roundtrip", "peter-weyl-orthogonality",
-                           err, cfg.tol("transform-roundtrip", 1e-12)))
+    row("transform-roundtrip", err)
 
     worst = 0.0
     for _ in range(20):
@@ -442,20 +470,15 @@ def suite_so4(cfg: SuiteConfig):
         direct = sum(PW.so4_dim(l) * np.trace(ref.coeffs[l] @ PW.so4_rep(l, el, er))
                      for l in ref.coeffs)
         worst = _worst(worst, abs(PW.compact_inverse(back, el, er) - direct))
-    checks.append(_err_row("inversion-pointwise", "peter-weyl-inversion",
-                           worst, cfg.tol("inversion-pointwise", 1e-10)))
+    row("inversion-pointwise", worst)
 
     ident = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     lhs = PW.compact_inverse(back, *ident)
     rhs = sum(PW.so4_dim(l) * np.trace(back.coeffs[l]) for l in back.coeffs)
-    checks.append(_row("identity-point-inversion", "peter-weyl-inversion",
-                       lhs.real, rhs.real,
-                       cfg.tol("identity-point-inversion", 1e-10)))
+    row("identity-point-inversion", lhs.real, rhs.real)
 
     res = PW.compact_plancherel_check(vals, quad, J)
-    checks.append(_row("compact-plancherel", "peter-weyl-plancherel",
-                       res["lhs"], res["rhs"],
-                       cfg.tol("compact-plancherel", 1e-10)))
+    row("compact-plancherel", res["lhs"], res["rhs"])
 
     # center: the lift through (-1, -1) agrees with the identity lift for
     # every admissible label
@@ -466,8 +489,7 @@ def suite_so4(cfg: SuiteConfig):
         d = PW.so4_dim(lbl)
         err = _worst(err, np.max(np.abs(PW.so4_rep(lbl, el_neg, el_neg)
                                         - np.eye(d))))
-    checks.append(_err_row("center-parity", "double-cover-parity", err,
-                           cfg.tol("center-parity", 1e-12)))
+    row("center-parity", err)
 
     # convolution theorem T(g * f) = Tg . Tf at band limit 1, synthesized on
     # the nodes and checked against the convolution integral by quadrature
@@ -478,9 +500,8 @@ def suite_so4(cfg: SuiteConfig):
     tg = PW.compact_transform(gvals, cquad, 1.0).coeffs
     conv = PW.synthesize(PW.CompactSpectrum({l: tg[l] @ tf[l] for l in tg}),
                          cquad)
-    checks.append(_err_row("convolution-order", "compact-convolution",
-                           PW.convolution_order_error(gspec, fvals, conv, cquad),
-                           cfg.tol("convolution-order", 1e-9)))
+    row("convolution-order",
+        PW.convolution_order_error(gspec, fvals, conv, cquad))
     return checks
 
 
@@ -490,7 +511,7 @@ def suite_so4(cfg: SuiteConfig):
 
 
 def suite_sl4(cfg: SuiteConfig):
-    checks = []
+    checks, row = _recorder(cfg)
     rng = cfg.rng("sl4-plancherel")
     J = min(2.0, cfg.budget_bandlimit)
     quad = so4_quadrature(J)
@@ -499,29 +520,22 @@ def suite_sl4(cfg: SuiteConfig):
     f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
     res = IP.plancherel_sl4_check(f, quad, J)
-    checks.append(_row("kna-plancherel-trivial", "combined-plancherel",
-                       res["lhs"], res["rhs"],
-                       cfg.tol("kna-plancherel-trivial", 1e-6)))
+    row("kna-plancherel-trivial", res["lhs"], res["rhs"])
 
     half = PW.CompactSpectrum({(0.5, 0.5): (rng.normal(size=(4, 4))
                                             + 1j * rng.normal(size=(4, 4))) / 4})
     f = IP.SeparableKNAFunction(half, random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
     res = IP.plancherel_sl4_check(f, quad, J)
-    checks.append(_row("kna-plancherel-halfint", "combined-plancherel",
-                       res["lhs"], res["rhs"],
-                       cfg.tol("kna-plancherel-halfint", 1e-6)))
+    row("kna-plancherel-halfint", res["lhs"], res["rhs"])
 
     f = IP.SeparableKNAFunction(PW.random_spectrum(rng, J, quad),
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
     res = IP.plancherel_sl4_check(f, quad, J)
-    checks.append(_row("kna-plancherel-full", "combined-plancherel",
-                       res["lhs"], res["rhs"],
-                       cfg.tol("kna-plancherel-full", 1e-6)))
+    row("kna-plancherel-full", res["lhs"], res["rhs"])
 
-    checks.append(_err_row("kna-spot-check", "combined-transform-factorization",
-                           _kna_spot_error(rng), cfg.tol("kna-spot-check", 1e-6)))
+    row("kna-spot-check", _kna_spot_error(rng))
 
     fm = _matrix_test_function(rng)
     worst = 0.0
@@ -530,14 +544,12 @@ def suite_sl4(cfg: SuiteConfig):
         h = G.random_so4(rng).entries
         k1 = G.random_so4(rng).entries
         worst = _worst(worst, IP.upsilon_invariance_error(fm, g, h, k1))
-    checks.append(_err_row("upsilon-invariance", "compact-shift-invariance",
-                           worst, cfg.tol("upsilon-invariance", 1e-10)))
+    row("upsilon-invariance", worst)
 
     lifted = IP.lift_upsilon(fm)
     g = G.random_sl4(rng).entries
     err = abs(lifted(g, np.eye(4)) - fm(g))
-    checks.append(_err_row("upsilon-restriction", "lift-restriction", err,
-                           cfg.tol("upsilon-restriction", 1e-12)))
+    row("upsilon-restriction", err)
     return checks
 
 
@@ -557,17 +569,9 @@ def _kna_spot_error(rng):
     v = random_gauss_product(rng, 6)
     w = random_gauss_product(rng, 3)
     count = 3
-    n_grids = [box_grid((n,), *fac.suggested_axis(), count)
-               for n, fac in zip(IP.N_AXES, v.factors)]
-    a_grids = [box_grid((n,), *fac.suggested_axis(), count)
-               for n, fac in zip(IP.A_AXES, w.factors)]
-    tu = PW.compact_transform(
-        PW.synthesize(PW.CompactSpectrum(coeffs), quad), quad, 0.5)
-    n_spec = [dft_forward(SampledField(g, fac.values(g.axes[0].nodes())))
-              for g, fac in zip(n_grids, v.factors)]
-    a_spec = [dft_forward(SampledField(g, fac.values(g.axes[0].nodes())))
-              for g, fac in zip(a_grids, w.factors)]
-    spec = IP.KNASpectrum(tu, n_spec, a_spec)
+    spec = IP.plancherel_sl4_check(
+        IP.SeparableKNAFunction(PW.CompactSpectrum(coeffs), v, w), quad, 0.5,
+        count=count)["spectrum"]
 
     euclid = {}
 
@@ -588,8 +592,9 @@ def _kna_spot_error(rng):
     for _ in range(5):
         n_idx = tuple(rng.integers(0, count, size=6))
         a_idx = tuple(rng.integers(0, count, size=3))
-        oracle = IP.nested_transform_oracle(blackbox, quad, label, n_grids,
-                                            a_grids, n_idx, a_idx)
+        oracle = IP.nested_transform_oracle(blackbox, quad, label,
+                                            spec.n_spectra, spec.a_spectra,
+                                            n_idx, a_idx)
         fact = spec.value(label, n_idx, a_idx)
         scale = max(np.max(np.abs(oracle)), 1e-300)
         worst = _worst(worst, float(np.max(np.abs(oracle - fact)) / scale))
@@ -597,7 +602,7 @@ def _kna_spot_error(rng):
 
 
 def suite_sp4(cfg: SuiteConfig):
-    checks = []
+    checks, row = _recorder(cfg)
     rng = cfg.rng("sp4-plancherel")
     M = 1
     quad = u2_quadrature(M)
@@ -606,22 +611,17 @@ def suite_sp4(cfg: SuiteConfig):
                                 random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
     res = IP.sp4_restrict_check(f, quad, M)
-    checks.append(_row("sp4-plancherel", "symplectic-restricted-plancherel",
-                       res["lhs"], res["rhs"], cfg.tol("sp4-plancherel", 1e-6)))
+    row("sp4-plancherel", res["lhs"], res["rhs"])
 
     trivial = PW.CompactSpectrum({(0, 0): np.array([[1.0 + 0.0j]])})
     f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
     res = IP.sp4_restrict_check(f, quad, M)
-    checks.append(_row("sp4-plancherel-trivial", "symplectic-restricted-plancherel",
-                       res["lhs"], res["rhs"],
-                       cfg.tol("sp4-plancherel-trivial", 1e-6)))
+    row("sp4-plancherel-trivial", res["lhs"], res["rhs"])
 
     dims = G.sp4_iwasawa_dimension_audit()
-    total = int(sum(dims))
-    checks.append(_row("sp4-dimension-audit", "iwasawa-dimension-count",
-                       total, 10, tol=0.0,
-                       passed=(tuple(int(d) for d in dims) == (4, 2, 4))))
+    row("sp4-dimension-audit", int(sum(dims)), 10,
+        passed=tuple(int(d) for d in dims) == (4, 2, 4))
 
     pts = rng.normal(size=(50, 4))
     mats = IP.sp4_n_chart(pts)
@@ -630,13 +630,12 @@ def suite_sp4(cfg: SuiteConfig):
     err = _worst(err, G.symplectic_error(prod),
                  float(np.max(np.abs(np.tril(prod, -1)))),
                  float(np.max(np.abs(np.diag(prod) - 1.0))))
-    checks.append(_err_row("sp4-unipotent-chart", "symplectic-unipotent-chart",
-                           err, cfg.tol("sp4-unipotent-chart", 1e-12)))
+    row("sp4-unipotent-chart", err)
     return checks
 
 
 def suite_semidirect(cfg: SuiteConfig):
-    checks = []
+    checks, row = _recorder(cfg)
     rng = cfg.rng("semidirect-plancherel")
     J = 1.0
     quad = so4_quadrature(J)
@@ -646,9 +645,7 @@ def suite_semidirect(cfg: SuiteConfig):
                                 random_gauss_product(rng, 3),
                                 r=random_gauss_product(rng, 4))
     res = IP.plancherel_semidirect_check(f, quad, J)
-    checks.append(_row("semidirect-plancherel", "semidirect-plancherel",
-                       res["lhs"], res["rhs"],
-                       cfg.tol("semidirect-plancherel", 1e-6)))
+    row("semidirect-plancherel", res["lhs"], res["rhs"])
 
     worst = 0.0
     for _ in range(1000):
@@ -660,8 +657,7 @@ def suite_semidirect(cfg: SuiteConfig):
         worst = _worst(worst, np.max(np.abs(
             IP.affine_embed(vv, gg)
             - IP.affine_embed(v, g1) @ IP.affine_embed(v2, g2))))
-    checks.append(_err_row("semidirect-law", "semidirect-group-law", worst,
-                           cfg.tol("semidirect-law", 1e-12)))
+    row("semidirect-law", worst)
 
     def fp(v, g):
         return np.exp(1j * np.sum(v)) * np.exp(1j * np.trace(g)) \
@@ -674,9 +670,7 @@ def suite_semidirect(cfg: SuiteConfig):
         h = G.random_sl4(rng).entries
         q = G.random_sl4(rng).entries
         worst = _worst(worst, IP.q_lift_invariance_error(fp, v, g, h, q))
-    checks.append(_err_row("translation-lift-invariance",
-                           "semidirect-lift-invariance", worst,
-                           cfg.tol("translation-lift-invariance", 1e-10)))
+    row("translation-lift-invariance", worst)
     return checks
 
 
@@ -738,61 +732,50 @@ def _identity_battery(rng):
 
 
 def suite_operator_identities(cfg: SuiteConfig):
-    checks = []
+    checks, row = _recorder(cfg)
     rng = cfg.rng("operator-identities")
     corpus, pts, battery = _identity_battery(rng)
     for name, lhs, rhs in battery:
-        rep = D.verify_identity(lhs, rhs, corpus, pts,
-                                tol=cfg.tol(name, 1e-9))
-        checks.append(_err_row(name, "conjugation-identity",
-                               rep["max_abs_err"], rep["tol"]))
+        row(name, D.verify_identity(lhs, rhs, corpus, pts))
 
     hb = D.shear_reflect_map()
-    err = 0.0 if hb.check_inverse() else 1.0
-    for m in (D.shear_map(), D.flip_y_shear_map(), D.flip_x_shear_map()):
-        err = _worst(err, 0.0 if m.check_inverse() else 1.0)
-    checks.append(_err_row("coordinate-map-inverses", "polynomial-involutions",
-                           err, 0.5, passed=(err == 0.0)))
+    row("coordinate-map-inverses", not all(
+        m.check_inverse() for m in (hb, D.shear_map(), D.flip_y_shear_map(),
+                                    D.flip_x_shear_map())))
 
     # sensitivity: a perturbed coefficient must be detected loudly
     wrong = D.lewy_conjugate_true() + D.PolyDiffOp(
         {(1, 0, 0): D.Poly3({(0, 1, 0): -0.1})})  # 2y dz -> 2.1y dz
-    rep = D.verify_identity(
+    err = D.verify_identity(
         lambda f, p: D.conjugate_apply(hb, D.cauchy_riemann(), f, p),
-        lambda f, p: wrong.apply(f, p), corpus, pts, tol=1e-9)
-    checks.append(_err_row("mutation-sensitivity", "test-sensitivity",
-                           rep["max_abs_err"], 1e-3,
-                           passed=rep["max_abs_err"] > 1e-3))
+        lambda f, p: wrong.apply(f, p), corpus, pts)
+    row("mutation-sensitivity", err,
+        passed=err > cfg.tol("mutation-sensitivity"))
 
     s = "(-1)*dx + (-i)*dy + (-2)*y*dz + (2*i)*x*dz"
     ok = D.parse_op(s) == D.lewy() and \
         D.parse_op(D.format_op(D.hormander_Q4())) == D.hormander_Q4()
-    checks.append(_err_row("operator-dsl-roundtrip", "operator-dsl",
-                           0.0 if ok else 1.0, 0.5, passed=ok))
+    row("operator-dsl-roundtrip", not ok)
     return checks
 
 
 def suite_hormander(cfg: SuiteConfig):
-    checks = []
+    checks, row = _recorder(cfg)
     rng = cfg.rng("hormander")
     X, Y, Z = D.vf_x(), D.vf_y(), D.vf_z()
     br = D.lie_bracket(X, Y)
     ok = (br == D.PolyVectorField(2.0 * D.ONE, D.ZERO, D.ZERO))
     zero = D.PolyVectorField(D.ZERO, D.ZERO, D.ZERO)
     ok = ok and D.lie_bracket(Z, X) == zero and D.lie_bracket(Z, Y) == zero
-    checks.append(_err_row("bracket-identity", "bracket-relations",
-                           0.0 if ok else 1.0, 0.5, passed=ok))
+    row("bracket-identity", not ok)
 
     ranks = [D.hormander_rank([X, Y], rng.normal(size=3), depth=2)
              for _ in range(100)]
-    ok = all(r == 3 for r in ranks)
-    checks.append(_err_row("bracket-rank", "span-condition",
-                           0.0 if ok else 1.0, 0.5, passed=ok))
+    row("bracket-rank", not all(r == 3 for r in ranks))
 
-    ok = all(D.hormander_rank([X, Y], rng.normal(size=3), depth=1) == 2
-             for _ in range(10))
-    checks.append(_err_row("bracket-depth-one", "span-condition",
-                           0.0 if ok else 1.0, 0.5, passed=ok))
+    row("bracket-depth-one", not all(
+        D.hormander_rank([X, Y], rng.normal(size=3), depth=1) == 2
+        for _ in range(10)))
     return checks
 
 
@@ -806,7 +789,7 @@ def _sheared_callable(fn):
 
 
 def suite_solvers(cfg: SuiteConfig):
-    checks = []
+    checks, row = _recorder(cfg)
     rng = cfg.rng("solvers")
 
     # constant-coefficient roundtrip on a 2-D box
@@ -819,22 +802,19 @@ def suite_solvers(cfg: SuiteConfig):
     gv = ((1 - xm * (xm + 1j * ym)) - 1j * (1j - ym * (xm + 1j * ym))) * e
     sol, info = SV.cr_solve(SampledField(grid2, gv), D.cauchy_riemann())
     err = float(np.max(np.abs(sol.values - h)) / np.max(np.abs(h)))
-    checks.append(_err_row("cr-roundtrip", "constant-coefficient-solve",
-                           err, cfg.tol("cr-roundtrip", 1e-6)))
+    row("cr-roundtrip", err)
 
     xi = rng.normal(size=(20, 2))
     sym = D.cauchy_riemann().symbol(np.zeros(20), xi[:, 1], xi[:, 0])
     err = float(np.max(np.abs(sym - (1j * xi[:, 0] + xi[:, 1]))))
-    checks.append(_err_row("cr-symbol", "operator-symbol", err,
-                           cfg.tol("cr-symbol", 1e-12)))
+    row("cr-symbol", err)
 
     try:
         SV.cr_solve(SampledField(grid2, e), D.cauchy_riemann())
         raised = False
     except SV.IncompatibleRHS:
         raised = True
-    checks.append(_err_row("cr-incompatible-rejected", "kernel-mode-projection",
-                           0.0 if raised else 1.0, 0.5, passed=raised))
+    row("cr-incompatible-rejected", not raised)
 
     # conjugated solve, manufactured solution
     w = D.PolyGauss(D.Poly3({(0, 0, 1): 1.0, (0, 1, 0): 1.0j}), sigma=0.6)
@@ -846,11 +826,8 @@ def suite_solvers(cfg: SuiteConfig):
     href = _sheared_callable(w.values)(np.stack([zs, ys, xs], axis=-1))
     mask = SV.interior_mask(grid, 0.5, z_half=2.5)
     err = SV.interior_rel_error(res["f"].values, href, mask)
-    checks.append(_err_row("lewy-roundtrip", "conjugated-solve", err,
-                           cfg.tol("lewy-roundtrip", 1e-4)))
-    checks.append(_err_row("lewy-roundtrip-residual", "conjugated-solve",
-                           res["residual"],
-                           cfg.tol("lewy-roundtrip-residual", 1e-3)))
+    row("lewy-roundtrip", err)
+    row("lewy-roundtrip-residual", res["residual"])
     # release the first solve's 160^3 fields before the second one runs
     del res, grid, zs, ys, xs, href, mask
 
@@ -858,9 +835,7 @@ def suite_solvers(cfg: SuiteConfig):
                               (1, 1, 0): -0.15, (0, 1, 2): -0.1}), sigma=0.65)
     res = SV.lewy_solve(lambda pts: gg.values(pts), support=(2.5, 2.8, 2.8),
                         nz=160, ny=160, nx=160, pad=0.8)
-    checks.append(_err_row("lewy-generic-residual", "conjugated-solve",
-                           res["residual"],
-                           cfg.tol("lewy-generic-residual", 1e-3)))
+    row("lewy-generic-residual", res["residual"])
 
     w2 = D.PolyGauss(D.Poly3({(0, 0, 2): 1.0, (0, 2, 0): -1.0,
                               (0, 1, 1): 2.0j}), sigma=0.6)
@@ -874,8 +849,7 @@ def suite_solvers(cfg: SuiteConfig):
     href = _sheared_callable(w2.values)(np.stack([zs, ys, xs], axis=-1))
     mask = SV.interior_mask(grid, 0.5, z_half=2.5)
     err = SV.interior_rel_error(res["f"].values, href, mask)
-    checks.append(_err_row("four-stage-roundtrip", "fourth-order-solve", err,
-                           cfg.tol("four-stage-roundtrip", 1e-3)))
+    row("four-stage-roundtrip", err)
     return checks
 
 

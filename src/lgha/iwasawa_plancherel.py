@@ -73,15 +73,17 @@ class KNASpectrum:
         return scal * self.k_part.coeffs[label]
 
 
-def _kna_plancherel(f: SeparableKNAFunction, quad, J):
+def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=COUNT):
     """The factorized transform T F f(lambda, xi, label) = Tu(label) Fv(xi)
     Fw(lambda) (times Fr(eta) with a translation factor), and both sides of
-    its Plancherel identity, each a product by Fubini: the compact check on
-    u times one 1-D Euclidean identity per axis, with (2 pi)^{-1} per axis
-    on the spectral side.  u is synthesized once on the nodes of quad, whose
-    type picks the compact group, and each 1-D factor is sampled once on
-    COUNT nodes of its own suggested box.  The character of the diagonal
-    part is the Euclidean phase exp(-i lambda . t) in the logA chart."""
+    its Plancherel identity: ||f||^2 over dk dn dt against the label sum of
+    weighted Hilbert-Schmidt masses with (2 pi)^{-1} per Euclidean axis on
+    the spectral side, (2 pi)^{-9} on SL(4).  Each side is a product by
+    Fubini: the compact check on u times one 1-D Euclidean identity per
+    axis.  u is synthesized once on the nodes of quad, whose type picks the
+    compact group, and each 1-D factor is sampled once on count nodes of its
+    own suggested box.  The character of the diagonal part is the Euclidean
+    phase exp(-i lambda . t) in the logA chart."""
     uvals = pw.compact_group(quad).synthesize(f.u, quad)
     compact = pw.compact_plancherel_check(uvals, quad, J)
     lhs, rhs = compact["lhs"], compact["rhs"]
@@ -92,7 +94,7 @@ def _kna_plancherel(f: SeparableKNAFunction, quad, J):
             continue
         out = []
         for name, factor in zip(names, g.factors):
-            grid = box_grid((name,), *factor.suggested_axis(), COUNT)
+            grid = box_grid((name,), *factor.suggested_axis(), count)
             fld = SampledField(grid, factor.values(grid.axes[0].nodes()))
             vals = np.abs(fld.values) ** 2 * grid.axes[0].weights()
             lhs *= float(pairwise_sum(vals).real)
@@ -102,12 +104,6 @@ def _kna_plancherel(f: SeparableKNAFunction, quad, J):
     spec = KNASpectrum(compact["spectrum"], *spectra)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
-
-
-def plancherel_sl4_check(f: SeparableKNAFunction, quad: EulerQuadSO4, J):
-    """||f||^2 over dk dn dt against the label sum of weighted
-    Hilbert-Schmidt masses with (2 pi)^{-9} on the spectral side."""
-    return _kna_plancherel(f, quad, J)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +137,7 @@ def sp4_restrict_check(f: SeparableKNAFunction, quad: U2Quad, M: int):
         raise ValueError("symplectic restriction expects a U(2) quadrature")
     if f.v.dim != 4 or f.w.dim != 2:
         raise ValueError("expected dim N = 4 and dim A = 2")
-    return _kna_plancherel(f, quad, M)
+    return plancherel_sl4_check(f, quad, M)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +166,7 @@ def plancherel_semidirect_check(f: SeparableKNAFunction, quad: EulerQuadSO4,
     (4 + 6 + 3), so (2 pi)^{-13} on the spectral side."""
     if f.r is None:
         raise ValueError("needs a translation factor")
-    return _kna_plancherel(f, quad, J)
+    return plancherel_sl4_check(f, quad, J)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +212,8 @@ def q_lift_invariance_error(f, v, g, h, q) -> float:
 # ---------------------------------------------------------------------------
 
 
-def nested_transform_oracle(fn, quad, label, n_grids, a_grids, n_freq_idx,
-                            a_freq_idx):
+def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
+                            n_freq_idx, a_freq_idx):
     """Brute-force transform value at one spectral point, treating fn as an
     opaque function of (compact node pair, unipotent point, diagonal point):
 
@@ -225,24 +221,25 @@ def nested_transform_oracle(fn, quad, label, n_grids, a_grids, n_freq_idx,
 
     with the same discrete measures the factorized path uses, iterated as a
     nested sum: compact node pairs outside, the (n, t) product grid inside.
-    fn maps node stacks ((P, 3), (P, 3)) and the grid points ((Nn, dn),
-    (Nt, dt)) to a (P, Nn, Nt) value array; it is called on blocks of node
-    pairs of about BLOCK_ENTRIES values each.  Intended for small grids; the
-    cost is |K|^2 x |n-grid| x |t-grid|.
+    The points and frequencies are those of the 1-D spectra of the
+    factorized path (KNASpectrum.n_spectra, .a_spectra); only their grids
+    and frequencies are read.  fn maps node stacks ((P, 3), (P, 3)) and the
+    grid points ((Nn, dn), (Nt, dt)) to a (P, Nn, Nt) value array; it is
+    called on blocks of node pairs of about BLOCK_ENTRIES values each.
+    Intended for small grids; the cost is |K|^2 x |n-grid| x |t-grid|.
     """
-    n_nodes = [g.axes[0].nodes() for g in n_grids]
-    t_nodes = [g.axes[0].nodes() for g in a_grids]
-    n_mesh = np.meshgrid(*n_nodes, indexing="ij")
-    t_mesh = np.meshgrid(*t_nodes, indexing="ij")
+    n_grids = [s.grid for s in n_spectra]
+    a_grids = [s.grid for s in a_spectra]
+    n_mesh = np.meshgrid(*(g.axes[0].nodes() for g in n_grids), indexing="ij")
+    t_mesh = np.meshgrid(*(g.axes[0].nodes() for g in a_grids), indexing="ij")
     npts = np.stack([m.ravel() for m in n_mesh], axis=-1)
     tpts = np.stack([m.ravel() for m in t_mesh], axis=-1)
     n_w = np.prod([g.axes[0].step for g in n_grids])
     t_w = np.prod([g.axes[0].step for g in a_grids])
-
-    xi = np.array([dft_forward(SampledField(g, np.zeros(g.shape))).freqs(g.names[0])[i]
-                   for g, i in zip(n_grids, n_freq_idx)])
-    lam = np.array([dft_forward(SampledField(g, np.zeros(g.shape))).freqs(g.names[0])[i]
-                    for g, i in zip(a_grids, a_freq_idx)])
+    xi = np.array([s.freqs(s.axes[0])[i]
+                   for s, i in zip(n_spectra, n_freq_idx)])
+    lam = np.array([s.freqs(s.axes[0])[i]
+                    for s, i in zip(a_spectra, a_freq_idx)])
 
     pair_phase = np.outer(np.exp(-1j * npts @ xi), np.exp(-1j * tpts @ lam))
 

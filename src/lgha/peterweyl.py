@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .quadrature import (BLOCK_ENTRIES, EulerQuadSO4, SU2Quad, U2Quad,
-                         pairwise_sum)
+                         pairwise_sum, u2_band_limit)
 
 __all__ = [
     "ParityViolation", "wigner_jy", "wigner_d", "wigner_d_reference",
@@ -323,9 +323,7 @@ def u2_dim(label) -> int:
 def u2_labels(M):
     """Integer pairs m1 >= m2 with |m1|, |m2| <= M, for a nonnegative
     integral M (an integral float such as 1.0 is accepted)."""
-    if M < 0 or M != int(M):
-        raise ValueError(f"U(2) band limit {M!r} is not a nonnegative integer")
-    M = int(M)
+    M = u2_band_limit(M)
     out = []
     for m1 in range(-M, M + 1):
         for m2 in range(-M, m1 + 1):

@@ -387,9 +387,16 @@ class U2Quad:
         return self.theta.size * self.su2.node_count
 
 
+def u2_band_limit(M) -> int:
+    """A U(2) band limit as an int: a nonnegative integer, or an integral
+    float such as 1.0; any other value is a ValueError."""
+    if not (M >= 0 and float(M).is_integer()):
+        raise ValueError(f"U(2) band limit {M!r} is not a nonnegative integer")
+    return int(M)
+
+
 def u2_quadrature(M: int, budget: int = DEFAULT_SO4_NODE_BUDGET) -> U2Quad:
-    if M < 0:
-        raise ValueError("band limit must be >= 0")
+    M = u2_band_limit(M)
     nt = 4 * M + 2
     theta = np.pi * np.arange(nt) / nt
     su2 = su2_quadrature(M, budget=budget)

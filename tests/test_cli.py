@@ -1,9 +1,11 @@
 """CLI surface: suites, report schema, determinism, exit codes, formats."""
 
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 from lgha import cli
 from lgha import iwasawa_plancherel as IP
@@ -156,12 +158,32 @@ def test_budget_degradation_still_passes():
 
 
 def test_tolerance_override():
-    cfg = cli.SuiteConfig.from_json(
-        {"tolerances": {"nil-law-vs-matrix": 1e-30}})
-    report = cli.run_suite("groups", cfg)
-    row = next(c for c in report["checks"] if c["name"] == "nil-law-vs-matrix")
-    assert row["tol"] == 1e-30
-    assert not row["pass"]
+    # every tunable row of three quick suites reports its own configured
+    # tolerance; the fixed-verdict row among them keeps the table's
+    suites = ("groups", "sp4-plancherel", "semidirect-plancherel")
+    names = [row[0] for suite in suites for row in cli.ROWS[suite]
+             if row[0] not in cli.FIXED_VERDICT_NAMES]
+    tols = {name: (i + 2) * 1e-3 for i, name in enumerate(names)}
+    tols["nil-law-vs-matrix"] = 1e-30
+    cfg = cli.SuiteConfig.from_json({"tolerances": tols})
+    rows = {c["name"]: c for suite in suites
+            for c in cli.run_suite(suite, cfg)["checks"]}
+    assert len(names) == 17
+    assert {name: rows[name]["tol"] for name in names} == tols
+    assert not rows["nil-law-vs-matrix"]["pass"]
+    assert rows["sp4-dimension-audit"]["tol"] == 0.0
+
+
+def test_row_table_matches_benchmark_gate():
+    # a renamed, added or reordered row fails here, not first in the
+    # benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    assert list(cli.ROWS) == list(cli.SUITES)
+    assert {suite: tuple(row[0] for row in rows)
+            for suite, rows in cli.ROWS.items()} == gate.EXPECTED_ROWS
 
 
 def test_nan_error_fails_its_row(monkeypatch):

@@ -219,18 +219,18 @@ def test_lewy_conjugation_identity():
     corpus = standard_corpus(rng)
     pts = rng.uniform(-1.2, 1.2, size=(40, 3))
     hb = D.shear_reflect_map()
-    rep = D.verify_identity(
+    err = D.verify_identity(
         lambda f, p: D.conjugate_apply(hb, D.cauchy_riemann(), f, p),
         lambda f, p: D.lewy_conjugate_true().apply(f, p),
         corpus, pts)
-    assert rep["passed"]
+    assert err < 1e-9
     # as displayed, with reflected-argument evaluation on both sides
-    rep2 = D.verify_identity(
+    err2 = D.verify_identity(
         lambda f, p: D.conjugate_apply(hb, D.cauchy_riemann(),
                                        f, np.asarray(p) * [1, 1, -1]),
         D.reflected_eval(D.lewy(), (1, 1, -1)),
         corpus, pts)
-    assert rep2["passed"]
+    assert err2 < 1e-9
 
 
 def test_mutation_is_detected():
@@ -239,11 +239,26 @@ def test_mutation_is_detected():
     hb = D.shear_reflect_map()
     wrong = D.lewy_conjugate_true() + D.PolyDiffOp(
         {(1, 0, 0): D.Poly3({(0, 1, 0): -0.1})})
-    rep = D.verify_identity(
+    err = D.verify_identity(
         lambda f, p: D.conjugate_apply(hb, D.cauchy_riemann(), f, p),
         lambda f, p: wrong.apply(f, p), corpus, pts)
-    assert not rep["passed"]
-    assert rep["max_abs_err"] > 1e-3
+    assert not err < 1e-9
+    assert err > 1e-3
+
+
+def test_verify_identity_reports_a_nan_discrepancy():
+    # a NaN from one corpus function between finite errors must not vanish
+    gen = np.random.default_rng(404)
+    corpus = standard_corpus(gen)[:3]
+    pts = gen.uniform(-1.2, 1.2, size=(5, 3))
+    lewy = D.lewy()
+
+    def off_by_one_then_nan(f, p):
+        return lewy.apply(f, p) + (np.nan if f is corpus[1] else 1.0)
+
+    err = D.verify_identity(lambda f, p: lewy.apply(f, p),
+                            off_by_one_then_nan, corpus, pts)
+    assert np.isnan(err)
 
 
 def test_four_factor_conjugation_and_commutators():
@@ -253,10 +268,10 @@ def test_four_factor_conjugation_and_commutators():
     four = D.cr_pair_R() @ D.cr_pair_R_star() @ D.cr_pair_R_star() @ D.cr_pair_R()
     p1 = D.hormander_P_bar().coeff_reflect(sx=-1)
     p2 = D.hormander_P().coeff_reflect(sx=-1)
-    rep = D.verify_identity(
+    err = D.verify_identity(
         lambda f, p: D.conjugate_apply(hb, four, f, p),
         lambda f, p: (p1 @ p2 @ p2 @ p1).apply(f, p), corpus, pts)
-    assert rep["passed"]
+    assert err < 1e-9
     # the conjugated factors commute; the displayed factors do not
     assert p1 @ p2 == p2 @ p1
     pd, pbd = D.hormander_P(), D.hormander_P_bar()

@@ -7,8 +7,7 @@ from lgha import groups as G
 from lgha import iwasawa_plancherel as ip
 from lgha import peterweyl as pw
 from lgha.corpus import random_gauss_product
-from lgha.quadrature import (SampledField, box_grid, dft_forward,
-                             so4_quadrature, u2_quadrature)
+from lgha.quadrature import so4_quadrature, u2_quadrature
 
 rng = np.random.default_rng(505)
 
@@ -66,33 +65,26 @@ def _spot_case(quad, J, label, count, n_dim=6, a_dim=3):
         {label: (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d})
     v = random_gauss_product(rng, n_dim)
     w = random_gauss_product(rng, a_dim)
-    n_grids = [box_grid((n,), *fac.suggested_axis(), count)
-               for n, fac in zip(ip.N_AXES, v.factors)]
-    a_grids = [box_grid((n,), *fac.suggested_axis(), count)
-               for n, fac in zip(ip.A_AXES, w.factors)]
-    tu = pw.compact_transform(pw.synthesize(coeffs, quad), quad, J)
-    n_spec = [dft_forward(SampledField(g, fac.values(g.axes[0].nodes())))
-              for g, fac in zip(n_grids, v.factors)]
-    a_spec = [dft_forward(SampledField(g, fac.values(g.axes[0].nodes())))
-              for g, fac in zip(a_grids, w.factors)]
+    spec = ip.plancherel_sl4_check(ip.SeparableKNAFunction(coeffs, v, w),
+                                   quad, J, count=count)["spectrum"]
 
     def blackbox(el, er, npts, tpts):
         c = coeffs.coeffs[label]
         uval = d * np.einsum("ij,pji->p", c, pw.so4_rep(label, el, er))
         return uval[:, None, None] * np.outer(v.values(npts), w.values(tpts))
 
-    return blackbox, ip.KNASpectrum(tu, n_spec, a_spec), n_grids, a_grids
+    return blackbox, spec
 
 
 def test_spot_check_against_nested_quadrature():
     quad = so4_quadrature(0.5)
     label = (0.5, 0.5)
     count = 3
-    blackbox, spec, n_grids, a_grids = _spot_case(quad, 0.5, label, count)
+    blackbox, spec = _spot_case(quad, 0.5, label, count)
     n_idx = tuple(rng.integers(0, count, size=6))
     a_idx = tuple(rng.integers(0, count, size=3))
-    oracle = ip.nested_transform_oracle(blackbox, quad, label, n_grids,
-                                        a_grids, n_idx, a_idx)
+    oracle = ip.nested_transform_oracle(blackbox, quad, label, spec.n_spectra,
+                                        spec.a_spectra, n_idx, a_idx)
     fact = spec.value(label, n_idx, a_idx)
     scale = max(np.max(np.abs(oracle)), 1e-300)
     assert np.max(np.abs(oracle - fact)) / scale < 1e-6
@@ -102,14 +94,14 @@ def test_nested_oracle_fails_at_wrong_label_or_frequency():
     quad = so4_quadrature(1.0)
     label, other = (1.0, 0.0), (0.0, 1.0)  # same dimension
     # band limit 1 has 144^2 node pairs: few Euclidean axes keep it quick
-    blackbox, spec, n_grids, a_grids = _spot_case(quad, 1.0, label, 6,
-                                                  n_dim=2, a_dim=1)
+    blackbox, spec = _spot_case(quad, 1.0, label, 6, n_dim=2, a_dim=1)
     n_idx, a_idx = (1, 2), (1,)
     fact = spec.value(label, n_idx, a_idx)
 
     def rel_err(lbl, n, a):
-        oracle = ip.nested_transform_oracle(blackbox, quad, lbl, n_grids,
-                                            a_grids, n, a)
+        oracle = ip.nested_transform_oracle(blackbox, quad, lbl,
+                                            spec.n_spectra, spec.a_spectra,
+                                            n, a)
         return np.max(np.abs(oracle - fact)) / np.max(np.abs(fact))
 
     assert rel_err(label, n_idx, a_idx) < 1e-6

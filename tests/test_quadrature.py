@@ -147,6 +147,20 @@ def test_su2_quadrature_normalized():
     assert np.all(q.weights > 0)
 
 
+def test_u2_quadrature_accepts_an_integral_float():
+    q, ref = Q.u2_quadrature(1.0), Q.u2_quadrature(1)
+    assert type(q.bandlimit) is int and q.bandlimit == 1
+    assert np.array_equal(q.theta, ref.theta)
+    assert np.array_equal(q.theta_weights, ref.theta_weights)
+    assert np.array_equal(q.su2.euler, ref.su2.euler)
+
+
+def test_u2_quadrature_rejects_a_non_integral_or_negative_band_limit():
+    for M in (1.5, -1, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            Q.u2_quadrature(M)
+
+
 def test_so4_quadrature_budget():
     with pytest.raises(Q.BudgetExceeded):
         Q.so4_quadrature(2, budget=100)
