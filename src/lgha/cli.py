@@ -1,14 +1,13 @@
-"""Command-line harness: composes the library into reproducible verification
-suites and emits machine-readable reports.
+"""Command-line front end of the verification suites: parses the flags and
+the JSON config, runs the suites of `lgha.suites` and writes the report.
 
-Each check row carries a short anchor slug naming the identity or the
-plumbing it exercises, the two compared values, absolute and relative
-errors, the tolerance, and the verdict.  For a fixed (suite, config, seed)
-the numerical content of the report is identical run to run; only the
-timestamp and wall time differ.
+A report holds one row per check (see `lgha.suites.ROWS`), a config echo
+and a summary.  For a fixed (suite, config, seed) the numerical content of
+the report is identical run to run; only the timestamp and wall time
+differ.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
-3 budget exceeded.
+Exit codes: 0 all checks pass, 1 check failure, 2 configuration or output
+error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -24,100 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import groups as G
-from . import nilfourier as NF
-from . import peterweyl as PW
-from . import iwasawa_plancherel as IP
-from . import diffops as D
-from . import solvers as SV
-from .corpus import random_gauss_product
-from .jets import standard_corpus
-from .quadrature import (BudgetExceeded, SampledField, monte_carlo,
-                         so4_quadrature, u2_quadrature, DEFAULT_GRID_BUDGET,
-                         MIN_MC_SAMPLES)
+# monte_carlo is imported only so that it stays bound here: the benchmark's
+# self-test (perfbench/test_perfbench.py, _bindings) reads lgha.cli.monte_carlo
+from .quadrature import (BudgetExceeded, DEFAULT_GRID_BUDGET, MIN_MC_SAMPLES,
+                         monte_carlo)
+from .suites import CHECK_NAMES, FIXED_VERDICT_NAMES, SUITES
 
-# Every row the nine suites emit, by suite in report order: its name, the
-# anchor slug naming the identity or plumbing it checks, its default
-# tolerance, and FIXED on a row whose verdict no tolerance enters (a Monte
-# Carlo agreement, an exact count, a raised exception, a boolean property),
-# whose tolerance a config may not set.
-FIXED = True
-ROWS = {
-    "groups": (
-        ("nil-law-vs-matrix", "unipotent-group-law", 1e-12),
-        ("nil-inverse-formula", "unipotent-inverse", 1e-12),
-        ("l-law-vs-matrix", "nine-parameter-group-law", 1e-12),
-        ("l-associativity", "group-axioms", 1e-12),
-        ("two-sided-inverse", "group-axioms", 1e-12),
-        ("heis-law-vs-matrix", "three-parameter-group-law", 1e-12),
-        ("spn-embedding", "four-parameter-symplectic", 1e-12),
-        ("iwasawa-sl4", "iwasawa-reconstruction", 1e-10),
-        ("iwasawa-sp4", "iwasawa-reconstruction", 1e-10),
-        ("iwasawa-sp4-factors", "symplectic-factor-preservation", 1e-10),
-        ("modulus-vs-jacobian", "conjugation-modulus", 1e-8)),
-    "nil-plancherel": (
-        ("plancherel-separable", "plancherel-nilpotent", 1e-8),
-        ("plancherel-bump", "plancherel-nilpotent", 1e-6),
-        ("plancherel-bump-mc", "plancherel-nilpotent", 3.0, FIXED),
-        ("parseval-grid", "parseval-pairing", 1e-6),
-        ("parseval-mc", "parseval-pairing", 3.0, FIXED),
-        ("lifted-convolution", "twisted-vs-flat-convolution", 2e-2),
-        ("lift-invariance", "lift-invariance-nilpotent", 1e-10)),
-    "so4": (
-        ("wigner-reference", "wigner-matrix-plumbing", 1e-12),
-        ("schur-orthogonality", "peter-weyl-orthogonality", 1e-12),
-        ("transform-roundtrip", "peter-weyl-orthogonality", 1e-12),
-        ("inversion-pointwise", "peter-weyl-inversion", 1e-10),
-        ("identity-point-inversion", "peter-weyl-inversion", 1e-10),
-        ("compact-plancherel", "peter-weyl-plancherel", 1e-10),
-        ("center-parity", "double-cover-parity", 1e-12),
-        ("convolution-order", "compact-convolution", 1e-9)),
-    "sl4-plancherel": (
-        ("kna-plancherel-trivial", "combined-plancherel", 1e-6),
-        ("kna-plancherel-halfint", "combined-plancherel", 1e-6),
-        ("kna-plancherel-full", "combined-plancherel", 1e-6),
-        ("kna-spot-check", "combined-transform-factorization", 1e-6),
-        ("upsilon-invariance", "compact-shift-invariance", 1e-10),
-        ("upsilon-restriction", "lift-restriction", 1e-12)),
-    "sp4-plancherel": (
-        ("sp4-plancherel", "symplectic-restricted-plancherel", 1e-6),
-        ("sp4-plancherel-trivial", "symplectic-restricted-plancherel", 1e-6),
-        ("sp4-dimension-audit", "iwasawa-dimension-count", 0.0, FIXED),
-        ("sp4-unipotent-chart", "symplectic-unipotent-chart", 1e-12)),
-    "semidirect-plancherel": (
-        ("semidirect-plancherel", "semidirect-plancherel", 1e-6),
-        ("semidirect-law", "semidirect-group-law", 1e-12),
-        ("translation-lift-invariance", "semidirect-lift-invariance", 1e-10)),
-    "operator-identities": (
-        ("lewy-conjugation", "conjugation-identity", 1e-9),
-        ("lewy-pair-conjugation", "conjugation-identity", 1e-9),
-        ("shear-first-order", "conjugation-identity", 1e-9),
-        ("shear-laplacian", "conjugation-identity", 1e-9),
-        ("left-laplacian-transport", "conjugation-identity", 1e-9),
-        ("right-laplacian-transport", "conjugation-identity", 1e-9),
-        ("four-factor-conjugation", "conjugation-identity", 1e-9),
-        ("single-factor-swap", "conjugation-identity", 1e-9),
-        ("coordinate-map-inverses", "polynomial-involutions", 0.5, FIXED),
-        ("mutation-sensitivity", "test-sensitivity", 1e-3, FIXED),
-        ("operator-dsl-roundtrip", "operator-dsl", 0.5, FIXED)),
-    "hormander": (
-        ("bracket-identity", "bracket-relations", 0.5, FIXED),
-        ("bracket-rank", "span-condition", 0.5, FIXED),
-        ("bracket-depth-one", "span-condition", 0.5, FIXED)),
-    "solvers": (
-        ("cr-roundtrip", "constant-coefficient-solve", 1e-6),
-        ("cr-symbol", "operator-symbol", 1e-12),
-        ("cr-incompatible-rejected", "kernel-mode-projection", 0.5, FIXED),
-        ("lewy-roundtrip", "conjugated-solve", 1e-4),
-        ("lewy-roundtrip-residual", "conjugated-solve", 1e-3),
-        ("lewy-generic-residual", "conjugated-solve", 1e-3),
-        ("four-stage-roundtrip", "fourth-order-solve", 1e-3)),
-}
-_ROWS = {row[0]: row for rows in ROWS.values() for row in rows}
-# a config's tolerance keys must name a row of CHECK_NAMES and none of
-# FIXED_VERDICT_NAMES
-CHECK_NAMES = tuple(_ROWS)
-FIXED_VERDICT_NAMES = tuple(name for name, row in _ROWS.items() if row[3:])
+SUITE_NAMES = (*SUITES, "all")
 
 
 class ConfigError(ValueError):
@@ -151,7 +63,7 @@ class SuiteConfig:
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         cfg = cls()
-        cfg.seed = _number(int, payload.get("seed", cfg.seed), "seed")
+        cfg.seed = payload.get("seed", cfg.seed)
         budgets = payload.get("budgets", {})
         tolerances = payload.get("tolerances", {})
         if not (isinstance(budgets, dict) and isinstance(tolerances, dict)):
@@ -175,9 +87,13 @@ class SuiteConfig:
         return cfg
 
     def validate(self):
-        """Reject budgets the suites cannot run with, tolerance keys that
-        name no check and tolerance keys of fixed-verdict rows (exit code
-        2)."""
+        """Reject a seed that is not a nonnegative integer, budgets the
+        suites cannot run with, tolerance keys that name no check or a
+        fixed-verdict row, and tolerances that are negative or not finite
+        (exit code 2)."""
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(
+                f"seed must be a nonnegative integer, got {self.seed!r}")
         unknown = sorted(set(self.tolerances) - set(CHECK_NAMES))
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {unknown}")
@@ -185,6 +101,11 @@ class SuiteConfig:
         if fixed:
             raise ConfigError(
                 f"tolerance keys of rows with a fixed verdict: {fixed}")
+        bad = sorted(name for name, tol in self.tolerances.items()
+                     if not 0.0 <= tol < math.inf)
+        if bad:
+            raise ConfigError(
+                f"tolerances must be finite and >= 0: {bad}")
         if not self.budget_grid > 0:
             raise ConfigError("grid budget must be positive")
         if not self.budget_mc >= MIN_MC_SAMPLES:
@@ -193,678 +114,13 @@ class SuiteConfig:
         if not self.budget_bandlimit >= 0:
             raise ConfigError("band-limit budget must be >= 0")
 
-    def tol(self, name: str, default: float = None) -> float:
-        """The config's tolerance of a row, else default, else the row's
-        default tolerance in ROWS."""
-        if default is None:
-            default = _ROWS[name][2]
-        return float(self.tolerances.get(name, default))
-
-    def rng(self, name: str) -> np.random.Generator:
-        offset = zlib.crc32(name.encode()) % 100003
-        return np.random.Generator(np.random.Philox(self.seed + offset))
-
     def check_seed(self, name: str) -> int:
+        """The seed of the named suite or check: the config's seed plus an
+        offset fixed by the name."""
         return int(self.seed + zlib.crc32(name.encode()) % 100003)
 
-
-def _worst(*vals):
-    """Largest value, or NaN if any value is NaN (builtin max drops a NaN that
-    follows a finite value: max(0.0, nan) == 0.0)."""
-    return math.nan if any(math.isnan(v) for v in vals) else max(vals)
-
-
-def _recorder(cfg: SuiteConfig):
-    """A suite's list of rows and the function that appends one.
-    row(name, err) records an observed error: lhs, abs_err and rel_err are
-    err, rhs is 0 (row(name, not ok) records 1 for a property that fails).
-    row(name, lhs, rhs) records two compared values and their relative
-    error.  The anchor comes from ROWS and the tolerance from
-    cfg.tol(name, tol); the verdict is rel_err <= tol unless passed is
-    given."""
-    checks = []
-
-    def row(name, lhs, rhs=None, tol=None, passed=None):
-        tol = cfg.tol(name, tol)
-        if rhs is None:
-            lhs = abs_err = rel_err = float(lhs)
-            rhs = 0.0
-        else:
-            abs_err = abs(complex(lhs) - complex(rhs))
-            rel_err = abs_err / max(abs(complex(lhs)), abs(complex(rhs)),
-                                    1e-300)
-            lhs, rhs = float(np.real(lhs)), float(np.real(rhs))
-        if passed is None:
-            passed = rel_err <= tol
-        checks.append({"name": name, "anchor": _ROWS[name][1], "lhs": lhs,
-                       "rhs": rhs, "abs_err": abs_err, "rel_err": rel_err,
-                       "tol": tol, "pass": bool(passed)})
-
-    return checks, row
-
-
-# ---------------------------------------------------------------------------
-# groups
-# ---------------------------------------------------------------------------
-
-
-def _inverse_product_formula(Y, Xp):
-    """Frozen six-component polynomial for nil_mul(nil_inv(Y), Xp); the
-    third and fifth components carry the signs forced by the matrix law."""
-    x1, x2, x3, x4, x5, x6 = np.moveaxis(Y, -1, 0)
-    y1, y2, y3, y4, y5, y6 = np.moveaxis(Xp, -1, 0)
-    return np.stack([
-        y1 - x1,
-        y2 - x2,
-        y3 - x3 - x1 * y2 + x1 * x2,
-        y4 - x4,
-        y5 - x5 - x2 * y4 + x2 * x4,
-        y6 - x6 + x1 * x5 - x1 * y5 - x1 * x2 * x4 + x3 * x4 - x3 * y4
-        + x1 * x2 * y4,
-    ], axis=-1)
-
-
-def suite_groups(cfg: SuiteConfig):
-    checks, row = _recorder(cfg)
-    rng = cfg.rng("groups")
-
-    p = rng.uniform(-1.5, 1.5, size=(1000, 6))
-    q = rng.uniform(-1.5, 1.5, size=(1000, 6))
-    err = np.max(np.abs(G.nil_embed(G.nil_mul(p, q))
-                        - G.nil_embed(p) @ G.nil_embed(q)))
-    row("nil-law-vs-matrix", err)
-
-    err = np.max(np.abs(G.nil_mul(G.nil_inv(p), q)
-                        - _inverse_product_formula(p, q)))
-    row("nil-inverse-formula", err)
-
-    X = rng.uniform(-1.5, 1.5, size=(1000, 9))
-    Yv = rng.uniform(-1.5, 1.5, size=(1000, 9))
-    Z = G.L_mul(X, Yv)
-    err = _worst(
-        np.max(np.abs(G.L_embed_twisted(Z)
-                      - G.L_embed_twisted(X) @ G.L_embed_twisted(Yv))),
-        np.max(np.abs(Z[:, [3, 4, 7]] - X[:, [3, 4, 7]] - Yv[:, [3, 4, 7]])),
-    )
-    row("l-law-vs-matrix", err)
-
-    W = rng.uniform(-1.5, 1.5, size=(1000, 9))
-    err = np.max(np.abs(G.L_mul(G.L_mul(X, Yv), W) - G.L_mul(X, G.L_mul(Yv, W))))
-    row("l-associativity", err)
-
-    err = np.max(np.abs(G.L_mul(G.L_inv(X), X)))
-    err = _worst(err, np.max(np.abs(G.nil_mul(G.nil_inv(p), p))))
-    row("two-sided-inverse", err)
-
-    h1 = rng.uniform(-1.5, 1.5, size=(1000, 3))
-    h2 = rng.uniform(-1.5, 1.5, size=(1000, 3))
-    err = np.max(np.abs(G.heis_embed(G.heis_mul(h1, h2))
-                        - G.heis_embed(h1) @ G.heis_embed(h2)))
-    row("heis-law-vs-matrix", err)
-
-    sp = rng.uniform(-1.5, 1.5, size=(1000, 4))
-    sq = rng.uniform(-1.5, 1.5, size=(1000, 4))
-    m1 = G.spn_matrix_block(sp)
-    m2 = G.spn_matrix_block(sq)
-    werr = _worst(
-        np.max(np.abs(m1 @ G.SP_FORM_BLOCK @ np.swapaxes(m1, -1, -2)
-                      - G.SP_FORM_BLOCK)),
-        np.max(np.abs(G.spn_matrix_block(G.spn_mul(sp, sq)) - m1 @ m2)),
-    )
-    row("spn-embedding", werr)
-
-    recon = 0.0
-    for _ in range(1000):
-        g = G.random_sl4(rng)
-        recon = _worst(recon, G.iwasawa_decompose(g).reconstruction_error(g))
-    row("iwasawa-sl4", recon)
-
-    recon = symp = 0.0
-    for _ in range(1000):
-        g = G.random_sp4(rng)
-        fac = G.iwasawa_decompose(g)
-        recon = _worst(recon, fac.reconstruction_error(g))
-        symp = _worst(symp, G.symplectic_error(fac.k.entries),
-                      G.symplectic_error(fac.a.entries),
-                      G.symplectic_error(fac.n.entries))
-    row("iwasawa-sp4", recon)
-    row("iwasawa-sp4-factors", symp)
-
-    worst = 0.0
-    for _ in range(100):
-        t = rng.uniform(-1.0, 1.0, size=3)
-        mf = G.modulus_factor(t)
-        jac = _fd_conjugation_jacobian(t)
-        worst = _worst(worst, abs(mf - jac) / abs(mf))
-    row("modulus-vs-jacobian", worst)
-    return checks
-
-
-def _fd_conjugation_jacobian(log_a):
-    h = 1e-6
-    a = np.diag(np.exp(np.concatenate([log_a, [-np.sum(log_a)]])))
-    ainv = np.diag(1.0 / np.diag(a))
-
-    def conj_coords(x):
-        return G.nil_from_matrix(a @ G.nil_embed(x) @ ainv)
-
-    jac = np.zeros((6, 6))
-    for i in range(6):
-        e = np.zeros(6)
-        e[i] = h
-        jac[:, i] = (conj_coords(e) - conj_coords(-e)) / (2.0 * h)
-    return abs(np.linalg.det(jac))
-
-
-# ---------------------------------------------------------------------------
-# nil-plancherel
-# ---------------------------------------------------------------------------
-
-
-def suite_nil_plancherel(cfg: SuiteConfig):
-    checks, row = _recorder(cfg)
-    rng = cfg.rng("nil-plancherel")
-
-    worst = 0.0
-    for _ in range(3):
-        f = random_gauss_product(rng, 6, poly=True)
-        worst = _worst(worst, NF.plancherel_N_check(f)["rel_err"])
-    row("plancherel-separable", worst)
-
-    # non-separable bump on a capped grid; degrade to a coarser grid with
-    # Monte Carlo confirmation when the point budget is tight
-    count = min(12, max(6, int(cfg.budget_grid ** (1.0 / 6.0))))
-
-    def bump(pts):
-        r2 = np.sum(pts ** 2, axis=-1)
-        mix = 1.0 + 0.3 * pts[..., 0] * pts[..., 3] + 0.2 * pts[..., 1] * pts[..., 5] \
-            - 0.15 * pts[..., 2] * pts[..., 4]
-        return mix * np.exp(-r2 / (2.0 * 0.9 ** 2))
-
-    # box scales with the node count so the spacing stays adequate when the
-    # budget forces a coarser grid
-    res = NF.plancherel_N_check(bump, box=0.45 * count, count=count,
-                                budget=max(cfg.budget_grid, count ** 6))
-    row("plancherel-bump", res["rel_err"], tol=2e-2 if count < 12 else None)
-    mc = monte_carlo(lambda x: np.abs(bump(x)) ** 2, np.zeros(6),
-                     np.full(6, 0.9 / np.sqrt(2.0)),
-                     min(cfg.budget_mc, 1 << 19),
-                     cfg.check_seed("plancherel-bump-mc"))
-    row("plancherel-bump-mc", res["lhs"], mc.estimate.real,
-        passed=mc.agrees(res["lhs"]))
-
-    f = random_gauss_product(rng, 6, sigma_range=(0.8, 1.2), mu_scale=0.4,
-                             poly=True)
-    phi = random_gauss_product(rng, 6, sigma_range=(0.8, 1.2), mu_scale=0.4,
-                               poly=True)
-    # under a tight grid budget the pairing check degrades to a coarser grid
-    # at Monte Carlo tolerance (the MC row below confirms independently)
-    pcount = min(17, max(6, int(cfg.budget_grid ** (1.0 / 6.0))))
-    res = NF.parseval_N_check(f, phi, method="grid", count=pcount,
-                              budget=max(cfg.budget_grid, pcount ** 6))
-    row("parseval-grid", res["lhs"], res["rhs"],
-        tol=2e-2 if pcount < 17 else None)
-
-    res = NF.parseval_N_check(f, phi, method="mc", n=cfg.budget_mc,
-                              seed=cfg.check_seed("parseval-mc"))
-    row("parseval-mc", res["lhs"], res["rhs"], passed=res["within_3sigma"])
-
-    fw = random_gauss_product(rng, 6, sigma_range=(1.1, 1.5), mu_scale=0.3)
-    u = random_gauss_product(rng, 6, sigma_range=(0.4, 0.6), mu_scale=0.3)
-    worst = 0.0
-    for i in range(10):
-        ell = 0.7 * rng.normal(size=9)
-        ell[4] = 0.0  # the equality holds exactly on this slice of L
-        res = NF.lifted_convolution_check(fw, u, ell, n=cfg.budget_mc,
-                                          seed=cfg.check_seed(f"lifted-{i}"))
-        worst = _worst(worst, res["rel_err"])
-    row("lifted-convolution", worst)
-
-    F = NF.lift_to_L(fw.values)
-    lpts = rng.normal(size=(1000, 9))
-    hrk = rng.normal(size=(1000, 3))
-    shifted = NF.invariance_shift(lpts, *hrk.T)
-    err = np.max(np.abs(F(shifted) - F(lpts)))
-    row("lift-invariance", err)
-    return checks
-
-
-# ---------------------------------------------------------------------------
-# so4
-# ---------------------------------------------------------------------------
-
-
-def suite_so4(cfg: SuiteConfig):
-    checks, row = _recorder(cfg)
-    rng = cfg.rng("so4")
-    J = min(2.0, cfg.budget_bandlimit)
-    quad = so4_quadrature(J)
-
-    worst = 0.0
-    for j in (0.5, 1.0, 1.5, 2.0, 3.0):
-        for beta in rng.uniform(0, np.pi, size=4):
-            worst = _worst(worst, np.max(np.abs(
-                PW.wigner_d(j, beta) - PW.wigner_d_reference(j, beta))))
-    row("wigner-reference", worst)
-
-    ones = np.ones((quad.left.node_count, quad.right.node_count))
-    spec = PW.compact_transform(ones, quad, J)
-    err = abs(spec.coeffs[(0.0, 0.0)][0, 0] - 1.0)
-    for lbl, c in spec.coeffs.items():
-        if lbl != (0.0, 0.0):
-            err = _worst(err, float(np.max(np.abs(c))))
-    row("schur-orthogonality", err)
-
-    ref, vals = PW.random_band_limited(rng, J, quad)
-    back = PW.compact_transform(vals, quad, J)
-    err = _worst(*(np.max(np.abs(back.coeffs[l] - ref.coeffs[l]))
-                   for l in ref.coeffs))
-    row("transform-roundtrip", err)
-
-    worst = 0.0
-    for _ in range(20):
-        el = (rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
-              rng.uniform(0, 4 * np.pi))
-        er = (rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
-              rng.uniform(0, 4 * np.pi))
-        direct = sum(PW.so4_dim(l) * np.trace(ref.coeffs[l] @ PW.so4_rep(l, el, er))
-                     for l in ref.coeffs)
-        worst = _worst(worst, abs(PW.compact_inverse(back, el, er) - direct))
-    row("inversion-pointwise", worst)
-
-    ident = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    lhs = PW.compact_inverse(back, *ident)
-    rhs = sum(PW.so4_dim(l) * np.trace(back.coeffs[l]) for l in back.coeffs)
-    row("identity-point-inversion", lhs.real, rhs.real)
-
-    res = PW.compact_plancherel_check(vals, quad, J)
-    row("compact-plancherel", res["lhs"], res["rhs"])
-
-    # center: the lift through (-1, -1) agrees with the identity lift for
-    # every admissible label
-    el_id = (0.0, 0.0, 0.0)
-    el_neg = (0.0, 0.0, 2.0 * np.pi)
-    err = 0.0
-    for lbl in PW.so4_labels(J):
-        d = PW.so4_dim(lbl)
-        err = _worst(err, np.max(np.abs(PW.so4_rep(lbl, el_neg, el_neg)
-                                        - np.eye(d))))
-    row("center-parity", err)
-
-    # convolution theorem T(g * f) = Tg . Tf at band limit 1, synthesized on
-    # the nodes and checked against the convolution integral by quadrature
-    cquad = so4_quadrature(1.0)
-    _, fvals = PW.random_band_limited(rng, 1.0, cquad)
-    gspec, gvals = PW.random_band_limited(rng, 1.0, cquad)
-    tf = PW.compact_transform(fvals, cquad, 1.0).coeffs
-    tg = PW.compact_transform(gvals, cquad, 1.0).coeffs
-    conv = PW.synthesize(PW.CompactSpectrum({l: tg[l] @ tf[l] for l in tg}),
-                         cquad)
-    row("convolution-order",
-        PW.convolution_order_error(gspec, fvals, conv, cquad))
-    return checks
-
-
-# ---------------------------------------------------------------------------
-# sl4 / sp4 / semidirect plancherel
-# ---------------------------------------------------------------------------
-
-
-def suite_sl4(cfg: SuiteConfig):
-    checks, row = _recorder(cfg)
-    rng = cfg.rng("sl4-plancherel")
-    J = min(2.0, cfg.budget_bandlimit)
-    quad = so4_quadrature(J)
-
-    trivial = PW.CompactSpectrum({(0.0, 0.0): np.array([[1.0 + 0.5j]])})
-    f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 6),
-                                random_gauss_product(rng, 3))
-    res = IP.plancherel_sl4_check(f, quad, J)
-    row("kna-plancherel-trivial", res["lhs"], res["rhs"])
-
-    half = PW.CompactSpectrum({(0.5, 0.5): (rng.normal(size=(4, 4))
-                                            + 1j * rng.normal(size=(4, 4))) / 4})
-    f = IP.SeparableKNAFunction(half, random_gauss_product(rng, 6),
-                                random_gauss_product(rng, 3))
-    res = IP.plancherel_sl4_check(f, quad, J)
-    row("kna-plancherel-halfint", res["lhs"], res["rhs"])
-
-    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, J, quad),
-                                random_gauss_product(rng, 6),
-                                random_gauss_product(rng, 3))
-    res = IP.plancherel_sl4_check(f, quad, J)
-    row("kna-plancherel-full", res["lhs"], res["rhs"])
-
-    row("kna-spot-check", _kna_spot_error(rng))
-
-    fm = _matrix_test_function(rng)
-    worst = 0.0
-    for _ in range(1000):
-        g = G.random_sl4(rng).entries
-        h = G.random_so4(rng).entries
-        k1 = G.random_so4(rng).entries
-        worst = _worst(worst, IP.upsilon_invariance_error(fm, g, h, k1))
-    row("upsilon-invariance", worst)
-
-    lifted = IP.lift_upsilon(fm)
-    g = G.random_sl4(rng).entries
-    err = abs(lifted(g, np.eye(4)) - fm(g))
-    row("upsilon-restriction", err)
-    return checks
-
-
-def _matrix_test_function(rng):
-    m = rng.normal(size=(4, 4))
-
-    def fm(g):
-        return np.exp(1j * np.trace(m @ g)) * np.exp(-0.05 * np.sum(g * g))
-
-    return fm
-
-
-def _kna_spot_error(rng):
-    quad = so4_quadrature(0.5)
-    label = (0.5, 0.5)
-    coeffs = {label: (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 4}
-    v = random_gauss_product(rng, 6)
-    w = random_gauss_product(rng, 3)
-    count = 3
-    spec = IP.plancherel_sl4_check(
-        IP.SeparableKNAFunction(PW.CompactSpectrum(coeffs), v, w), quad, 0.5,
-        count=count)["spectrum"]
-
-    euclid = {}
-
-    def blackbox(el, er, npts, tpts):
-        # D^{1/2} is the defining representation of SU(2), so the compact
-        # factor 4 tr[C (U_l (x) U_r)] needs none of the Wigner code that the
-        # factorized path runs on
-        rep = np.einsum("pab,pcd->pacbd", PW.su2_from_euler(el),
-                        PW.su2_from_euler(er)).reshape(-1, 4, 4)
-        uval = 4.0 * np.einsum("ij,pji->p", coeffs[label], rep)
-        # the oracle passes the same points with every block of node pairs
-        key = (npts.tobytes(), tpts.tobytes())
-        if key not in euclid:
-            euclid[key] = np.outer(v.values(npts), w.values(tpts))
-        return uval[:, None, None] * euclid[key]
-
-    worst = 0.0
-    for _ in range(5):
-        n_idx = tuple(rng.integers(0, count, size=6))
-        a_idx = tuple(rng.integers(0, count, size=3))
-        oracle = IP.nested_transform_oracle(blackbox, quad, label,
-                                            spec.n_spectra, spec.a_spectra,
-                                            n_idx, a_idx)
-        fact = spec.value(label, n_idx, a_idx)
-        scale = max(np.max(np.abs(oracle)), 1e-300)
-        worst = _worst(worst, float(np.max(np.abs(oracle - fact)) / scale))
-    return worst
-
-
-def suite_sp4(cfg: SuiteConfig):
-    checks, row = _recorder(cfg)
-    rng = cfg.rng("sp4-plancherel")
-    M = 1
-    quad = u2_quadrature(M)
-
-    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, M, quad),
-                                random_gauss_product(rng, 4),
-                                random_gauss_product(rng, 2))
-    res = IP.sp4_restrict_check(f, quad, M)
-    row("sp4-plancherel", res["lhs"], res["rhs"])
-
-    trivial = PW.CompactSpectrum({(0, 0): np.array([[1.0 + 0.0j]])})
-    f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 4),
-                                random_gauss_product(rng, 2))
-    res = IP.sp4_restrict_check(f, quad, M)
-    row("sp4-plancherel-trivial", res["lhs"], res["rhs"])
-
-    dims = G.sp4_iwasawa_dimension_audit()
-    row("sp4-dimension-audit", int(sum(dims)), 10,
-        passed=tuple(int(d) for d in dims) == (4, 2, 4))
-
-    pts = rng.normal(size=(50, 4))
-    mats = IP.sp4_n_chart(pts)
-    err = _worst(*(G.symplectic_error(m) for m in mats))
-    prod = mats[0] @ mats[1]
-    err = _worst(err, G.symplectic_error(prod),
-                 float(np.max(np.abs(np.tril(prod, -1)))),
-                 float(np.max(np.abs(np.diag(prod) - 1.0))))
-    row("sp4-unipotent-chart", err)
-    return checks
-
-
-def suite_semidirect(cfg: SuiteConfig):
-    checks, row = _recorder(cfg)
-    rng = cfg.rng("semidirect-plancherel")
-    J = 1.0
-    quad = so4_quadrature(J)
-
-    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, J, quad),
-                                random_gauss_product(rng, 6),
-                                random_gauss_product(rng, 3),
-                                r=random_gauss_product(rng, 4))
-    res = IP.plancherel_semidirect_check(f, quad, J)
-    row("semidirect-plancherel", res["lhs"], res["rhs"])
-
-    worst = 0.0
-    for _ in range(1000):
-        v = rng.normal(size=4)
-        v2 = rng.normal(size=4)
-        g1 = G.random_sl4(rng).entries
-        g2 = G.random_sl4(rng).entries
-        vv, gg = IP.semidirect_mul(v, g1, v2, g2)
-        worst = _worst(worst, np.max(np.abs(
-            IP.affine_embed(vv, gg)
-            - IP.affine_embed(v, g1) @ IP.affine_embed(v2, g2))))
-    row("semidirect-law", worst)
-
-    def fp(v, g):
-        return np.exp(1j * np.sum(v)) * np.exp(1j * np.trace(g)) \
-            * np.exp(-0.05 * np.sum(g * g))
-
-    worst = 0.0
-    for _ in range(1000):
-        v = rng.normal(size=4)
-        g = G.random_sl4(rng).entries
-        h = G.random_sl4(rng).entries
-        q = G.random_sl4(rng).entries
-        worst = _worst(worst, IP.q_lift_invariance_error(fp, v, g, h, q))
-    row("translation-lift-invariance", worst)
-    return checks
-
-
-# ---------------------------------------------------------------------------
-# operator identities / hormander / solvers
-# ---------------------------------------------------------------------------
-
-
-def _identity_battery(rng):
-    corpus = standard_corpus(rng)
-    pts = rng.uniform(-1.2, 1.2, size=(100, 3))
-    hb = D.shear_reflect_map()
-    g = D.shear_map()
-    gi = D.shear_map_inv()
-    lam = D.shear_map_inv()
-    tau = D.flip_y_shear_map()
-    pim = D.flip_x_shear_map()
-
-    def conj(m, op):
-        return lambda f, p: D.conjugate_apply(m, op, f, p)
-
-    def chain_through(outer, inner_op, inner_map):
-        def ev(f, p):
-            q = outer.apply_points(np.asarray(p, dtype=float))
-            return inner_op.apply(D._Pullback(inner_map, f), q)
-        return ev
-
-    def plain(op):
-        return lambda f, p: op.apply(f, p)
-
-    battery = []
-    battery.append(("lewy-conjugation",
-                    conj(hb, D.cauchy_riemann()),
-                    plain(D.lewy().coeff_reflect(sx=-1))))
-    battery.append(("lewy-pair-conjugation",
-                    conj(hb, D.laplacian_2d()),
-                    plain(D.lewy().coeff_reflect(sx=-1)
-                          @ D.lewy_star().coeff_reflect(sx=-1))))
-    battery.append(("shear-first-order",
-                    chain_through(g, D.cauchy_riemann_star(), gi),
-                    plain(D.first_order_invariant())))
-    battery.append(("shear-laplacian",
-                    chain_through(g, D.laplacian_3d(), gi),
-                    plain(D.sheared_laplacian())))
-    battery.append(("left-laplacian-transport",
-                    chain_through(tau, D.laplacian_3d(), lam),
-                    D.reflected_eval(D.heis_laplacian_left(), (1, -1, 1))))
-    battery.append(("right-laplacian-transport",
-                    chain_through(pim, D.laplacian_3d(), lam),
-                    D.reflected_eval(D.heis_laplacian_right(), (1, 1, -1))))
-    four = D.cr_pair_R() @ D.cr_pair_R_star() @ D.cr_pair_R_star() @ D.cr_pair_R()
-    battery.append(("four-factor-conjugation",
-                    conj(hb, four),
-                    plain(SV.four_stage_operator())))
-    battery.append(("single-factor-swap",
-                    conj(hb, D.cr_pair_R()),
-                    plain(D.hormander_P_bar().coeff_reflect(sx=-1))))
-    return corpus, pts, battery
-
-
-def suite_operator_identities(cfg: SuiteConfig):
-    checks, row = _recorder(cfg)
-    rng = cfg.rng("operator-identities")
-    corpus, pts, battery = _identity_battery(rng)
-    for name, lhs, rhs in battery:
-        row(name, D.verify_identity(lhs, rhs, corpus, pts))
-
-    hb = D.shear_reflect_map()
-    row("coordinate-map-inverses", not all(
-        m.check_inverse() for m in (hb, D.shear_map(), D.flip_y_shear_map(),
-                                    D.flip_x_shear_map())))
-
-    # sensitivity: a perturbed coefficient must be detected loudly
-    wrong = D.lewy_conjugate_true() + D.PolyDiffOp(
-        {(1, 0, 0): D.Poly3({(0, 1, 0): -0.1})})  # 2y dz -> 2.1y dz
-    err = D.verify_identity(
-        lambda f, p: D.conjugate_apply(hb, D.cauchy_riemann(), f, p),
-        lambda f, p: wrong.apply(f, p), corpus, pts)
-    row("mutation-sensitivity", err,
-        passed=err > cfg.tol("mutation-sensitivity"))
-
-    s = "(-1)*dx + (-i)*dy + (-2)*y*dz + (2*i)*x*dz"
-    ok = D.parse_op(s) == D.lewy() and \
-        D.parse_op(D.format_op(D.hormander_Q4())) == D.hormander_Q4()
-    row("operator-dsl-roundtrip", not ok)
-    return checks
-
-
-def suite_hormander(cfg: SuiteConfig):
-    checks, row = _recorder(cfg)
-    rng = cfg.rng("hormander")
-    X, Y, Z = D.vf_x(), D.vf_y(), D.vf_z()
-    br = D.lie_bracket(X, Y)
-    ok = (br == D.PolyVectorField(2.0 * D.ONE, D.ZERO, D.ZERO))
-    zero = D.PolyVectorField(D.ZERO, D.ZERO, D.ZERO)
-    ok = ok and D.lie_bracket(Z, X) == zero and D.lie_bracket(Z, Y) == zero
-    row("bracket-identity", not ok)
-
-    ranks = [D.hormander_rank([X, Y], rng.normal(size=3), depth=2)
-             for _ in range(100)]
-    row("bracket-rank", not all(r == 3 for r in ranks))
-
-    row("bracket-depth-one", not all(
-        D.hormander_rank([X, Y], rng.normal(size=3), depth=1) == 2
-        for _ in range(10)))
-    return checks
-
-
-def _sheared_callable(fn):
-    def wrapped(pts):
-        pts = np.asarray(pts, dtype=float)
-        m = np.stack([pts[..., 0] - 2.0 * pts[..., 2] * pts[..., 1],
-                      pts[..., 1], -pts[..., 2]], axis=-1)
-        return fn(m)
-    return wrapped
-
-
-def suite_solvers(cfg: SuiteConfig):
-    checks, row = _recorder(cfg)
-    rng = cfg.rng("solvers")
-
-    # constant-coefficient roundtrip on a 2-D box
-    from .quadrature import Axis, GridSpec
-    grid2 = GridSpec([Axis("y", "uniform-box", -6, 6, 64),
-                      Axis("x", "uniform-box", -6, 6, 64)])
-    ym, xm = grid2.meshgrid()
-    e = np.exp(-(xm ** 2 + ym ** 2) / 2.0)
-    h = (xm + 1j * ym) * e
-    gv = ((1 - xm * (xm + 1j * ym)) - 1j * (1j - ym * (xm + 1j * ym))) * e
-    sol, info = SV.cr_solve(SampledField(grid2, gv), D.cauchy_riemann())
-    err = float(np.max(np.abs(sol.values - h)) / np.max(np.abs(h)))
-    row("cr-roundtrip", err)
-
-    xi = rng.normal(size=(20, 2))
-    sym = D.cauchy_riemann().symbol(np.zeros(20), xi[:, 1], xi[:, 0])
-    err = float(np.max(np.abs(sym - (1j * xi[:, 0] + xi[:, 1]))))
-    row("cr-symbol", err)
-
-    try:
-        SV.cr_solve(SampledField(grid2, e), D.cauchy_riemann())
-        raised = False
-    except SV.IncompatibleRHS:
-        raised = True
-    row("cr-incompatible-rejected", not raised)
-
-    # conjugated solve, manufactured solution
-    w = D.PolyGauss(D.Poly3({(0, 0, 1): 1.0, (0, 1, 0): 1.0j}), sigma=0.6)
-    qw = w.apply_diffop(D.cauchy_riemann())
-    res = SV.lewy_solve(_sheared_callable(qw.values), support=(2.5, 2.8, 2.8),
-                        nz=160, ny=160, nx=160, pad=0.8)
-    grid = res["grid"]
-    zs, ys, xs = grid.meshgrid()
-    href = _sheared_callable(w.values)(np.stack([zs, ys, xs], axis=-1))
-    mask = SV.interior_mask(grid, 0.5, z_half=2.5)
-    err = SV.interior_rel_error(res["f"].values, href, mask)
-    row("lewy-roundtrip", err)
-    row("lewy-roundtrip-residual", res["residual"])
-    # release the first solve's 160^3 fields before the second one runs
-    del res, grid, zs, ys, xs, href, mask
-
-    gg = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j,
-                              (1, 1, 0): -0.15, (0, 1, 2): -0.1}), sigma=0.65)
-    res = SV.lewy_solve(lambda pts: gg.values(pts), support=(2.5, 2.8, 2.8),
-                        nz=160, ny=160, nx=160, pad=0.8)
-    row("lewy-generic-residual", res["residual"])
-
-    w2 = D.PolyGauss(D.Poly3({(0, 0, 2): 1.0, (0, 2, 0): -1.0,
-                              (0, 1, 1): 2.0j}), sigma=0.6)
-    chain = D.cr_pair_R() @ D.cr_pair_R_star() @ D.cr_pair_R_star() @ D.cr_pair_R()
-    cw = w2.apply_diffop(chain)
-    res = SV.four_stage_solve(_sheared_callable(cw.values),
-                              support=(2.5, 2.8, 2.8), nz=144, ny=144, nx=144,
-                              pad=0.8)
-    grid = res["grid"]
-    zs, ys, xs = grid.meshgrid()
-    href = _sheared_callable(w2.values)(np.stack([zs, ys, xs], axis=-1))
-    mask = SV.interior_mask(grid, 0.5, z_half=2.5)
-    err = SV.interior_rel_error(res["f"].values, href, mask)
-    row("four-stage-roundtrip", err)
-    return checks
-
-
-SUITES = {
-    "groups": suite_groups,
-    "nil-plancherel": suite_nil_plancherel,
-    "so4": suite_so4,
-    "sl4-plancherel": suite_sl4,
-    "sp4-plancherel": suite_sp4,
-    "semidirect-plancherel": suite_semidirect,
-    "operator-identities": suite_operator_identities,
-    "hormander": suite_hormander,
-    "solvers": suite_solvers,
-}
-SUITE_NAMES = (*SUITES, "all")
+    def rng(self, name: str) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(self.check_seed(name)))
 
 
 def run_suite(suite: str, cfg: SuiteConfig) -> dict:
@@ -964,7 +220,11 @@ def main(argv=None) -> int:
     payload = _to_csv(report) if args.format == "csv" \
         else json.dumps(report, indent=2)
     if args.out:
-        _atomic_write(args.out, payload)
+        try:
+            _atomic_write(args.out, payload)
+        except OSError as ex:
+            print(f"output error: {ex}", file=sys.stderr)
+            return 2
     else:
         print(payload)
     for c in report["checks"]:

@@ -23,8 +23,9 @@ from .quadrature import Axis, GridSpec, SampledField, dft_forward, norm2
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
-    "solver_grid", "lewy_solve", "four_stage_operator", "four_stage_solve",
-    "interior_mask", "interior_rel_error",
+    "shear_reflect_points", "solver_grid", "lewy_solve",
+    "four_stage_operator", "four_stage_solve", "interior_mask",
+    "interior_rel_error",
 ]
 
 SOLVE_AXES = ("z", "y", "x")
@@ -145,6 +146,25 @@ def solver_grid(z_half: float, y_half: float, x_half: float,
     ])
 
 
+def shear_reflect_points(z, y, x) -> np.ndarray:
+    """The conjugating map (z, y, x) -> (z - 2xy, y, -x), an involution, at
+    the points with coordinate arrays z, y, x, as one (..., 3) array."""
+    return np.stack([z - 2.0 * x * y, y, -x], axis=-1)
+
+
+def _sheared_rhs(g, support, pad, nz, ny, nx) -> SampledField:
+    """g o (z, y, x) -> (z - 2xy, y, -x) sampled on the solve grid of a
+    right-hand side g whose effective support lies inside the (z, y, x)
+    half-widths `support`."""
+    sz, sy, sx = support
+    # the z range must cover the sheared image of the whole (y, x) grid so
+    # the Fourier z-shift cannot wrap support back into the window
+    yh, xh = sy + pad, sx + pad
+    grid = solver_grid(sz + 2.0 * yh * xh + pad, yh, xh, nz, ny, nx)
+    gvals = g(shear_reflect_points(*grid.meshgrid()))
+    return SampledField(grid, np.asarray(gvals, dtype=complex))
+
+
 def plateau_window(grid: GridSpec, flat_frac: float = 0.6) -> np.ndarray:
     """Smooth separable window: 1 on the central flat_frac of each axis,
     cos^2 roll-off to 0 at the boundary.  The solution of the conjugated
@@ -198,25 +218,17 @@ def lewy_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
     field, the grid, the projected-mode report, and the independently
     computed interior residual of the equation.
     """
-    sz, sy, sx = support
-    # the z range must cover the sheared image of the whole (y, x) grid so
-    # the Fourier z-shift cannot wrap support back into the window
-    yh, xh = sy + pad, sx + pad
-    z_half = sz + 2.0 * yh * xh + pad
-    grid = solver_grid(z_half, yh, xh, nz, ny, nx)
-    zs, ys, xs = grid.meshgrid()
-
-    gvals = np.asarray(
-        g(np.stack([zs - 2.0 * xs * ys, ys, -xs], axis=-1)), dtype=complex)
-    gtilde = SampledField(grid, gvals)
+    gtilde = _sheared_rhs(g, support, pad, nz, ny, nx)
+    grid = gtilde.grid
 
     u, info = cr_solve(gtilde, cauchy_riemann())
     f = shear_reflect_field(u)
 
     windowed = SampledField(grid, f.values * plateau_window(grid))
     applied = spectral_apply(lewy_conjugate_true(), windowed)
-    g_on_grid = np.asarray(g(np.stack([zs, ys, xs], axis=-1)), dtype=complex)
-    mask = interior_mask(grid, frac=0.5, z_half=sz)
+    g_on_grid = np.asarray(g(np.stack(grid.meshgrid(), axis=-1)),
+                           dtype=complex)
+    mask = interior_mask(grid, frac=0.5, z_half=support[0])
     residual = interior_rel_error(applied.values, g_on_grid, mask)
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples
@@ -240,19 +252,10 @@ def four_stage_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
     inside the shear conjugation.  Returns the solution field, the grid and
     the largest projected-mode report of the four stages; the solve is
     checked by its manufactured round trip, not by a residual."""
-    sz, sy, sx = support
-    yh, xh = sy + pad, sx + pad
-    z_half = sz + 2.0 * yh * xh + pad
-    grid = solver_grid(z_half, yh, xh, nz, ny, nx)
-    zs, ys, xs = grid.meshgrid()
-
-    gvals = np.asarray(
-        g(np.stack([zs - 2.0 * xs * ys, ys, -xs], axis=-1)), dtype=complex)
-    stage = SampledField(grid, gvals)
-
+    stage = _sheared_rhs(g, support, pad, nz, ny, nx)
     infos = []
     for op in (cr_pair_R(), cr_pair_R_star(), cr_pair_R_star(), cr_pair_R()):
         stage, info = cr_solve(stage, op)
         infos.append(info["projected_rel"])
-    return {"f": shear_reflect_field(stage), "grid": grid,
+    return {"f": shear_reflect_field(stage), "grid": stage.grid,
             "projected_rel": max(infos)}

@@ -7,8 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from lgha import cli
+from lgha import cli, quadrature
 from lgha import iwasawa_plancherel as IP
+from lgha.suites import ROWS
 
 
 def run_cli(*args):
@@ -46,40 +47,45 @@ def test_bad_config_file(tmp_path):
 
 
 def test_bad_budget_rejected(tmp_path):
-    # budgets below their floors or not finite numbers, from the config file
-    # or from a flag
+    # budgets below their floors or not finite numbers, and seeds that are
+    # not nonnegative integers, from the config file or from a flag
     cases = [
-        ({"max_grid_points": -5}, ()),
+        ({"budgets": {"max_grid_points": -5}}, ()),
         (None, ("--budget-grid", "0")),
         (None, ("--budget-mc", "500")),
-        ({"max_mc_samples": 500}, ()),
+        ({"budgets": {"max_mc_samples": 500}}, ()),
         (None, ("--budget-bandlimit", "-1")),
         (None, ("--budget-grid", "nan")),
         (None, ("--budget-grid", "inf")),
         (None, ("--budget-mc", "nan")),
         (None, ("--budget-bandlimit", "nan")),
-        ({"max_grid_points": "abc"}, ()),
-        ({"max_mc_samples": None}, ()),
-        ({"max_so4_bandlimit": "abc"}, ()),
+        ({"budgets": {"max_grid_points": "abc"}}, ()),
+        ({"budgets": {"max_mc_samples": None}}, ()),
+        ({"budgets": {"max_so4_bandlimit": "abc"}}, ()),
+        (None, ("--seed", "-200000")),
+        ({"seed": 1.7}, ()),
     ]
-    for budgets, flags in cases:
+    for config, flags in cases:
         args = ["--suite", "hormander", *flags]
-        if budgets is not None:
+        if config is not None:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"budgets": budgets}))
+            cfg.write_text(json.dumps(config))
             args += ["--config", str(cfg)]
         proc = run_cli(*args)
-        assert proc.returncode == 2, (budgets, flags, proc.stderr)
+        assert proc.returncode == 2, (config, flags, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error:"), proc.stderr
 
 
 def test_bad_tolerance_rejected(tmp_path):
-    # a key that names no check row, a value that is not a number, or a key
-    # of a row whose verdict no tolerance enters
+    # a key that names no check row, a value that is not a finite number
+    # >= 0, or a key of a row whose verdict no tolerance enters
     cfg = tmp_path / "cfg.json"
     for tolerances, word in (({"no-such-check": 1e-3}, "no-such-check"),
                              ({"nil-law-vs-matrix": "tight"}, "tight"),
+                             ({"nil-law-vs-matrix": math.inf}, "nil-law"),
+                             ({"nil-law-vs-matrix": math.nan}, "nil-law"),
+                             ({"nil-law-vs-matrix": -1e-3}, "nil-law"),
                              ({"bracket-rank": 1e-30}, "bracket-rank")):
         cfg.write_text(json.dumps({"tolerances": tolerances}))
         proc = run_cli("--suite", "hormander", "--config", str(cfg))
@@ -98,6 +104,14 @@ def test_seed_flag_overrides_config_seed(tmp_path):
                        "--out", str(out), *flags)
         assert proc.returncode == 0
         assert json.loads(out.read_text())["seed"] == seed
+
+
+def test_missing_out_directory_is_an_output_error(tmp_path):
+    out = tmp_path / "no-such-dir" / "report.json"
+    proc = run_cli("--suite", "hormander", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("output error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_hormander_suite_report_schema(tmp_path):
@@ -161,7 +175,7 @@ def test_tolerance_override():
     # every tunable row of three quick suites reports its own configured
     # tolerance; the fixed-verdict row among them keeps the table's
     suites = ("groups", "sp4-plancherel", "semidirect-plancherel")
-    names = [row[0] for suite in suites for row in cli.ROWS[suite]
+    names = [row[0] for suite in suites for row in ROWS[suite]
              if row[0] not in cli.FIXED_VERDICT_NAMES]
     tols = {name: (i + 2) * 1e-3 for i, name in enumerate(names)}
     tols["nil-law-vs-matrix"] = 1e-30
@@ -181,9 +195,13 @@ def test_row_table_matches_benchmark_gate():
     spec = importlib.util.spec_from_file_location("perfbench_gate", path)
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
-    assert list(cli.ROWS) == list(cli.SUITES)
+    assert list(ROWS) == list(cli.SUITES)
     assert {suite: tuple(row[0] for row in rows)
-            for suite, rows in cli.ROWS.items()} == gate.EXPECTED_ROWS
+            for suite, rows in ROWS.items()} == gate.EXPECTED_ROWS
+    # perfbench runs cli.SUITES with cli.SuiteConfig, and its self-test reads
+    # the monte_carlo binding in cli
+    assert cli.monte_carlo is quadrature.monte_carlo
+    assert callable(cli.SuiteConfig)
 
 
 def test_nan_error_fails_its_row(monkeypatch):
@@ -197,7 +215,7 @@ def test_nan_error_fails_its_row(monkeypatch):
 
     monkeypatch.setattr(IP, "upsilon_invariance_error", nan_on_second_call)
     cfg = cli.SuiteConfig(seed=42, budget_bandlimit=0.5)
-    rows = {c["name"]: c for c in cli.suite_sl4(cfg)}
+    rows = {c["name"]: c for c in cli.SUITES["sl4-plancherel"](cfg)}
     assert math.isnan(rows["upsilon-invariance"]["lhs"])
     assert not rows["upsilon-invariance"]["pass"]
     assert all(c["pass"] for n, c in rows.items() if n != "upsilon-invariance")
