@@ -150,10 +150,17 @@ def run_suite(suite: str, cfg: SuiteConfig) -> dict:
 
 
 def _atomic_write(path: str, data: str):
+    """Write data to path through path + ".tmp"; if the write or the
+    rename fails, the temporary file is removed and the error propagates."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _to_csv(report: dict) -> str:

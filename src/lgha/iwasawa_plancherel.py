@@ -19,8 +19,7 @@ import numpy as np
 
 from . import peterweyl as pw
 from .corpus import GaussProduct
-from .quadrature import (BLOCK_ENTRIES, EulerQuadSO4, U2Quad, SampledField,
-                         box_grid, dft_forward, pairwise_sum)
+from .quadrature import BLOCK_ENTRIES, EulerQuadSO4, U2Quad, factor_plancherel
 
 __all__ = [
     "SeparableKNAFunction", "KNASpectrum", "plancherel_sl4_check",
@@ -94,12 +93,10 @@ def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=COUNT):
             continue
         out = []
         for name, factor in zip(names, g.factors):
-            grid = box_grid((name,), *factor.suggested_axis(), count)
-            fld = SampledField(grid, factor.values(grid.axes[0].nodes()))
-            vals = np.abs(fld.values) ** 2 * grid.axes[0].weights()
-            lhs *= float(pairwise_sum(vals).real)
-            out.append(dft_forward(fld))
-            rhs *= out[-1].integrate_abs2() / (2.0 * np.pi)
+            norm, spectral, spectrum = factor_plancherel(factor, count, name)
+            lhs *= norm
+            rhs *= spectral
+            out.append(spectrum)
         spectra.append(out)
     spec = KNASpectrum(compact["spectrum"], *spectra)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)

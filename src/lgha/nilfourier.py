@@ -18,14 +18,14 @@ import numpy as np
 
 from . import groups
 from .corpus import GaussProduct, product_overlap
-from .quadrature import (SampledField, Spectrum, box_grid, dft_forward,
-                         monte_carlo, norm2, pairwise_sum, MCResult,
+from .quadrature import (Axis, SampledField, box_grid, dft_forward,
+                         factor_plancherel, monte_carlo, norm2, pairwise_sum,
                          DEFAULT_GRID_BUDGET)
 
 __all__ = [
     "reduce_to_nil", "LiftedFunction", "lift_to_L", "invariance_shift",
     "nil_shift_of_L", "flat_shift_of_L",
-    "convolve_N", "fourier_N",
+    "convolve_N",
     "plancherel_N_check", "parseval_N_check", "lifted_convolution_check",
 ]
 
@@ -145,7 +145,7 @@ def flat_shift_of_L(lpts, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _nil_grid(box, count, budget):
+def _nil_grid(box, count, budget=DEFAULT_GRID_BUDGET):
     if np.isscalar(box):
         return box_grid(NIL_AXES, -box, box, count, budget=budget)
     lo, hi = box
@@ -157,56 +157,32 @@ def _pointwise(fn):
     return fn.values if isinstance(fn, GaussProduct) else fn
 
 
-def _outer(factors) -> np.ndarray:
-    """Outer product of 1-D arrays, one axis each."""
-    out = factors[0]
-    for fac in factors[1:]:
-        out = np.multiply.outer(out, fac)
-    return out
-
-
 def convolve_N(phi, f, at, method: str = "grid", box=6.0,
                count: int = 12, n: int = 1 << 20, seed: int = 0,
-               sampler=None, budget: int = DEFAULT_GRID_BUDGET):
+               sampler=None):
     """Noncommutative convolution (phi * f)(at) = int f(g^{-1} h) phi(g) dg.
 
     phi and f are callables on (..., 6) arrays or GaussProduct functions.
     The integral is taken over u = g^{-1} h, a measure-preserving
-    substitution (unit Jacobian): f is evaluated plainly, phi at h u^{-1}.
-    method="grid" uses a tensor box rule (box is a half-width or a (lo, hi)
-    pair of 6-vectors) summed one slab of the first axis at a time; a
-    GaussProduct f is taken there as the outer product of its 1-D factor
-    values.  method="mc" uses importance sampling with a reported standard
-    error.
+    substitution (unit Jacobian): f is evaluated plainly, phi at h u^{-1},
+    through the group law on both paths.  method="grid" samples the
+    integrand on the full count**6 tensor box grid (box is a half-width or a
+    (lo, hi) pair of 6-vectors) and sums it times the cell volume;
+    method="mc" uses importance sampling with a reported standard error.
     """
     at = np.asarray(at, dtype=float)
     f_at, phi_at = _pointwise(f), _pointwise(phi)
 
-    def shifted(u):
-        return phi_at(groups.nil_mul(np.broadcast_to(at, u.shape),
-                                     groups.nil_inv(u)))
-
     def integrand(u):
-        return f_at(u) * shifted(u)
+        return f_at(u) * phi_at(groups.nil_mul(np.broadcast_to(at, u.shape),
+                                               groups.nil_inv(u)))
 
     if method == "grid":
-        grid = _nil_grid(box, count, budget)
-        first, rest = grid.axes[0], grid.axes[1:]
-        u = np.empty(tuple(a.count for a in rest) + (6,))
-        for k, mesh in enumerate(np.meshgrid(*[a.nodes() for a in rest],
-                                             indexing="ij")):
-            u[..., k + 1] = mesh
-        w_rest = _outer([a.weights() for a in rest])
-        fac = None
-        if isinstance(f, GaussProduct):
-            fac = f.factor_values([a.nodes() for a in grid.axes])
-            rest_values = _outer(fac[1:])
-        sums = []
-        for i, (x0, w0) in enumerate(zip(first.nodes(), first.weights())):
-            u[..., 0] = x0
-            vals = f_at(u) if fac is None else fac[0][i] * rest_values
-            sums.append(pairwise_sum(vals * shifted(u) * (w0 * w_rest)))
-        return complex(pairwise_sum(np.asarray(sums)))
+        grid = _nil_grid(box, count)
+        fld = SampledField.from_callable(
+            grid, lambda *mesh: integrand(np.stack(mesh, axis=-1)))
+        cell = np.prod([ax.step for ax in grid.axes])
+        return complex(pairwise_sum(fld.values)) * cell
     if method == "mc":
         mean = np.zeros(6) if sampler is None else np.asarray(sampler[0], dtype=float)
         sig = np.ones(6) if sampler is None else np.asarray(sampler[1], dtype=float)
@@ -219,51 +195,45 @@ def convolve_N(phi, f, at, method: str = "grid", box=6.0,
 # ---------------------------------------------------------------------------
 
 
-def fourier_N(field: SampledField) -> Spectrum:
-    """Six-axis Euclidean transform in the global chart of N."""
-    return dft_forward(field, axes=[a.name for a in field.grid.axes])
-
-
 def plancherel_N_check(f, box: float = 6.0, count: int = 14,
                        budget: int = DEFAULT_GRID_BUDGET):
-    """lhs = int |f|^2 dX by quadrature, rhs = (2 pi)^{-6} int |Ff|^2 dxi.
+    """lhs = int |f|^2 dX by quadrature, rhs = (2 pi)^{-6} int |Ff|^2 dxi,
+    with Ff the six-axis Euclidean transform in the global chart of N.
 
-    Separable inputs (GaussProduct) factor into one-dimensional checks; other
-    callables are sampled on the full grid (budget permitting).
+    Separable inputs (GaussProduct) factor into one-dimensional checks on
+    4 * count nodes per axis; other callables are sampled on the full grid
+    (budget permitting).
     """
     if isinstance(f, GaussProduct):
-        lhs = 1.0
-        rhs = 1.0
+        lhs = rhs = 1.0
         for factor in f.factors:
-            lo, hi = factor.suggested_axis()
-            grid = box_grid(("x",), lo, hi, count * 4)
-            fld = SampledField(grid, factor.values(grid.axes[0].nodes()))
-            lhs *= norm2(fld)
-            rhs *= dft_forward(fld).integrate_abs2() / (2.0 * np.pi)
+            norm, spectral, _ = factor_plancherel(factor, count * 4)
+            lhs *= norm
+            rhs *= spectral
     else:
         grid = _nil_grid(box, count, budget)
         fld = SampledField.from_callable(
             grid, lambda *mesh: f(np.stack(mesh, axis=-1)))
         lhs = norm2(fld)
-        rhs = fourier_N(fld).integrate_abs2() / (2.0 * np.pi) ** 6
+        rhs = dft_forward(fld).integrate_abs2() / (2.0 * np.pi) ** 6
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel}
 
 
 def parseval_N_check(f, phi, method: str = "grid", count: int = 16,
-                     n: int = 1 << 20, seed: int = 0,
-                     budget: int = DEFAULT_GRID_BUDGET):
+                     n: int = 1 << 20, seed: int = 0):
     """Bilinear pairing identity: (phi-check * f)(0) against
     (2 pi)^{-6} int Ff conj(Fphi) dxi, where phi-check(X) = conj(phi(X^{-1})).
 
     f and phi are separable GaussProduct functions; the spectral side is
-    evaluated from exact one-dimensional transforms sampled on the dual grid,
-    the convolution side through the group law (grid or Monte Carlo) on a
-    box adapted to the pairing's Gaussian envelope.
+    evaluated from one-dimensional transforms sampled on the dual grid.  At
+    the identity the group law cancels: phi-check(0 . u^{-1}) = conj(phi(u)),
+    so the convolution side is int f conj(phi) du.  method="grid" takes it
+    as a product of six 1-D box rules of f_k conj(phi_k), count nodes each,
+    on a box adapted to the pairing's Gaussian envelope; f and phi are read
+    through GaussProduct.factor_values.  method="mc" importance-samples the
+    convolution through the group law (convolve_N).
     """
-    def phi_check(x):
-        return np.conj(phi.values(groups.nil_inv(x)))
-
     rhs = 1.0
     for ff, pf in zip(f.factors, phi.factors):
         lo = min(ff.suggested_axis()[0], pf.suggested_axis()[0])
@@ -275,21 +245,31 @@ def parseval_N_check(f, phi, method: str = "grid", count: int = 16,
                        * sf.freq_weight()) / (2.0 * np.pi)
 
     center, width = product_overlap(f, phi)
-    # box margins stay proportional to the envelope width so the node spacing
-    # tracks the integrand's bandwidth (polynomial factors included)
-    box = (center - 7.5 * width - 0.3, center + 7.5 * width + 0.3)
-    # the sampler is deliberately wider than the integrand's envelope so the
-    # importance weights carry genuine variance
-    lhs = convolve_N(phi_check, f, np.zeros(6), method=method, box=box,
-                     count=count, n=n, seed=seed,
-                     sampler=(center, 1.35 * width), budget=budget)
-    if isinstance(lhs, MCResult):
-        rel = abs(lhs.estimate - rhs) / max(abs(rhs), 1e-300)
-        return {"lhs": lhs.estimate, "rhs": rhs, "rel_err": rel,
-                "stderr": lhs.stderr,
-                "within_3sigma": lhs.agrees(rhs)}
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel}
+    if method == "grid":
+        # box margins stay proportional to the envelope width so the node
+        # spacing tracks the integrand's bandwidth (polynomial factors
+        # included)
+        axes = [Axis(name, "uniform-box", c - 7.5 * w - 0.3, c + 7.5 * w + 0.3,
+                     count) for name, c, w in zip(NIL_AXES, center, width)]
+        nodes = [ax.nodes() for ax in axes]
+        lhs = 1.0
+        for ax, fv, pv in zip(axes, f.factor_values(nodes),
+                              phi.factor_values(nodes)):
+            lhs *= complex(pairwise_sum(fv * np.conj(pv) * ax.weights()))
+        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        return {"lhs": lhs, "rhs": rhs, "rel_err": rel}
+    if method == "mc":
+        def phi_check(x):
+            return np.conj(phi.values(groups.nil_inv(x)))
+
+        # the sampler is deliberately wider than the integrand's envelope so
+        # the importance weights carry genuine variance
+        mc = convolve_N(phi_check, f, np.zeros(6), method="mc", n=n,
+                        seed=seed, sampler=(center, 1.35 * width))
+        rel = abs(mc.estimate - rhs) / max(abs(rhs), 1e-300)
+        return {"lhs": mc.estimate, "rhs": rhs, "rel_err": rel,
+                "stderr": mc.stderr, "within_3sigma": mc.agrees(rhs)}
+    raise ValueError("method must be 'grid' or 'mc'")
 
 
 def lifted_convolution_check(f, u, lpoint, n: int = 1 << 20, seed: int = 0):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
-from .quadrature import Axis, GridSpec, SampledField, dft_forward, norm2
+from .quadrature import (Axis, GridSpec, SampledField, Spectrum, dft_forward,
+                         dft_inverse, norm2)
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
@@ -78,8 +79,6 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
     vals = np.where(mask, 0.0, spec.values / np.where(mask, 1.0, sym))
     out = spec
     out.values = vals
-    from .quadrature import dft_inverse
-
     sol = dft_inverse(out)
     info = {"projected_rel": projected_rel,
             "n_projected": int(np.count_nonzero(mask))}
@@ -101,8 +100,6 @@ def spectral_apply(op: PolyDiffOp, field: SampledField) -> SampledField:
             mesh[name] = ax.nodes().reshape(shape)
         else:
             mesh[name] = np.zeros((1,) * len(field.grid.names))
-    from .quadrature import Spectrum, dft_inverse
-
     out = np.zeros(field.values.shape, dtype=complex)
     for m, poly in op.terms.items():
         mult = (1j * xiz) ** m[0] * (1j * xiy) ** m[1] * (1j * xix) ** m[2]
@@ -110,10 +107,6 @@ def spectral_apply(op: PolyDiffOp, field: SampledField) -> SampledField:
         dfield = dft_inverse(dspec)
         out += poly.eval(mesh["z"], mesh["y"], mesh["x"]) * dfield.values
     return SampledField(field.grid, out)
-
-
-def _flip_axis(field_vals: np.ndarray, k: int) -> np.ndarray:
-    return np.flip(field_vals, axis=k)
 
 
 def shear_reflect_field(field: SampledField) -> SampledField:
@@ -128,7 +121,7 @@ def shear_reflect_field(field: SampledField) -> SampledField:
     ax_z = field.grid.axis("z")
     if abs(ax_x.lo + ax_x.hi) > 1e-12 or ax_x.kind != "uniform-box":
         raise ValueError("x axis must be a symmetric cell-centered box")
-    vals = _flip_axis(field.values, 2)
+    vals = np.flip(field.values, axis=2)
     fz = np.fft.fft(vals, axis=0)
     xiz = 2.0 * np.pi * np.fft.fftfreq(ax_z.count, d=ax_z.step)
     shift = 2.0 * np.outer(ax_y.nodes(), ax_x.nodes())  # s(y, x) = 2 x y

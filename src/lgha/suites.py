@@ -297,8 +297,7 @@ def _nil_plancherel(cfg, rng, row):
     # under a tight grid budget the pairing check degrades to a coarser grid
     # at Monte Carlo tolerance (the MC row below confirms independently)
     pcount = min(17, max(6, int(cfg.budget_grid ** (1.0 / 6.0))))
-    res = NF.parseval_N_check(f, phi, method="grid", count=pcount,
-                              budget=max(cfg.budget_grid, pcount ** 6))
+    res = NF.parseval_N_check(f, phi, method="grid", count=pcount)
     row("parseval-grid", res["lhs"], res["rhs"],
         tol=2e-2 if pcount < 17 else None)
 
@@ -713,7 +712,9 @@ def _solvers(cfg, rng, row):
 
 
 def _run(name, body, cfg):
-    """The rows body(cfg, cfg.rng(name), row) records."""
+    """The rows body(cfg, cfg.rng(name), row) records, after cfg.validate()
+    (a config built in code is checked like one read from a file)."""
+    cfg.validate()
     checks, row = _recorder(cfg)
     body(cfg, cfg.rng(name), row)
     return checks

@@ -1,11 +1,14 @@
 """CLI surface: suites, report schema, determinism, exit codes, formats."""
 
+import importlib
 import importlib.util
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from lgha import cli, quadrature
 from lgha import iwasawa_plancherel as IP
@@ -114,6 +117,27 @@ def test_missing_out_directory_is_an_output_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_out_naming_a_directory_leaves_no_temporary_file(tmp_path):
+    out = tmp_path / "report"
+    out.mkdir()
+    proc = run_cli("--suite", "hormander", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("output error:")
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report"]
+
+
+def test_configs_built_in_code_are_validated():
+    # a negative seed reached Philox as a bare ValueError, and a NaN
+    # tolerance was used as is
+    for cfg in (cli.SuiteConfig(seed=-200000),
+                cli.SuiteConfig(tolerances={"nil-law-vs-matrix": math.nan})):
+        with pytest.raises(cli.ConfigError):
+            cli.run_suite("hormander", cfg)
+        with pytest.raises(cli.ConfigError):
+            cli.SUITES["hormander"](cfg)
+
+
 def test_hormander_suite_report_schema(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("--suite", "hormander", "--seed", "7", "--out", str(out))
@@ -188,13 +212,21 @@ def test_tolerance_override():
     assert rows["sp4-dimension-audit"]["tol"] == 0.0
 
 
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded from its file (perfbench is no package)
+    and registered in sys.modules, where its dataclasses look it up."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_row_table_matches_benchmark_gate():
     # a renamed, added or reordered row fails here, not first in the
     # benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+    gate = _perfbench_module("gate")
     assert list(ROWS) == list(cli.SUITES)
     assert {suite: tuple(row[0] for row in rows)
             for suite, rows in ROWS.items()} == gate.EXPECTED_ROWS
@@ -202,6 +234,19 @@ def test_row_table_matches_benchmark_gate():
     # the monte_carlo binding in cli
     assert cli.monte_carlo is quadrature.monte_carlo
     assert callable(cli.SuiteConfig)
+
+
+def test_every_traced_layer_names_a_library_attribute():
+    # a deleted or renamed function that the benchmark traces fails here,
+    # not first in a traced benchmark run
+    tracing = _perfbench_module("tracing")
+    assert tracing.LAYERS
+    for layer in tracing.LAYERS:
+        owner = importlib.import_module(f"lgha.{layer.module}")
+        for part in layer.qualname.split("."):
+            assert hasattr(owner, part), layer.key
+            owner = getattr(owner, part)
+        assert callable(owner), layer.key
 
 
 def test_nan_error_fails_its_row(monkeypatch):

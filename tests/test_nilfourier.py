@@ -4,7 +4,8 @@ import numpy as np
 
 from lgha import groups as G
 from lgha import nilfourier as nf
-from lgha.corpus import GaussPoly1D, GaussProduct, random_gauss_product
+from lgha.corpus import (GaussPoly1D, GaussProduct, product_overlap,
+                         random_gauss_product)
 from lgha.quadrature import (box_grid, SampledField, dft_forward, dft_inverse,
                              pairwise_sum)
 
@@ -99,9 +100,9 @@ def test_fourier_N_linearity_and_inversion():
     a = SampledField(grid, rng.normal(size=grid.shape)
                      + 1j * rng.normal(size=grid.shape))
     b = SampledField(grid, rng.normal(size=grid.shape))
-    sa = nf.fourier_N(a)
-    sb = nf.fourier_N(b)
-    sc = nf.fourier_N(SampledField(grid, a.values + 3.5 * b.values))
+    sa = dft_forward(a)
+    sb = dft_forward(b)
+    sc = dft_forward(SampledField(grid, a.values + 3.5 * b.values))
     scale = np.max(np.abs(sa.values))
     assert np.max(np.abs(sc.values - sa.values - 3.5 * sb.values)) < 1e-12 * scale
     back = dft_inverse(sa)
@@ -208,8 +209,8 @@ def test_convolution_associativity_three_parameter_group():
 
 
 def _reference_convolution(phi, f, at, box, count):
-    """convolve_N's grid rule as one full-grid sample, summed with the
-    tensor-product weights."""
+    """(phi * f)(at) through the group law as one full-grid sample, summed
+    with the tensor-product weights."""
     grid = nf._nil_grid(box, count, 2 ** 25)
     at = np.asarray(at, dtype=float)
 
@@ -225,22 +226,39 @@ def _reference_convolution(phi, f, at, box, count):
     return complex(pairwise_sum(vals.ravel()))
 
 
-def test_slabwise_grid_convolution_matches_full_grid_integral():
+def test_convolution_mc_draws_the_same_samples_for_a_gauss_product():
     gen = np.random.default_rng(4041)
     f = random_gauss_product(gen, 6, sigma_range=(0.8, 1.2), poly=True)
     phi = random_gauss_product(gen, 6, sigma_range=(0.8, 1.2), poly=True)
     at = 0.3 * gen.normal(size=6)
-    box = (-4.5 * np.ones(6), 5.0 * np.ones(6))
-    ref = _reference_convolution(phi.values, f.values, at, box, 9)
-    plain = nf.convolve_N(phi.values, f.values, at, box=box, count=9)
-    separable = nf.convolve_N(phi, f, at, box=box, count=9)
-    assert abs(plain - ref) <= 1e-13 * abs(ref)
-    assert abs(separable - ref) <= 1e-13 * abs(ref)
-    # the Monte Carlo path draws the same samples for a GaussProduct and
-    # for its plain values
     a = nf.convolve_N(phi, f, at, method="mc", n=4096, seed=3)
     b = nf.convolve_N(phi.values, f.values, at, method="mc", n=4096, seed=3)
     assert a.estimate == b.estimate and a.stderr == b.stderr
+
+
+def test_group_law_cancels_in_the_pairing_at_the_identity():
+    # the separable grid side of parseval_N_check rests on these two facts:
+    # phi-check(0 . u^{-1}) = conj(phi(nil_inv(nil_inv(u)))) = conj(phi(u))
+    u = np.random.default_rng(4046).uniform(-9.0, 9.0, size=(10 ** 5, 6))
+    assert np.array_equal(G.nil_mul(np.zeros_like(u), u), u)
+    assert np.max(np.abs(G.nil_inv(G.nil_inv(u)) - u)) <= 1e-12
+
+
+def test_separable_parseval_grid_equals_group_law_sum():
+    gen = np.random.default_rng(4047)
+    f = random_gauss_product(gen, 6, sigma_range=(0.8, 1.2), mu_scale=0.4,
+                             poly=True)
+    phi = random_gauss_product(gen, 6, sigma_range=(0.8, 1.2), mu_scale=0.4,
+                               poly=True)
+
+    def phi_check(x):
+        return np.conj(phi.values(G.nil_inv(x)))
+
+    center, width = product_overlap(f, phi)
+    box = (center - 7.5 * width - 0.3, center + 7.5 * width + 0.3)
+    ref = _reference_convolution(phi_check, f.values, np.zeros(6), box, 6)
+    lhs = nf.parseval_N_check(f, phi, count=6)["lhs"]
+    assert abs(lhs - ref) <= 1e-13 * abs(ref)
 
 
 def test_parseval_grid_fails_when_one_factor_of_f_is_perturbed(monkeypatch):
