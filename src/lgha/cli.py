@@ -1,10 +1,10 @@
 """Command-line front end of the verification suites: parses the flags and
 the JSON config, runs the suites of `lgha.suites` and writes the report.
 
-A report holds one row per check (see `lgha.suites.ROWS`), a config echo
-and a summary.  For a fixed (suite, config, seed) the numerical content of
-the report is identical run to run; only the timestamp and wall time
-differ.
+A report holds one row per check (see `lgha.suites.ROWS`), a config echo,
+a summary and the seconds each suite took (`timings`, outside the rows).
+For a fixed (suite, config, seed) the rows are identical run to run; only
+the timestamp and the times differ.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration or output
 error, 3 budget exceeded.
@@ -126,11 +126,14 @@ class SuiteConfig:
 def run_suite(suite: str, cfg: SuiteConfig) -> dict:
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; see --list")
-    t0 = time.time()
+    t0 = time.perf_counter()
     names = list(SUITES) if suite == "all" else [suite]
     checks = []
+    timings = {}
     for name in names:
+        start = time.perf_counter()
         checks.extend(SUITES[name](cfg))
+        timings[name] = round(time.perf_counter() - start, 4)
     passed = sum(1 for c in checks if c["pass"])
     report = {
         "suite": suite,
@@ -144,7 +147,8 @@ def run_suite(suite: str, cfg: SuiteConfig) -> dict:
         },
         "checks": checks,
         "summary": {"passed": passed, "failed": len(checks) - passed,
-                    "wall_time_s": round(time.time() - t0, 3)},
+                    "wall_time_s": round(time.perf_counter() - t0, 3)},
+        "timings": timings,
     }
     return report
 

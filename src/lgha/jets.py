@@ -27,18 +27,31 @@ MULTI_INDICES = tuple(
 POS = {m: i for i, m in enumerate(MULTI_INDICES)}
 N_COEFFS = len(MULTI_INDICES)
 
-# sparse product table: out[K] += a[I] * b[J]
-_prod_i, _prod_j, _prod_k = [], [], []
+# Product tables.  Output coefficient k of a product sums a[i] * b[j] over
+# the pairs (i, j) with m_i + m_j = m_k, in table order (i, then j,
+# ascending), starting from zero: the order in which a scatter-add over the
+# flat pair list would add them.  Round r of the sum adds the r-th pair of
+# every output monomial that has one; taking the monomials by decreasing
+# pair count (_BY_COUNT) makes those a prefix, so a round is one slice of
+# the products, _PROD_I/_PROD_J[lo:hi] for (lo, hi) in _ROUNDS.
+_pairs = [[] for _ in MULTI_INDICES]
 for i, mi in enumerate(MULTI_INDICES):
     for j, mj in enumerate(MULTI_INDICES):
         s = (mi[0] + mj[0], mi[1] + mj[1], mi[2] + mj[2])
         if sum(s) <= DEGREE:
-            _prod_i.append(i)
-            _prod_j.append(j)
-            _prod_k.append(POS[s])
+            _pairs[POS[s]].append((i, j))
+_BY_COUNT = sorted(range(N_COEFFS), key=lambda k: -len(_pairs[k]))
+_UNSORT = np.array([_BY_COUNT.index(k) for k in range(N_COEFFS)])
+_prod_i, _prod_j, _ROUNDS = [], [], []
+for r in range(len(_pairs[_BY_COUNT[0]])):
+    lo = len(_prod_i)
+    for k in _BY_COUNT:
+        if len(_pairs[k]) > r:
+            _prod_i.append(_pairs[k][r][0])
+            _prod_j.append(_pairs[k][r][1])
+    _ROUNDS.append((lo, len(_prod_i)))
 _PROD_I = np.array(_prod_i)
 _PROD_J = np.array(_prod_j)
-_PROD_K = np.array(_prod_k)
 
 _FACT = np.array([factorial(a) * factorial(b) * factorial(c)
                   for (a, b, c) in MULTI_INDICES], dtype=float)
@@ -69,6 +82,8 @@ class Jet:
     """
 
     __slots__ = ("coeffs",)
+    # numpy operators defer to Jet's own, so array + jet is a jet
+    __array_ufunc__ = None
 
     def __init__(self, coeffs=None, shape=()):
         if coeffs is None:
@@ -105,18 +120,33 @@ class Jet:
 
     def deriv(self, midx):
         """Exact partial derivative of the underlying function at the point
-        (batch-shaped like the jet)."""
-        if sum(midx) > DEGREE:
-            raise DegreeOverflow(f"order {sum(midx)} exceeds jet degree {DEGREE}")
-        k = POS[tuple(midx)]
+        (batch-shaped like the jet).  midx is (az, ay, ax); an order above
+        DEGREE raises DegreeOverflow, anything else that is not a multi-index
+        ValueError."""
+        midx = tuple(midx)
+        k = POS.get(midx)
+        if k is None:
+            if len(midx) == 3 and all(isinstance(m, (int, np.integer))
+                                      and m >= 0 for m in midx):
+                raise DegreeOverflow(
+                    f"order {sum(midx)} exceeds jet degree {DEGREE}")
+            raise ValueError(f"not a multi-index (az, ay, ax) of nonnegative "
+                             f"integers: {midx!r}")
         return self.coeffs[k] * _FACT[k]
 
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b = _align(self.coeffs, other.coeffs)
             return Jet(a + b)
-        j = Jet(np.array(self.coeffs, copy=True))
-        j.coeffs[0] += other
+        # a constant, one value or one per point, moves the value alone; its
+        # shape broadcasts against the batch axes as numpy shapes do
+        value = np.asarray(other)
+        batch = self.coeffs.shape[1:]
+        shape = np.broadcast_shapes(batch, value.shape)
+        a = self.coeffs.reshape(
+            (N_COEFFS,) + (1,) * (len(shape) - len(batch)) + batch)
+        j = Jet(np.broadcast_to(a, (N_COEFFS,) + shape).copy())
+        j.coeffs[0] += value
         return j
 
     __radd__ = __add__
@@ -135,8 +165,12 @@ class Jet:
             a, b = _align(self.coeffs, other.coeffs)
             prod = a[_PROD_I] * b[_PROD_J]
             out = np.zeros((N_COEFFS,) + prod.shape[1:], dtype=complex)
-            np.add.at(out, _PROD_K, prod)
-            return Jet(out)
+            for lo, hi in _ROUNDS:
+                acc = out[:hi - lo]
+                # term + sum, the operand order of np.add.at on batches (it
+                # decides only the sign of a NaN sum of two NaNs)
+                np.add(prod[lo:hi], acc, out=acc)
+            return Jet(out[_UNSORT])
         return Jet(self.coeffs * other)
 
     __rmul__ = __mul__
@@ -172,11 +206,17 @@ def substitute(outer_coeffs: np.ndarray, deltas) -> Jet:
             ps.append(ps[-1] * d)
         powers.append(ps)
     out = Jet()
+    # (a, b) -> powers[0][a] * powers[1][b], shared by every c and dropped
+    # after the last one, c = DEGREE - a - b
+    head = {}
     for k, (a, b, c) in enumerate(MULTI_INDICES):
         co = outer_coeffs[k]
         if not np.any(co):
             continue
-        term = powers[0][a] * powers[1][b] * powers[2][c]
+        if (a, b) not in head:
+            head[a, b] = powers[0][a] * powers[1][b]
+        shared = head.pop((a, b)) if a + b + c == DEGREE else head[a, b]
+        term = shared * powers[2][c]
         al, bl = _align(term.coeffs, np.asarray(co)[None, ...])
         out = out + Jet(al * bl)
     return out

@@ -4,9 +4,11 @@
 
 prints one line per row whose lhs, rhs, error or verdict differs: the change
 of lhs and of rhs (NEW - OLD), the relative error before and after, and the
-verdict before and after, followed by a summary line.  Exit codes: 0 when
-both reports have the same row names in the same order and the same
-verdicts, 1 when they do not, 2 on unreadable input.
+verdict before and after, followed by a summary line and, when both
+reports carry per-suite `timings`, one line of NEW/OLD time ratios for the
+suites both ran.  Exit codes: 0 when both reports have the same row names
+in the same order and the same verdicts, 1 when they do not, 2 on
+unreadable input.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ def _diff_rows(old: dict, new: dict):
     return lines, same
 
 
+def _time_ratios(old: dict, new: dict):
+    """One line of NEW/OLD seconds per suite both reports timed, or None
+    when either report has no `timings`."""
+    if "timings" not in old or "timings" not in new:
+        return None
+    ratios = []
+    for name, t in old["timings"].items():
+        t_new = new["timings"].get(name)
+        if t_new is not None:
+            ratios.append(f"{name} {t_new / t:.2f}" if t > 0
+                          else f"{name} n/a")
+    return "time NEW/OLD: " + ", ".join(ratios)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m lgha.report_diff",
@@ -75,10 +91,13 @@ def main(argv=None) -> int:
             with open(path) as fh:
                 reports.append(json.load(fh))
         lines, same = _diff_rows(*reports)
-    except (OSError, ValueError, KeyError, TypeError) as ex:
+        ratios = _time_ratios(*reports)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as ex:
         print(f"report_diff: {ex}", file=sys.stderr)
         return 2
     print("\n".join(lines))
+    if ratios is not None:
+        print(ratios)
     return 0 if same else 1
 
 

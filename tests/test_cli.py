@@ -152,6 +152,26 @@ def test_hormander_suite_report_schema(tmp_path):
             assert key in check
 
 
+def test_report_times_each_suite_outside_the_rows(monkeypatch):
+    import time
+
+    def suite(seconds, name):
+        def run(cfg):
+            time.sleep(seconds)
+            return [{"name": name, "pass": True}]
+        return run
+
+    monkeypatch.setattr(cli, "SUITES", {"slow": suite(0.05, "s"),
+                                        "quick": suite(0.0, "q")})
+    report = cli.run_suite("all", cli.SuiteConfig())
+    timings = report["timings"]
+    assert list(timings) == ["slow", "quick"]
+    assert timings["slow"] >= 0.05 and 0.0 <= timings["quick"] < 0.05
+    assert report["summary"]["wall_time_s"] >= 0.05
+    assert report["checks"] == [{"name": "s", "pass": True},
+                                {"name": "q", "pass": True}]
+
+
 def test_csv_format(tmp_path):
     out = tmp_path / "report.csv"
     proc = run_cli("--suite", "hormander", "--seed", "3", "--out", str(out),

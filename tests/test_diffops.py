@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from lgha import diffops as D
-from lgha.jets import (DegreeOverflow, GaussianBump, Jet, PlaneWave,
-                       standard_corpus)
+from lgha.jets import (DEGREE, MULTI_INDICES, N_COEFFS, DegreeOverflow,
+                       GaussianBump, Jet, PlaneWave, _align, standard_corpus,
+                       substitute)
 
 rng = np.random.default_rng(606)
 
@@ -72,6 +73,154 @@ def test_degree_overflow():
     op = D.PolyDiffOp({(5, 0, 0): D.ONE})
     with pytest.raises(DegreeOverflow):
         op.apply(f, (0.0, 0.0, 0.0))
+
+
+def test_deriv_rejects_a_malformed_multi_index():
+    zj, _, _ = Jet.coordinates((0.1, 0.2, 0.3))
+    for midx in ((-1, 2, 0), (1, 1), (1, 0, 0, 0), (0.5, 0.5, 0)):
+        with pytest.raises(ValueError, match="not a multi-index") as info:
+            zj.deriv(midx)
+        assert not isinstance(info.value, DegreeOverflow)
+        assert repr(tuple(midx)) in str(info.value)
+    with pytest.raises(DegreeOverflow):
+        zj.deriv((2, 2, 1))
+    assert zj.deriv(np.array([1, 0, 0])) == 1.0
+
+
+def _cplx(gen, *shape):
+    return gen.normal(size=shape) + 1j * gen.normal(size=shape)
+
+
+def test_adding_an_array_broadcasts_the_jet_over_its_points():
+    values = np.array([0.5, -1.0, 2.0])
+    for got in (Jet.const(1.0) + values, values + Jet.const(1.0)):
+        assert got.coeffs.shape == (N_COEFFS, 3)
+        assert np.array_equal(got.value, 1.0 + values)
+        assert not np.any(got.coeffs[1:])
+    assert np.array_equal((Jet.const(1.0) - values).value, 1.0 - values)
+    assert np.array_equal((values - Jet.const(1.0)).value, values - 1.0)
+    # a jet that already carries the points: the old in-place path, bit for
+    # bit, -0.0 coefficients included
+    coeffs = _cplx(rng, N_COEFFS, 3)
+    coeffs[5] = complex(-0.0, -0.0)
+    want = coeffs.copy()
+    want[0] += values
+    assert (Jet(coeffs) + values).coeffs.tobytes() == want.tobytes()
+    assert (Jet(coeffs) + 2.5).coeffs[1:].tobytes() == coeffs[1:].tobytes()
+    grid = rng.normal(size=(N_COEFFS, 2, 3)) + 0j
+    want = grid.copy()
+    want[0] += values
+    assert (Jet(grid) + values).coeffs.tobytes() == want.tobytes()
+
+
+def _jet_product_oracle(a, b):
+    """The truncated product of two coefficient arrays, point by point in
+    plain Python: coefficient k sums a[i]*b[j] over the pairs with
+    m_i + m_j = m_k, in table order (i, then j), starting from zero."""
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    a = np.broadcast_to(a.reshape(a.shape + (1,) * (len(shape) + 1 - a.ndim)),
+                        (N_COEFFS,) + shape)
+    b = np.broadcast_to(b.reshape(b.shape + (1,) * (len(shape) + 1 - b.ndim)),
+                        (N_COEFFS,) + shape)
+    pairs = [[(i, j) for i, mi in enumerate(MULTI_INDICES)
+              for j, mj in enumerate(MULTI_INDICES)
+              if tuple(p + q for p, q in zip(mi, mj)) == mk]
+             for mk in MULTI_INDICES]
+    out = np.zeros((N_COEFFS,) + shape, dtype=complex)
+    for point in np.ndindex(shape):
+        ap = [complex(v) for v in a[(slice(None),) + point]]
+        bp = [complex(v) for v in b[(slice(None),) + point]]
+        for k, kpairs in enumerate(pairs):
+            acc = 0j
+            for i, j in kpairs:
+                acc = ap[i] * bp[j] + acc
+            out[(k,) + point] = acc
+    return out
+
+
+def _bits(z):
+    """The bytes of a complex array with every NaN part made one NaN:
+    IEEE 754 fixes neither the sign nor the payload of a NaN that arithmetic
+    makes, and numpy's SIMD loops and Python order NaN operands differently."""
+    parts = np.ascontiguousarray(z).view(float)
+    return np.where(np.isnan(parts), np.nan, parts).tobytes()
+
+
+def _product_factors(gen, shape):
+    """A pair of coefficient arrays whose products a[i]*b[j] are exact (a
+    holds signed powers of two, real or imaginary, and signed zeros), so a
+    product's bits depend on its summation order alone, not on whether the
+    complex multiply fuses, with NaN, inf and -0.0 among both factors."""
+    size = (N_COEFFS,) + shape
+    a = (2.0 ** gen.integers(-3, 4, size=size)
+         * gen.choice([1, -1, 1j, -1j], size=size))
+    b = _cplx(gen, *size)
+    specials = [np.nan, complex(np.inf, 0.0), complex(-np.inf, 0.0),
+                complex(-0.0, -0.0), complex(0.0, -0.0), complex(np.nan, 1.0)]
+    for arr in (a, b):
+        flat = arr.reshape(-1)
+        pick = gen.permutation(flat.size)[:4 * (flat.size // 35 + 1)]
+        for n, p in enumerate(pick):
+            flat[p] = specials[n % len(specials)]
+    return a, b
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_jet_product_matches_the_plain_python_oracle():
+    gen = np.random.default_rng(617)
+    for sa, sb in (((), ()), ((100,), (100,)), ((), (100,)), ((100,), ())):
+        a, _ = _product_factors(gen, sa)
+        _, b = _product_factors(gen, sb)
+        for x, y in ((a, b), (b, a)):
+            got = (Jet(x) * Jet(y)).coeffs
+            want = _jet_product_oracle(x, y)
+            assert got.shape == want.shape
+            assert _bits(got) == _bits(want), (sa, sb)
+            if not sa:
+                assert np.isnan(got).any() and np.isinf(got).any()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_batched_product_equals_the_pointwise_products():
+    gen = np.random.default_rng(618)
+    a, b = _product_factors(gen, (100,))
+    batch = (Jet(a) * Jet(b)).coeffs
+    for p in range(100):
+        point = (Jet(a[:, p]) * Jet(b[:, p])).coeffs
+        assert _bits(batch[:, p]) == _bits(point)
+    # generic factors: both shapes go through the same multiply
+    a, b = _cplx(gen, N_COEFFS, 100), _cplx(gen, N_COEFFS, 100)
+    batch = (Jet(a) * Jet(b)).coeffs
+    for p in range(100):
+        point = (Jet(a[:, p]) * Jet(b[:, p])).coeffs
+        assert batch[:, p].tobytes() == point.tobytes()
+
+
+def test_substitute_equals_the_three_factor_form():
+    gen = np.random.default_rng(619)
+    for shape in ((), (100,)):
+        outer = _cplx(gen, N_COEFFS, *shape)
+        outer[7] = 0.0  # a zero coefficient is skipped in both forms
+        deltas = []
+        for _ in range(3):
+            d = Jet(_cplx(gen, N_COEFFS, *shape))
+            d.coeffs[0] = 0.0
+            deltas.append(d)
+        powers = []
+        for d in deltas:
+            ps = [Jet.const(1.0)]
+            for _ in range(DEGREE):
+                ps.append(ps[-1] * d)
+            powers.append(ps)
+        want = Jet()
+        for k, (a, b, c) in enumerate(MULTI_INDICES):
+            if not np.any(outer[k]):
+                continue
+            term = powers[0][a] * powers[1][b] * powers[2][c]
+            al, bl = _align(term.coeffs, np.asarray(outer[k])[None, ...])
+            want = want + Jet(al * bl)
+        got = substitute(outer, deltas)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -42,3 +42,33 @@ def test_report_diff_lists_moved_rows_and_flags_verdicts(tmp_path, capsys):
 
     assert report_diff.main([str(tmp_path / "old.json"),
                              str(tmp_path / "missing.json")]) == 2
+
+
+def test_report_diff_prints_time_ratios_when_both_reports_are_timed(
+        tmp_path, capsys):
+    def run(old, new):
+        paths = []
+        for label, rep in (("old", old), ("new", new)):
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps(rep))
+            paths.append(str(path))
+        return report_diff.main(paths), capsys.readouterr().out
+
+    untimed = _report(("a", 1e-9, True))
+    timed = dict(untimed, timings={"groups": 2.0, "hormander": 0.0,
+                                   "so4": 1.0})
+    faster = dict(untimed, timings={"groups": 1.0, "hormander": 0.01})
+    code, out = run(timed, faster)
+    assert code == 0
+    assert out.splitlines() == [
+        "1 rows in OLD, 1 in NEW, 0 moved; names and verdicts agree",
+        "time NEW/OLD: groups 0.50, hormander n/a"]
+    for old, new in ((untimed, faster), (timed, untimed)):
+        code, out = run(old, new)
+        assert code == 0 and "time" not in out
+        assert out.strip().endswith("0 moved; names and verdicts agree")
+    code, out = run(timed, dict(_report(("a", 1e-3, False)),
+                                timings={"groups": 4.0}))
+    assert code == 1 and out.strip().endswith("time NEW/OLD: groups 2.00")
+    code, _ = run(timed, dict(untimed, timings=[1.0]))
+    assert code == 2
