@@ -83,7 +83,7 @@ def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=COUNT):
     compact group, and each 1-D factor is sampled once on count nodes of its
     own suggested box.  The character of the diagonal part is the Euclidean
     phase exp(-i lambda . t) in the logA chart."""
-    uvals = pw.compact_group(quad).synthesize(f.u, quad)
+    uvals = pw.synthesize(f.u, quad)
     compact = pw.compact_plancherel_check(uvals, quad, J)
     lhs, rhs = compact["lhs"], compact["rhs"]
     spectra = []

@@ -62,13 +62,12 @@ class DegreeOverflow(ValueError):
 
 
 def _align(a: np.ndarray, b: np.ndarray):
-    """Pad trailing (batch) axes so jets with scalar and batched coefficient
-    arrays combine: both arrays lead with the coefficient axis."""
+    """Pad the shorter batch shape with leading axes, right after the
+    coefficient axis both arrays lead with, so batch shapes broadcast as
+    numpy shapes do: (3, 5) against (5,) or against ()."""
     nd = max(a.ndim, b.ndim)
-    if a.ndim < nd:
-        a = a.reshape(a.shape + (1,) * (nd - a.ndim))
-    if b.ndim < nd:
-        b = b.reshape(b.shape + (1,) * (nd - b.ndim))
+    a = a.reshape(a.shape[:1] + (1,) * (nd - a.ndim) + a.shape[1:])
+    b = b.reshape(b.shape[:1] + (1,) * (nd - b.ndim) + b.shape[1:])
     return a, b
 
 
@@ -171,7 +170,9 @@ class Jet:
                 # decides only the sign of a NaN sum of two NaNs)
                 np.add(prod[lo:hi], acc, out=acc)
             return Jet(out[_UNSORT])
-        return Jet(self.coeffs * other)
+        # a constant, one value or one per point, scales every coefficient
+        a, b = _align(self.coeffs, np.asarray(other)[None])
+        return Jet(a * b)
 
     __rmul__ = __mul__
 
@@ -216,9 +217,7 @@ def substitute(outer_coeffs: np.ndarray, deltas) -> Jet:
         if (a, b) not in head:
             head[a, b] = powers[0][a] * powers[1][b]
         shared = head.pop((a, b)) if a + b + c == DEGREE else head[a, b]
-        term = shared * powers[2][c]
-        al, bl = _align(term.coeffs, np.asarray(co)[None, ...])
-        out = out + Jet(al * bl)
+        out = out + shared * powers[2][c] * co
     return out
 
 

@@ -9,6 +9,10 @@ Kronecker product of two Wigner D matrices.
 U(2) is realized as (U(1) x SU(2)) / Z2: a label is an integer pair
 m1 >= m2, with dimension m1 - m2 + 1, acting as the phase character
 exp(i theta (m1+m2)) times D^{(m1-m2)/2}.
+
+Both are two-factor products, so one transform and its adjoint synthesis,
+matrix products over the two node sets, serve both; the pointwise
+evaluations (so4_rep, compact_inverse) stay apart from them as oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ __all__ = [
     "so4_labels", "so4_dim", "so4_rep", "CompactSpectrum",
     "compact_transform", "synthesize", "compact_inverse",
     "convolution_order_error",
-    "u2_labels", "u2_dim", "u2_transform", "u2_synthesize",
+    "u2_labels", "u2_dim",
     "CompactGroup", "compact_group", "compact_plancherel_check",
     "random_spectrum", "random_band_limited",
 ]
@@ -226,44 +230,6 @@ class CompactSpectrum:
                          for lbl, c in self.coeffs.items()))
 
 
-def _dstacks(quad: SU2Quad, js):
-    return {j: wigner_D_stack(j, quad.euler) for j in sorted(set(js))}
-
-
-def compact_transform(f_values: np.ndarray, quad: EulerQuadSO4, J) -> CompactSpectrum:
-    """Tf(label) = sum over nodes of w * f(k) * rep(k^{-1}).
-
-    f_values has shape (n_left, n_right) over the product node set.
-    """
-    labels = so4_labels(J)
-    left = _dstacks(quad.left, [l[0] for l in labels])
-    right = _dstacks(quad.right, [l[1] for l in labels])
-    wl, wr = quad.left.weights, quad.right.weights
-    out = {}
-    for (j1, j2) in labels:
-        d1inv = left[j1].conj().transpose(0, 2, 1)
-        d2inv = right[j2].conj().transpose(0, 2, 1)
-        a = np.einsum("n,nm,nij->mij", wl, f_values, d1inv)
-        t = np.einsum("m,mij,mkl->ikjl", wr, a, d2inv)
-        dd = t.shape[0] * t.shape[1]
-        out[(j1, j2)] = t.reshape(dd, dd)
-    return CompactSpectrum(out)
-
-
-def synthesize(spec: CompactSpectrum, quad: EulerQuadSO4) -> np.ndarray:
-    """f(k) = sum over labels of d * tr[C_label rep(k)] on the node set."""
-    left = _dstacks(quad.left, [l[0] for l in spec.coeffs])
-    right = _dstacks(quad.right, [l[1] for l in spec.coeffs])
-    n, m = quad.left.node_count, quad.right.node_count
-    vals = np.zeros((n, m), dtype=complex)
-    for (j1, j2), c in spec.coeffs.items():
-        d1, d2 = left[j1], right[j2]
-        k1, k2 = d1.shape[1], d2.shape[1]
-        c4 = c.reshape(k1, k2, k1, k2)
-        vals += so4_dim((j1, j2)) * np.einsum("ikjl,nji,mlk->nm", c4, d1, d2)
-    return vals
-
-
 def compact_inverse(spec: CompactSpectrum, euler_left, euler_right) -> complex:
     """Pointwise inversion f(x) = sum d tr[Tf(label) rep(x)]."""
     val = 0.0 + 0.0j
@@ -331,57 +297,84 @@ def u2_labels(M):
     return out
 
 
-def u2_transform(f_values: np.ndarray, quad: U2Quad, M: int) -> CompactSpectrum:
-    """f_values has shape (n_theta, n_su2)."""
-    labels = u2_labels(M)
-    stacks = _dstacks(quad.su2, [(m1 - m2) / 2.0 for (m1, m2) in labels])
-    out = {}
-    for (m1, m2) in labels:
-        j = (m1 - m2) / 2.0
-        dinv = stacks[j].conj().transpose(0, 2, 1)
-        ph = np.exp(-1j * quad.theta * (m1 + m2)) * quad.theta_weights
-        a = np.einsum("t,tn->n", ph, f_values)
-        out[(m1, m2)] = np.einsum("n,n,nij->ij", quad.su2.weights, a, dinv)
-    return CompactSpectrum(out)
-
-
-def u2_synthesize(spec: CompactSpectrum, quad: U2Quad) -> np.ndarray:
-    stacks = _dstacks(quad.su2, [(m1 - m2) / 2.0 for (m1, m2) in spec.coeffs])
-    vals = np.zeros((quad.theta.size, quad.su2.node_count), dtype=complex)
-    for (m1, m2), c in spec.coeffs.items():
-        j = (m1 - m2) / 2.0
-        tr = np.einsum("ij,nji->n", c, stacks[j])
-        vals += u2_dim((m1, m2)) * np.outer(np.exp(1j * quad.theta * (m1 + m2)), tr)
-    return vals
-
-
 # ---------------------------------------------------------------------------
-# either compact factor, chosen by the type of the quadrature
+# both compact groups as two-factor products, chosen by the type of the
+# quadrature: one transform and its adjoint synthesis
 # ---------------------------------------------------------------------------
 
 
 class CompactGroup(NamedTuple):
-    """The label set, dimensions, transform, synthesis and product node
-    weights of one compact group."""
+    """The label set, dimensions, factor stacks and product node weights of
+    one compact group.  factors(labels) maps each label to its left
+    (n_left, a, a) and right (n_right, b, b) stacks on the two node sets;
+    its representation at the node pair (n, m) is left[n] kron right[m]."""
 
     labels: Callable
     dim: Callable
-    transform: Callable
-    synthesize: Callable
+    factors: Callable
     weights: np.ndarray
 
 
 def compact_group(quad) -> CompactGroup:
-    """SO(4) for an EulerQuadSO4, U(2) for a U2Quad.  The functions are
-    looked up when called, so a rebinding of a module attribute (a tracer, a
-    test double) reaches them."""
+    """SO(4) for an EulerQuadSO4: D^{j1} on the left nodes, D^{j2} on the
+    right.  U(2) for a U2Quad: the phase exp(i theta (m1+m2)) as a 1 x 1
+    stack on the theta nodes, D^{(m1-m2)/2} on the SU(2) nodes.  The only
+    place that tells the two groups apart."""
     if isinstance(quad, EulerQuadSO4):
-        return CompactGroup(so4_labels, so4_dim, compact_transform, synthesize,
+        def factors(labels):
+            left = _dstacks(quad.left, [l[0] for l in labels])
+            right = _dstacks(quad.right, [l[1] for l in labels])
+            return {l: (left[l[0]], right[l[1]]) for l in labels}
+
+        return CompactGroup(so4_labels, so4_dim, factors,
                             np.outer(quad.left.weights, quad.right.weights))
     if isinstance(quad, U2Quad):
-        return CompactGroup(u2_labels, u2_dim, u2_transform, u2_synthesize,
+        def factors(labels):
+            right = _dstacks(quad.su2, [(m1 - m2) / 2.0 for m1, m2 in labels])
+            return {(m1, m2): (np.exp(1j * quad.theta * (m1 + m2))[:, None, None],
+                               right[(m1 - m2) / 2.0])
+                    for m1, m2 in labels}
+
+        return CompactGroup(u2_labels, u2_dim, factors,
                             np.outer(quad.theta_weights, quad.su2.weights))
     raise TypeError(f"no compact group for {type(quad).__name__}")
+
+
+def _dstacks(quad: SU2Quad, js):
+    return {j: wigner_D_stack(j, quad.euler) for j in sorted(set(js))}
+
+
+def compact_transform(f_values: np.ndarray, quad, J) -> CompactSpectrum:
+    """Tf(label) = sum over nodes of w * f(k) * rep(k^{-1}) for every label
+    up to band limit J.
+
+    f_values has shape (n_left, n_right) over the product node set.  With
+    A, B the factor stacks of compact_group flattened to (n, a * a), entry
+    [n, j * a + i] = left[n, j, i], each label is A^H (w f) conj(B),
+    reordered to the label matrix: the adjoint of synthesize.
+    """
+    group = compact_group(quad)
+    wf = group.weights * f_values
+    out = {}
+    for lbl, (left, right) in group.factors(group.labels(J)).items():
+        a, b = left.shape[-1], right.shape[-1]
+        t = left.reshape(-1, a * a).conj().T @ wf @ right.reshape(-1, b * b).conj()
+        out[lbl] = t.reshape(a, a, b, b).transpose(1, 3, 0, 2).reshape(a * b, a * b)
+    return CompactSpectrum(out)
+
+
+def synthesize(spec: CompactSpectrum, quad) -> np.ndarray:
+    """f(k) = sum over labels of d * tr[C_label rep(k)] on the node set:
+    d (A @ C') @ B^T per label, with A, B as in compact_transform and C' the
+    label matrix reordered to them."""
+    group = compact_group(quad)
+    vals = np.zeros(group.weights.shape, dtype=complex)
+    for lbl, (left, right) in group.factors(list(spec.coeffs)).items():
+        a, b = left.shape[-1], right.shape[-1]
+        c = spec.coeffs[lbl].reshape(a, b, a, b).transpose(2, 0, 3, 1)
+        vals += (a * b) * (left.reshape(-1, a * a) @ c.reshape(a * a, b * b)) \
+            @ right.reshape(-1, b * b).T
+    return vals
 
 
 def compact_plancherel_check(f_values: np.ndarray, quad, J):
@@ -390,7 +383,7 @@ def compact_plancherel_check(f_values: np.ndarray, quad, J):
     group = compact_group(quad)
     mass = np.abs(f_values) ** 2 * group.weights
     lhs = float(pairwise_sum(mass.ravel()).real)
-    spec = group.transform(f_values, quad, J)
+    spec = compact_transform(f_values, quad, J)
     rhs = spec.hs_norm2_weighted(group.dim)
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
@@ -411,4 +404,4 @@ def random_band_limited(rng, J, quad):
     """Random coefficient table and its synthesized node values; by Schur
     orthogonality the transform of the synthesis returns the table."""
     spec = random_spectrum(rng, J, quad)
-    return spec, compact_group(quad).synthesize(spec, quad)
+    return spec, synthesize(spec, quad)

@@ -117,11 +117,11 @@ def _jet_product_oracle(a, b):
     """The truncated product of two coefficient arrays, point by point in
     plain Python: coefficient k sums a[i]*b[j] over the pairs with
     m_i + m_j = m_k, in table order (i, then j), starting from zero."""
+    # batch shapes broadcast as numpy shapes do, the coefficient axis aside
     shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    a = np.broadcast_to(a.reshape(a.shape + (1,) * (len(shape) + 1 - a.ndim)),
-                        (N_COEFFS,) + shape)
-    b = np.broadcast_to(b.reshape(b.shape + (1,) * (len(shape) + 1 - b.ndim)),
-                        (N_COEFFS,) + shape)
+    a, b = (np.moveaxis(np.broadcast_to(np.moveaxis(x, 0, -1),
+                                        shape + (N_COEFFS,)), -1, 0)
+            for x in (a, b))
     pairs = [[(i, j) for i, mi in enumerate(MULTI_INDICES)
               for j, mj in enumerate(MULTI_INDICES)
               if tuple(p + q for p, q in zip(mi, mj)) == mk]
@@ -168,7 +168,8 @@ def _product_factors(gen, shape):
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_jet_product_matches_the_plain_python_oracle():
     gen = np.random.default_rng(617)
-    for sa, sb in (((), ()), ((100,), (100,)), ((), (100,)), ((100,), ())):
+    for sa, sb in (((), ()), ((100,), (100,)), ((), (100,)), ((100,), ()),
+                   ((3, 5), (5,))):
         a, _ = _product_factors(gen, sa)
         _, b = _product_factors(gen, sb)
         for x, y in ((a, b), (b, a)):
@@ -178,6 +179,20 @@ def test_jet_product_matches_the_plain_python_oracle():
             assert _bits(got) == _bits(want), (sa, sb)
             if not sa:
                 assert np.isnan(got).any() and np.isinf(got).any()
+
+
+def test_jet_batch_shapes_broadcast_as_numpy_shapes():
+    # (3, 5) against (5,): the shorter batch shape gains leading axes (the
+    # product is checked against the oracle above)
+    gen = np.random.default_rng(620)
+    a, b = _cplx(gen, N_COEFFS, 3, 5), _cplx(gen, N_COEFFS, 5)
+    for total in (Jet(a) + Jet(b), Jet(b) + Jet(a)):
+        assert np.array_equal(total.coeffs, a + b[:, None])
+    ones = Jet.const(np.ones((3, 5))) * Jet.const(np.ones(5))
+    assert np.array_equal(ones.value, np.ones((3, 5)))
+    # a jet at one point times one value per point
+    scaled = Jet(b[:, 0]) * np.arange(5.0)
+    assert np.array_equal(scaled.coeffs, b[:, :1] * np.arange(5.0))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")

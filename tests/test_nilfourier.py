@@ -154,20 +154,33 @@ def test_lifted_convolution_on_slice_and_off_slice():
     assert res_off["rel_err"] > 3 * res_on["rel_err"]
 
 
-def _heis_conv_grid(phi_vals, gpts, mpts, mu, sig, kvec, weight):
+def _heis_conv_grid(phi_vals, axes, mpts, mu, sig, kvec, weight):
     """out[m] = weight * sum_g phi[g] psi(g^{-1} . pt[m]) on the
-    three-parameter group, psi(p) = exp(-|p - mu|^2 / (2 sig^2)) exp(i k.p)."""
-    out = np.empty(mpts.shape[0], dtype=np.complex128)
+    three-parameter group, psi(p) = exp(-|p - mu|^2 / (2 sig^2)) exp(i k.p),
+    with g over the tensor grid of the node arrays axes = (z, y, x).
+
+    Of g^{-1} . m = (pz, py, px), only pz = (mz - z) + (mx y - my x) mixes
+    the axes, so a target's grid-sized work is one real Gaussian in pz; the
+    other factors of psi are one-axis or (y, x) arrays.  Targets go in
+    blocks, about 2 MB per grid-sized array."""
+    z, y, x = axes
+    phi = phi_vals.reshape(z.size, y.size, x.size)
     inv_two_s2 = 1.0 / (2.0 * sig * sig)
-    for i in range(mpts.shape[0]):
-        mz, my, mx = mpts[i]
-        pz = mz - gpts[:, 0] - gpts[:, 2] * my + mx * gpts[:, 1]
-        py = my - gpts[:, 1]
-        px = mx - gpts[:, 2]
-        arg = (pz - mu[0]) ** 2 + (py - mu[1]) ** 2 + (px - mu[2]) ** 2
-        vals = phi_vals * np.exp(-arg * inv_two_s2) \
-            * np.exp(1j * (kvec[0] * pz + kvec[1] * py + kvec[2] * px))
-        out[i] = vals.sum() * weight
+    out = np.empty(mpts.shape[0], dtype=np.complex128)
+    step = max(1, 2 ** 18 // phi.size)
+    for lo in range(0, mpts.shape[0], step):
+        mz, my, mx = (mpts[lo:lo + step, k, None] for k in range(3))
+        uz = mz - z
+        cyx = (mx * y)[:, :, None] - (my * x)[:, None, :]
+        py, px = my - y, mx - x
+        pz = uz[:, :, None, None] + cyx[:, None]
+        gauss_z = np.exp(-(pz - mu[0]) ** 2 * inv_two_s2)
+        wave_z = np.exp(1j * kvec[0] * uz)
+        rest = np.exp(1j * kvec[0] * cyx
+                      + (1j * kvec[1] * py - (py - mu[1]) ** 2 * inv_two_s2)[:, :, None]
+                      + (1j * kvec[2] * px - (px - mu[2]) ** 2 * inv_two_s2)[:, None, :])
+        inner = np.einsum("bzyx,zyx,bz->byx", gauss_z, phi, wave_z)
+        out[lo:lo + step] = np.einsum("byx,byx->b", inner, rest) * weight
     return out
 
 
@@ -193,8 +206,10 @@ def test_convolution_associativity_three_parameter_group():
     w = grid.axes[0].step ** 3
     at = np.array([0.3, -0.2, 0.1])
 
+    nodes = [ax.nodes() for ax in grid.axes]
+
     def conv(a_vals, b_mu, b_k, targets):
-        return _heis_conv_grid(a_vals, pts, targets, b_mu, sig, b_k, w)
+        return _heis_conv_grid(a_vals, nodes, targets, b_mu, sig, b_k, w)
 
     shifted = G.heis_mul(-pts, np.broadcast_to(at, pts.shape))  # g^{-1} at
     # left association: c = phi * psi on the grid, then c * f at the point

@@ -221,13 +221,108 @@ def test_inversion_and_plancherel_band_limited():
 def test_u2_transform_roundtrip_and_plancherel():
     quad = u2_quadrature(1)
     spec, vals = pw.random_band_limited(rng, 1, quad)
-    back = pw.u2_transform(vals, quad, 1)
+    back = pw.compact_transform(vals, quad, 1)
     err = max(np.max(np.abs(back.coeffs[l] - spec.coeffs[l]))
               for l in spec.coeffs)
     assert err < 1e-12
     res = pw.compact_plancherel_check(vals, quad, 1)
     assert res["rel_err"] < 1e-10
     assert list(res["spectrum"].coeffs) == pw.u2_labels(1)
+
+
+def _so4_transform_reference(f_values, quad, J):
+    """The per-label SO(4) transform as two einsum steps, kept as a
+    reference for the matrix-product compact_transform."""
+    out = {}
+    for j1, j2 in pw.so4_labels(J):
+        d1inv = pw.wigner_D_stack(j1, quad.left.euler).conj().transpose(0, 2, 1)
+        d2inv = pw.wigner_D_stack(j2, quad.right.euler).conj().transpose(0, 2, 1)
+        a = np.einsum("n,nm,nij->mij", quad.left.weights, f_values, d1inv)
+        t = np.einsum("m,mij,mkl->ikjl", quad.right.weights, a, d2inv)
+        dd = t.shape[0] * t.shape[1]
+        out[(j1, j2)] = t.reshape(dd, dd)
+    return out
+
+
+def _so4_synthesize_reference(spec, quad):
+    """The per-label SO(4) synthesis as one five-index einsum."""
+    vals = 0.0
+    for (j1, j2), c in spec.coeffs.items():
+        d1 = pw.wigner_D_stack(j1, quad.left.euler)
+        d2 = pw.wigner_D_stack(j2, quad.right.euler)
+        k1, k2 = d1.shape[1], d2.shape[1]
+        c4 = c.reshape(k1, k2, k1, k2)
+        vals = vals + k1 * k2 * np.einsum("ikjl,nji,mlk->nm", c4, d1, d2)
+    return vals
+
+
+def _u2_transform_reference(f_values, quad, M):
+    """The per-label U(2) transform: a phase sum over theta, then the SU(2)
+    factor."""
+    out = {}
+    for m1, m2 in pw.u2_labels(M):
+        dinv = pw.wigner_D_stack((m1 - m2) / 2.0, quad.su2.euler)
+        dinv = dinv.conj().transpose(0, 2, 1)
+        ph = np.exp(-1j * quad.theta * (m1 + m2)) * quad.theta_weights
+        a = np.einsum("t,tn->n", ph, f_values)
+        out[(m1, m2)] = np.einsum("n,n,nij->ij", quad.su2.weights, a, dinv)
+    return out
+
+
+def _u2_synthesize_reference(spec, quad):
+    """The per-label U(2) synthesis: the phase times the trace against D."""
+    vals = 0.0
+    for (m1, m2), c in spec.coeffs.items():
+        tr = np.einsum("ij,nji->n", c, pw.wigner_D_stack((m1 - m2) / 2.0,
+                                                          quad.su2.euler))
+        vals = vals + pw.u2_dim((m1, m2)) * np.outer(
+            np.exp(1j * quad.theta * (m1 + m2)), tr)
+    return vals
+
+
+_REFERENCE_CASES = (
+    (so4_quadrature(2.0), 2.0, _so4_transform_reference, _so4_synthesize_reference),
+    (u2_quadrature(1), 1, _u2_transform_reference, _u2_synthesize_reference),
+)
+
+
+def _random_node_values(gen, quad):
+    shape = pw.compact_group(quad).weights.shape
+    return gen.normal(size=shape) + 1j * gen.normal(size=shape)
+
+
+@pytest.mark.parametrize("quad, J, transform_ref, synthesize_ref",
+                         _REFERENCE_CASES, ids=("so4", "u2"))
+def test_transform_pair_matches_per_label_references(quad, J, transform_ref,
+                                                     synthesize_ref):
+    gen = np.random.default_rng(3033)
+    spec = pw.random_spectrum(gen, J, quad)
+    vals = pw.synthesize(spec, quad)
+    ref = synthesize_ref(spec, quad)
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # a node function outside the band limit, so every label sees noise
+    f = _random_node_values(gen, quad)
+    tf = pw.compact_transform(f, quad, J).coeffs
+    ref = transform_ref(f, quad, J)
+    assert list(tf) == list(ref)
+    scale = max(np.max(np.abs(c)) for c in ref.values())
+    for lbl, c in ref.items():
+        assert np.max(np.abs(tf[lbl] - c)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("quad, J", [c[:2] for c in _REFERENCE_CASES],
+                         ids=("so4", "u2"))
+def test_synthesis_is_adjoint_of_transform(quad, J):
+    # sum_k w S(C) conj(f) = sum_labels d tr[C (Tf)^H] for any node values f
+    gen = np.random.default_rng(3034)
+    group = pw.compact_group(quad)
+    spec = pw.random_spectrum(gen, J, quad)
+    f = _random_node_values(gen, quad)
+    lhs = np.sum(group.weights * pw.synthesize(spec, quad) * f.conj())
+    tf = pw.compact_transform(f, quad, J).coeffs
+    rhs = sum(group.dim(l) * np.trace(c @ tf[l].conj().T)
+              for l, c in spec.coeffs.items())
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_random_spectrum_matches_per_label_loop():
@@ -254,7 +349,7 @@ def test_u2_rep_well_defined_on_quotient():
     su2 = SU2Quad(1.5, np.stack([e, e_neg]), np.full(2, 0.5))
     quad = U2Quad(2, np.array([0.7, 0.7 + np.pi]), np.full(2, 0.5), su2)
     c = np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)
-    vals = pw.u2_synthesize(pw.CompactSpectrum({(2, -1): c}), quad)
+    vals = pw.synthesize(pw.CompactSpectrum({(2, -1): c}), quad)
     assert abs(vals[0, 0] - vals[1, 1]) < 1e-12 * abs(vals[0, 0])
     assert abs(vals[0, 0] - vals[0, 1]) > 1e-3 * abs(vals[0, 0])
 
