@@ -233,10 +233,8 @@ def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
     tpts = np.stack([m.ravel() for m in t_mesh], axis=-1)
     n_w = np.prod([g.axes[0].step for g in n_grids])
     t_w = np.prod([g.axes[0].step for g in a_grids])
-    xi = np.array([s.freqs(s.axes[0])[i]
-                   for s, i in zip(n_spectra, n_freq_idx)])
-    lam = np.array([s.freqs(s.axes[0])[i]
-                    for s, i in zip(a_spectra, a_freq_idx)])
+    xi = np.array([g.axes[0].freqs()[i] for g, i in zip(n_grids, n_freq_idx)])
+    lam = np.array([g.axes[0].freqs()[i] for g, i in zip(a_grids, a_freq_idx)])
 
     pair_phase = np.outer(np.exp(-1j * npts @ xi), np.exp(-1j * tpts @ lam))
 

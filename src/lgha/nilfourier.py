@@ -145,30 +145,21 @@ def flat_shift_of_L(lpts, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _nil_grid(box, count, budget=DEFAULT_GRID_BUDGET):
-    if np.isscalar(box):
-        return box_grid(NIL_AXES, -box, box, count, budget=budget)
-    lo, hi = box
-    return box_grid(NIL_AXES, lo, hi, count, budget=budget)
-
-
 def _pointwise(fn):
     """A callable on (..., 6) arrays for a callable or a GaussProduct."""
     return fn.values if isinstance(fn, GaussProduct) else fn
 
 
-def convolve_N(phi, f, at, method: str = "grid", box=6.0,
-               count: int = 12, n: int = 1 << 20, seed: int = 0,
-               sampler=None):
-    """Noncommutative convolution (phi * f)(at) = int f(g^{-1} h) phi(g) dg.
+def convolve_N(phi, f, at, n: int, seed: int, sampler):
+    """Noncommutative convolution (phi * f)(at) = int f(g^{-1} h) phi(g) dg
+    by importance-sampled Monte Carlo, as an MCResult with its standard
+    error.
 
     phi and f are callables on (..., 6) arrays or GaussProduct functions.
     The integral is taken over u = g^{-1} h, a measure-preserving
-    substitution (unit Jacobian): f is evaluated plainly, phi at h u^{-1},
-    through the group law on both paths.  method="grid" samples the
-    integrand on the full count**6 tensor box grid (box is a half-width or a
-    (lo, hi) pair of 6-vectors) and sums it times the cell volume;
-    method="mc" uses importance sampling with a reported standard error.
+    substitution (unit Jacobian): f is evaluated plainly, phi at h u^{-1}
+    through the group law.  u is drawn, n samples from the given seed, from
+    the diagonal Gaussian sampler = (mean, sigma) of 6-vectors.
     """
     at = np.asarray(at, dtype=float)
     f_at, phi_at = _pointwise(f), _pointwise(phi)
@@ -177,17 +168,7 @@ def convolve_N(phi, f, at, method: str = "grid", box=6.0,
         return f_at(u) * phi_at(groups.nil_mul(np.broadcast_to(at, u.shape),
                                                groups.nil_inv(u)))
 
-    if method == "grid":
-        grid = _nil_grid(box, count)
-        fld = SampledField.from_callable(
-            grid, lambda *mesh: integrand(np.stack(mesh, axis=-1)))
-        cell = np.prod([ax.step for ax in grid.axes])
-        return complex(pairwise_sum(fld.values)) * cell
-    if method == "mc":
-        mean = np.zeros(6) if sampler is None else np.asarray(sampler[0], dtype=float)
-        sig = np.ones(6) if sampler is None else np.asarray(sampler[1], dtype=float)
-        return monte_carlo(integrand, mean, sig, n, seed)
-    raise ValueError("method must be 'grid' or 'mc'")
+    return monte_carlo(integrand, *sampler, n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +192,7 @@ def plancherel_N_check(f, box: float = 6.0, count: int = 14,
             lhs *= norm
             rhs *= spectral
     else:
-        grid = _nil_grid(box, count, budget)
+        grid = box_grid(NIL_AXES, -box, box, count, budget=budget)
         fld = SampledField.from_callable(
             grid, lambda *mesh: f(np.stack(mesh, axis=-1)))
         lhs = norm2(fld)
@@ -249,13 +230,13 @@ def parseval_N_check(f, phi, method: str = "grid", count: int = 16,
         # box margins stay proportional to the envelope width so the node
         # spacing tracks the integrand's bandwidth (polynomial factors
         # included)
-        axes = [Axis(name, "uniform-box", c - 7.5 * w - 0.3, c + 7.5 * w + 0.3,
-                     count) for name, c, w in zip(NIL_AXES, center, width)]
+        axes = [Axis(name, c - 7.5 * w - 0.3, c + 7.5 * w + 0.3, count)
+                for name, c, w in zip(NIL_AXES, center, width)]
         nodes = [ax.nodes() for ax in axes]
         lhs = 1.0
         for ax, fv, pv in zip(axes, f.factor_values(nodes),
                               phi.factor_values(nodes)):
-            lhs *= complex(pairwise_sum(fv * np.conj(pv) * ax.weights()))
+            lhs *= complex(pairwise_sum(fv * np.conj(pv) * ax.step))
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         return {"lhs": lhs, "rhs": rhs, "rel_err": rel}
     if method == "mc":
@@ -264,8 +245,8 @@ def parseval_N_check(f, phi, method: str = "grid", count: int = 16,
 
         # the sampler is deliberately wider than the integrand's envelope so
         # the importance weights carry genuine variance
-        mc = convolve_N(phi_check, f, np.zeros(6), method="mc", n=n,
-                        seed=seed, sampler=(center, 1.35 * width))
+        mc = convolve_N(phi_check, f, np.zeros(6), n, seed,
+                        (center, 1.35 * width))
         rel = abs(mc.estimate - rhs) / max(abs(rhs), 1e-300)
         return {"lhs": mc.estimate, "rhs": rhs, "rel_err": rel,
                 "stderr": mc.stderr, "within_3sigma": mc.agrees(rhs)}

@@ -182,6 +182,12 @@ def euler_from_su2(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_parity(label):
+    j1, j2 = label
+    if (_check_half_integer(j1) + _check_half_integer(j2)) % 2:
+        raise ParityViolation(f"label {label} has half-odd j1 + j2")
+
+
 def so4_dim(label) -> int:
     j1, j2 = label
     return (_check_half_integer(j1) + 1) * (_check_half_integer(j2) + 1)
@@ -203,9 +209,8 @@ def so4_rep(label, euler_left, euler_right) -> np.ndarray:
     product D^{j1} otimes D^{j2}, broadcast over the leading axes of the
     (..., 3) Euler triples, so (n, 3) inputs give (n, d, d) and one point
     gives (d, d).  Well defined on SO(4) by the parity rule."""
+    _check_parity(label)
     j1, j2 = label
-    if (_check_half_integer(j1) + _check_half_integer(j2)) % 2:
-        raise ParityViolation(f"label {label} has half-odd j1 + j2")
     d1 = wigner_D_stack(j1, euler_left)
     d2 = wigner_D_stack(j2, euler_right)
     # a broadcast product, not einsum: its complex products round exactly
@@ -317,11 +322,14 @@ class CompactGroup(NamedTuple):
 
 def compact_group(quad) -> CompactGroup:
     """SO(4) for an EulerQuadSO4: D^{j1} on the left nodes, D^{j2} on the
-    right.  U(2) for a U2Quad: the phase exp(i theta (m1+m2)) as a 1 x 1
-    stack on the theta nodes, D^{(m1-m2)/2} on the SU(2) nodes.  The only
-    place that tells the two groups apart."""
+    right, for labels that keep the parity rule (ParityViolation
+    otherwise).  U(2) for a U2Quad: the phase exp(i theta (m1+m2)) as a
+    1 x 1 stack on the theta nodes, D^{(m1-m2)/2} on the SU(2) nodes.  The
+    only place that tells the two groups apart."""
     if isinstance(quad, EulerQuadSO4):
         def factors(labels):
+            for l in labels:
+                _check_parity(l)
             left = _dstacks(quad.left, [l[0] for l in labels])
             right = _dstacks(quad.right, [l[1] for l in labels])
             return {l: (left[l[0]], right[l[1]]) for l in labels}

@@ -19,31 +19,22 @@ _MC_CHUNK = 1 << 19  # samples drawn and summed per Monte Carlo block
 # complex entries (512 KB) in one temporary block of the pointwise oracles
 BLOCK_ENTRIES = 1 << 15
 
-AXIS_KINDS = ("uniform-periodic", "uniform-box", "gauss-legendre")
-
 
 class BudgetExceeded(RuntimeError):
     """A grid or node set would exceed the configured point budget."""
 
 
-class AxisKindMismatch(TypeError):
-    """An operation was requested on an axis kind that does not support it."""
-
-
 @dataclass(frozen=True)
 class Axis:
-    """One grid axis.  uniform-box nodes are cell-centered so that symmetric
-    boxes contain -x for every node x; uniform-periodic nodes start at lo."""
+    """One grid axis: count cell-centered nodes on the box [lo, hi], so that
+    a symmetric box contains -x for every node x."""
 
     name: str
-    kind: str
     lo: float
     hi: float
     count: int
 
     def __post_init__(self):
-        if self.kind not in AXIS_KINDS:
-            raise ValueError(f"unknown axis kind {self.kind!r}")
         if self.count < 2:
             raise ValueError("axis needs at least 2 nodes")
         if not self.lo < self.hi:
@@ -54,18 +45,12 @@ class Axis:
         return (self.hi - self.lo) / self.count
 
     def nodes(self) -> np.ndarray:
-        if self.kind == "uniform-periodic":
-            return self.lo + self.step * np.arange(self.count)
-        if self.kind == "uniform-box":
-            return self.lo + self.step * (np.arange(self.count) + 0.5)
-        x, _ = np.polynomial.legendre.leggauss(self.count)
-        return 0.5 * (self.hi + self.lo) + 0.5 * (self.hi - self.lo) * x
+        return self.lo + self.step * (np.arange(self.count) + 0.5)
 
-    def weights(self) -> np.ndarray:
-        if self.kind in ("uniform-periodic", "uniform-box"):
-            return np.full(self.count, self.step)
-        _, w = np.polynomial.legendre.leggauss(self.count)
-        return 0.5 * (self.hi - self.lo) * w
+    def freqs(self) -> np.ndarray:
+        """Angular frequencies of the discrete transform along this axis, in
+        numpy fft order."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.count, d=self.step)
 
 
 @dataclass(frozen=True)
@@ -102,19 +87,24 @@ class GridSpec:
                 return a
         raise KeyError(name)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
+    def along(self, name: str, vec) -> np.ndarray:
+        """A vector over the named axis's nodes, shaped to broadcast over
+        the grid."""
+        shape = [1] * len(self.axes)
+        shape[self.names.index(name)] = self.axis(name).count
+        return np.reshape(vec, shape)
 
     def meshgrid(self):
         return np.meshgrid(*[a.nodes() for a in self.axes], indexing="ij")
 
 
 def box_grid(names, lo, hi, count, budget=DEFAULT_GRID_BUDGET) -> GridSpec:
-    """Convenience: identical cell-centered box axes for every name."""
+    """Cell-centered box axes for every name; lo, hi and count are each one
+    value for all names or one value per name."""
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (len(names),))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (len(names),))
     count = np.broadcast_to(np.asarray(count, dtype=int), (len(names),))
-    axes = [Axis(n, "uniform-box", lo[i], hi[i], int(count[i]))
+    axes = [Axis(n, lo[i], hi[i], int(count[i]))
             for i, n in enumerate(names)]
     return GridSpec(axes, budget=budget)
 
@@ -173,13 +163,10 @@ class SampledField:
 
 
 def norm2(field: SampledField) -> float:
-    """Quadrature of |f|^2."""
+    """Quadrature of |f|^2: the box rule, one cell width per axis."""
     vals = np.abs(field.values) ** 2
-    for k, ax in enumerate(field.grid.axes):
-        w = ax.weights()
-        shape = [1] * vals.ndim
-        shape[k] = ax.count
-        vals = vals * w.reshape(shape)
+    for ax in field.grid.axes:
+        vals = vals * ax.step
     return float(pairwise_sum(vals.ravel()).real)
 
 
@@ -190,24 +177,16 @@ def norm2(field: SampledField) -> float:
 
 @dataclass
 class Spectrum:
-    """Discrete approximation of the continuum Fourier transform on the
-    selected axes; frequencies follow numpy fft ordering."""
+    """Discrete approximation of the continuum Fourier transform over every
+    axis of the grid, at the frequencies Axis.freqs."""
 
     grid: GridSpec
-    axes: tuple
     values: np.ndarray
-
-    def freqs(self, name: str) -> np.ndarray:
-        ax = self.grid.axis(name)
-        if ax.kind not in ("uniform-periodic", "uniform-box"):
-            raise AxisKindMismatch(f"axis {name} is not uniform")
-        return 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.step)
 
     def freq_weight(self) -> float:
         """Product of the dual-grid cell volumes (one Delta-xi per axis)."""
         w = 1.0
-        for name in self.axes:
-            ax = self.grid.axis(name)
+        for ax in self.grid.axes:
             w *= 2.0 * np.pi / (ax.count * ax.step)
         return w
 
@@ -217,47 +196,29 @@ class Spectrum:
             (np.abs(self.values) ** 2).ravel()).real) * self.freq_weight()
 
 
-def _first_node(ax: Axis) -> float:
-    return ax.lo if ax.kind == "uniform-periodic" else ax.lo + 0.5 * ax.step
-
-
-def _phase_factor(grid: GridSpec, axes) -> np.ndarray:
-    """Product over the named axes of h * exp(-i xi x0), broadcast over the
-    grid: the one factor turning an FFT into the continuum transform's
-    Riemann sum."""
+def _phase_factor(grid: GridSpec) -> np.ndarray:
+    """Product over the axes of h * exp(-i xi x0), x0 the first node,
+    broadcast over the grid: the one factor turning an FFT into the
+    continuum transform's Riemann sum."""
     factor = None
-    for name in axes:
-        ax = grid.axis(name)
-        if ax.kind not in ("uniform-periodic", "uniform-box"):
-            raise AxisKindMismatch(f"axis {name} is not uniform")
-        xi = 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.step)
-        shape = [1] * len(grid.axes)
-        shape[grid.index(name)] = ax.count
-        fac = (ax.step * np.exp(-1j * xi * _first_node(ax))).reshape(shape)
+    for ax in grid.axes:
+        fac = grid.along(ax.name, ax.step * np.exp(
+            -1j * ax.freqs() * (ax.lo + 0.5 * ax.step)))
         factor = fac if factor is None else factor * fac
     return factor
 
 
-def dft_forward(field: SampledField, axes=None) -> Spectrum:
-    """F(xi) = sum_j f(x_j) exp(-i xi x_j) h on the named uniform axes."""
-    if axes is None:
-        axes = [a.name for a in field.grid.axes
-                if a.kind in ("uniform-periodic", "uniform-box")]
-    axes = tuple(axes)
-    idxs = [field.grid.index(n) for n in axes]
-    vals = np.fft.fftn(field.values, axes=idxs)
-    if axes:  # over no axes fftn returns field.values itself: never write it
-        vals *= _phase_factor(field.grid, axes)
-    return Spectrum(field.grid, axes, vals)
+def dft_forward(field: SampledField) -> Spectrum:
+    """F(xi) = sum_j f(x_j) exp(-i xi x_j) h over every axis of the grid."""
+    vals = np.fft.fftn(field.values)
+    vals *= _phase_factor(field.grid)
+    return Spectrum(field.grid, vals)
 
 
 def dft_inverse(spec: Spectrum) -> SampledField:
     """Exact inverse of dft_forward (composes to the identity on grid data)."""
-    vals = spec.values
-    if spec.axes:
-        vals = vals / _phase_factor(spec.grid, spec.axes)
-    idxs = [spec.grid.index(n) for n in spec.axes]
-    return SampledField(spec.grid, np.fft.ifftn(vals, axes=idxs))
+    return SampledField(spec.grid,
+                        np.fft.ifftn(spec.values / _phase_factor(spec.grid)))
 
 
 def factor_plancherel(factor, count: int, name: str = "x"):
@@ -342,14 +303,14 @@ class SU2Quad:
         return self.euler.shape[0]
 
 
-def su2_quadrature(J: float, budget: int = DEFAULT_SO4_NODE_BUDGET) -> SU2Quad:
+def su2_quadrature(J: float) -> SU2Quad:
     if J < 0:
         raise ValueError("band limit must be >= 0")
     twoJ = int(round(2 * J))
     na = 2 * twoJ + 2
     nb = twoJ + 2
     ng = 2 * twoJ + 2
-    if na * nb * ng > budget:
+    if na * nb * ng > DEFAULT_SO4_NODE_BUDGET:
         raise BudgetExceeded("SU(2) quadrature exceeds node budget")
     alpha = 2.0 * np.pi * np.arange(na) / na
     x, wb = np.polynomial.legendre.leggauss(nb)
@@ -375,9 +336,9 @@ class EulerQuadSO4:
         return self.left.node_count * self.right.node_count
 
 
-def so4_quadrature(J: float, budget: int = DEFAULT_SO4_NODE_BUDGET) -> EulerQuadSO4:
-    q = su2_quadrature(J, budget=budget)
-    if q.node_count ** 2 > budget:
+def so4_quadrature(J: float) -> EulerQuadSO4:
+    q = su2_quadrature(J)
+    if q.node_count ** 2 > DEFAULT_SO4_NODE_BUDGET:
         raise BudgetExceeded("SO(4) quadrature exceeds node budget")
     return EulerQuadSO4(J, q, q)
 
@@ -405,11 +366,11 @@ def u2_band_limit(M) -> int:
     return int(M)
 
 
-def u2_quadrature(M: int, budget: int = DEFAULT_SO4_NODE_BUDGET) -> U2Quad:
+def u2_quadrature(M: int) -> U2Quad:
     M = u2_band_limit(M)
     nt = 4 * M + 2
     theta = np.pi * np.arange(nt) / nt
-    su2 = su2_quadrature(M, budget=budget)
-    if nt * su2.node_count > budget:
+    su2 = su2_quadrature(M)
+    if nt * su2.node_count > DEFAULT_SO4_NODE_BUDGET:
         raise BudgetExceeded("U(2) quadrature exceeds node budget")
     return U2Quad(M, theta, np.full(nt, 1.0 / nt), su2)

@@ -19,38 +19,33 @@ import numpy as np
 
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
-from .quadrature import (Axis, GridSpec, SampledField, Spectrum, dft_forward,
-                         dft_inverse, norm2)
+from .quadrature import (Axis, GridSpec, SampledField, Spectrum, box_grid,
+                         dft_forward, dft_inverse, norm2)
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
-    "shear_reflect_points", "solver_grid", "lewy_solve",
+    "shear_reflect_points", "lewy_solve",
     "four_stage_operator", "four_stage_solve", "interior_mask",
     "interior_rel_error",
 ]
 
 SOLVE_AXES = ("z", "y", "x")
+# (z, y, x) half-widths holding the effective support of a conjugated
+# solve's right-hand side, and the margin added to them on every axis
+SUPPORT = (2.5, 2.8, 2.8)
+PAD = 0.8
 
 
 class IncompatibleRHS(ValueError):
     """The right-hand side has too much mass on the operator's kernel modes."""
 
 
-def _freq_mesh(field: SampledField):
-    """(xi_z, xi_y, xi_x) broadcastable over the field, zero for missing axes."""
-    names = field.grid.names
-    out = []
-    for want in SOLVE_AXES:
-        if want in names:
-            k = field.grid.index(want)
-            ax = field.grid.axis(want)
-            xi = 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.step)
-            shape = [1] * len(names)
-            shape[k] = ax.count
-            out.append(xi.reshape(shape))
-        else:
-            out.append(np.zeros((1,) * len(names)))
-    return out
+def _per_axis(grid: GridSpec, vec):
+    """vec(axis) for the z, y and x axes, each shaped to broadcast over the
+    grid, and zeros for an axis the grid lacks."""
+    zero = np.zeros((1,) * len(grid.axes))
+    return [grid.along(name, vec(grid.axis(name))) if name in grid.names
+            else zero for name in SOLVE_AXES]
 
 
 def cr_solve(g: SampledField, op: PolyDiffOp):
@@ -63,14 +58,14 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
     if not op.is_constant_coefficient:
         raise ValueError("cr_solve needs a constant-coefficient operator")
     spec = dft_forward(g)
-    xiz, xiy, xix = _freq_mesh(g)
+    xiz, xiy, xix = _per_axis(g.grid, Axis.freqs)
     sym = op.symbol(xiz, xiy, xix)
     sym = np.broadcast_to(sym, spec.values.shape)
     mask = np.abs(sym) < 1e-10
 
     gnorm2 = norm2(g)
     proj2 = float(np.sum(np.abs(spec.values[mask]) ** 2)) * spec.freq_weight() \
-        / (2.0 * np.pi) ** len(spec.axes)
+        / (2.0 * np.pi) ** len(spec.grid.axes)
     projected_rel = float(np.sqrt(proj2 / max(gnorm2, 1e-300)))
     if projected_rel > 1e-6:
         raise IncompatibleRHS(
@@ -89,23 +84,13 @@ def spectral_apply(op: PolyDiffOp, field: SampledField) -> SampledField:
     """Apply a polynomial-coefficient operator to a sampled field: spectral
     derivatives, coefficient multiplication on the nodes."""
     spec = dft_forward(field)
-    xiz, xiy, xix = _freq_mesh(field)
-    mesh = {}
-    for name in SOLVE_AXES:
-        if name in field.grid.names:
-            k = field.grid.index(name)
-            ax = field.grid.axis(name)
-            shape = [1] * len(field.grid.names)
-            shape[k] = ax.count
-            mesh[name] = ax.nodes().reshape(shape)
-        else:
-            mesh[name] = np.zeros((1,) * len(field.grid.names))
+    xiz, xiy, xix = _per_axis(field.grid, Axis.freqs)
+    mesh = _per_axis(field.grid, Axis.nodes)
     out = np.zeros(field.values.shape, dtype=complex)
     for m, poly in op.terms.items():
         mult = (1j * xiz) ** m[0] * (1j * xiy) ** m[1] * (1j * xix) ** m[2]
-        dspec = Spectrum(spec.grid, spec.axes, spec.values * mult)
-        dfield = dft_inverse(dspec)
-        out += poly.eval(mesh["z"], mesh["y"], mesh["x"]) * dfield.values
+        dfield = dft_inverse(Spectrum(spec.grid, spec.values * mult))
+        out += poly.eval(*mesh) * dfield.values
     return SampledField(field.grid, out)
 
 
@@ -113,30 +98,19 @@ def shear_reflect_field(field: SampledField) -> SampledField:
     """Exact action of (z, y, x) -> (z - 2xy, y, -x) on a sampled field with
     axes ("z", "y", "x"): x-index reversal (the x axis must be a symmetric
     cell-centered box) followed by a per-column Fourier shift in z."""
-    names = field.grid.names
-    if names != SOLVE_AXES:
+    grid = field.grid
+    if grid.names != SOLVE_AXES:
         raise ValueError("expected axes ('z', 'y', 'x')")
-    ax_x = field.grid.axis("x")
-    ax_y = field.grid.axis("y")
-    ax_z = field.grid.axis("z")
-    if abs(ax_x.lo + ax_x.hi) > 1e-12 or ax_x.kind != "uniform-box":
-        raise ValueError("x axis must be a symmetric cell-centered box")
+    ax_x = grid.axis("x")
+    if abs(ax_x.lo + ax_x.hi) > 1e-12:
+        raise ValueError("x axis must be a symmetric box")
     vals = np.flip(field.values, axis=2)
     fz = np.fft.fft(vals, axis=0)
-    xiz = 2.0 * np.pi * np.fft.fftfreq(ax_z.count, d=ax_z.step)
-    shift = 2.0 * np.outer(ax_y.nodes(), ax_x.nodes())  # s(y, x) = 2 x y
-    phase = np.exp(-1j * xiz[:, None, None] * shift[None, :, :])
-    out = np.fft.ifft(fz * phase, axis=0)
-    return SampledField(field.grid, out)
-
-
-def solver_grid(z_half: float, y_half: float, x_half: float,
-                nz: int, ny: int, nx: int) -> GridSpec:
-    return GridSpec([
-        Axis("z", "uniform-box", -z_half, z_half, nz),
-        Axis("y", "uniform-box", -y_half, y_half, ny),
-        Axis("x", "uniform-box", -x_half, x_half, nx),
-    ])
+    # s(y, x) = 2 x y
+    shift = 2.0 * (grid.along("y", grid.axis("y").nodes())
+                   * grid.along("x", ax_x.nodes()))
+    phase = np.exp(-1j * grid.along("z", grid.axis("z").freqs()) * shift)
+    return SampledField(grid, np.fft.ifft(fz * phase, axis=0))
 
 
 def shear_reflect_points(z, y, x) -> np.ndarray:
@@ -145,50 +119,47 @@ def shear_reflect_points(z, y, x) -> np.ndarray:
     return np.stack([z - 2.0 * x * y, y, -x], axis=-1)
 
 
-def _sheared_rhs(g, support, pad, nz, ny, nx) -> SampledField:
-    """g o (z, y, x) -> (z - 2xy, y, -x) sampled on the solve grid of a
-    right-hand side g whose effective support lies inside the (z, y, x)
-    half-widths `support`."""
-    sz, sy, sx = support
+def _sheared_rhs(g, n: int) -> SampledField:
+    """g o (z, y, x) -> (z - 2xy, y, -x) sampled on the n^3 solve grid of a
+    right-hand side g whose effective support lies inside SUPPORT."""
+    sz, sy, sx = SUPPORT
     # the z range must cover the sheared image of the whole (y, x) grid so
     # the Fourier z-shift cannot wrap support back into the window
-    yh, xh = sy + pad, sx + pad
-    grid = solver_grid(sz + 2.0 * yh * xh + pad, yh, xh, nz, ny, nx)
+    yh, xh = sy + PAD, sx + PAD
+    half = np.array([sz + 2.0 * yh * xh + PAD, yh, xh])
+    grid = box_grid(SOLVE_AXES, -half, half, n)
     gvals = g(shear_reflect_points(*grid.meshgrid()))
     return SampledField(grid, np.asarray(gvals, dtype=complex))
 
 
-def plateau_window(grid: GridSpec, flat_frac: float = 0.6) -> np.ndarray:
-    """Smooth separable window: 1 on the central flat_frac of each axis,
-    cos^2 roll-off to 0 at the boundary.  The solution of the conjugated
+def plateau_window(grid: GridSpec) -> np.ndarray:
+    """Smooth separable window: 1 on the central 60% of each axis, cos^2
+    roll-off to 0 at the boundary.  The solution of the conjugated
     problem carries slowly decaying tails that are not periodic across the
     box, so fields are windowed before spectral differentiation; since
     derivatives are local, values on the interior (inside the flat region)
     are unaffected."""
-    parts = []
+    flat = 0.6
+    window = 1.0
     for ax in grid.axes:
         t = (ax.nodes() - 0.5 * (ax.hi + ax.lo)) / (0.5 * (ax.hi - ax.lo))
         w = np.ones_like(t)
-        s = (np.abs(t) - flat_frac) / (1.0 - flat_frac)
-        roll = np.abs(t) > flat_frac
+        s = (np.abs(t) - flat) / (1.0 - flat)
+        roll = np.abs(t) > flat
         w[roll] = np.cos(0.5 * np.pi * np.clip(s[roll], 0.0, 1.0)) ** 2
-        parts.append(w)
-    return parts[0][:, None, None] * parts[1][None, :, None] * parts[2][None, None, :]
+        window = window * grid.along(ax.name, w)
+    return window
 
 
-def interior_mask(grid: GridSpec, frac: float = 0.5,
-                  z_half: float = None) -> np.ndarray:
-    """Boolean mask of the interior window: the central `frac` of each axis
-    (optionally measured against a smaller nominal z half-width)."""
-    sel = []
+def interior_mask(grid: GridSpec) -> np.ndarray:
+    """Boolean mask of the interior window: the central half of each axis,
+    the z axis measured against the support's z half-width SUPPORT[0]."""
+    mask = True
     for ax in grid.axes:
-        half = 0.5 * (ax.hi - ax.lo)
-        if ax.name == "z" and z_half is not None:
-            half = z_half
-        nodes = ax.nodes()
-        sel.append(np.abs(nodes - 0.5 * (ax.hi + ax.lo)) <= frac * half)
-    m = sel[0][:, None, None] & sel[1][None, :, None] & sel[2][None, None, :]
-    return m
+        half = SUPPORT[0] if ax.name == "z" else 0.5 * (ax.hi - ax.lo)
+        mask = mask & grid.along(
+            ax.name, np.abs(ax.nodes() - 0.5 * (ax.hi + ax.lo)) <= 0.5 * half)
+    return mask
 
 
 def interior_rel_error(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
@@ -198,20 +169,19 @@ def interior_rel_error(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
     return float(num / max(den, 1e-300))
 
 
-def lewy_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
-               nx: int = 96, pad: float = 1.0):
+def lewy_solve(g, n: int):
     """Constructive solve of the shear-conjugate Lewy-type equation
-    (-dx - i dy - (2y + 2ix) dz) f = g.
+    (-dx - i dy - (2y + 2ix) dz) f = g on an n^3 grid.
 
     g is a point-evaluable function on R^3 with effective support inside the
-    given (z, y, x) half-widths.  The pullback of g under the conjugating
+    (z, y, x) half-widths SUPPORT.  The pullback of g under the conjugating
     map is sampled on a box whose z range covers the sheared image of the
     support; the Cauchy-Riemann factor is inverted spectrally; the solution
     is sheared back without interpolation.  Returns a dict with the solution
     field, the grid, the projected-mode report, and the independently
     computed interior residual of the equation.
     """
-    gtilde = _sheared_rhs(g, support, pad, nz, ny, nx)
+    gtilde = _sheared_rhs(g, n)
     grid = gtilde.grid
 
     u, info = cr_solve(gtilde, cauchy_riemann())
@@ -221,8 +191,8 @@ def lewy_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
     applied = spectral_apply(lewy_conjugate_true(), windowed)
     g_on_grid = np.asarray(g(np.stack(grid.meshgrid(), axis=-1)),
                            dtype=complex)
-    mask = interior_mask(grid, frac=0.5, z_half=support[0])
-    residual = interior_rel_error(applied.values, g_on_grid, mask)
+    residual = interior_rel_error(applied.values, g_on_grid,
+                                  interior_mask(grid))
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples
     return {"f": f, "grid": grid, "residual": residual, **info}
@@ -239,13 +209,13 @@ def four_stage_operator() -> PolyDiffOp:
     return p1 @ p2 @ p2 @ p1
 
 
-def four_stage_solve(g, support=(4.0, 3.0, 3.0), nz: int = 128, ny: int = 96,
-                     nx: int = 96, pad: float = 1.0):
+def four_stage_solve(g, n: int):
     """Solve the four-stage composition by four chained spectral inversions
-    inside the shear conjugation.  Returns the solution field, the grid and
-    the largest projected-mode report of the four stages; the solve is
-    checked by its manufactured round trip, not by a residual."""
-    stage = _sheared_rhs(g, support, pad, nz, ny, nx)
+    inside the shear conjugation, on an n^3 grid around SUPPORT.  Returns
+    the solution field, the grid and the largest projected-mode report of
+    the four stages; the solve is checked by its manufactured round trip,
+    not by a residual."""
+    stage = _sheared_rhs(g, n)
     infos = []
     for op in (cr_pair_R(), cr_pair_R_star(), cr_pair_R_star(), cr_pair_R()):
         stage, info = cr_solve(stage, op)

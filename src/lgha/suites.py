@@ -647,9 +647,6 @@ def _hormander(cfg, rng, row):
         for _ in range(10)))
 
 
-_SUPPORT = (2.5, 2.8, 2.8)  # (z, y, x) half-widths of the solvers' data
-
-
 def _roundtrip(solve, w, op, n):
     """Solve for the manufactured solution w o S on an n^3 grid, S the
     shear-reflection, from the right-hand side (op w) o S.  Returns the
@@ -661,11 +658,11 @@ def _roundtrip(solve, w, op, n):
     def rhs(pts):
         return qw.values(SV.shear_reflect_points(*np.moveaxis(pts, -1, 0)))
 
-    res = solve(rhs, support=_SUPPORT, nz=n, ny=n, nx=n, pad=0.8)
+    res = solve(rhs, n)
     grid = res["grid"]
     href = w.values(SV.shear_reflect_points(*grid.meshgrid()))
-    mask = SV.interior_mask(grid, 0.5, z_half=_SUPPORT[0])
-    return SV.interior_rel_error(res["f"].values, href, mask), \
+    return SV.interior_rel_error(res["f"].values, href,
+                                 SV.interior_mask(grid)), \
         res.get("residual")
 
 
@@ -700,9 +697,7 @@ def _solvers(cfg, rng, row):
 
     gg = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j,
                               (1, 1, 0): -0.15, (0, 1, 2): -0.1}), sigma=0.65)
-    row("lewy-generic-residual", SV.lewy_solve(
-        gg.values, support=_SUPPORT, nz=160, ny=160, nx=160,
-        pad=0.8)["residual"])
+    row("lewy-generic-residual", SV.lewy_solve(gg.values, 160)["residual"])
 
     w2 = D.PolyGauss(D.Poly3({(0, 0, 2): 1.0, (0, 2, 0): -1.0,
                               (0, 1, 1): 2.0j}), sigma=0.6)

@@ -25,15 +25,21 @@ def test_every_all_name_resolves():
     assert {"groups", "nilfourier"} <= set(exporting)
 
 
+def _library_trees():
+    """The package directory and the parsed modules of the package and of
+    the benchmark, by path."""
+    pkg = Path(lgha.__file__).resolve().parent
+    bench = pkg.parents[1] / "perfbench"
+    assert (bench / "harness.py").is_file()
+    return pkg, {path: ast.parse(path.read_text())
+                 for path in sorted(pkg.glob("*.py")) + sorted(bench.glob("*.py"))}
+
+
 def test_every_public_library_name_has_a_caller():
     """Each public top-level function or class of an lgha module is named,
     as a name or an attribute, somewhere in the package or the benchmark
     besides its own definition.  Tests, strings and __all__ do not count."""
-    pkg = Path(lgha.__file__).resolve().parent
-    bench = pkg.parents[1] / "perfbench"
-    assert (bench / "harness.py").is_file()
-    trees = {path: ast.parse(path.read_text())
-             for path in sorted(pkg.glob("*.py")) + sorted(bench.glob("*.py"))}
+    pkg, trees = _library_trees()
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
@@ -43,3 +49,51 @@ def test_every_public_library_name_has_a_caller():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used]
     assert not unused, unused
+
+
+# Defaulted parameters no library caller passes, kept on purpose: the
+# command-line entry points take argv from tests and from sys.argv alike,
+# and the README's block-form claim is tested through `form`.
+_UNPASSED_DEFAULTS = {
+    "cli.main": {"argv"},
+    "report_diff.main": {"argv"},
+    "groups.symplectic_error": {"form"},
+    "groups.sp4_algebra_basis": {"form"},
+    "groups.sp4_iwasawa_dimension_audit": {"form"},
+}
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    """A defaulted parameter of a public top-level lgha function is a knob,
+    so some call in the package or the benchmark that names the function
+    passes it, by position or by keyword (a *args or **kwargs call counts as
+    passing them all).  Tests do not count."""
+    pkg, trees = _library_trees()
+    npos, kws = {}, {}  # called name -> most positional args, keyword names
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            npos[name] = max(npos.get(name, 0),
+                             float("inf") if starred else len(node.args))
+            kws.setdefault(name, set()).update(k.arg for k in node.keywords)
+    unpassed = []
+    for path, tree in trees.items():
+        for node in tree.body if path.parent == pkg else ():
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            qual = f"{path.stem}.{node.name}"
+            args = node.args.posonlyargs + node.args.args
+            first = len(args) - len(node.args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(args) if i >= first]
+            defaulted += [(float("inf"), a.arg) for a, d in zip(
+                node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+            named = kws.get(node.name, set()) | _UNPASSED_DEFAULTS.get(qual, set())
+            unpassed += [f"{qual}({arg})" for i, arg in defaulted
+                         if i >= npos.get(node.name, 0)
+                         and arg not in named and None not in named]
+    assert not unpassed, unpassed

@@ -150,6 +150,15 @@ def test_so4_labels_parity():
         pw.so4_rep((0.5, 1.0), (0, 0, 0), (0, 0, 0))
 
 
+def test_synthesize_rejects_a_label_that_breaks_parity():
+    # (0.5, 0.0) lives on SU(2) x SU(2), not on SO(4): the matrix-product
+    # path rejects it as so4_rep does, instead of synthesizing values that
+    # no transform returns
+    c = np.array([[1.0 + 0.5j, 0.0], [0.2, -1.0]])
+    with pytest.raises(pw.ParityViolation):
+        pw.synthesize(pw.CompactSpectrum({(0.5, 0.0): c}), so4_quadrature(1.0))
+
+
 def test_quadrature_exact_for_wigner_products():
     """orthogonality integrals evaluated with a higher-band-limit rule."""
     quad = su2_quadrature(2.0)

@@ -32,15 +32,6 @@ def test_separable_product_integrates_to_product():
     assert Q.norm2(f) == pytest.approx(Q.norm2(g1) * Q.norm2(g2), rel=1e-12)
 
 
-def test_gauss_legendre_polynomial_exactness():
-    ax = Q.Axis("x", "gauss-legendre", -1.0, 3.0, 6)
-    nodes, w = ax.nodes(), ax.weights()
-    for deg in range(0, 11):
-        val = np.sum(w * nodes ** deg)
-        exact = (3.0 ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
-        assert val == pytest.approx(exact, rel=1e-13)
-
-
 def test_dft_roundtrip():
     grid = Q.box_grid(("x", "y"), -5.0, 5.0, 32)
     f = Q.SampledField(grid, rng.normal(size=grid.shape)
@@ -51,21 +42,19 @@ def test_dft_roundtrip():
 
 def test_dft_roundtrip_3d_non_cubic():
     gen = np.random.default_rng(2021)
-    grid = Q.GridSpec([Q.Axis("z", "uniform-box", -7.0, 5.0, 12),
-                       Q.Axis("y", "uniform-periodic", 0.5, 3.0, 10),
-                       Q.Axis("x", "uniform-box", -2.0, 2.0, 7)])
+    grid = Q.GridSpec([Q.Axis("z", -7.0, 5.0, 12),
+                       Q.Axis("y", 0.5, 3.0, 10),
+                       Q.Axis("x", -2.0, 2.0, 7)])
     vals = gen.normal(size=grid.shape) + 1j * gen.normal(size=grid.shape)
     f = Q.SampledField(grid, vals.copy())
-    for axes in (None, ("y",), ("x", "z"), ()):
-        spec = Q.dft_forward(f, axes=axes)
-        before = spec.values.copy()
-        back = Q.dft_inverse(spec)
-        assert np.max(np.abs(back.values - vals)) < 1e-13
-        # neither transform writes into its argument
-        assert np.array_equal(f.values, vals)
-        assert np.array_equal(spec.values, before)
-    # the folded phase factor is the product of the per-axis factors
     spec = Q.dft_forward(f)
+    before = spec.values.copy()
+    back = Q.dft_inverse(spec)
+    assert np.max(np.abs(back.values - vals)) < 1e-13
+    # neither transform writes into its argument
+    assert np.array_equal(f.values, vals)
+    assert np.array_equal(spec.values, before)
+    # the folded phase factor is the product of the per-axis factors
     expect = np.fft.fftn(vals)
     for k, ax in enumerate(grid.axes):
         xi = 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.step)
@@ -77,12 +66,12 @@ def test_dft_roundtrip_3d_non_cubic():
 
 
 def test_dft_single_harmonic_spike():
-    ax = Q.Axis("x", "uniform-periodic", 0.0, 2 * np.pi, 32)
+    ax = Q.Axis("x", 0.0, 2 * np.pi, 32)
     grid = Q.GridSpec([ax])
     k0 = 5
     f = Q.SampledField(grid, np.exp(1j * k0 * ax.nodes()))
     spec = Q.dft_forward(f)
-    freqs = spec.freqs("x")
+    freqs = ax.freqs()
     mags = np.abs(spec.values)
     assert freqs[np.argmax(mags)] == pytest.approx(k0)
     others = mags.copy()
@@ -95,7 +84,7 @@ def test_dft_gaussian_closed_form():
     x = grid.axes[0].nodes()
     f = Q.SampledField(grid, np.exp(-x ** 2 / 2.0))
     spec = Q.dft_forward(f)
-    xi = spec.freqs("x")
+    xi = grid.axes[0].freqs()
     exact = np.sqrt(2 * np.pi) * np.exp(-xi ** 2 / 2.0)
     assert np.max(np.abs(spec.values - exact)) / np.max(exact) < 1e-8
 
@@ -163,7 +152,7 @@ def test_u2_quadrature_rejects_a_non_integral_or_negative_band_limit():
 
 def test_so4_quadrature_budget():
     with pytest.raises(Q.BudgetExceeded):
-        Q.so4_quadrature(2, budget=100)
+        Q.so4_quadrature(4.0)  # 3240^2 node pairs > 2^21
 
 
 def test_grid_budget():
@@ -173,11 +162,9 @@ def test_grid_budget():
 
 def test_axis_validation():
     with pytest.raises(ValueError):
-        Q.Axis("x", "uniform-box", 1.0, -1.0, 8)
+        Q.Axis("x", 1.0, -1.0, 8)
     with pytest.raises(ValueError):
-        Q.Axis("x", "chebyshev", -1.0, 1.0, 8)
-    with pytest.raises(ValueError):
-        Q.Axis("x", "uniform-box", -1.0, 1.0, 1)
+        Q.Axis("x", -1.0, 1.0, 1)
 
 
 def test_sampled_field_validation():

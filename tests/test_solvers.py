@@ -9,14 +9,18 @@ import pytest
 
 from lgha import diffops as D
 from lgha import solvers as S
-from lgha.quadrature import Axis, GridSpec, SampledField
+from lgha.quadrature import SampledField, box_grid
 
 rng = np.random.default_rng(707)
 
 
 def _grid2(n=64, L=6.0):
-    return GridSpec([Axis("y", "uniform-box", -L, L, n),
-                     Axis("x", "uniform-box", -L, L, n)])
+    return box_grid(("y", "x"), -L, L, n)
+
+
+def _grid3(half, counts):
+    """A (z, y, x) box grid with the given half-widths and node counts."""
+    return box_grid(S.SOLVE_AXES, -np.array(half), half, counts)
 
 
 def test_cr_solve_manufactured_2d():
@@ -49,7 +53,7 @@ def test_cr_solve_grid_mode_residual():
 
 def test_lewy_solve_zero_rhs():
     res = S.lewy_solve(lambda pts: np.zeros(pts.shape[:-1], dtype=complex),
-                       support=(1.0, 1.0, 1.0), nz=16, ny=8, nx=8, pad=0.5)
+                       16)
     assert np.max(np.abs(res["f"].values)) == 0.0
     assert res["residual"] == 0.0
 
@@ -84,7 +88,7 @@ def test_symbol_zero_set_is_origin_only():
 
 
 def test_shear_reflect_field_exact():
-    grid = S.solver_grid(4 + 2 * 9 + 1, 3, 3, 128, 40, 40)
+    grid = _grid3((4 + 2 * 9 + 1, 3, 3), (128, 40, 40))
     w = D.PolyGauss(D.Poly3({(0, 0, 1): 1.0, (0, 1, 0): 1.0j}), sigma=0.8)
     zs, ys, xs = grid.meshgrid()
     f = SampledField(grid, w.values(np.stack([zs, ys, xs], axis=-1)))
@@ -94,7 +98,7 @@ def test_shear_reflect_field_exact():
 
 
 def test_shear_reflect_field_is_involution_on_grid():
-    grid = S.solver_grid(20, 2.5, 2.5, 96, 32, 32)
+    grid = _grid3((20, 2.5, 2.5), (96, 32, 32))
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     f = SampledField(grid, vals)
     back = S.shear_reflect_field(S.shear_reflect_field(f))
@@ -102,9 +106,7 @@ def test_shear_reflect_field_is_involution_on_grid():
 
 
 def test_shear_requires_symmetric_x_axis():
-    grid = GridSpec([Axis("z", "uniform-box", -4, 4, 16),
-                     Axis("y", "uniform-box", -2, 2, 8),
-                     Axis("x", "uniform-box", -1, 2, 8)])
+    grid = box_grid(S.SOLVE_AXES, (-4, -2, -1), (4, 2, 2), (16, 8, 8))
     f = SampledField(grid, np.zeros(grid.shape))
     with pytest.raises(ValueError):
         S.shear_reflect_field(f)
@@ -115,7 +117,7 @@ def test_spectral_apply_matches_exact_derivative():
                     sigma=0.7)
     op = D.lewy_conjugate_true()
     exact = w.apply_diffop(op)
-    grid = S.solver_grid(6, 4, 4, 64, 64, 64)
+    grid = _grid3((6, 4, 4), 64)
     zs, ys, xs = grid.meshgrid()
     f = SampledField(grid, w.values(np.stack([zs, ys, xs], axis=-1)))
     applied = S.spectral_apply(op, f)
@@ -134,11 +136,13 @@ def test_four_stage_operator_is_conjugation_of_chain():
 
 
 def test_interior_mask_and_window():
-    grid = S.solver_grid(10, 2, 2, 40, 16, 16)
-    mask = S.interior_mask(grid, frac=0.5, z_half=4.0)
+    grid = _grid3((10, 2, 2), (40, 16, 16))
+    mask = S.interior_mask(grid)
     zs, ys, xs = grid.meshgrid()
-    assert np.all(np.abs(zs[mask]) <= 2.0 + 1e-9)
+    # z is measured against the support's half-width, y and x against the box
+    assert np.all(np.abs(zs[mask]) <= 0.5 * S.SUPPORT[0] + 1e-9)
+    assert np.max(np.abs(zs[mask])) > 0.5 * S.SUPPORT[0] - grid.axes[0].step
     assert np.all(np.abs(ys[mask]) <= 1.0 + 1e-9)
-    win = S.plateau_window(grid, flat_frac=0.6)
+    win = S.plateau_window(grid)
     assert np.all(win[mask] == 1.0)
     assert win[0, 0, 0] < 1e-3  # cell-centered nodes stop short of the edge
