@@ -16,16 +16,16 @@ Conventions
   equivalent via the basis swap e3 <-> e4.
 * The diagonal subgroup A is charted by logA in R^3 with the fourth entry
   e^{-t1-t2-t3}.
+* Group elements are plain float arrays, stacked as (..., 4, 4);
+  `check_group` is the one membership check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "MatrixElement", "IwasawaFactors", "SymplecticViolation", "NearSingular",
+    "check_group", "SymplecticViolation", "NearSingular",
     "nil_mul", "nil_inv", "nil_embed", "nil_from_matrix",
     "L_mul", "L_inv", "L_embed_twisted",
     "heis_mul", "heis_embed",
@@ -58,53 +58,43 @@ SP_FORM = _SWAP34 @ SP_FORM_BLOCK @ _SWAP34.T
 
 
 def symplectic_error(g, form=None) -> float:
+    """Largest entry of |g form g^T - form| over a stack g (..., 4, 4)."""
     form = SP_FORM if form is None else form
     g = np.asarray(g, dtype=float)
-    return float(np.max(np.abs(g @ form @ g.T - form)))
+    return float(np.max(np.abs(g @ form @ np.swapaxes(g, -1, -2) - form)))
 
 
-_TAGS = ("SL4", "SP4", "SO4", "UpperUnipotent", "DiagPositive")
-
-
-@dataclass(frozen=True)
-class MatrixElement:
-    """A validated 4x4 real matrix carrying its group tag."""
-
-    entries: np.ndarray
-    tag: str
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("expected a 4x4 matrix")
-        object.__setattr__(self, "entries", m)
-        if self.tag not in _TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}")
-        self.validate()
-
-    def validate(self):
-        m = self.entries
-        if self.tag == "SL4":
-            if abs(np.linalg.det(m) - 1.0) > 1e-10:
-                raise ValueError("determinant is not 1")
-        elif self.tag == "SP4":
-            if symplectic_error(m) > 1e-10:
-                raise SymplecticViolation("symplectic relation violated")
-        elif self.tag == "SO4":
-            if np.max(np.abs(m.T @ m - np.eye(4))) > 1e-10 or np.linalg.det(m) <= 0:
-                raise ValueError("not special orthogonal")
-        elif self.tag == "UpperUnipotent":
-            if np.any(np.diag(m) != 1.0) or np.any(m[np.tril_indices(4, -1)] != 0.0):
-                raise ValueError("not exactly unit upper triangular")
-        elif self.tag == "DiagPositive":
-            if np.any(m != np.diag(np.diag(m))) or np.any(np.diag(m) <= 0):
-                raise ValueError("not positive diagonal")
-            if abs(np.prod(np.diag(m)) - 1.0) > 1e-12:
-                raise ValueError("diagonal product is not 1")
-
-    def __matmul__(self, other):
-        o = other.entries if isinstance(other, MatrixElement) else other
-        return self.entries @ o
+def check_group(m, tag) -> np.ndarray:
+    """The stack m (..., 4, 4) as a float array, once every matrix in it is
+    checked to lie in the group named by tag: "SL4", "SP4", "SO4",
+    "UpperUnipotent" or "DiagPositive".  A failure raises ValueError
+    (SymplecticViolation for "SP4"); each test is written so that a NaN
+    fails it."""
+    m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError("expected a stack of 4x4 matrices")
+    if tag == "SL4":
+        if not np.all(np.abs(np.linalg.det(m) - 1.0) <= 1e-10):
+            raise ValueError("determinant is not 1")
+    elif tag == "SP4":
+        if not symplectic_error(m) <= 1e-10:
+            raise SymplecticViolation("symplectic relation violated")
+    elif tag == "SO4":
+        if not (np.all(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(4)) <= 1e-10)
+                and np.all(np.linalg.det(m) > 0)):
+            raise ValueError("not special orthogonal")
+    elif tag == "UpperUnipotent":
+        if not (np.all(np.tril(m) == np.eye(4)) and np.all(np.isfinite(m))):
+            raise ValueError("not exactly unit upper triangular")
+    elif tag == "DiagPositive":
+        diag = np.diagonal(m, axis1=-2, axis2=-1)
+        if not (np.all(m == diag[..., None] * np.eye(4)) and np.all(diag > 0)):
+            raise ValueError("not positive diagonal")
+        if not np.all(np.abs(np.prod(diag, axis=-1) - 1.0) <= 1e-12):
+            raise ValueError("diagonal product is not 1")
+    else:
+        raise ValueError(f"unknown tag {tag!r}")
+    return m
 
 
 def _coords(obj, n):
@@ -274,76 +264,46 @@ def spn_mul(p, q):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IwasawaFactors:
-    k: MatrixElement
-    a: MatrixElement
-    n: MatrixElement
-    log_a: np.ndarray = field(default=None)
-
-    def reconstruction(self) -> np.ndarray:
-        return self.k.entries @ self.a.entries @ self.n.entries
-
-    def reconstruction_error(self, g) -> float:
-        g = g.entries if isinstance(g, MatrixElement) else np.asarray(g)
-        return float(np.max(np.abs(self.reconstruction() - g)))
-
-
-def _mgs_qr(g: np.ndarray):
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
-    a = np.array(g, dtype=float)
-    n = a.shape[0]
-    q = np.zeros_like(a)
-    r = np.zeros_like(a)
-    for j in range(n):
-        v = a[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                c = q[:, i] @ v
-                r[i, j] += c
-                v -= c * q[:, i]
-        piv = float(np.linalg.norm(v))
-        if piv < 1e-13:
-            raise NearSingular(f"column {j} pivot {piv:g} below threshold")
-        r[j, j] = piv
-        q[:, j] = v / piv
-    return q, r
-
-
-def iwasawa_decompose(g) -> IwasawaFactors:
-    """Unique factorization g = k a n with k special orthogonal, a positive
-    diagonal of determinant one, n unit upper triangular.
+def iwasawa_decompose(g):
+    """Unique factorization g = k a n of each matrix in a stack g (..., 4, 4):
+    the stacks (k, a, n) with k special orthogonal, a positive diagonal of
+    determinant one, n unit upper triangular.
 
     For a symplectic input (adapted form) all three factors are themselves
-    symplectic; this is checked in the test suite, not here.
+    symplectic; this is checked by the groups suite, not here.
     """
-    m = g.entries if isinstance(g, MatrixElement) else np.asarray(g, dtype=float)
-    q, r = _mgs_qr(m)
-    d = np.diag(r).copy()
-    n = r / d[:, None]
-    n[np.tril_indices(4, -1)] = 0.0
-    np.fill_diagonal(n, 1.0)
-    log_a = np.log(d[:3])
-    a = np.diag(d)
-    return IwasawaFactors(
-        MatrixElement(q, "SO4"),
-        MatrixElement(a, "DiagPositive"),
-        MatrixElement(n, "UpperUnipotent"),
-        log_a,
-    )
+    # modified Gram-Schmidt with one re-orthogonalization pass, g = q r, on
+    # the rows of a and q, which are the columns of g and of k
+    a = np.swapaxes(np.asarray(g, dtype=float), -1, -2)
+    q = np.zeros_like(a)
+    r = np.zeros_like(a)
+    for j in range(4):
+        v = a[..., j, :].copy()
+        for _ in range(2):
+            for i in range(j):
+                c = np.sum(q[..., i, :] * v, axis=-1)
+                r[..., i, j] += c
+                v -= c[..., None] * q[..., i, :]
+        piv = np.sqrt(np.sum(v * v, axis=-1))
+        if not np.all(piv >= 1e-13):
+            raise NearSingular(
+                f"column {j} pivot {np.min(piv):g} below threshold")
+        r[..., j, j] = piv
+        q[..., j, :] = v / piv[..., None]
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    n = np.triu(r / d[..., :, None], 1) + np.eye(4)
+    return (check_group(np.swapaxes(q, -1, -2), "SO4"),
+            check_group(d[..., :, None] * np.eye(4), "DiagPositive"),
+            check_group(n, "UpperUnipotent"))
 
 
-def modulus_factor(log_a) -> float:
-    """Jacobian determinant of n -> a n a^{-1} on N for a = diag(a1..a4):
-    the product of a_i / a_j over i < j, i.e. a1^3 a2 a3^{-1} a4^{-3}."""
+def modulus_factor(log_a):
+    """Jacobian determinant of n -> a n a^{-1} on N for a = diag(a1..a4)
+    charted by log_a (..., 3): the product of a_i / a_j over i < j, i.e.
+    a1^3 a2 a3^{-1} a4^{-3}."""
     t = np.asarray(log_a, dtype=float)
-    if t.shape == (3,):
-        a = np.exp(np.concatenate([t, [-t.sum()]]))
-    elif t.shape == (4, 4):
-        a = np.diag(t)
-    else:
-        a = np.asarray(t, dtype=float)
-    return float(a[0] ** 3 * a[1] / a[2] / a[3] ** 3)
+    a = np.exp(np.concatenate([t, -t.sum(axis=-1, keepdims=True)], axis=-1))
+    return a[..., 0] ** 3 * a[..., 1] / a[..., 2] / a[..., 3] ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -393,26 +353,32 @@ def sp4_iwasawa_dimension_audit(form=None):
     return subdim(antisym), subdim(diagonal), subdim(upper)
 
 
-def random_sl4(rng) -> MatrixElement:
+def random_sl4(z) -> np.ndarray:
+    """exp(traceless part of 0.5 z) for standard normals z (..., 4, 4)."""
     from scipy.linalg import expm
 
-    x = rng.normal(0.0, 0.5, size=(4, 4))
-    x -= np.trace(x) / 4.0 * np.eye(4)
-    return MatrixElement(expm(x), "SL4")
+    x = 0.5 * np.asarray(z, dtype=float)
+    x = x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] / 4.0 * np.eye(4)
+    return check_group(expm(x), "SL4")
 
 
-def random_sp4(rng) -> MatrixElement:
+def random_sp4(z) -> np.ndarray:
+    """exp of 0.4 z in the orthonormal basis of the symplectic algebra, for
+    standard normals z (..., 10)."""
     from scipy.linalg import expm
 
-    x = np.tensordot(rng.normal(0.0, 0.4, size=len(_SP4_BASIS)), _SP4_BASIS,
-                     axes=1)
-    g = expm(x)
-    return MatrixElement(g, "SP4")
+    w = 0.4 * np.asarray(z, dtype=float)
+    # row vector @ flattened basis: one draw rounds as a slice of a stack
+    x = w[..., None, :] @ _SP4_BASIS.reshape(len(_SP4_BASIS), 16)
+    return check_group(expm(x.reshape(w.shape[:-1] + (4, 4))), "SP4")
 
 
-def random_so4(rng) -> MatrixElement:
-    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, [0, 1]] = q[:, [1, 0]]
-    return MatrixElement(q, "SO4")
+def random_so4(z) -> np.ndarray:
+    """The orthogonal QR factor of standard normals z (..., 4, 4), with the
+    signs of r's diagonal taken into q and its first two columns swapped
+    where the determinant is negative."""
+    q, r = np.linalg.qr(np.asarray(z, dtype=float))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip] = q[flip][..., [1, 0, 2, 3]]
+    return check_group(q, "SO4")

@@ -142,18 +142,24 @@ def sp4_restrict_check(f: SeparableKNAFunction, quad: U2Quad, M: int):
 # ---------------------------------------------------------------------------
 
 
+def _apply(g, v):
+    """g v for stacks of matrices g (..., 4, 4) and vectors v (..., 4)."""
+    return (g @ np.asarray(v, dtype=float)[..., None])[..., 0]
+
+
 def semidirect_mul(v, g, v2, g2):
-    """(v, g)(v', g') = (v + g v', g g')."""
-    v = np.asarray(v, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    return v + g @ v2, g @ g2
+    """(v, g)(v', g') = (v + g v', g g'), over stacks."""
+    return np.asarray(v, dtype=float) + _apply(g, v2), g @ g2
 
 
 def affine_embed(v, g) -> np.ndarray:
-    """5x5 matrix oracle for the semidirect law."""
-    m = np.eye(5)
-    m[:4, :4] = g
-    m[:4, 4] = np.asarray(v, dtype=float)
+    """5x5 matrix oracle for the semidirect law, (..., 5, 5) for stacks
+    v (..., 4) and g (..., 4, 4)."""
+    v = np.asarray(v, dtype=float)
+    m = np.zeros(np.broadcast_shapes(v.shape[:-1], np.shape(g)[:-2]) + (5, 5))
+    m[..., :4, :4] = g
+    m[..., :4, 4] = v
+    m[..., 4, 4] = 1.0
     return m
 
 
@@ -181,27 +187,29 @@ def lift_upsilon(f):
     return lifted
 
 
-def upsilon_invariance_error(f, g, h, k1) -> float:
-    """|U(g h, h^{-1} k1) - U(g, k1)| for h in the compact factor."""
+def upsilon_invariance_error(f, g, h, k1) -> np.ndarray:
+    """|U(g h, h^{-1} k1) - U(g, k1)| for h in the compact factor, one value
+    per draw of the stacks g, h, k1 (..., 4, 4); f maps stacks to values."""
     lifted = lift_upsilon(f)
-    return abs(lifted(g @ h, h.T @ k1) - lifted(g, k1))
+    return np.abs(lifted(g @ h, np.swapaxes(h, -1, -2) @ k1) - lifted(g, k1))
 
 
 def lift_q(f):
     """Extension to the triple group: (v, g, h) -> f(g v, g h)."""
 
     def lifted(v, g, h):
-        return f(g @ np.asarray(v, dtype=float), g @ h)
+        return f(_apply(g, v), g @ h)
 
     return lifted
 
 
-def q_lift_invariance_error(f, v, g, h, q) -> float:
-    """|F(q^{-1} v, g, q^{-1} h) - F(v, g q^{-1}, h)| for the lifted F."""
+def q_lift_invariance_error(f, v, g, h, q) -> np.ndarray:
+    """|F(q^{-1} v, g, q^{-1} h) - F(v, g q^{-1}, h)| for the lifted F, one
+    value per draw of the stacks v (..., 4) and g, h, q (..., 4, 4)."""
     lifted = lift_q(f)
     qinv = np.linalg.inv(q)
-    return abs(lifted(qinv @ np.asarray(v, dtype=float), g, qinv @ h)
-               - lifted(v, g @ qinv, h))
+    return np.abs(lifted(_apply(qinv, v), g, qinv @ h)
+                  - lifted(v, g @ qinv, h))
 
 
 # ---------------------------------------------------------------------------

@@ -214,46 +214,37 @@ def _groups(cfg, rng, row):
     )
     row("spn-embedding", werr)
 
-    recon = 0.0
-    for _ in range(1000):
-        g = G.random_sl4(rng)
-        recon = _worst(recon, G.iwasawa_decompose(g).reconstruction_error(g))
-    row("iwasawa-sl4", recon)
+    g = G.random_sl4(rng.standard_normal((1000, 4, 4)))
+    k, a, n = G.iwasawa_decompose(g)
+    row("iwasawa-sl4", np.max(np.abs(k @ a @ n - g)))
 
-    recon = symp = 0.0
-    for _ in range(1000):
-        g = G.random_sp4(rng)
-        fac = G.iwasawa_decompose(g)
-        recon = _worst(recon, fac.reconstruction_error(g))
-        symp = _worst(symp, G.symplectic_error(fac.k.entries),
-                      G.symplectic_error(fac.a.entries),
-                      G.symplectic_error(fac.n.entries))
-    row("iwasawa-sp4", recon)
-    row("iwasawa-sp4-factors", symp)
+    g = G.random_sp4(rng.standard_normal((1000, 10)))
+    k, a, n = G.iwasawa_decompose(g)
+    row("iwasawa-sp4", np.max(np.abs(k @ a @ n - g)))
+    row("iwasawa-sp4-factors", G.symplectic_error(np.stack([k, a, n])))
 
-    worst = 0.0
-    for _ in range(100):
-        t = rng.uniform(-1.0, 1.0, size=3)
-        mf = G.modulus_factor(t)
-        jac = _fd_conjugation_jacobian(t)
-        worst = _worst(worst, abs(mf - jac) / abs(mf))
-    row("modulus-vs-jacobian", worst)
+    t = rng.uniform(-1.0, 1.0, size=(100, 3))
+    mf = G.modulus_factor(t)
+    row("modulus-vs-jacobian",
+        np.max(np.abs(mf - _fd_conjugation_jacobian(t)) / np.abs(mf)))
 
 
 def _fd_conjugation_jacobian(log_a):
+    """|det| of the central-difference Jacobian of n -> a n a^{-1} in the
+    coordinates of N, for each row of log_a (..., 3)."""
     h = 1e-6
-    a = np.diag(np.exp(np.concatenate([log_a, [-np.sum(log_a)]])))
-    ainv = np.diag(1.0 / np.diag(a))
+    a = np.exp(np.concatenate([log_a, -np.sum(log_a, axis=-1, keepdims=True)],
+                              axis=-1))
+    ainv = 1.0 / a
 
     def conj_coords(x):
-        return G.nil_from_matrix(a @ G.nil_embed(x) @ ainv)
+        # (..., step, coordinate) for the six steps x (6, 6)
+        return G.nil_from_matrix(a[..., None, :, None] * G.nil_embed(x)
+                                 * ainv[..., None, None, :])
 
-    jac = np.zeros((6, 6))
-    for i in range(6):
-        e = np.zeros(6)
-        e[i] = h
-        jac[:, i] = (conj_coords(e) - conj_coords(-e)) / (2.0 * h)
-    return abs(np.linalg.det(jac))
+    step = h * np.eye(6)
+    jac = (conj_coords(step) - conj_coords(-step)) / (2.0 * h)
+    return np.abs(np.linalg.det(np.swapaxes(jac, -1, -2)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +418,13 @@ def _sl4(cfg, rng, row):
     row("kna-spot-check", _kna_spot_error(rng))
 
     fm = _matrix_test_function(rng)
-    worst = 0.0
-    for _ in range(1000):
-        g = G.random_sl4(rng).entries
-        h = G.random_so4(rng).entries
-        k1 = G.random_so4(rng).entries
-        worst = _worst(worst, IP.upsilon_invariance_error(fm, g, h, k1))
-    row("upsilon-invariance", worst)
+    z = rng.standard_normal((1000, 3, 4, 4))  # (g, h, k1) per draw
+    h, k1 = G.random_so4(z[:, 1:]).swapaxes(0, 1)
+    row("upsilon-invariance", np.max(IP.upsilon_invariance_error(
+        fm, G.random_sl4(z[:, 0]), h, k1)))
 
     lifted = IP.lift_upsilon(fm)
-    g = G.random_sl4(rng).entries
+    g = G.random_sl4(rng.standard_normal((4, 4)))
     err = abs(lifted(g, np.eye(4)) - fm(g))
     row("upsilon-restriction", err)
 
@@ -445,7 +433,8 @@ def _matrix_test_function(rng):
     m = rng.normal(size=(4, 4))
 
     def fm(g):
-        return np.exp(1j * np.trace(m @ g)) * np.exp(-0.05 * np.sum(g * g))
+        return np.exp(1j * np.trace(m @ g, axis1=-2, axis2=-1)) \
+            * np.exp(-0.05 * np.sum(g * g, axis=(-2, -1)))
 
     return fm
 
@@ -511,9 +500,8 @@ def _sp4(cfg, rng, row):
 
     pts = rng.normal(size=(50, 4))
     mats = IP.sp4_n_chart(pts)
-    err = _worst(*(G.symplectic_error(m) for m in mats))
     prod = mats[0] @ mats[1]
-    err = _worst(err, G.symplectic_error(prod),
+    err = _worst(G.symplectic_error(mats), G.symplectic_error(prod),
                  float(np.max(np.abs(np.tril(prod, -1)))),
                  float(np.max(np.abs(np.diag(prod) - 1.0))))
     row("sp4-unipotent-chart", err)
@@ -530,30 +518,23 @@ def _semidirect(cfg, rng, row):
     res = IP.plancherel_semidirect_check(f, quad, J)
     row("semidirect-plancherel", res["lhs"], res["rhs"])
 
-    worst = 0.0
-    for _ in range(1000):
-        v = rng.normal(size=4)
-        v2 = rng.normal(size=4)
-        g1 = G.random_sl4(rng).entries
-        g2 = G.random_sl4(rng).entries
-        vv, gg = IP.semidirect_mul(v, g1, v2, g2)
-        worst = _worst(worst, np.max(np.abs(
-            IP.affine_embed(vv, gg)
-            - IP.affine_embed(v, g1) @ IP.affine_embed(v2, g2))))
-    row("semidirect-law", worst)
+    z = rng.standard_normal((1000, 40))  # (v, v2, g1, g2) per draw
+    v, v2 = z[:, :4], z[:, 4:8]
+    g1, g2 = G.random_sl4(z[:, 8:].reshape(1000, 2, 4, 4)).swapaxes(0, 1)
+    vv, gg = IP.semidirect_mul(v, g1, v2, g2)
+    row("semidirect-law", np.max(np.abs(
+        IP.affine_embed(vv, gg)
+        - IP.affine_embed(v, g1) @ IP.affine_embed(v2, g2))))
 
     def fp(v, g):
-        return np.exp(1j * np.sum(v)) * np.exp(1j * np.trace(g)) \
-            * np.exp(-0.05 * np.sum(g * g))
+        return np.exp(1j * np.sum(v, axis=-1)) \
+            * np.exp(1j * np.trace(g, axis1=-2, axis2=-1)) \
+            * np.exp(-0.05 * np.sum(g * g, axis=(-2, -1)))
 
-    worst = 0.0
-    for _ in range(1000):
-        v = rng.normal(size=4)
-        g = G.random_sl4(rng).entries
-        h = G.random_sl4(rng).entries
-        q = G.random_sl4(rng).entries
-        worst = _worst(worst, IP.q_lift_invariance_error(fp, v, g, h, q))
-    row("translation-lift-invariance", worst)
+    z = rng.standard_normal((1000, 52))  # (v, g, h, q) per draw
+    g, h, q = G.random_sl4(z[:, 4:].reshape(1000, 3, 4, 4)).swapaxes(0, 1)
+    row("translation-lift-invariance",
+        np.max(IP.q_lift_invariance_error(fp, z[:, :4], g, h, q)))
 
 
 # ---------------------------------------------------------------------------

@@ -272,13 +272,13 @@ def test_every_traced_layer_names_a_library_attribute():
 def test_nan_error_fails_its_row(monkeypatch):
     # a NaN after a finite value must not vanish in the worst-case fold
     original = IP.upsilon_invariance_error
-    calls = []
 
-    def nan_on_second_call(*args):
-        calls.append(None)
-        return math.nan if len(calls) == 2 else original(*args)
+    def nan_at_second_draw(*args):
+        err = original(*args)
+        err[1] = math.nan
+        return err
 
-    monkeypatch.setattr(IP, "upsilon_invariance_error", nan_on_second_call)
+    monkeypatch.setattr(IP, "upsilon_invariance_error", nan_at_second_draw)
     cfg = cli.SuiteConfig(seed=42, budget_bandlimit=0.5)
     rows = {c["name"]: c for c in cli.SUITES["sl4-plancherel"](cfg)}
     assert math.isnan(rows["upsilon-invariance"]["lhs"])

@@ -102,53 +102,48 @@ def test_spn_product_pattern():
 def test_symplectic_forms_related_by_basis_swap():
     P = np.eye(4)[[0, 1, 3, 2]]
     assert np.array_equal(P @ G.SP_FORM_BLOCK @ P.T, G.SP_FORM)
-    g = G.random_sp4(rng)
-    blocked = P @ g.entries @ P.T
+    g = G.random_sp4(rng.standard_normal(10))
+    blocked = P @ g @ P.T
     assert G.symplectic_error(blocked, G.SP_FORM_BLOCK) < 1e-12
 
 
 def test_iwasawa_identity():
-    fac = G.iwasawa_decompose(np.eye(4))
-    assert np.allclose(fac.k.entries, np.eye(4))
-    assert np.allclose(fac.a.entries, np.eye(4))
-    assert np.allclose(fac.n.entries, np.eye(4))
+    for m in G.iwasawa_decompose(np.eye(4)):
+        assert np.allclose(m, np.eye(4))
 
 
 def test_iwasawa_reconstruction_sl4():
-    for _ in range(200):
-        g = G.random_sl4(rng)
-        fac = G.iwasawa_decompose(g)
-        assert fac.reconstruction_error(g) < 1e-10
-        # factor tags validated on construction; logA consistency:
-        assert np.allclose(np.exp(fac.log_a), np.diag(fac.a.entries)[:3],
-                           rtol=1e-12)
+    g = G.random_sl4(rng.standard_normal((200, 4, 4)))
+    k, a, n = G.iwasawa_decompose(g)
+    # factor tags validated on return
+    assert np.max(np.abs(k @ a @ n - g)) < 1e-10
 
 
 def test_iwasawa_roundtrip_on_factors():
-    g = G.random_sl4(rng)
-    fac = G.iwasawa_decompose(g)
-    fac2 = G.iwasawa_decompose(fac.reconstruction())
-    assert np.max(np.abs(fac2.k.entries - fac.k.entries)) < 1e-10
-    assert np.max(np.abs(fac2.a.entries - fac.a.entries)) < 1e-10
-    assert np.max(np.abs(fac2.n.entries - fac.n.entries)) < 1e-10
+    g = G.random_sl4(rng.standard_normal((4, 4)))
+    k, a, n = G.iwasawa_decompose(g)
+    k2, a2, n2 = G.iwasawa_decompose(k @ a @ n)
+    assert np.max(np.abs(k2 - k)) < 1e-10
+    assert np.max(np.abs(a2 - a)) < 1e-10
+    assert np.max(np.abs(n2 - n)) < 1e-10
 
 
 def test_iwasawa_sp4_factors_symplectic():
-    for _ in range(200):
-        g = G.random_sp4(rng)
-        fac = G.iwasawa_decompose(g)
-        assert fac.reconstruction_error(g) < 1e-10
-        for m in (fac.k.entries, fac.a.entries, fac.n.entries):
-            assert G.symplectic_error(m) < 1e-10
+    g = G.random_sp4(rng.standard_normal((200, 10)))
+    k, a, n = G.iwasawa_decompose(g)
+    assert np.max(np.abs(k @ a @ n - g)) < 1e-10
+    for m in (k, a, n):
+        assert G.symplectic_error(m) < 1e-10
 
 
 def test_iwasawa_moderate_conditioning():
     # spread diagonal ~ e^{+-3.5} gives condition numbers around 1e3
     t = np.array([3.5, -1.0, 0.5])
     a = np.diag(np.exp(np.concatenate([t, [-t.sum()]])))
-    g = G.random_so4(rng).entries @ a @ G.nil_embed(rng.uniform(-1, 1, 6))
-    fac = G.iwasawa_decompose(g)
-    assert fac.reconstruction_error(g) < 1e-9
+    g = G.random_so4(rng.standard_normal((4, 4))) @ a \
+        @ G.nil_embed(rng.uniform(-1, 1, 6))
+    k, a, n = G.iwasawa_decompose(g)
+    assert np.max(np.abs(k @ a @ n - g)) < 1e-9
 
 
 def test_near_singular_raises():
@@ -160,13 +155,76 @@ def test_near_singular_raises():
 
 def test_matrix_element_validation():
     with pytest.raises(ValueError):
-        G.MatrixElement(2 * np.eye(4), "SL4")
+        G.check_group(2 * np.eye(4), "SL4")
     with pytest.raises(G.SymplecticViolation):
-        G.MatrixElement(np.diag([2.0, 1.0, 0.5, 1.0]), "SP4")
+        G.check_group(np.diag([2.0, 1.0, 0.5, 1.0]), "SP4")
     m = np.eye(4)
     m[1, 0] = 1e-14
     with pytest.raises(ValueError):
-        G.MatrixElement(m, "UpperUnipotent")
+        G.check_group(m, "UpperUnipotent")
+
+
+_TAG_ERRORS = {"SL4": ValueError, "SP4": G.SymplecticViolation,
+               "SO4": ValueError, "UpperUnipotent": ValueError,
+               "DiagPositive": ValueError}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+@pytest.mark.parametrize("tag", sorted(_TAG_ERRORS))
+def test_nan_matrix_fails_every_group_check(tag):
+    # each test reads not (err <= tol), so a NaN entry cannot pass
+    with pytest.raises(_TAG_ERRORS[tag]):
+        G.check_group(np.full((3, 4, 4), np.nan), tag)
+    m = np.eye(4)
+    m[0, 3] = np.nan
+    with pytest.raises(_TAG_ERRORS[tag]):
+        G.check_group(m, tag)
+
+
+def test_nan_matrix_has_no_iwasawa_factors():
+    with pytest.raises(G.NearSingular):
+        G.iwasawa_decompose(np.full((4, 4), np.nan))
+    g = np.stack([np.eye(4)] * 3)
+    g[1, 2, 2] = np.nan
+    with pytest.raises(G.NearSingular):
+        G.iwasawa_decompose(g)
+
+
+def test_check_group_rejects_a_stack_with_one_bad_matrix():
+    gen = np.random.default_rng(1013)
+    for tag, good in (("SL4", G.random_sl4(gen.standard_normal((5, 4, 4)))),
+                      ("SP4", G.random_sp4(gen.standard_normal((5, 10)))),
+                      ("SO4", G.random_so4(gen.standard_normal((5, 4, 4)))),
+                      ("UpperUnipotent", G.nil_embed(gen.normal(size=(5, 6)))),
+                      ("DiagPositive", np.stack([np.eye(4)] * 5))):
+        assert np.array_equal(G.check_group(good, tag), good)
+        bad = good.copy()
+        bad[3] = np.diag([2.0, 1.0, 1.0, 1.0]) @ bad[3]
+        with pytest.raises(_TAG_ERRORS[tag]):
+            G.check_group(bad, tag)
+    with pytest.raises(ValueError):
+        G.check_group(np.eye(4), "GL4")
+
+
+@pytest.mark.parametrize("sampler, shape", [(G.random_sl4, (4, 4)),
+                                            (G.random_sp4, (10,)),
+                                            (G.random_so4, (4, 4))])
+def test_sampler_on_a_stack_equals_its_slices(sampler, shape):
+    z = np.random.default_rng(1012).standard_normal((7,) + shape)
+    stacked = sampler(z)
+    assert stacked.shape == (7, 4, 4)
+    for zi, gi in zip(z, stacked):
+        assert np.array_equal(sampler(zi), gi)
+
+
+def test_iwasawa_on_a_stack_equals_its_slices():
+    gen = np.random.default_rng(1014)
+    g = np.concatenate([G.random_sl4(gen.standard_normal((4, 4, 4))),
+                        G.random_sp4(gen.standard_normal((3, 10)))])
+    stacked = G.iwasawa_decompose(g.reshape(7, 1, 4, 4))
+    for i in range(7):
+        for m, s in zip(G.iwasawa_decompose(g[i]), stacked):
+            assert np.max(np.abs(m - s[i, 0])) <= 1e-15
 
 
 def test_modulus_factor_values():

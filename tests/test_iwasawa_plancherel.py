@@ -186,8 +186,8 @@ def test_semidirect_plancherel_and_law():
     assert res["rel_err"] < 1e-6
 
     v, v2 = rng.normal(size=(2, 4))
-    g1 = G.random_sl4(rng).entries
-    g2 = G.random_sl4(rng).entries
+    g1 = G.random_sl4(rng.standard_normal((4, 4)))
+    g2 = G.random_sl4(rng.standard_normal((4, 4)))
     vv, gg = ip.semidirect_mul(v, g1, v2, g2)
     oracle = ip.affine_embed(v, g1) @ ip.affine_embed(v2, g2)
     assert np.max(np.abs(ip.affine_embed(vv, gg) - oracle)) < 1e-12
@@ -206,30 +206,30 @@ def test_upsilon_lift_invariance_and_restriction():
     m = rng.normal(size=(4, 4))
 
     def fm(g):
-        return np.exp(1j * np.trace(m @ g)) * np.exp(-0.05 * np.sum(g * g))
+        return np.exp(1j * np.trace(m @ g, axis1=-2, axis2=-1)) \
+            * np.exp(-0.05 * np.sum(g * g, axis=(-2, -1)))
 
     lifted = ip.lift_upsilon(fm)
-    for _ in range(200):
-        g = G.random_sl4(rng).entries
-        h = G.random_so4(rng).entries
-        k1 = G.random_so4(rng).entries
-        assert ip.upsilon_invariance_error(fm, g, h, k1) < 1e-10
-    g = G.random_sl4(rng).entries
+    z = rng.standard_normal((200, 3, 4, 4))  # (g, h, k1) per draw
+    err = ip.upsilon_invariance_error(fm, G.random_sl4(z[:, 0]),
+                                      G.random_so4(z[:, 1]),
+                                      G.random_so4(z[:, 2]))
+    assert err.shape == (200,) and np.max(err) < 1e-10
+    g = G.random_sl4(rng.standard_normal((4, 4)))
     assert abs(lifted(g, np.eye(4)) - fm(g)) == 0.0
 
 
 def test_h_lift_and_q_lift():
     def fp(v, g):
-        return np.exp(1j * np.sum(v)) * np.exp(1j * np.trace(g)) \
-            * np.exp(-0.05 * np.sum(g * g))
+        return np.exp(1j * np.sum(v, axis=-1)) \
+            * np.exp(1j * np.trace(g, axis1=-2, axis2=-1)) \
+            * np.exp(-0.05 * np.sum(g * g, axis=(-2, -1)))
 
     # at h = 1 the triple-group lift is the semidirect lift f(g v, g)
     v = rng.normal(size=4)
-    g = G.random_sl4(rng).entries
+    g = G.random_sl4(rng.standard_normal((4, 4)))
     assert ip.lift_q(fp)(v, g, np.eye(4)) == fp(g @ v, g)
-    for _ in range(200):
-        v = rng.normal(size=4)
-        g = G.random_sl4(rng).entries
-        h = G.random_sl4(rng).entries
-        q = G.random_sl4(rng).entries
-        assert ip.q_lift_invariance_error(fp, v, g, h, q) < 1e-10
+    z = rng.standard_normal((200, 52))  # (v, g, h, q) per draw
+    g, h, q = G.random_sl4(z[:, 4:].reshape(200, 3, 4, 4)).swapaxes(0, 1)
+    err = ip.q_lift_invariance_error(fp, z[:, :4], g, h, q)
+    assert err.shape == (200,) and np.max(err) < 1e-10
