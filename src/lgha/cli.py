@@ -88,9 +88,9 @@ class SuiteConfig:
 
     def validate(self):
         """Reject a seed that is not a nonnegative integer, budgets the
-        suites cannot run with, tolerance keys that name no check or a
-        fixed-verdict row, and tolerances that are negative or not finite
-        (exit code 2)."""
+        suites cannot run with (a grid or Monte Carlo budget must be an int),
+        tolerance keys that name no check or a fixed-verdict row, and
+        tolerances that are negative or not finite (exit code 2)."""
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigError(
                 f"seed must be a nonnegative integer, got {self.seed!r}")
@@ -106,11 +106,11 @@ class SuiteConfig:
         if bad:
             raise ConfigError(
                 f"tolerances must be finite and >= 0: {bad}")
-        if not self.budget_grid > 0:
-            raise ConfigError("grid budget must be positive")
-        if not self.budget_mc >= MIN_MC_SAMPLES:
+        if type(self.budget_grid) is not int or not self.budget_grid > 0:
+            raise ConfigError("grid budget must be a positive integer")
+        if type(self.budget_mc) is not int or self.budget_mc < MIN_MC_SAMPLES:
             raise ConfigError(
-                f"Monte Carlo budget must be at least {MIN_MC_SAMPLES}")
+                f"Monte Carlo budget must be an integer >= {MIN_MC_SAMPLES}")
         if not self.budget_bandlimit >= 0:
             raise ConfigError("band-limit budget must be >= 0")
 

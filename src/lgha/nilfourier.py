@@ -19,8 +19,7 @@ import numpy as np
 from . import groups
 from .corpus import GaussProduct, product_overlap
 from .quadrature import (Axis, SampledField, box_grid, dft_forward,
-                         factor_plancherel, monte_carlo, norm2, pairwise_sum,
-                         DEFAULT_GRID_BUDGET)
+                         factor_plancherel, monte_carlo, norm2, pairwise_sum)
 
 __all__ = [
     "reduce_to_nil", "LiftedFunction", "lift_to_L", "invariance_shift",
@@ -176,14 +175,13 @@ def convolve_N(phi, f, at, n: int, seed: int, sampler):
 # ---------------------------------------------------------------------------
 
 
-def plancherel_N_check(f, box: float = 6.0, count: int = 14,
-                       budget: int = DEFAULT_GRID_BUDGET):
+def plancherel_N_check(f, box: float = 6.0, count: int = 14):
     """lhs = int |f|^2 dX by quadrature, rhs = (2 pi)^{-6} int |Ff|^2 dxi,
     with Ff the six-axis Euclidean transform in the global chart of N.
 
     Separable inputs (GaussProduct) factor into one-dimensional checks on
-    4 * count nodes per axis; other callables are sampled on the full grid
-    (budget permitting).
+    4 * count nodes per axis; other callables are sampled on the full
+    count^6 grid.
     """
     if isinstance(f, GaussProduct):
         lhs = rhs = 1.0
@@ -192,7 +190,7 @@ def plancherel_N_check(f, box: float = 6.0, count: int = 14,
             lhs *= norm
             rhs *= spectral
     else:
-        grid = box_grid(NIL_AXES, -box, box, count, budget=budget)
+        grid = box_grid(NIL_AXES, -box, box, count)
         fld = SampledField.from_callable(
             grid, lambda *mesh: f(np.stack(mesh, axis=-1)))
         lhs = norm2(fld)

@@ -57,7 +57,7 @@ class Axis:
 class GridSpec:
     axes: tuple
 
-    def __init__(self, axes, budget: int = DEFAULT_GRID_BUDGET):
+    def __init__(self, axes):
         axes = tuple(axes)
         names = [a.name for a in axes]
         if len(set(names)) != len(names):
@@ -65,8 +65,8 @@ class GridSpec:
         total = 1
         for a in axes:
             total *= a.count
-        if total > budget:
-            raise BudgetExceeded(f"grid has {total} points > budget {budget}")
+        if total > DEFAULT_GRID_BUDGET:
+            raise BudgetExceeded(f"grid has {total} points > {DEFAULT_GRID_BUDGET}")
         object.__setattr__(self, "axes", axes)
 
     @property
@@ -98,7 +98,7 @@ class GridSpec:
         return np.meshgrid(*[a.nodes() for a in self.axes], indexing="ij")
 
 
-def box_grid(names, lo, hi, count, budget=DEFAULT_GRID_BUDGET) -> GridSpec:
+def box_grid(names, lo, hi, count) -> GridSpec:
     """Cell-centered box axes for every name; lo, hi and count are each one
     value for all names or one value per name."""
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (len(names),))
@@ -106,7 +106,7 @@ def box_grid(names, lo, hi, count, budget=DEFAULT_GRID_BUDGET) -> GridSpec:
     count = np.broadcast_to(np.asarray(count, dtype=int), (len(names),))
     axes = [Axis(n, lo[i], hi[i], int(count[i]))
             for i, n in enumerate(names)]
-    return GridSpec(axes, budget=budget)
+    return GridSpec(axes)
 
 
 def pairwise_sum(a):

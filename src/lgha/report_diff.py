@@ -2,13 +2,13 @@
 
     python -m lgha.report_diff OLD.json NEW.json
 
-prints one line per row whose lhs, rhs, error or verdict differs: the change
-of lhs and of rhs (NEW - OLD), the relative error before and after, and the
-verdict before and after, followed by a summary line and, when both
-reports carry per-suite `timings`, one line of NEW/OLD time ratios for the
-suites both ran.  Exit codes: 0 when both reports have the same row names
-in the same order and the same verdicts, 1 when they do not, 2 on
-unreadable input.
+prints one line per row whose lhs, rhs, error or verdict differs (a NaN
+equals a NaN): the change of lhs and of rhs (NEW - OLD), the relative error
+before and after, and the verdict before and after, followed by a summary
+line and, when both reports carry per-suite `timings`, one line of NEW/OLD
+time ratios for the suites both ran.  Exit codes: 0 when both reports have
+the same row names in the same order and the same verdicts, 1 when they do
+not, 2 on unreadable input.
 """
 
 from __future__ import annotations
@@ -22,8 +22,13 @@ __all__ = ["main"]
 _FIELDS = ("lhs", "rhs", "abs_err", "rel_err", "pass")
 
 
+def _same(old, new) -> bool:
+    """old == new, with NaN (the one value unequal to itself) equal to NaN."""
+    return old == new or (old != old and new != new)
+
+
 def _delta(old, new) -> str:
-    if old == new:
+    if _same(old, new):
         return "0"
     if isinstance(old, (int, float)) and isinstance(new, (int, float)):
         return f"{new - old:+.3e}"
@@ -47,7 +52,7 @@ def _diff_rows(old: dict, new: dict):
         if b is None:
             lines.append(f"{name}: only in OLD")
             continue
-        if all(a[k] == b[k] for k in _FIELDS):
+        if all(_same(a[k], b[k]) for k in _FIELDS):
             continue
         moved += 1
         flip = _verdict(a) if a["pass"] == b["pass"] \

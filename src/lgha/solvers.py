@@ -1,6 +1,6 @@
 """Constructive spectral solvers: division by the symbol for
-constant-coefficient operators on periodic boxes, the shear-conjugated solve
-for the Lewy-type operator, and the four-stage composition solve.
+constant-coefficient operators on periodic boxes, and one shear-conjugated
+solve body for the Lewy-type operator and for the four-stage composition.
 
 The conjugating coordinate change (z, y, x) -> (z - 2xy, y, -x) acts on
 sampled fields exactly: the x-reflection is an index reversal on the
@@ -24,7 +24,7 @@ from .quadrature import (Axis, GridSpec, SampledField, Spectrum, box_grid,
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
-    "shear_reflect_points", "lewy_solve",
+    "shear_reflect_points", "lewy_solve", "four_stage_chain",
     "four_stage_operator", "four_stage_solve", "interior_mask",
     "interior_rel_error",
 ]
@@ -72,9 +72,7 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
             f"projected mass {projected_rel:.3e} exceeds 1.0e-06")
 
     vals = np.where(mask, 0.0, spec.values / np.where(mask, 1.0, sym))
-    out = spec
-    out.values = vals
-    sol = dft_inverse(out)
+    sol = dft_inverse(Spectrum(spec.grid, vals))
     info = {"projected_rel": projected_rel,
             "n_projected": int(np.count_nonzero(mask))}
     return sol, info
@@ -119,17 +117,20 @@ def shear_reflect_points(z, y, x) -> np.ndarray:
     return np.stack([z - 2.0 * x * y, y, -x], axis=-1)
 
 
-def _sheared_rhs(g, n: int) -> SampledField:
-    """g o (z, y, x) -> (z - 2xy, y, -x) sampled on the n^3 solve grid of a
-    right-hand side g whose effective support lies inside SUPPORT."""
+def _conjugated_solve(g, n: int, op: PolyDiffOp):
+    """Solve the shear-conjugate of op f = g on the n^3 grid around SUPPORT:
+    sample g o (z, y, x) -> (z - 2xy, y, -x), divide once by the symbol of
+    the constant-coefficient op, and shear the solution back.  Returns the
+    solution field and cr_solve's projected-mode report."""
     sz, sy, sx = SUPPORT
     # the z range must cover the sheared image of the whole (y, x) grid so
     # the Fourier z-shift cannot wrap support back into the window
     yh, xh = sy + PAD, sx + PAD
     half = np.array([sz + 2.0 * yh * xh + PAD, yh, xh])
     grid = box_grid(SOLVE_AXES, -half, half, n)
-    gvals = g(shear_reflect_points(*grid.meshgrid()))
-    return SampledField(grid, np.asarray(gvals, dtype=complex))
+    gvals = np.asarray(g(shear_reflect_points(*grid.meshgrid())), complex)
+    u, info = cr_solve(SampledField(grid, gvals), op)
+    return shear_reflect_field(u), info
 
 
 def plateau_window(grid: GridSpec) -> np.ndarray:
@@ -178,14 +179,11 @@ def lewy_solve(g, n: int):
     map is sampled on a box whose z range covers the sheared image of the
     support; the Cauchy-Riemann factor is inverted spectrally; the solution
     is sheared back without interpolation.  Returns a dict with the solution
-    field, the grid, the projected-mode report, and the independently
-    computed interior residual of the equation.
+    field "f", the projected-mode report, and the independently computed
+    interior residual of the equation.
     """
-    gtilde = _sheared_rhs(g, n)
-    grid = gtilde.grid
-
-    u, info = cr_solve(gtilde, cauchy_riemann())
-    f = shear_reflect_field(u)
+    f, info = _conjugated_solve(g, n, cauchy_riemann())
+    grid = f.grid
 
     windowed = SampledField(grid, f.values * plateau_window(grid))
     applied = spectral_apply(lewy_conjugate_true(), windowed)
@@ -195,30 +193,32 @@ def lewy_solve(g, n: int):
                                   interior_mask(grid))
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples
-    return {"f": f, "grid": grid, "residual": residual, **info}
+    return {"f": f, "residual": residual, **info}
+
+
+def four_stage_chain() -> PolyDiffOp:
+    """The chain R Rbar Rbar R, with symbol (xi_x^2 + xi_y^2)^2: its kernel
+    modes are those of R, the line xi_x = xi_y = 0."""
+    r, rbar = cr_pair_R(), cr_pair_R_star()
+    return r @ rbar @ rbar @ r
 
 
 def four_stage_operator() -> PolyDiffOp:
-    """The fourth-order operator the chained solve inverts: the conjugation
-    of R Rbar Rbar R by the shear-reflection, expanded symbolically.  It
-    agrees with the product of the coefficient-reflected first-order factors
-    (which commute); it is not equal to the plain product of the displayed
-    factors, whose commutator is 8i dz."""
+    """The fourth-order operator the four-stage solve inverts: the
+    conjugation of four_stage_chain() by the shear-reflection, expanded
+    symbolically.  It agrees with the product of the coefficient-reflected
+    first-order factors (which commute); it is not equal to the plain
+    product of the displayed factors, whose commutator is 8i dz."""
     p1 = hormander_P_bar().coeff_reflect(sx=-1)   # = conj of R under the shear
     p2 = hormander_P().coeff_reflect(sx=-1)       # = conj of Rbar
     return p1 @ p2 @ p2 @ p1
 
 
 def four_stage_solve(g, n: int):
-    """Solve the four-stage composition by four chained spectral inversions
-    inside the shear conjugation, on an n^3 grid around SUPPORT.  Returns
-    the solution field, the grid and the largest projected-mode report of
-    the four stages; the solve is checked by its manufactured round trip,
-    not by a residual."""
-    stage = _sheared_rhs(g, n)
-    infos = []
-    for op in (cr_pair_R(), cr_pair_R_star(), cr_pair_R_star(), cr_pair_R()):
-        stage, info = cr_solve(stage, op)
-        infos.append(info["projected_rel"])
-    return {"f": shear_reflect_field(stage), "grid": stage.grid,
-            "projected_rel": max(infos)}
+    """Solve the four-stage composition inside the shear conjugation, on an
+    n^3 grid around SUPPORT, by one division by the symbol of
+    four_stage_chain().  Returns a dict with the solution field "f" and the
+    projected-mode report; the solve is checked by its manufactured round
+    trip, not by a residual."""
+    f, info = _conjugated_solve(g, n, four_stage_chain())
+    return {"f": f, **info}

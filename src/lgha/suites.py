@@ -271,8 +271,7 @@ def _nil_plancherel(cfg, rng, row):
 
     # box scales with the node count so the spacing stays adequate when the
     # budget forces a coarser grid
-    res = NF.plancherel_N_check(bump, box=0.45 * count, count=count,
-                                budget=max(cfg.budget_grid, count ** 6))
+    res = NF.plancherel_N_check(bump, box=0.45 * count, count=count)
     row("plancherel-bump", res["rel_err"], tol=2e-2 if count < 12 else None)
     mc = monte_carlo(lambda x: np.abs(bump(x)) ** 2, np.zeros(6),
                      np.full(6, 0.9 / np.sqrt(2.0)),
@@ -577,9 +576,8 @@ def _identity_battery(rng):
     battery.append(("right-laplacian-transport",
                     chain_through(pim, D.laplacian_3d(), gi),
                     D.reflected_eval(D.heis_laplacian_right(), (1, 1, -1))))
-    four = D.cr_pair_R() @ D.cr_pair_R_star() @ D.cr_pair_R_star() @ D.cr_pair_R()
     battery.append(("four-factor-conjugation",
-                    partial(D.conjugate_apply, hb, four),
+                    partial(D.conjugate_apply, hb, SV.four_stage_chain()),
                     SV.four_stage_operator().apply))
     battery.append(("single-factor-swap",
                     partial(D.conjugate_apply, hb, D.cr_pair_R()),
@@ -640,7 +638,7 @@ def _roundtrip(solve, w, op, n):
         return qw.values(SV.shear_reflect_points(*np.moveaxis(pts, -1, 0)))
 
     res = solve(rhs, n)
-    grid = res["grid"]
+    grid = res["f"].grid
     href = w.values(SV.shear_reflect_points(*grid.meshgrid()))
     return SV.interior_rel_error(res["f"].values, href,
                                  SV.interior_mask(grid)), \
@@ -682,8 +680,7 @@ def _solvers(cfg, rng, row):
 
     w2 = D.PolyGauss(D.Poly3({(0, 0, 2): 1.0, (0, 2, 0): -1.0,
                               (0, 1, 1): 2.0j}), sigma=0.6)
-    chain = D.cr_pair_R() @ D.cr_pair_R_star() @ D.cr_pair_R_star() @ D.cr_pair_R()
-    err, _ = _roundtrip(SV.four_stage_solve, w2, chain, 144)
+    err, _ = _roundtrip(SV.four_stage_solve, w2, SV.four_stage_chain(), 144)
     row("four-stage-roundtrip", err)
 
 

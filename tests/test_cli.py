@@ -128,10 +128,12 @@ def test_out_naming_a_directory_leaves_no_temporary_file(tmp_path):
 
 
 def test_configs_built_in_code_are_validated():
-    # a negative seed reached Philox as a bare ValueError, and a NaN
-    # tolerance was used as is
+    # a negative seed reached Philox as a bare ValueError, a NaN tolerance
+    # was used as is, and a float budget reached monte_carlo's chunk loop
     for cfg in (cli.SuiteConfig(seed=-200000),
-                cli.SuiteConfig(tolerances={"nil-law-vs-matrix": math.nan})):
+                cli.SuiteConfig(tolerances={"nil-law-vs-matrix": math.nan}),
+                cli.SuiteConfig(budget_mc=600000.0),
+                cli.SuiteConfig(budget_grid=1e6)):
         with pytest.raises(cli.ConfigError):
             cli.run_suite("hormander", cfg)
         with pytest.raises(cli.ConfigError):

@@ -8,6 +8,7 @@ from lgha import diffops as D
 from lgha.jets import (DEGREE, MULTI_INDICES, N_COEFFS, DegreeOverflow,
                        GaussianBump, Jet, PlaneWave, _align, standard_corpus,
                        substitute)
+from lgha.solvers import four_stage_chain
 
 rng = np.random.default_rng(606)
 
@@ -429,7 +430,7 @@ def test_four_factor_conjugation_and_commutators():
     corpus = standard_corpus(rng)[:4]
     pts = rng.uniform(-1.2, 1.2, size=(25, 3))
     hb = D.shear_reflect_map()
-    four = D.cr_pair_R() @ D.cr_pair_R_star() @ D.cr_pair_R_star() @ D.cr_pair_R()
+    four = four_stage_chain()
     p1 = D.hormander_P_bar().coeff_reflect(sx=-1)
     p2 = D.hormander_P().coeff_reflect(sx=-1)
     err = D.verify_identity(

@@ -157,7 +157,7 @@ def test_so4_quadrature_budget():
 
 def test_grid_budget():
     with pytest.raises(Q.BudgetExceeded):
-        Q.box_grid(tuple("abcdef"), -1, 1, 64, budget=10 ** 6)
+        Q.box_grid(tuple("abcdef"), -1, 1, 64)  # 64^6 = 2^36 > 2^25
 
 
 def test_axis_validation():

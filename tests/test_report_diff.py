@@ -40,6 +40,14 @@ def test_report_diff_lists_moved_rows_and_flags_verdicts(tmp_path, capsys):
     code, _ = run(base, _report(("b", 2e-9, True), ("a", 1e-9, True)))
     assert code == 1  # same rows in another order
 
+    # a NaN field equals NaN in the other report
+    nan = _report(("a", float("nan"), False), ("b", 2e-9, True))
+    code, out = run(nan, nan)
+    assert code == 0 and out.strip().endswith("0 moved; names and verdicts agree")
+    code, out = run(nan, _report(("a", float("nan"), False),
+                                 ("b", 3e-9, True)))
+    assert code == 0 and "a:" not in out and "1 moved" in out
+
     assert report_diff.main([str(tmp_path / "old.json"),
                              str(tmp_path / "missing.json")]) == 2
 

@@ -128,11 +128,38 @@ def test_spectral_apply_matches_exact_derivative():
 def test_four_stage_operator_is_conjugation_of_chain():
     corpus_pt = rng.uniform(-1, 1, size=(10, 3))
     w = D.PolyGauss(D.Poly3({(0, 1, 1): 1.0}), sigma=1.1)
-    four = D.cr_pair_R() @ D.cr_pair_R_star() @ D.cr_pair_R_star() @ D.cr_pair_R()
     hb = D.shear_reflect_map()
-    lhs = D.conjugate_apply(hb, four, w, corpus_pt)
+    lhs = D.conjugate_apply(hb, S.four_stage_chain(), w, corpus_pt)
     rhs = S.four_stage_operator().apply(w, corpus_pt)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("grid", [
+    _grid3((4.0, 4.0, 4.0), (16, 24, 24)), _grid2(48)],
+    ids=["zyx", "yx"])
+def test_composed_division_equals_four_sequential_solves(grid):
+    # one division by the symbol of R Rbar Rbar R against the four stages
+    # R, Rbar, Rbar, R solved one after another
+    w = D.PolyGauss(D.Poly3({(0, 0, 2): 1.0, (0, 2, 0): -1.0,
+                             (0, 1, 1): 2.0j, (1, 0, 0): 0.5}), sigma=0.7)
+    mesh = [grid.along(n, grid.axis(n).nodes()) if n in grid.names else 0.0
+            for n in S.SOLVE_AXES]
+    pts = np.stack(np.broadcast_arrays(*mesh), axis=-1)
+    g = SampledField(grid, w.apply_diffop(S.four_stage_chain()).values(pts))
+
+    sol, info = S.cr_solve(g, S.four_stage_chain())
+    ref, infos = g, []
+    for op in (D.cr_pair_R(), D.cr_pair_R_star(), D.cr_pair_R_star(),
+               D.cr_pair_R()):
+        ref, stage_info = S.cr_solve(ref, op)
+        infos.append(stage_info)
+    rel = np.max(np.abs(sol.values - ref.values)) \
+        / np.max(np.abs(ref.values))
+    assert rel <= 1e-12
+    n_line = grid.shape[0] if len(grid.shape) == 3 else 1
+    assert info["n_projected"] == n_line
+    assert all(i["n_projected"] == n_line for i in infos)
+    assert info["projected_rel"] == infos[0]["projected_rel"]
 
 
 def test_interior_mask_and_window():
