@@ -38,12 +38,16 @@ class ConfigError(ValueError):
 
 def _number(kind, value, what):
     """kind(value) for a number read from a config file or a flag; a value
-    kind rejects (a string, NaN or infinity for int) is a ConfigError."""
+    kind rejects (a string, NaN or infinity for int) is a ConfigError, and
+    so is a float with a fractional part for int."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be a finite number, got {value!r}") \
             from None
+    if kind is int and isinstance(value, float) and out != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return out
 
 
 @dataclass

@@ -344,10 +344,13 @@ class PolyDiffOp:
         if not self.is_constant_coefficient:
             raise ValueError("symbol requires constant coefficients")
         out = 0
-        for (a, b, c), p in self.terms.items():
-            co = p.terms.get((0, 0, 0), 0.0)
-            out = out + co * (1j * np.asarray(xiz)) ** a \
-                * (1j * np.asarray(xiy)) ** b * (1j * np.asarray(xix)) ** c
+        for m, p in self.terms.items():
+            term = p.terms.get((0, 0, 0), 0.0)
+            # only the axes the monomial uses, so the symbol has their shape
+            for xi, k in zip((xiz, xiy, xix), m):
+                if k:
+                    term = term * (1j * np.asarray(xi)) ** k
+            out = out + term
         return out
 
     def apply(self, f, points):
@@ -638,12 +641,16 @@ class PolyGauss:
             total = total + coeff * p
         return PolyGauss(total, self.mu, self.sigma)
 
-    def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        z, y, x = pts[..., 0], pts[..., 1], pts[..., 2]
+    def __call__(self, z, y, x):
+        """Values at broadcastable coordinate arrays z, y, x."""
         q = ((z - self.mu[0]) ** 2 + (y - self.mu[1]) ** 2
              + (x - self.mu[2]) ** 2)
         return self.poly.eval(z, y, x) * np.exp(-q / (2.0 * self.sigma ** 2))
+
+    def values(self, pts):
+        """Values at the points of an (..., 3) array of (z, y, x) rows."""
+        pts = np.asarray(pts, dtype=float)
+        return self(pts[..., 0], pts[..., 1], pts[..., 2])
 
     def jet_at(self, point) -> Jet:
         zj, yj, xj = Jet.coordinates(point)

@@ -8,6 +8,8 @@ inverse / spectral side, i.e. ||f||^2 = (2pi)^{-d} ||Ff||^2.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,41 @@ BLOCK_ENTRIES = 1 << 15
 
 class BudgetExceeded(RuntimeError):
     """A grid or node set would exceed the configured point budget."""
+
+
+# ---------------------------------------------------------------------------
+# one slab per CPU for work that is independent per line or per sample
+# ---------------------------------------------------------------------------
+
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+_local = threading.local()  # .in_task is set in the pool's threads
+
+
+def _mark_task_thread():
+    _local.in_task = True
+
+
+def _run_slabs(fn, count: int) -> list:
+    """[fn(s) for s in contiguous slices covering range(count)], one slice
+    per worker, in slice order.  Every fn(s) must touch only its own slice,
+    so the result does not depend on the number of slices.  A call made
+    inside a pool task runs its slices serially, so nesting cannot wait on
+    a pool whose threads are all busy."""
+    k = max(1, min(_WORKERS, count))
+    edges = [count * i // k for i in range(k + 1)]
+    slabs = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    if k == 1 or getattr(_local, "in_task", False):
+        return [fn(s) for s in slabs]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS,
+                                       initializer=_mark_task_thread)
+    return list(_pool.map(fn, slabs))
 
 
 @dataclass(frozen=True)
@@ -208,17 +245,40 @@ def _phase_factor(grid: GridSpec) -> np.ndarray:
     return factor
 
 
+def fft_lines(vals, out, inverse=False, axes=None):
+    """np.fft.fftn (ifftn if inverse) of the complex array vals over axes
+    (default all), written to out, which may be vals itself.  One 1-D pass
+    per axis, last axis first as fftn runs them; each pass splits its lines
+    into one slab per worker along another axis, so out equals fftn's
+    result bit for bit."""
+    fn = np.fft.ifft if inverse else np.fft.fft
+    src = vals
+    for axis in reversed(range(vals.ndim) if axes is None else axes):
+        if vals.ndim == 1:
+            fn(src, out=out)
+        else:
+            split = 1 if axis == 0 else 0
+            lead = (slice(None),) * split
+
+            def one(s, src=src, axis=axis, lead=lead):
+                fn(src[lead + (s,)], axis=axis, out=out[lead + (s,)])
+
+            _run_slabs(one, vals.shape[split])
+        src = out
+    return out
+
+
 def dft_forward(field: SampledField) -> Spectrum:
     """F(xi) = sum_j f(x_j) exp(-i xi x_j) h over every axis of the grid."""
-    vals = np.fft.fftn(field.values)
+    vals = fft_lines(field.values, np.empty(field.values.shape, complex))
     vals *= _phase_factor(field.grid)
     return Spectrum(field.grid, vals)
 
 
 def dft_inverse(spec: Spectrum) -> SampledField:
     """Exact inverse of dft_forward (composes to the identity on grid data)."""
-    return SampledField(spec.grid,
-                        np.fft.ifftn(spec.values / _phase_factor(spec.grid)))
+    quot = spec.values / _phase_factor(spec.grid)
+    return SampledField(spec.grid, fft_lines(quot, quot, inverse=True))
 
 
 def factor_plancherel(factor, count: int, name: str = "x"):
@@ -252,7 +312,10 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
 
     Samples are drawn from a diagonal Gaussian N(mean, diag(sigma^2)) using a
     Philox counter-based generator, so results are reproducible bit-for-bit
-    for a fixed seed.  `integrand` maps an (m, d) array to m complex values.
+    for a fixed seed.  `integrand` maps an (m, d) array to m complex values
+    and must be row-wise: the value for a row depends on that row alone.
+    Each chunk's weights are computed on one row slab per worker and joined
+    in row order, so the estimate does not depend on the slab count.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
@@ -268,8 +331,13 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
         x = mean + sigma * rng.standard_normal((m, d))
-        logpdf = lognorm - 0.5 * np.sum(((x - mean) / sigma) ** 2, axis=1)
-        w = np.asarray(integrand(x), dtype=complex) * np.exp(-logpdf)
+
+        def weights(s, x=x):
+            logpdf = lognorm - 0.5 * np.sum(((x[s] - mean) / sigma) ** 2,
+                                            axis=1)
+            return np.asarray(integrand(x[s]), dtype=complex) * np.exp(-logpdf)
+
+        w = np.concatenate(_run_slabs(weights, m))
         sums.append(pairwise_sum(w))
         sums2.append(pairwise_sum(np.abs(w) ** 2))
         remaining -= m

@@ -20,7 +20,7 @@ import numpy as np
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
 from .quadrature import (Axis, GridSpec, SampledField, Spectrum, box_grid,
-                         dft_forward, dft_inverse, norm2)
+                         dft_forward, dft_inverse, fft_lines, norm2)
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
@@ -59,12 +59,15 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
         raise ValueError("cr_solve needs a constant-coefficient operator")
     spec = dft_forward(g)
     xiz, xiy, xix = _per_axis(g.grid, Axis.freqs)
-    sym = op.symbol(xiz, xiy, xix)
-    sym = np.broadcast_to(sym, spec.values.shape)
+    # the symbol varies only along the axes the operator differentiates, and
+    # it and its mask stay that small, broadcast against the spectrum
+    sym = np.asarray(op.symbol(xiz, xiy, xix))
     mask = np.abs(sym) < 1e-10
+    full_mask = np.broadcast_to(mask, spec.values.shape)
 
     gnorm2 = norm2(g)
-    proj2 = float(np.sum(np.abs(spec.values[mask]) ** 2)) * spec.freq_weight() \
+    proj2 = float(np.sum(np.abs(spec.values[full_mask]) ** 2)) \
+        * spec.freq_weight() \
         / (2.0 * np.pi) ** len(spec.grid.axes)
     projected_rel = float(np.sqrt(proj2 / max(gnorm2, 1e-300)))
     if projected_rel > 1e-6:
@@ -74,7 +77,7 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
     vals = np.where(mask, 0.0, spec.values / np.where(mask, 1.0, sym))
     sol = dft_inverse(Spectrum(spec.grid, vals))
     info = {"projected_rel": projected_rel,
-            "n_projected": int(np.count_nonzero(mask))}
+            "n_projected": int(np.count_nonzero(full_mask))}
     return sol, info
 
 
@@ -102,33 +105,36 @@ def shear_reflect_field(field: SampledField) -> SampledField:
     ax_x = grid.axis("x")
     if abs(ax_x.lo + ax_x.hi) > 1e-12:
         raise ValueError("x axis must be a symmetric box")
-    vals = np.flip(field.values, axis=2)
-    fz = np.fft.fft(vals, axis=0)
+    vals = fft_lines(np.flip(field.values, axis=2),
+                     np.empty(grid.shape, complex), axes=(0,))
     # s(y, x) = 2 x y
     shift = 2.0 * (grid.along("y", grid.axis("y").nodes())
                    * grid.along("x", ax_x.nodes()))
-    phase = np.exp(-1j * grid.along("z", grid.axis("z").freqs()) * shift)
-    return SampledField(grid, np.fft.ifft(fz * phase, axis=0))
+    vals *= np.exp(-1j * grid.along("z", grid.axis("z").freqs()) * shift)
+    return SampledField(grid, fft_lines(vals, vals, inverse=True, axes=(0,)))
 
 
-def shear_reflect_points(z, y, x) -> np.ndarray:
+def shear_reflect_points(z, y, x):
     """The conjugating map (z, y, x) -> (z - 2xy, y, -x), an involution, at
-    the points with coordinate arrays z, y, x, as one (..., 3) array."""
-    return np.stack([z - 2.0 * x * y, y, -x], axis=-1)
+    the points with broadcastable coordinate arrays z, y, x: the three
+    image coordinate arrays."""
+    return z - 2.0 * x * y, y, -x
 
 
 def _conjugated_solve(g, n: int, op: PolyDiffOp):
     """Solve the shear-conjugate of op f = g on the n^3 grid around SUPPORT:
-    sample g o (z, y, x) -> (z - 2xy, y, -x), divide once by the symbol of
-    the constant-coefficient op, and shear the solution back.  Returns the
-    solution field and cr_solve's projected-mode report."""
+    sample g o (z, y, x) -> (z - 2xy, y, -x) on the grid's per-axis nodes,
+    divide once by the symbol of the constant-coefficient op, and shear the
+    solution back.  Returns the solution field and cr_solve's projected-mode
+    report."""
     sz, sy, sx = SUPPORT
     # the z range must cover the sheared image of the whole (y, x) grid so
     # the Fourier z-shift cannot wrap support back into the window
     yh, xh = sy + PAD, sx + PAD
     half = np.array([sz + 2.0 * yh * xh + PAD, yh, xh])
     grid = box_grid(SOLVE_AXES, -half, half, n)
-    gvals = np.asarray(g(shear_reflect_points(*grid.meshgrid())), complex)
+    gvals = np.asarray(
+        g(*shear_reflect_points(*_per_axis(grid, Axis.nodes))), complex)
     u, info = cr_solve(SampledField(grid, gvals), op)
     return shear_reflect_field(u), info
 
@@ -174,10 +180,11 @@ def lewy_solve(g, n: int):
     """Constructive solve of the shear-conjugate Lewy-type equation
     (-dx - i dy - (2y + 2ix) dz) f = g on an n^3 grid.
 
-    g is a point-evaluable function on R^3 with effective support inside the
-    (z, y, x) half-widths SUPPORT.  The pullback of g under the conjugating
-    map is sampled on a box whose z range covers the sheared image of the
-    support; the Cauchy-Riemann factor is inverted spectrally; the solution
+    g(z, y, x) maps broadcastable coordinate arrays to values of their
+    broadcast shape, with effective support inside the (z, y, x) half-widths
+    SUPPORT.  The pullback of g under the conjugating map is sampled on a
+    box whose z range covers the sheared image of the support; the
+    Cauchy-Riemann factor is inverted spectrally; the solution
     is sheared back without interpolation.  Returns a dict with the solution
     field "f", the projected-mode report, and the independently computed
     interior residual of the equation.
@@ -187,8 +194,7 @@ def lewy_solve(g, n: int):
 
     windowed = SampledField(grid, f.values * plateau_window(grid))
     applied = spectral_apply(lewy_conjugate_true(), windowed)
-    g_on_grid = np.asarray(g(np.stack(grid.meshgrid(), axis=-1)),
-                           dtype=complex)
+    g_on_grid = np.asarray(g(*_per_axis(grid, Axis.nodes)), dtype=complex)
     residual = interior_rel_error(applied.values, g_on_grid,
                                   interior_mask(grid))
     # residual is measured against g on the window, not against the solver's
@@ -217,8 +223,8 @@ def four_stage_operator() -> PolyDiffOp:
 def four_stage_solve(g, n: int):
     """Solve the four-stage composition inside the shear conjugation, on an
     n^3 grid around SUPPORT, by one division by the symbol of
-    four_stage_chain().  Returns a dict with the solution field "f" and the
-    projected-mode report; the solve is checked by its manufactured round
-    trip, not by a residual."""
+    four_stage_chain(); g(z, y, x) is as for lewy_solve.  Returns a dict
+    with the solution field "f" and the projected-mode report; the solve is
+    checked by its manufactured round trip, not by a residual."""
     f, info = _conjugated_solve(g, n, four_stage_chain())
     return {"f": f, **info}

@@ -24,8 +24,8 @@ from . import diffops as D
 from . import solvers as SV
 from .corpus import random_gauss_product
 from .jets import standard_corpus
-from .quadrature import (SampledField, box_grid, monte_carlo, so4_quadrature,
-                         u2_quadrature)
+from .quadrature import (Axis, SampledField, box_grid, monte_carlo,
+                         so4_quadrature, u2_quadrature)
 
 # Every row the nine suites emit, by suite in report order: its name, the
 # anchor slug naming the identity or plumbing it checks, its default
@@ -634,12 +634,12 @@ def _roundtrip(solve, w, op, n):
     this returns."""
     qw = w.apply_diffop(op)
 
-    def rhs(pts):
-        return qw.values(SV.shear_reflect_points(*np.moveaxis(pts, -1, 0)))
+    def rhs(z, y, x):
+        return qw(*SV.shear_reflect_points(z, y, x))
 
     res = solve(rhs, n)
     grid = res["f"].grid
-    href = w.values(SV.shear_reflect_points(*grid.meshgrid()))
+    href = w(*SV.shear_reflect_points(*SV._per_axis(grid, Axis.nodes)))
     return SV.interior_rel_error(res["f"].values, href,
                                  SV.interior_mask(grid)), \
         res.get("residual")
@@ -676,7 +676,7 @@ def _solvers(cfg, rng, row):
 
     gg = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j,
                               (1, 1, 0): -0.15, (0, 1, 2): -0.1}), sigma=0.65)
-    row("lewy-generic-residual", SV.lewy_solve(gg.values, 160)["residual"])
+    row("lewy-generic-residual", SV.lewy_solve(gg, 160)["residual"])
 
     w2 = D.PolyGauss(D.Poly3({(0, 0, 2): 1.0, (0, 2, 0): -1.0,
                               (0, 1, 1): 2.0j}), sigma=0.6)

@@ -67,6 +67,8 @@ def test_bad_budget_rejected(tmp_path):
         ({"budgets": {"max_so4_bandlimit": "abc"}}, ()),
         (None, ("--seed", "-200000")),
         ({"seed": 1.7}, ()),
+        (None, ("--budget-mc", "1500.7")),
+        ({"budgets": {"max_mc_samples": 1500.7}}, ()),
     ]
     for config, flags in cases:
         args = ["--suite", "hormander", *flags]
@@ -78,6 +80,19 @@ def test_bad_budget_rejected(tmp_path):
         assert proc.returncode == 2, (config, flags, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error:"), proc.stderr
+
+
+def test_integral_float_budget_accepted(tmp_path):
+    # a float budget with no fractional part is that integer, from the
+    # command line or from the config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budgets": {"max_mc_samples": 1e6}}))
+    for flags in (("--budget-mc", "1e6"), ("--config", str(cfg))):
+        out = tmp_path / "report.json"
+        proc = run_cli("--suite", "hormander", *flags, "--out", str(out))
+        assert proc.returncode == 0, (flags, proc.stderr)
+        budgets = json.loads(out.read_text())["config"]["budgets"]
+        assert budgets["max_mc_samples"] == 1000000
 
 
 def test_bad_tolerance_rejected(tmp_path):

@@ -512,6 +512,20 @@ def test_polygauss_apply_matches_jets():
     assert np.max(np.abs(derived.values(pts) - op.apply(pg, pts))) < 1e-12
 
 
+def test_polygauss_on_broadcast_coordinates_equals_values_on_stacks():
+    pg = D.PolyGauss(D.Poly3({(0, 0, 1): 1.0, (0, 1, 0): 0.4j,
+                              (2, 1, 0): -0.3, (0, 1, 2): 0.2j}),
+                     mu=(0.1, -0.2, 0.3), sigma=0.9)
+    z, y, x = (rng.normal(size=shape)
+               for shape in ((5, 1, 1), (1, 4, 1), (1, 1, 3)))
+    stack = np.stack(np.broadcast_arrays(z, y, x), axis=-1)
+    assert np.array_equal(pg(z, y, x), pg.values(stack))
+    # the shear-reflected coordinates the solvers sample on
+    assert np.array_equal(pg(z - 2.0 * x * y, y, -x),
+                          pg.values(np.stack(np.broadcast_arrays(
+                              z - 2.0 * x * y, y, -x), axis=-1)))
+
+
 # ---------------------------------------------------------------------------
 # DSL
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ name has a caller outside the tests."""
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import lgha
@@ -97,3 +99,15 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
                          if i >= npos.get(node.name, 0)
                          and arg not in named and None not in named]
     assert not unpassed, unpassed
+
+
+def test_importing_the_cli_starts_no_thread():
+    """The worker pool is created on first use: importing lgha.cli (what the
+    benchmark's set-up probe times) starts no thread and imports neither
+    concurrent.futures nor scipy.fft."""
+    code = ("import sys, threading, lgha.cli; "
+            "print(threading.active_count(), "
+            "'concurrent.futures' in sys.modules, 'scipy.fft' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["1", "False", "False"]

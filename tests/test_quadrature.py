@@ -191,3 +191,74 @@ def test_pairwise_sum_matches_fsum():
     cvals = vals + 1j * rng.normal(size=10001)
     s = pairwise_sum(cvals)
     assert s.real == pytest.approx(math.fsum(cvals.real), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the per-CPU slabs change nothing: every result equals the serial one
+# ---------------------------------------------------------------------------
+
+_SPLIT_SHAPES = ((33,), (7, 6, 5), (3, 4, 2, 3, 2, 3))
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("shape", _SPLIT_SHAPES)
+def test_fft_lines_equal_fftn_for_any_slab_count(monkeypatch, workers, shape):
+    monkeypatch.setattr(Q, "_WORKERS", workers)
+    gen = np.random.default_rng(len(shape))
+    vals = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    keep = vals.copy()
+    out = Q.fft_lines(vals, np.empty(shape, complex))
+    assert np.array_equal(out, np.fft.fftn(vals))
+    assert np.array_equal(vals, keep)
+    assert np.array_equal(Q.fft_lines(keep, keep, inverse=True),
+                          np.fft.ifftn(vals))
+    assert np.array_equal(
+        Q.fft_lines(vals, np.empty(shape, complex), axes=(0,)),
+        np.fft.fft(vals, axis=0))
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("shape", _SPLIT_SHAPES)
+def test_dft_pair_equals_fftn_for_any_slab_count(monkeypatch, workers, shape):
+    monkeypatch.setattr(Q, "_WORKERS", workers)
+    gen = np.random.default_rng(len(shape))
+    grid = Q.box_grid(tuple("abcdef"[:len(shape)]), -2.0, 3.0, shape)
+    vals = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    phase = Q._phase_factor(grid)
+    spec = Q.dft_forward(Q.SampledField(grid, vals))
+    assert np.array_equal(spec.values, np.fft.fftn(vals) * phase)
+    assert np.array_equal(Q.dft_inverse(spec).values,
+                          np.fft.ifftn(spec.values / phase))
+
+
+def _mc_integrand(x):
+    return np.exp(-np.sum(x ** 2, axis=1)) * (1 + 1j * x[:, 0])
+
+
+@pytest.mark.parametrize("workers", (2, 3))
+def test_monte_carlo_equals_serial_for_any_slab_count(monkeypatch, workers):
+    args = (_mc_integrand, np.zeros(3), np.full(3, 0.8), 3 * 1000 + 7, 13)
+    monkeypatch.setattr(Q, "_WORKERS", 1)
+    serial = Q.monte_carlo(*args)
+    monkeypatch.setattr(Q, "_WORKERS", workers)
+    split = Q.monte_carlo(*args)
+    assert split.estimate == serial.estimate
+    assert split.stderr == serial.stderr
+
+
+def test_monte_carlo_integrand_may_transform_a_field(monkeypatch):
+    # an integrand that itself uses the pool runs its slabs serially
+    grid = Q.box_grid(("a", "b"), -1.0, 1.0, (6, 4))
+    field = Q.SampledField(grid, np.arange(24.0).reshape(6, 4))
+
+    def integrand(x):
+        scale = Q.dft_forward(field).integrate_abs2()
+        return scale * np.exp(-np.sum(x ** 2, axis=1))
+
+    args = (integrand, np.zeros(2), np.ones(2), 4000, 3)
+    monkeypatch.setattr(Q, "_WORKERS", 1)
+    serial = Q.monte_carlo(*args)
+    monkeypatch.setattr(Q, "_WORKERS", 3)
+    split = Q.monte_carlo(*args)
+    assert split.estimate == serial.estimate
+    assert split.stderr == serial.stderr

@@ -52,8 +52,9 @@ def test_cr_solve_grid_mode_residual():
 
 
 def test_lewy_solve_zero_rhs():
-    res = S.lewy_solve(lambda pts: np.zeros(pts.shape[:-1], dtype=complex),
-                       16)
+    res = S.lewy_solve(
+        lambda z, y, x: np.zeros(np.broadcast(z, y, x).shape, dtype=complex),
+        16)
     assert np.max(np.abs(res["f"].values)) == 0.0
     assert res["residual"] == 0.0
 
