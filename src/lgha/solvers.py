@@ -61,7 +61,7 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
     xiz, xiy, xix = _per_axis(g.grid, Axis.freqs)
     # the symbol varies only along the axes the operator differentiates, and
     # it and its mask stay that small, broadcast against the spectrum
-    sym = np.asarray(op.symbol(xiz, xiy, xix))
+    sym = op.symbol(xiz, xiy, xix)
     mask = np.abs(sym) < 1e-10
     full_mask = np.broadcast_to(mask, spec.values.shape)
 
