@@ -1,5 +1,7 @@
 """Grids, quadrature, transforms, Monte Carlo, Haar node sets."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,12 @@ def test_monte_carlo_integrand_may_transform_a_field(monkeypatch):
     monkeypatch.setattr(Q, "_WORKERS", 1)
     serial = Q.monte_carlo(*args)
     monkeypatch.setattr(Q, "_WORKERS", 3)
-    split = Q.monte_carlo(*args)
+    done = []
+    caller = threading.Thread(
+        target=lambda: done.append(Q.monte_carlo(*args)), daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "nested pool call did not finish"
+    split, = done
     assert split.estimate == serial.estimate
     assert split.stderr == serial.stderr
