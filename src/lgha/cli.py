@@ -39,7 +39,10 @@ class ConfigError(ValueError):
 def _number(kind, value, what):
     """kind(value) for a number read from a config file or a flag; a value
     kind rejects (a string, NaN or infinity for int) is a ConfigError, and
-    so is a float with a fractional part for int."""
+    so are a bool (JSON true/false) and a float with a fractional part for
+    int."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):

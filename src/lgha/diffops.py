@@ -1,7 +1,8 @@
-"""Polynomial-coefficient differential operators on R^3, vector fields and
-their brackets, polynomial coordinate maps, conjugation, identity
-verification over a jet corpus, and a small text DSL for operator
-expressions.
+"""The operator calculus on R^3: polynomial-coefficient differential
+operators, vector fields and their brackets, polynomial coordinate maps,
+conjugation, the corpus of jet-evaluable test functions (plane waves and
+polynomial-times-Gaussian bumps), identity verification over it, and a small
+text DSL for operator expressions.
 
 Variable order is (z, y, x) throughout, matching the group coordinates of
 the three-parameter nilpotent symplectic group.  All coefficient arithmetic
@@ -20,6 +21,8 @@ the plain operator identity with the coefficients precomposed by sigma
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass
 from math import comb
 
@@ -29,6 +32,7 @@ from .jets import Jet, DegreeOverflow, substitute
 
 __all__ = [
     "Poly3", "PolyVectorField", "PolyDiffOp", "CoordMap",
+    "PolyGauss", "PlaneWave", "standard_corpus",
     "conjugate_apply", "verify_identity", "reflected_eval",
     "lie_bracket", "hormander_rank",
     "vf_z", "vf_y", "vf_x",
@@ -214,12 +218,6 @@ class PolyVectorField:
         return PolyDiffOp({(1, 0, 0): self.pz, (0, 1, 0): self.py,
                            (0, 0, 1): self.px})
 
-    def coeff_vector_at(self, point) -> np.ndarray:
-        z, y, x = point
-        return np.array([complex(self.pz.eval(z, y, x)),
-                         complex(self.py.eval(z, y, x)),
-                         complex(self.px.eval(z, y, x))])
-
     def __eq__(self, other):
         return (self.pz, self.py, self.px) == (other.pz, other.py, other.px)
 
@@ -233,9 +231,10 @@ def lie_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
     )
 
 
-def hormander_rank(fields, point, depth: int = 2) -> int:
-    """Rank at a point of the span of the fields together with iterated
-    brackets up to the given depth."""
+def hormander_rank(fields, points, depth: int = 2):
+    """Rank of the span of the fields together with their iterated brackets
+    up to the given depth: an int at one point (3,), an int array at each
+    row of a stack (..., 3).  The brackets are built once for all points."""
     layer = list(fields)
     allf = list(fields)
     for _ in range(depth - 1):
@@ -247,8 +246,13 @@ def hormander_rank(fields, point, depth: int = 2) -> int:
                     nxt.append(br)
         allf.extend(nxt)
         layer = nxt
-    rows = np.array([f.coeff_vector_at(point) for f in allf])
-    return int(np.linalg.matrix_rank(rows, tol=1e-10))
+    pts = np.asarray(points, dtype=float)
+    z, y, x = pts[..., 0], pts[..., 1], pts[..., 2]
+    # (..., fields, 3): one coefficient row per field at every point
+    rows = np.stack([np.stack([p.eval(z, y, x) for p in (f.pz, f.py, f.px)],
+                              axis=-1) for f in allf], axis=-2)
+    ranks = np.linalg.matrix_rank(rows, tol=1e-10)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 class PolyDiffOp:
@@ -416,9 +420,6 @@ class _Pullback:
 
     def jet_at(self, point) -> Jet:
         return self.m.pullback_jet(self.f, point)
-
-    def values(self, pts):
-        return self.f.values(self.m.apply_points(pts))
 
 
 def conjugate_apply(m: CoordMap, op: PolyDiffOp, f, points):
@@ -608,8 +609,8 @@ def cr_pair_R_star() -> PolyDiffOp:
 
 
 # ---------------------------------------------------------------------------
-# polynomial times Gaussian: closed under all operators in this module, so
-# manufactured right-hand sides are exact
+# the test-function corpus.  A polynomial times a Gaussian is closed under all
+# operators in this module, so manufactured right-hand sides are exact
 # ---------------------------------------------------------------------------
 
 
@@ -659,114 +660,102 @@ class PolyGauss:
         return self.poly.eval_jet(zj, yj, xj) * (q * (-0.5 / self.sigma ** 2)).exp()
 
 
+class PlaneWave:
+    """exp(i (kz z + ky y + kx x))."""
+
+    def __init__(self, kz, ky, kx):
+        self.k = (complex(kz), complex(ky), complex(kx))
+
+    def jet_at(self, point) -> Jet:
+        zj, yj, xj = Jet.coordinates(point)
+        return (1j * (self.k[0] * zj + self.k[1] * yj + self.k[2] * xj)).exp()
+
+    def values(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        return np.exp(1j * (self.k[0] * pts[..., 0] + self.k[1] * pts[..., 1]
+                            + self.k[2] * pts[..., 2]))
+
+
+def standard_corpus(rng):
+    """Mixed corpus of four plane waves and six bumps, alternately Gaussians
+    and Gaussian-times-polynomial functions, all with exact jets."""
+    corpus = []
+    for _ in range(4):
+        corpus.append(PlaneWave(*rng.uniform(-1.5, 1.5, size=3)))
+    for i in range(6):
+        mu = rng.uniform(-0.5, 0.5, size=3)
+        sigma = rng.uniform(0.8, 1.6)
+        poly = ONE
+        if i % 2:
+            c = rng.normal(size=3)
+            poly = Poly3({(0, 0, 0): 1.0, (1, 0, 0): 0.3 * c[0],
+                          (0, 1, 1): 0.2 * c[1], (0, 0, 2): 0.1 * c[2]})
+        corpus.append(PolyGauss(poly, mu, sigma))
+    return corpus
+
+
 # ---------------------------------------------------------------------------
 # operator DSL:  terms like (-1)*dx + (-i)*dy + (-2*y)*dz + (2*i*x)*dz
 # ---------------------------------------------------------------------------
 
-import re
-
-_TOKEN = re.compile(r"\s*(\(|\)|\+|-|\*|\^|i\b|d[zyx]\b|[zyx]\b|\d+\.?\d*(?:[eE][+-]?\d+)?)")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad token near {text[pos:pos + 12]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?")
+_POWER = re.compile(r"[zyx] ?\*\* ?\d+")
+_NO_INDEX = (0, 0, 0)
+_UNITS = dict(zip(_VARS, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+# name -> (coefficient, coordinate monomial, derivative multi-index)
+_ATOMS = {"i": (1j, _NO_INDEX, _NO_INDEX),
+          **{v: (1.0, u, _NO_INDEX) for v, u in _UNITS.items()},
+          **{"d" + v: (1.0, _NO_INDEX, u) for v, u in _UNITS.items()}}
 
 
 def parse_op(text: str) -> PolyDiffOp:
     """Parse a sum of products of complex scalars, coordinate monomials, and
-    derivative symbols dz, dy, dx (repeat factors for higher order)."""
-    toks = _tokenize(text)
-    idx = 0
+    derivative symbols dz, dy, dx (repeat factors for higher order).
 
-    def peek():
-        return toks[idx] if idx < len(toks) else None
+    The text is read by Python's expression grammar, with `^` for powers:
+    numbers, the names i, z, y, x, dz, dy, dx, unary +/-, binary +, - and *,
+    and a coordinate raised to an integer literal.  Anything else, `**`
+    included, is a ValueError."""
+    if "**" in text:
+        raise ValueError("write a power as x^k, not x**k")
+    # whitespace only separates tokens; leading zeros of an integer are
+    # dropped, since Python's grammar rejects them
+    src = re.sub(r"(?<![\w.])0+(?=\d)", "",
+                 " ".join(text.replace("^", "**").split()))
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
 
-    def take():
-        nonlocal idx
-        if idx >= len(toks):
-            raise ValueError("unexpected end of expression")
-        t = toks[idx]
-        idx += 1
-        return t
+    def terms(node):
+        """The node as a list of (coefficient, monomial, derivative)."""
+        seg = ast.get_source_segment(src, node)
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(seg):
+            return [(complex(float(seg)), _NO_INDEX, _NO_INDEX)]
+        if isinstance(node, ast.Name) and node.id in _ATOMS:
+            return [_ATOMS[node.id]]
+        op = type(getattr(node, "op", None))
+        if op is ast.UAdd:
+            return terms(node.operand)
+        if op is ast.USub:
+            return [(-1.0 * c, m, d) for c, m, d in terms(node.operand)]
+        if op is ast.Pow and _POWER.fullmatch(seg):
+            mono = _ATOMS[node.left.id][1]
+            return [(1.0, tuple(k * node.right.value for k in mono),
+                     _NO_INDEX)]
+        if op not in (ast.Add, ast.Sub, ast.Mult):
+            raise ValueError(f"not an operator expression: {seg!r}")
+        left, right = terms(node.left), terms(node.right)
+        if op is ast.Add:
+            return left + right
+        if op is ast.Sub:
+            return left + [(-c, m, d) for c, m, d in right]
+        return [(c1 * c2, tuple(map(sum, zip(m1, m2))),
+                 tuple(map(sum, zip(d1, d2))))
+                for c1, m1, d1 in left for c2, m2, d2 in right]
 
-    def parse_factor():
-        nonlocal idx
-        t = take()
-        sign = 1.0
-        while t in ("+", "-"):
-            if t == "-":
-                sign = -sign
-            t = take()
-        if t == "(":
-            inner = parse_sum()
-            if take() != ")":
-                raise ValueError("unbalanced parenthesis")
-            return [(c * sign, p, d) for (c, p, d) in inner]
-        if t == "i":
-            return [(sign * 1j, None, None)]
-        if t in ("z", "y", "x"):
-            power = 1
-            if peek() == "^":
-                take()
-                power = int(take())
-            axis = _VARS.index(t)
-            mono = [0, 0, 0]
-            mono[axis] = power
-            return [(sign * 1.0, tuple(mono), None)]
-        if t in ("dz", "dy", "dx"):
-            axis = _VARS.index(t[1])
-            d = [0, 0, 0]
-            d[axis] = 1
-            return [(sign * 1.0, None, tuple(d))]
-        return [(sign * complex(float(t)), None, None)]
-
-    def merge(a, b):
-        out = []
-        for (c1, m1, d1) in a:
-            for (c2, m2, d2) in b:
-                m = m1
-                if m2 is not None:
-                    m = m2 if m is None else tuple(u + v for u, v in zip(m, m2))
-                d = d1
-                if d2 is not None:
-                    d = d2 if d is None else tuple(u + v for u, v in zip(d, d2))
-                out.append((c1 * c2, m, d))
-        return out
-
-    def parse_term():
-        parts = parse_factor()
-        while peek() == "*":
-            take()
-            parts = merge(parts, parse_factor())
-        return parts
-
-    def parse_sum():
-        parts = parse_term()
-        while peek() in ("+", "-"):
-            sgn = take()
-            nxt = parse_term()
-            if sgn == "-":
-                nxt = [(-c, m, d) for (c, m, d) in nxt]
-            parts = parts + nxt
-        return parts
-
-    parts = parse_sum()
-    if idx != len(toks):
-        raise ValueError("trailing tokens")
     op = PolyDiffOp()
-    for (c, mono, d) in parts:
-        mono = mono or (0, 0, 0)
-        d = d or (0, 0, 0)
+    for c, mono, d in terms(tree.body):
         op = op + PolyDiffOp({d: Poly3({mono: c})})
     return op
 

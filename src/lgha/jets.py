@@ -220,70 +220,3 @@ def substitute(outer_coeffs: np.ndarray, deltas) -> Jet:
         out = out + shared * powers[2][c] * co
     return out
 
-
-# ---------------------------------------------------------------------------
-# corpus functions with exact jets
-# ---------------------------------------------------------------------------
-
-
-class PlaneWave:
-    """exp(i (kz z + ky y + kx x))."""
-
-    def __init__(self, kz, ky, kx):
-        self.k = (complex(kz), complex(ky), complex(kx))
-
-    def jet_at(self, point) -> Jet:
-        zj, yj, xj = Jet.coordinates(point)
-        return (1j * (self.k[0] * zj + self.k[1] * yj + self.k[2] * xj)).exp()
-
-    def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.exp(1j * (self.k[0] * pts[..., 0] + self.k[1] * pts[..., 1]
-                            + self.k[2] * pts[..., 2]))
-
-
-class GaussianBump:
-    """poly(z,y,x) * exp(-|r - mu|^2 / (2 sigma^2)), poly optional."""
-
-    def __init__(self, mu=(0.0, 0.0, 0.0), sigma=1.0, poly=None):
-        self.mu = tuple(float(m) for m in mu)
-        self.sigma = float(sigma)
-        self.poly = poly  # a diffops.Poly3 or None
-
-    def jet_at(self, point) -> Jet:
-        zj, yj, xj = Jet.coordinates(point)
-        q = (zj - self.mu[0]) ** 2 + (yj - self.mu[1]) ** 2 + (xj - self.mu[2]) ** 2
-        g = (q * (-1.0 / (2.0 * self.sigma ** 2))).exp()
-        if self.poly is not None:
-            g = self.poly.eval_jet(zj, yj, xj) * g
-        return g
-
-    def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        q = ((pts[..., 0] - self.mu[0]) ** 2 + (pts[..., 1] - self.mu[1]) ** 2
-             + (pts[..., 2] - self.mu[2]) ** 2)
-        out = np.exp(-q / (2.0 * self.sigma ** 2)).astype(complex)
-        if self.poly is not None:
-            out = out * self.poly.eval(pts[..., 0], pts[..., 1], pts[..., 2])
-        return out
-
-
-def standard_corpus(rng):
-    """Mixed corpus of four plane waves and six bumps, alternately Gaussians
-    and Gaussian-times-polynomial functions, all with exact jets."""
-    from .diffops import Poly3
-
-    corpus = []
-    for _ in range(4):
-        corpus.append(PlaneWave(*rng.uniform(-1.5, 1.5, size=3)))
-    for i in range(6):
-        mu = rng.uniform(-0.5, 0.5, size=3)
-        sigma = rng.uniform(0.8, 1.6)
-        if i % 2 == 0:
-            corpus.append(GaussianBump(mu, sigma))
-        else:
-            c = rng.normal(size=3)
-            poly = Poly3({(0, 0, 0): 1.0, (1, 0, 0): 0.3 * c[0],
-                          (0, 1, 1): 0.2 * c[1], (0, 0, 2): 0.1 * c[2]})
-            corpus.append(GaussianBump(mu, sigma, poly))
-    return corpus

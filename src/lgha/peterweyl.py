@@ -226,9 +226,6 @@ class CompactSpectrum:
 
     coeffs: dict
 
-    def labels(self):
-        return list(self.coeffs)
-
     def hs_norm2_weighted(self, dim_fn) -> float:
         """sum over labels of d_label * ||Tf(label)||_HS^2."""
         return float(sum(dim_fn(lbl) * np.sum(np.abs(c) ** 2)

@@ -42,7 +42,8 @@ def test_missing_suite_is_config_error():
 def test_bad_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     for payload in ({"unknown_key": 1}, 5, {"budgets": 5},
-                    {"tolerances": [1]}):
+                    {"tolerances": [1]}, {"budgets": {"max_grid_points": True}},
+                    {"tolerances": {"modulus-vs-jacobian": True}}):
         cfg.write_text(json.dumps(payload))
         proc = run_cli("--suite", "hormander", "--config", str(cfg))
         assert proc.returncode == 2, (payload, proc.stderr)
@@ -69,6 +70,10 @@ def test_bad_budget_rejected(tmp_path):
         ({"seed": 1.7}, ()),
         (None, ("--budget-mc", "1500.7")),
         ({"budgets": {"max_mc_samples": 1500.7}}, ()),
+        # JSON true and false are not numbers
+        ({"budgets": {"max_grid_points": True}}, ()),
+        ({"budgets": {"max_mc_samples": False}}, ()),
+        ({"budgets": {"max_so4_bandlimit": True}}, ()),
     ]
     for config, flags in cases:
         args = ["--suite", "hormander", *flags]
@@ -104,6 +109,7 @@ def test_bad_tolerance_rejected(tmp_path):
                              ({"nil-law-vs-matrix": math.inf}, "nil-law"),
                              ({"nil-law-vs-matrix": math.nan}, "nil-law"),
                              ({"nil-law-vs-matrix": -1e-3}, "nil-law"),
+                             ({"modulus-vs-jacobian": True}, "modulus-vs"),
                              ({"bracket-rank": 1e-30}, "bracket-rank")):
         cfg.write_text(json.dumps({"tolerances": tolerances}))
         proc = run_cli("--suite", "hormander", "--config", str(cfg))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from lgha import diffops as D
-from lgha.jets import (DEGREE, MULTI_INDICES, N_COEFFS, DegreeOverflow,
-                       GaussianBump, Jet, PlaneWave, _align, standard_corpus,
-                       substitute)
+from lgha.diffops import PlaneWave, standard_corpus
+from lgha.jets import (DEGREE, MULTI_INDICES, N_COEFFS, DegreeOverflow, Jet,
+                       _align, substitute)
 from lgha.solvers import four_stage_chain
 
 rng = np.random.default_rng(606)
@@ -52,21 +52,23 @@ def test_jet_exp_matches_plane_wave_derivatives():
 
 
 def test_jet_vs_finite_differences():
-    f = GaussianBump((0.2, -0.1, 0.3), 1.1,
-                     D.Poly3({(0, 0, 0): 1.0, (1, 0, 1): 0.3}))
-    p = np.array([0.4, 0.2, -0.5])
-    jet = f.jet_at(p)
-    h = 1e-5
-    for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = h
-        fd1 = (f.values(p + e) - f.values(p - e)) / (2 * h)
-        m = [0, 0, 0]
-        m[axis] = 1
-        assert abs(jet.deriv(tuple(m)) - fd1) < 1e-6
-        fd2 = (f.values(p + e) - 2 * f.values(p) + f.values(p - e)) / h ** 2
-        m[axis] = 2
-        assert abs(jet.deriv(tuple(m)) - fd2) < 1e-5
+    # a plain Gaussian and a Gaussian times a polynomial
+    for poly in (D.ONE, D.Poly3({(0, 0, 0): 1.0, (1, 0, 1): 0.3})):
+        f = D.PolyGauss(poly, (0.2, -0.1, 0.3), 1.1)
+        p = np.array([0.4, 0.2, -0.5])
+        jet = f.jet_at(p)
+        h = 1e-5
+        for axis in range(3):
+            e = np.zeros(3)
+            e[axis] = h
+            fd1 = (f.values(p + e) - f.values(p - e)) / (2 * h)
+            m = [0, 0, 0]
+            m[axis] = 1
+            assert abs(jet.deriv(tuple(m)) - fd1) < 1e-6
+            fd2 = (f.values(p + e) - 2 * f.values(p)
+                   + f.values(p - e)) / h ** 2
+            m[axis] = 2
+            assert abs(jet.deriv(tuple(m)) - fd2) < 1e-5
 
 
 def test_degree_overflow():
@@ -373,7 +375,7 @@ def test_shear_reflect_is_involution_pointwise():
 
 def test_conjugation_with_identity_map():
     ident = D.CoordMap((D.Z, D.Y, D.X), (D.Z, D.Y, D.X))
-    f = GaussianBump((0, 0, 0), 1.0)
+    f = D.PolyGauss(D.ONE, (0, 0, 0), 1.0)
     pts = rng.normal(size=(10, 3))
     a = D.conjugate_apply(ident, D.lewy(), f, pts)
     b = D.lewy().apply(f, pts)
@@ -478,10 +480,17 @@ def test_bracket_relations_exact():
 
 def test_hormander_rank():
     X, Y = D.vf_x(), D.vf_y()
+    points = []
     for _ in range(20):
         p = rng.normal(size=3)
+        points.append(p)
         assert D.hormander_rank([X, Y], p, depth=2) == 3
         assert D.hormander_rank([X, Y], p, depth=1) == 2
+    # the same points as one (20, 3) stack
+    assert D.hormander_rank([X, Y], np.array(points), depth=2).tolist() \
+        == [3] * 20
+    assert D.hormander_rank([X, Y], np.array(points), depth=1).tolist() \
+        == [2] * 20
 
 
 def test_squares_operators():
@@ -536,9 +545,18 @@ def test_dsl_parse_known_operator():
     assert D.parse_op(s) == D.lewy()
 
 
+# every named operator of the module
+_NAMED_OPS = (
+    D.cauchy_riemann, D.cauchy_riemann_star, D.lewy, D.lewy_star,
+    D.lewy_conjugate_true, D.laplacian_2d, D.laplacian_3d,
+    D.heis_laplacian_left, D.heis_laplacian_right, D.sheared_laplacian,
+    D.first_order_invariant, D.hormander_P, D.hormander_P_bar,
+    D.hormander_Q4, D.cr_pair_R, D.cr_pair_R_star)
+
+
 def test_dsl_roundtrip_canonical():
-    for op in (D.lewy(), D.sheared_laplacian(), D.hormander_Q4(),
-               D.first_order_invariant()):
+    for make in _NAMED_OPS:
+        op = make()
         text = D.format_op(op)
         assert D.parse_op(text) == op
 
@@ -549,3 +567,10 @@ def test_dsl_powers_and_errors():
         D.parse_op("q*dz")
     with pytest.raises(ValueError):
         D.parse_op("(2*dz")
+    # what Python's expression grammar takes but the DSL does not
+    for text in ("2j*dx", "x**2*dz", "dz^2", "abs(x)*dz", "x.real*dz", ""):
+        with pytest.raises(ValueError):
+            D.parse_op(text)
+    assert D.parse_op("--x*dz") == D.PolyDiffOp({(1, 0, 0): D.X})
+    assert D.parse_op("+3*x^3*y*dx*dx") == D.PolyDiffOp(
+        {(0, 0, 2): D.Poly3({(0, 1, 3): 3.0})})

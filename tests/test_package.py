@@ -3,6 +3,7 @@ name has a caller outside the tests."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import subprocess
 import sys
@@ -111,3 +112,24 @@ def test_importing_the_cli_starts_no_thread():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == ["1", "False", "False"]
+
+
+def test_benchmark_tracer_finds_every_layer(monkeypatch):
+    """The benchmark's tracer wraps functions by name (perfbench/tracing.py,
+    LAYERS), some of which, like PolyGauss.values, no library code calls;
+    entering its block with every lgha module imported fails if one of them
+    is gone, and leaving it restores every binding."""
+    pkg, _ = _library_trees()
+    for m in pkgutil.iter_modules(lgha.__path__):
+        if m.name != "__main__":
+            importlib.import_module(f"lgha.{m.name}")
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracing", pkg.parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    from lgha import diffops
+    before = vars(diffops.PolyGauss)["values"]
+    with tracing.instrumented(tracing.Tracer()):
+        assert vars(diffops.PolyGauss)["values"] is not before
+    assert vars(diffops.PolyGauss)["values"] is before
