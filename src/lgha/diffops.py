@@ -235,17 +235,12 @@ def hormander_rank(fields, points, depth: int = 2):
     """Rank of the span of the fields together with their iterated brackets
     up to the given depth: an int at one point (3,), an int array at each
     row of a stack (..., 3).  The brackets are built once for all points."""
-    layer = list(fields)
-    allf = list(fields)
+    layer = allf = list(fields)
     for _ in range(depth - 1):
-        nxt = []
-        for a in layer:
-            for b in fields:
-                br = lie_bracket(a, b)
-                if br.pz or br.py or br.px:
-                    nxt.append(br)
-        allf.extend(nxt)
-        layer = nxt
+        # the nonzero brackets of the last layer with each field
+        layer = [br for a in layer for b in fields
+                 if (br := lie_bracket(a, b)).pz or br.py or br.px]
+        allf = allf + layer
     pts = np.asarray(points, dtype=float)
     z, y, x = pts[..., 0], pts[..., 1], pts[..., 2]
     # (..., fields, 3): one coefficient row per field at every point
@@ -708,6 +703,34 @@ _ATOMS = {"i": (1j, _NO_INDEX, _NO_INDEX),
           **{"d" + v: (1.0, _NO_INDEX, u) for v, u in _UNITS.items()}}
 
 
+def _terms(node, src):
+    """A parsed node of the operator text src as a list of (coefficient,
+    coordinate monomial, derivative multi-index)."""
+    seg = ast.get_source_segment(src, node)
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(seg):
+        return [(complex(float(seg)), _NO_INDEX, _NO_INDEX)]
+    if isinstance(node, ast.Name) and node.id in _ATOMS:
+        return [_ATOMS[node.id]]
+    op = type(getattr(node, "op", None))
+    if op is ast.UAdd:
+        return _terms(node.operand, src)
+    if op is ast.USub:
+        return [(-1.0 * c, m, d) for c, m, d in _terms(node.operand, src)]
+    if op is ast.Pow and _POWER.fullmatch(seg):
+        mono = _ATOMS[node.left.id][1]
+        return [(1.0, tuple(k * node.right.value for k in mono), _NO_INDEX)]
+    if op not in (ast.Add, ast.Sub, ast.Mult):
+        raise ValueError(f"not an operator expression: {seg!r}")
+    left, right = _terms(node.left, src), _terms(node.right, src)
+    if op is ast.Add:
+        return left + right
+    if op is ast.Sub:
+        return left + [(-c, m, d) for c, m, d in right]
+    return [(c1 * c2, tuple(map(sum, zip(m1, m2))),
+             tuple(map(sum, zip(d1, d2))))
+            for c1, m1, d1 in left for c2, m2, d2 in right]
+
+
 def parse_op(text: str) -> PolyDiffOp:
     """Parse a sum of products of complex scalars, coordinate monomials, and
     derivative symbols dz, dy, dx (repeat factors for higher order).
@@ -715,7 +738,8 @@ def parse_op(text: str) -> PolyDiffOp:
     The text is read by Python's expression grammar, with `^` for powers:
     numbers, the names i, z, y, x, dz, dy, dx, unary +/-, binary +, - and *,
     and a coordinate raised to an integer literal.  Anything else, `**`
-    included, is a ValueError."""
+    included, is a ValueError, and so is a text nested deeper than the
+    interpreter's recursion limit (about a thousand operators in a row)."""
     if "**" in text:
         raise ValueError("write a power as x^k, not x**k")
     # whitespace only separates tokens; leading zeros of an integer are
@@ -723,39 +747,13 @@ def parse_op(text: str) -> PolyDiffOp:
     src = re.sub(r"(?<![\w.])0+(?=\d)", "",
                  " ".join(text.replace("^", "**").split()))
     try:
-        tree = ast.parse(src, mode="eval")
+        parts = _terms(ast.parse(src, mode="eval").body, src)
     except SyntaxError as exc:
         raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
-
-    def terms(node):
-        """The node as a list of (coefficient, monomial, derivative)."""
-        seg = ast.get_source_segment(src, node)
-        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(seg):
-            return [(complex(float(seg)), _NO_INDEX, _NO_INDEX)]
-        if isinstance(node, ast.Name) and node.id in _ATOMS:
-            return [_ATOMS[node.id]]
-        op = type(getattr(node, "op", None))
-        if op is ast.UAdd:
-            return terms(node.operand)
-        if op is ast.USub:
-            return [(-1.0 * c, m, d) for c, m, d in terms(node.operand)]
-        if op is ast.Pow and _POWER.fullmatch(seg):
-            mono = _ATOMS[node.left.id][1]
-            return [(1.0, tuple(k * node.right.value for k in mono),
-                     _NO_INDEX)]
-        if op not in (ast.Add, ast.Sub, ast.Mult):
-            raise ValueError(f"not an operator expression: {seg!r}")
-        left, right = terms(node.left), terms(node.right)
-        if op is ast.Add:
-            return left + right
-        if op is ast.Sub:
-            return left + [(-c, m, d) for c, m, d in right]
-        return [(c1 * c2, tuple(map(sum, zip(m1, m2))),
-                 tuple(map(sum, zip(d1, d2))))
-                for c1, m1, d1 in left for c2, m2, d2 in right]
-
+    except RecursionError:
+        raise ValueError("operator text nested too deeply") from None
     op = PolyDiffOp()
-    for c, mono, d in terms(tree.body):
+    for c, mono, d in parts:
         op = op + PolyDiffOp({d: Poly3({mono: c})})
     return op
 

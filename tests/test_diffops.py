@@ -571,6 +571,9 @@ def test_dsl_powers_and_errors():
     for text in ("2j*dx", "x**2*dz", "dz^2", "abs(x)*dz", "x.real*dz", ""):
         with pytest.raises(ValueError):
             D.parse_op(text)
+    # past the interpreter's recursion limit: a ValueError, not a crash
+    with pytest.raises(ValueError, match="too deeply"):
+        D.parse_op(" + ".join(["x*dz"] * 5000))
     assert D.parse_op("--x*dz") == D.PolyDiffOp({(1, 0, 0): D.X})
     assert D.parse_op("+3*x^3*y*dx*dx") == D.PolyDiffOp(
         {(0, 0, 2): D.Poly3({(0, 1, 3): 3.0})})
