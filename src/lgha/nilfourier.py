@@ -12,8 +12,6 @@ equality on the slice of L where it holds exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import groups
@@ -22,7 +20,7 @@ from .quadrature import (Axis, SampledField, box_grid, dft_forward,
                          factor_plancherel, monte_carlo, norm2, pairwise_sum)
 
 __all__ = [
-    "reduce_to_nil", "LiftedFunction", "lift_to_L", "invariance_shift",
+    "reduce_to_nil", "lift_to_L", "invariance_shift",
     "nil_shift_of_L", "flat_shift_of_L",
     "convolve_N",
     "plancherel_N_check", "parseval_N_check", "lifted_convolution_check",
@@ -65,19 +63,14 @@ def reduce_to_nil(lpts) -> np.ndarray:
     return np.stack([w1, w2, w3, w4, w5, w6], axis=-1)
 
 
-@dataclass
-class LiftedFunction:
-    """Extension of a function on N to L, constant along the invariance
-    directions of `invariance_shift`."""
+def lift_to_L(f):
+    """Extension of f, a function on N (a callable on (..., 6) arrays), to L,
+    constant along the invariance directions of `invariance_shift`."""
 
-    base: object  # callable on (..., 6) arrays
+    def lifted(lpts):
+        return f(reduce_to_nil(lpts))
 
-    def __call__(self, lpts):
-        return self.base(reduce_to_nil(lpts))
-
-
-def lift_to_L(f) -> LiftedFunction:
-    return LiftedFunction(f)
+    return lifted
 
 
 def invariance_shift(lpts, h, r, k) -> np.ndarray:
@@ -144,28 +137,22 @@ def flat_shift_of_L(lpts, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pointwise(fn):
-    """A callable on (..., 6) arrays for a callable or a GaussProduct."""
-    return fn.values if isinstance(fn, GaussProduct) else fn
-
-
 def convolve_N(phi, f, at, n: int, seed: int, sampler):
     """Noncommutative convolution (phi * f)(at) = int f(g^{-1} h) phi(g) dg
     by importance-sampled Monte Carlo, as an MCResult with its standard
     error.
 
-    phi and f are callables on (..., 6) arrays or GaussProduct functions.
+    phi and f are callables on (..., 6) arrays.
     The integral is taken over u = g^{-1} h, a measure-preserving
     substitution (unit Jacobian): f is evaluated plainly, phi at h u^{-1}
     through the group law.  u is drawn, n samples from the given seed, from
     the diagonal Gaussian sampler = (mean, sigma) of 6-vectors.
     """
     at = np.asarray(at, dtype=float)
-    f_at, phi_at = _pointwise(f), _pointwise(phi)
 
     def integrand(u):
-        return f_at(u) * phi_at(groups.nil_mul(np.broadcast_to(at, u.shape),
-                                               groups.nil_inv(u)))
+        return f(u) * phi(groups.nil_mul(np.broadcast_to(at, u.shape),
+                                         groups.nil_inv(u)))
 
     return monte_carlo(integrand, *sampler, n, seed)
 
@@ -243,7 +230,7 @@ def parseval_N_check(f, phi, method: str = "grid", count: int = 16,
 
         # the sampler is deliberately wider than the integrand's envelope so
         # the importance weights carry genuine variance
-        mc = convolve_N(phi_check, f, np.zeros(6), n, seed,
+        mc = convolve_N(phi_check, f.values, np.zeros(6), n, seed,
                         (center, 1.35 * width))
         rel = abs(mc.estimate - rhs) / max(abs(rhs), 1e-300)
         return {"lhs": mc.estimate, "rhs": rhs, "rel_err": rel,
@@ -257,27 +244,24 @@ def lifted_convolution_check(f, u, lpoint, n: int = 1 << 20, seed: int = 0):
 
     The identity holds exactly on the slice {x2 slot = 0} of L, which is where
     the calling tests sample; off the slice the two sides differ by terms
-    proportional to that coordinate.  Both sides are importance-sampled
-    Monte Carlo estimates with a shared sample budget.
+    proportional to that coordinate.  Both sides are importance-sampled on
+    one stream of samples (common random numbers), so on the slice they
+    differ by rounding alone; stderr is the hypot of the two sides' errors.
     """
-    F = lift_to_L(_pointwise(f))
+    F = lift_to_L(f.values)
     lpoint = np.asarray(lpoint, dtype=float)
 
-    def side_nil(y):
-        return F(nil_shift_of_L(np.broadcast_to(lpoint, y.shape[:-1] + (9,)), y)) \
-            * u.values(y)
-
-    def side_flat(y):
-        return F(flat_shift_of_L(np.broadcast_to(lpoint, y.shape[:-1] + (9,)), y)) \
-            * u.values(y)
+    def both_sides(y):
+        at = np.broadcast_to(lpoint, y.shape[:-1] + (9,))
+        sides = np.stack([F(nil_shift_of_L(at, y)), F(flat_shift_of_L(at, y))],
+                         axis=-1)
+        return sides * u.values(y)[:, None]
 
     mean = np.array([fac.mu for fac in u.factors])
     sig = np.array([fac.sigma for fac in u.factors])
-    a = monte_carlo(side_nil, mean, sig, n, seed)
-    b = monte_carlo(side_flat, mean, sig, n, seed + 1)
-    denom = max(abs(a.estimate), abs(b.estimate), 1e-300)
-    rel = abs(a.estimate - b.estimate) / denom
-    sigma_comb = float(np.hypot(a.stderr, b.stderr))
-    return {"lhs": a.estimate, "rhs": b.estimate, "rel_err": rel,
-            "stderr": sigma_comb,
-            "within_3sigma": abs(a.estimate - b.estimate) <= 3 * sigma_comb}
+    mc = monte_carlo(both_sides, mean, sig, n, seed)
+    lhs, rhs = map(complex, mc.estimate)
+    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    sigma_comb = float(np.hypot(*mc.stderr))
+    return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "stderr": sigma_comb,
+            "within_3sigma": abs(lhs - rhs) <= 3 * sigma_comb}

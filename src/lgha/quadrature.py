@@ -147,20 +147,21 @@ def box_grid(names, lo, hi, count) -> GridSpec:
 
 
 def pairwise_sum(a):
-    """Deterministic pairwise reduction of an array (complex or real), flattened.
+    """Deterministic pairwise reduction of an array (complex or real) over
+    its first axis: one number for a 1-D array, k for an (m, k) array.
 
     One fixed halving tree: a[0]+a[1], a[2]+a[3], ... per level, odd tail
     kept; the result does not depend on threading or memory layout.
     """
-    a = np.ravel(a)
-    if a.size == 0:
-        return 0.0 + 0.0j if np.iscomplexobj(a) else 0.0
+    a = np.asarray(a)
+    if a.shape[0] == 0:
+        return np.zeros(a.shape[1:], a.dtype)[()]
     a = np.ascontiguousarray(a)
-    while a.size > 1:
-        half = a.size // 2
+    while a.shape[0] > 1:
+        half = a.shape[0] // 2
         tail = a[2 * half:]
         a = a[0:2 * half:2] + a[1:2 * half:2]
-        if tail.size:
+        if tail.shape[0]:
             a = np.concatenate([a, tail])
     return a[0]
 
@@ -298,10 +299,8 @@ def factor_plancherel(factor, count: int, name: str = "x"):
 
 @dataclass
 class MCResult:
-    estimate: complex
+    estimate: complex  # (k,) arrays for an integrand of k values per sample
     stderr: float
-    n: int
-    seed: int
 
     def agrees(self, other_value: complex) -> bool:
         return abs(self.estimate - other_value) <= 3.0 * max(self.stderr, 1e-300)
@@ -312,10 +311,11 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
 
     Samples are drawn from a diagonal Gaussian N(mean, diag(sigma^2)) using a
     Philox counter-based generator, so results are reproducible bit-for-bit
-    for a fixed seed.  `integrand` maps an (m, d) array to m complex values
-    and must be row-wise: the value for a row depends on that row alone.
-    Each chunk's weights are computed on one row slab per worker and joined
-    in row order, so the estimate does not depend on the slab count.
+    for a fixed seed.  `integrand` maps an (m, d) array to m complex values,
+    or to (m, k) for k integrals on the same samples, and must be row-wise:
+    the values of a row depend on that row alone.  Each chunk's weights are
+    computed on one row slab per worker and joined in row order, so the
+    estimate does not depend on the slab count.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
@@ -335,17 +335,18 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
         def weights(s, x=x):
             logpdf = lognorm - 0.5 * np.sum(((x[s] - mean) / sigma) ** 2,
                                             axis=1)
-            return np.asarray(integrand(x[s]), dtype=complex) * np.exp(-logpdf)
+            vals = np.asarray(integrand(x[s]), dtype=complex)
+            return (vals.T * np.exp(-logpdf)).T  # one weight per row
 
         w = np.concatenate(_run_slabs(weights, m))
         sums.append(pairwise_sum(w))
         sums2.append(pairwise_sum(np.abs(w) ** 2))
         remaining -= m
-    total = pairwise_sum(np.asarray(sums))
-    total2 = float(pairwise_sum(np.asarray(sums2)).real)
-    est = total / n
-    var = max(total2 / n - abs(est) ** 2, 0.0)
-    return MCResult(complex(est), float(np.sqrt(var / n)), n, seed)
+    est = pairwise_sum(np.asarray(sums)) / n
+    var = np.maximum(pairwise_sum(np.asarray(sums2)).real / n
+                     - np.abs(est) ** 2, 0.0)
+    se = np.sqrt(var / n)
+    return MCResult(est, se) if est.ndim else MCResult(complex(est), float(se))
 
 
 # ---------------------------------------------------------------------------

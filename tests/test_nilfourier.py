@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from lgha import cli
 from lgha import groups as G
 from lgha import nilfourier as nf
 from lgha.corpus import (GaussPoly1D, GaussProduct, product_overlap,
@@ -144,6 +145,36 @@ def test_lifted_convolution_on_slice_and_off_slice():
     assert res_off["rel_err"] > 3 * res_on["rel_err"]
 
 
+def _suite_row(cfg, name):
+    rows = cli.SUITES["nil-plancherel"](cfg)
+    return rows, next(r for r in rows if r["name"] == name)
+
+
+def test_nil_plancherel_passes_at_seed_51():
+    # with one sample stream per side, lifted-convolution read 0.020239 here:
+    # sampling noise over its 2e-2 tolerance
+    rows, lifted = _suite_row(cli.SuiteConfig(seed=51, budget_mc=1 << 18),
+                              "lifted-convolution")
+    assert all(r["pass"] for r in rows)
+    assert lifted["rel_err"] < 1e-12
+
+
+def test_lifted_convolution_row_catches_a_wrong_t3_slot(monkeypatch):
+    honest = nf.nil_shift_of_L
+
+    def wrong_t3_slot(lpts, y):
+        out = honest(lpts, y)
+        z = G.nil_inv(np.asarray(y, dtype=float))
+        # the t3 slot adds z1 t1 where z1 t2 belongs
+        out[..., 5] = z[..., 2] + lpts[..., 5] + z[..., 0] * lpts[..., 8]
+        return out
+
+    cfg = cli.SuiteConfig(budget_mc=1 << 12)
+    assert _suite_row(cfg, "lifted-convolution")[1]["pass"]
+    monkeypatch.setattr(nf, "nil_shift_of_L", wrong_t3_slot)
+    assert not _suite_row(cfg, "lifted-convolution")[1]["pass"]
+
+
 def _heis_conv_grid(phi_vals, axes, mpts, mu, sig, kvec, weight):
     """out[m] = weight * sum_g phi[g] psi(g^{-1} . pt[m]) on the
     three-parameter group, psi(p) = exp(-|p - mu|^2 / (2 sig^2)) exp(i k.p),
@@ -227,17 +258,6 @@ def _reference_convolution(phi, f, at, box, count):
     for ax in grid.axes:
         vals = vals * ax.step
     return complex(pairwise_sum(vals.ravel()))
-
-
-def test_convolution_mc_draws_the_same_samples_for_a_gauss_product():
-    gen = np.random.default_rng(4041)
-    f = random_gauss_product(gen, 6, sigma_range=(0.8, 1.2), poly=True)
-    phi = random_gauss_product(gen, 6, sigma_range=(0.8, 1.2), poly=True)
-    at = 0.3 * gen.normal(size=6)
-    sampler = (np.zeros(6), np.ones(6))
-    a = nf.convolve_N(phi, f, at, 4096, 3, sampler)
-    b = nf.convolve_N(phi.values, f.values, at, 4096, 3, sampler)
-    assert a.estimate == b.estimate and a.stderr == b.stderr
 
 
 def test_group_law_cancels_in_the_pairing_at_the_identity():

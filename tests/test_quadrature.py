@@ -185,6 +185,16 @@ def test_pairwise_sum_empty_and_small():
     assert pairwise_sum(np.array([1.0, 2.0, 3.0])) == 6.0
 
 
+def test_pairwise_sum_reduces_the_first_axis_column_by_column():
+    for rows in (1, 2, 7, 1001):
+        vals = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
+        for a in (vals, vals.real):
+            s = pairwise_sum(a)
+            assert s.shape == (3,) and s.dtype == a.dtype
+            assert all(s[j] == pairwise_sum(a[:, j]) for j in range(3))
+    assert np.array_equal(pairwise_sum(np.zeros((0, 2))), np.zeros(2))
+
+
 def test_pairwise_sum_matches_fsum():
     import math
 
@@ -237,6 +247,14 @@ def _mc_integrand(x):
     return np.exp(-np.sum(x ** 2, axis=1)) * (1 + 1j * x[:, 0])
 
 
+def _mc_second_column(x):
+    return np.cos(x[:, 1]) * np.exp(-x[:, 2] ** 2)
+
+
+def _mc_two_columns(x):
+    return np.stack([_mc_integrand(x), _mc_second_column(x)], axis=-1)
+
+
 @pytest.mark.parametrize("workers", (2, 3))
 def test_monte_carlo_equals_serial_for_any_slab_count(monkeypatch, workers):
     args = (_mc_integrand, np.zeros(3), np.full(3, 0.8), 3 * 1000 + 7, 13)
@@ -246,6 +264,19 @@ def test_monte_carlo_equals_serial_for_any_slab_count(monkeypatch, workers):
     split = Q.monte_carlo(*args)
     assert split.estimate == serial.estimate
     assert split.stderr == serial.stderr
+    # two values per sample, over several chunks: each column equals the
+    # one-value serial call on the same seed, bit for bit
+    monkeypatch.setattr(Q, "_MC_CHUNK", 1000)
+    pairs = []
+    for count in (workers, 1):
+        monkeypatch.setattr(Q, "_WORKERS", count)
+        pairs.append(Q.monte_carlo(_mc_two_columns, *args[1:]))
+    for j, column in enumerate((_mc_integrand, _mc_second_column)):
+        one = Q.monte_carlo(column, *args[1:])
+        for pair in pairs:
+            assert pair.estimate.shape == pair.stderr.shape == (2,)
+            assert pair.estimate[j] == one.estimate
+            assert pair.stderr[j] == one.stderr
 
 
 def test_monte_carlo_integrand_may_transform_a_field(monkeypatch):
