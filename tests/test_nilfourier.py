@@ -151,8 +151,9 @@ def _suite_row(cfg, name):
 
 
 def test_nil_plancherel_passes_at_seed_51():
-    # with one sample stream per side, lifted-convolution read 0.020239 here:
-    # sampling noise over its 2e-2 tolerance
+    # when each side of a lifted check drew its own sample stream,
+    # lifted-convolution read 0.020239 here: sampling noise over its 2e-2
+    # tolerance
     rows, lifted = _suite_row(cli.SuiteConfig(seed=51, budget_mc=1 << 18),
                               "lifted-convolution")
     assert all(r["pass"] for r in rows)
