@@ -8,6 +8,7 @@ inverse / spectral side, i.e. ||f||^2 = (2pi)^{-d} ||Ff||^2.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -59,6 +60,13 @@ def _run_slabs(fn, count: int) -> list:
             _pool = ThreadPoolExecutor(_WORKERS,
                                        initializer=_mark_task_thread)
     return list(_pool.map(fn, slabs))
+
+
+def _by_plane(fn, count: int):
+    """fn(slice(i, i + 1)) for every first-axis plane i < count, the planes
+    split over the workers."""
+    _run_slabs(lambda s: [fn(slice(i, i + 1)) for i in range(s.start, s.stop)],
+               count)
 
 
 @dataclass(frozen=True)
@@ -204,7 +212,7 @@ def norm2(field: SampledField) -> float:
     """Quadrature of |f|^2: the box rule, one cell width per axis."""
     vals = np.abs(field.values) ** 2
     for ax in field.grid.axes:
-        vals = vals * ax.step
+        vals *= ax.step
     return float(pairwise_sum(vals.ravel()).real)
 
 
@@ -234,16 +242,30 @@ class Spectrum:
             (np.abs(self.values) ** 2).ravel()).real) * self.freq_weight()
 
 
+def _axis_phases(grid: GridSpec) -> list:
+    """h * exp(-i xi x0) per axis, x0 the first node, shaped to broadcast
+    over the grid: their product turns an FFT into the continuum
+    transform's Riemann sum."""
+    return [grid.along(ax.name, ax.step * np.exp(
+        -1j * ax.freqs() * (ax.lo + 0.5 * ax.step))) for ax in grid.axes]
+
+
 def _phase_factor(grid: GridSpec) -> np.ndarray:
-    """Product over the axes of h * exp(-i xi x0), x0 the first node,
-    broadcast over the grid: the one factor turning an FFT into the
-    continuum transform's Riemann sum."""
-    factor = None
-    for ax in grid.axes:
-        fac = grid.along(ax.name, ax.step * np.exp(
-            -1j * ax.freqs() * (ax.lo + 0.5 * ax.step)))
-        factor = fac if factor is None else factor * fac
-    return factor
+    """The product of the per-axis phases over the whole grid."""
+    return functools.reduce(np.multiply, _axis_phases(grid))
+
+
+def _phased(vals, grid: GridSpec, op, out) -> np.ndarray:
+    """op(vals, _phase_factor(grid)), op np.multiply or np.divide, written to
+    out one first-axis plane at a time; each plane's factor is built in
+    _phase_factor's order, so out is the same bit for bit.  A 1-D grid is
+    one whole-array call."""
+    first, *rest = _axis_phases(grid)
+    if vals.ndim == 1:
+        return op(vals, first, out=out)
+    _by_plane(lambda p: op(vals[p], functools.reduce(
+        np.multiply, rest, first[p]), out=out[p]), vals.shape[0])
+    return out
 
 
 def fft_lines(vals, out, inverse=False, axes=None):
@@ -272,14 +294,18 @@ def fft_lines(vals, out, inverse=False, axes=None):
 def dft_forward(field: SampledField) -> Spectrum:
     """F(xi) = sum_j f(x_j) exp(-i xi x_j) h over every axis of the grid."""
     vals = fft_lines(field.values, np.empty(field.values.shape, complex))
-    vals *= _phase_factor(field.grid)
-    return Spectrum(field.grid, vals)
+    return Spectrum(field.grid, _phased(vals, field.grid, np.multiply, vals))
+
+
+def _inverse(vals, grid: GridSpec, out) -> np.ndarray:
+    """dft_inverse of the spectrum values vals, written to out."""
+    return fft_lines(_phased(vals, grid, np.divide, out), out, inverse=True)
 
 
 def dft_inverse(spec: Spectrum) -> SampledField:
     """Exact inverse of dft_forward (composes to the identity on grid data)."""
-    quot = spec.values / _phase_factor(spec.grid)
-    return SampledField(spec.grid, fft_lines(quot, quot, inverse=True))
+    return SampledField(spec.grid, _inverse(
+        spec.values, spec.grid, np.empty(spec.values.shape, complex)))
 
 
 def factor_plancherel(factor, count: int, name: str = "x"):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
-from .quadrature import (Axis, GridSpec, SampledField, Spectrum, box_grid,
-                         dft_forward, dft_inverse, fft_lines, norm2)
+from .quadrature import (Axis, GridSpec, SampledField, _by_plane, _inverse,
+                         box_grid, dft_forward, dft_inverse, fft_lines, norm2)
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
@@ -48,6 +48,13 @@ def _per_axis(grid: GridSpec, vec):
             else zero for name in SOLVE_AXES]
 
 
+def _sliced(arrays, index):
+    """The broadcastable arrays indexed by index, one slice per leading
+    axis, on the axes along which each array varies."""
+    return [a[tuple(s if n > 1 else slice(None)
+                    for s, n in zip(index, a.shape))] for a in arrays]
+
+
 def cr_solve(g: SampledField, op: PolyDiffOp):
     """Solve op f = g spectrally for a constant-coefficient operator.
 
@@ -58,10 +65,9 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
     if not op.is_constant_coefficient:
         raise ValueError("cr_solve needs a constant-coefficient operator")
     spec = dft_forward(g)
-    xiz, xiy, xix = _per_axis(g.grid, Axis.freqs)
     # the symbol varies only along the axes the operator differentiates, and
     # it and its mask stay that small, broadcast against the spectrum
-    sym = op.symbol(xiz, xiy, xix)
+    sym = op.symbol(*_per_axis(g.grid, Axis.freqs))
     mask = np.abs(sym) < 1e-10
     full_mask = np.broadcast_to(mask, spec.values.shape)
 
@@ -74,8 +80,9 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
         raise IncompatibleRHS(
             f"projected mass {projected_rel:.3e} exceeds 1.0e-06")
 
-    vals = np.where(mask, 0.0, spec.values / np.where(mask, 1.0, sym))
-    sol = dft_inverse(Spectrum(spec.grid, vals))
+    spec.values /= np.where(mask, 1.0, sym)
+    spec.values[full_mask] = 0.0
+    sol = dft_inverse(spec)
     info = {"projected_rel": projected_rel,
             "n_projected": int(np.count_nonzero(full_mask))}
     return sol, info
@@ -84,15 +91,22 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
 def spectral_apply(op: PolyDiffOp, field: SampledField) -> SampledField:
     """Apply a polynomial-coefficient operator to a sampled field: spectral
     derivatives, coefficient multiplication on the nodes."""
-    spec = dft_forward(field)
-    xiz, xiy, xix = _per_axis(field.grid, Axis.freqs)
-    mesh = _per_axis(field.grid, Axis.nodes)
-    out = np.zeros(field.values.shape, dtype=complex)
+    grid, spec = field.grid, dft_forward(field).values
+    xis, mesh = _per_axis(grid, Axis.freqs), _per_axis(grid, Axis.nodes)
+    # one work buffer; multipliers and coefficients one first-axis plane at
+    # a time, each in the full-grid formula's operation order
+    work, out = np.empty(grid.shape, complex), np.zeros(grid.shape, complex)
     for m, poly in op.terms.items():
-        mult = (1j * xiz) ** m[0] * (1j * xiy) ** m[1] * (1j * xix) ** m[2]
-        dfield = dft_inverse(Spectrum(spec.grid, spec.values * mult))
-        out += poly.eval(*mesh) * dfield.values
-    return SampledField(field.grid, out)
+        def derive(p, m=m):
+            xiz, xiy, xix = _sliced(xis, (p,))
+            mult = (1j * xiz) ** m[0] * (1j * xiy) ** m[1] * (1j * xix) ** m[2]
+            np.multiply(spec[p], mult, out=work[p])
+
+        _by_plane(derive, grid.shape[0])
+        _inverse(work, grid, work)
+        _by_plane(lambda p, poly=poly: np.add(out[p], poly.eval(
+            *_sliced(mesh, (p,))) * work[p], out=out[p]), grid.shape[0])
+    return SampledField(grid, out)
 
 
 def shear_reflect_field(field: SampledField) -> SampledField:
@@ -107,10 +121,12 @@ def shear_reflect_field(field: SampledField) -> SampledField:
         raise ValueError("x axis must be a symmetric box")
     vals = fft_lines(np.flip(field.values, axis=2),
                      np.empty(grid.shape, complex), axes=(0,))
-    # s(y, x) = 2 x y
+    # s(y, x) = 2 x y; the z-shift's phase is built one z plane at a time
     shift = 2.0 * (grid.along("y", grid.axis("y").nodes())
                    * grid.along("x", ax_x.nodes()))
-    vals *= np.exp(-1j * grid.along("z", grid.axis("z").freqs()) * shift)
+    xiz = grid.along("z", grid.axis("z").freqs())
+    _by_plane(lambda p: np.multiply(vals[p], np.exp(-1j * xiz[p] * shift),
+                                    out=vals[p]), grid.shape[0])
     return SampledField(grid, fft_lines(vals, vals, inverse=True, axes=(0,)))
 
 
@@ -158,21 +174,26 @@ def plateau_window(grid: GridSpec) -> np.ndarray:
     return window
 
 
-def interior_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean mask of the interior window: the central half of each axis,
-    the z axis measured against the support's z half-width SUPPORT[0]."""
-    mask = True
+def interior_mask(grid: GridSpec) -> tuple:
+    """Index of the interior window, one slice of nodes per axis: the
+    central half of each axis, the z axis measured against the support's z
+    half-width SUPPORT[0].  The window is a box, and the C-order ravel of
+    values[interior_mask(grid)] lists its nodes in grid order."""
+    box = []
     for ax in grid.axes:
         half = SUPPORT[0] if ax.name == "z" else 0.5 * (ax.hi - ax.lo)
-        mask = mask & grid.along(
-            ax.name, np.abs(ax.nodes() - 0.5 * (ax.hi + ax.lo)) <= 0.5 * half)
-    return mask
+        k = np.flatnonzero(
+            np.abs(ax.nodes() - 0.5 * (ax.hi + ax.lo)) <= 0.5 * half)
+        box.append(slice(k[0], k[-1] + 1) if k.size else slice(0))
+    return tuple(box)
 
 
-def interior_rel_error(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
-    """Relative l2 error of a against b over the masked window."""
-    num = np.sqrt(np.sum(np.abs(a[mask] - b[mask]) ** 2))
-    den = np.sqrt(np.sum(np.abs(b[mask]) ** 2))
+def interior_rel_error(a: np.ndarray, b: np.ndarray) -> float:
+    """Relative l2 error of a against b, two samplings of the interior
+    window, summed over their C-order ravel."""
+    a, b = np.ravel(a), np.ravel(b)
+    num = np.sqrt(np.sum(np.abs(a - b) ** 2))
+    den = np.sqrt(np.sum(np.abs(b) ** 2))
     return float(num / max(den, 1e-300))
 
 
@@ -192,11 +213,12 @@ def lewy_solve(g, n: int):
     f, info = _conjugated_solve(g, n, cauchy_riemann())
     grid = f.grid
 
-    windowed = SampledField(grid, f.values * plateau_window(grid))
-    applied = spectral_apply(lewy_conjugate_true(), windowed)
-    g_on_grid = np.asarray(g(*_per_axis(grid, Axis.nodes)), dtype=complex)
-    residual = interior_rel_error(applied.values, g_on_grid,
-                                  interior_mask(grid))
+    box = interior_mask(grid)
+    applied = spectral_apply(lewy_conjugate_true(), SampledField(
+        grid, f.values * plateau_window(grid))).values[box]
+    g_inside = np.asarray(g(*_sliced(_per_axis(grid, Axis.nodes), box)),
+                          dtype=complex)
+    residual = interior_rel_error(applied, g_inside)
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples
     return {"f": f, "residual": residual, **info}

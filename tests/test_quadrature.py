@@ -243,6 +243,30 @@ def test_dft_pair_equals_fftn_for_any_slab_count(monkeypatch, workers, shape):
                           np.fft.ifftn(spec.values / phase))
 
 
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_plane_wise_phase_equals_the_full_grid_factor(monkeypatch, workers):
+    # 7 first-axis planes, a multiple of neither 2 nor 3 workers; the phase
+    # is multiplied in and divided out one plane at a time
+    monkeypatch.setattr(Q, "_WORKERS", workers)
+    shape = (7, 3, 2, 4, 2, 3)
+    grid = Q.box_grid(tuple("uvwxyz"), -1.5, np.arange(2.0, 8.0), shape)
+    gen = np.random.default_rng(606)
+    vals = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    keep = vals.copy()
+    phase = 1.0
+    for ax in grid.axes:  # the full-grid factor, axis by axis
+        phase = phase * grid.along(ax.name, ax.step * np.exp(
+            -1j * ax.freqs() * (ax.lo + 0.5 * ax.step)))
+    spec = Q.dft_forward(Q.SampledField(grid, vals))
+    assert np.array_equal(spec.values, np.fft.fftn(vals) * phase)
+    back = Q.dft_inverse(spec)
+    assert np.array_equal(back.values, np.fft.ifftn(spec.values / phase))
+    work = spec.values.copy()
+    assert Q._inverse(work, grid, work) is work
+    assert np.array_equal(work, back.values)
+    assert np.array_equal(vals, keep)
+
+
 def _mc_integrand(x):
     return np.exp(-np.sum(x ** 2, axis=1)) * (1 + 1j * x[:, 0])
 

@@ -4,10 +4,13 @@ The full-size conjugated solves (round trips and generic-residual runs) live
 in the acceptance suite; here the machinery is exercised on small grids.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lgha import diffops as D
+from lgha import quadrature as Q
 from lgha import solvers as S
 from lgha.quadrature import SampledField, box_grid
 
@@ -174,3 +177,75 @@ def test_interior_mask_and_window():
     win = S.plateau_window(grid)
     assert np.all(win[mask] == 1.0)
     assert win[0, 0, 0] < 1e-3  # cell-centered nodes stop short of the edge
+
+
+# ---------------------------------------------------------------------------
+# the plane-wise solver paths equal the full-grid formulas bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _random_field(grid, seed):
+    gen = np.random.default_rng(seed)
+    return SampledField(grid, gen.normal(size=grid.shape)
+                        + 1j * gen.normal(size=grid.shape))
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("grid", [
+    _grid3((5.0, 3.0, 4.0), (11, 8, 6)), box_grid(("y", "x"), -3, 4, (7, 10))],
+    ids=["zyx", "yx"])
+@pytest.mark.parametrize("op", [D.lewy_conjugate_true(),
+                                S.four_stage_operator()],
+                         ids=["lewy", "four-stage"])
+def test_plane_wise_spectral_apply_equals_full_grid(monkeypatch, workers,
+                                                    grid, op):
+    monkeypatch.setattr(Q, "_WORKERS", workers)
+    f = _random_field(grid, 11)
+    # the full-grid formula: whole-grid multipliers, coefficients and phase
+    phase = Q._phase_factor(grid)
+    spec = np.fft.fftn(f.values) * phase
+    xiz, xiy, xix = S._per_axis(grid, Q.Axis.freqs)
+    mesh = S._per_axis(grid, Q.Axis.nodes)
+    ref = np.zeros(grid.shape, dtype=complex)
+    for m, poly in op.terms.items():
+        mult = (1j * xiz) ** m[0] * (1j * xiy) ** m[1] * (1j * xix) ** m[2]
+        ref += poly.eval(*mesh) * np.fft.ifftn(spec * mult / phase)
+    assert np.array_equal(S.spectral_apply(op, f).values, ref)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_plane_wise_shear_and_division_equal_full_grid(monkeypatch, workers):
+    monkeypatch.setattr(Q, "_WORKERS", workers)
+    grid = _grid3((9.0, 2.0, 2.5), (13, 6, 8))
+    f = _random_field(grid, 12)
+    zs, ys, xs = (grid.along(n, grid.axis(n).nodes()) for n in S.SOLVE_AXES)
+    xiz = grid.along("z", grid.axis("z").freqs())
+    vals = np.fft.fft(np.flip(f.values, axis=2), axis=0)
+    vals *= np.exp(-1j * xiz * (2.0 * (ys * xs)))
+    assert np.array_equal(S.shear_reflect_field(f).values,
+                          np.fft.ifft(vals, axis=0))
+    # cr_solve divides and zeroes the kernel modes in the spectrum's buffer
+    g = SampledField(grid, D.PolyGauss(D.Poly3({(0, 0, 1): 1.0}))(zs, ys, xs)
+                     * np.ones(grid.shape))
+    phase = Q._phase_factor(grid)
+    spec = np.fft.fftn(g.values) * phase
+    sym = D.cauchy_riemann().symbol(*S._per_axis(grid, Q.Axis.freqs))
+    mask = np.abs(sym) < 1e-10
+    ref = np.fft.ifftn(np.where(mask, 0.0, spec / np.where(mask, 1.0, sym))
+                       / phase)
+    assert np.array_equal(S.cr_solve(g, D.cauchy_riemann())[0].values, ref)
+
+
+def test_lewy_solve_holds_at_most_six_fields():
+    # the plane-wise transforms and solver steps keep a Lewy solve's traced
+    # peak at five n^3 complex fields (nine before they were plane-wise)
+    n = 64
+    g = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j}), sigma=0.65)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        S.lewy_solve(g, n)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 16 * n ** 3, peak / (16 * n ** 3)
