@@ -40,12 +40,14 @@ class IncompatibleRHS(ValueError):
     """The right-hand side has too much mass on the operator's kernel modes."""
 
 
-def _per_axis(grid: GridSpec, vec):
+def _per_axis(grid: GridSpec, vec, index=()):
     """vec(axis) for the z, y and x axes, each shaped to broadcast over the
-    grid, and zeros for an axis the grid lacks."""
+    grid and cut to index (see _sliced), and zeros for an axis the grid
+    lacks."""
     zero = np.zeros((1,) * len(grid.axes))
-    return [grid.along(name, vec(grid.axis(name))) if name in grid.names
-            else zero for name in SOLVE_AXES]
+    return _sliced([grid.along(name, vec(grid.axis(name)))
+                    if name in grid.names else zero for name in SOLVE_AXES],
+                   index)
 
 
 def _sliced(arrays, index):
@@ -97,15 +99,17 @@ def spectral_apply(op: PolyDiffOp, field: SampledField) -> SampledField:
     # a time, each in the full-grid formula's operation order
     work, out = np.empty(grid.shape, complex), np.zeros(grid.shape, complex)
     for m, poly in op.terms.items():
-        def derive(p, m=m):
+        def derive(p):
             xiz, xiy, xix = _sliced(xis, (p,))
             mult = (1j * xiz) ** m[0] * (1j * xiy) ** m[1] * (1j * xix) ** m[2]
             np.multiply(spec[p], mult, out=work[p])
 
+        def accumulate(p):
+            out[p] += poly.eval(*_sliced(mesh, (p,))) * work[p]
+
         _by_plane(derive, grid.shape[0])
         _inverse(work, grid, work)
-        _by_plane(lambda p, poly=poly: np.add(out[p], poly.eval(
-            *_sliced(mesh, (p,))) * work[p], out=out[p]), grid.shape[0])
+        _by_plane(accumulate, grid.shape[0])
     return SampledField(grid, out)
 
 
@@ -216,8 +220,7 @@ def lewy_solve(g, n: int):
     box = interior_mask(grid)
     applied = spectral_apply(lewy_conjugate_true(), SampledField(
         grid, f.values * plateau_window(grid))).values[box]
-    g_inside = np.asarray(g(*_sliced(_per_axis(grid, Axis.nodes), box)),
-                          dtype=complex)
+    g_inside = np.asarray(g(*_per_axis(grid, Axis.nodes, box)), complex)
     residual = interior_rel_error(applied, g_inside)
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples

@@ -636,8 +636,7 @@ def _roundtrip(solve, w, op, n):
     res = solve(rhs, n)
     grid = res["f"].grid
     box = SV.interior_mask(grid)
-    href = w(*SV.shear_reflect_points(*SV._sliced(
-        SV._per_axis(grid, Axis.nodes), box)))
+    href = w(*SV.shear_reflect_points(*SV._per_axis(grid, Axis.nodes, box)))
     return SV.interior_rel_error(res["f"].values[box], href), \
         res.get("residual")
 
