@@ -237,8 +237,9 @@ def test_plane_wise_shear_and_division_equal_full_grid(monkeypatch, workers):
 
 
 def test_lewy_solve_holds_at_most_six_fields():
-    # the plane-wise transforms and solver steps keep a Lewy solve's traced
-    # peak at five n^3 complex fields (nine before they were plane-wise)
+    # the transforms and solver steps build their factors one plane at a
+    # time, so a Lewy solve holds five complex n^3 fields at its peak; the
+    # sixth leaves room for the plane-sized temporaries
     n = 64
     g = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j}), sigma=0.65)
     tracemalloc.start()
