@@ -193,19 +193,24 @@ class SampledField:
     def from_callable(cls, grid: GridSpec, fn):
         """Sample fn(*coordinate_arrays) on the grid.
 
-        Large grids are evaluated in chunks along the first axis to bound
-        peak memory.
+        Large grids are evaluated plane by plane on the workers, in flat
+        blocks of BLOCK_ENTRIES points, so fn must be pointwise.
         """
         if grid.size <= 2 ** 20:
-            mesh = grid.meshgrid()
-            return cls(grid, np.asarray(fn(*mesh), dtype=complex))
-        out = np.empty(grid.shape, dtype=complex)
+            return cls(grid, np.asarray(fn(*grid.meshgrid()), dtype=complex))
         first = grid.axes[0].nodes()
-        rest = np.meshgrid(*[a.nodes() for a in grid.axes[1:]], indexing="ij")
-        for i, x0 in enumerate(first):
-            args = [np.full(rest[0].shape, x0)] + list(rest)
-            out[i] = fn(*args)
-        return cls(grid, out)
+        rest = [r.ravel() for r in np.meshgrid(
+            *[a.nodes() for a in grid.axes[1:]], indexing="ij")]
+        out = np.empty((first.size, rest[0].size), dtype=complex)
+
+        def plane(p):
+            for a in range(0, rest[0].size, BLOCK_ENTRIES):
+                b = slice(a, a + BLOCK_ENTRIES)
+                out[p.start, b] = fn(np.full(rest[0][b].shape, first[p.start]),
+                                     *(r[b] for r in rest))
+
+        _by_plane(plane, first.size)
+        return cls(grid, out.reshape(grid.shape))
 
 
 def norm2(field: SampledField) -> float:
@@ -291,10 +296,15 @@ def fft_lines(vals, out, inverse=False, axes=None):
     return out
 
 
+def _forward(vals, grid: GridSpec, out) -> np.ndarray:
+    """dft_forward of the values vals, written to out (which may be vals)."""
+    return _phased(fft_lines(vals, out), grid, np.multiply, out)
+
+
 def dft_forward(field: SampledField) -> Spectrum:
     """F(xi) = sum_j f(x_j) exp(-i xi x_j) h over every axis of the grid."""
-    vals = fft_lines(field.values, np.empty(field.values.shape, complex))
-    return Spectrum(field.grid, _phased(vals, field.grid, np.multiply, vals))
+    return Spectrum(field.grid, _forward(
+        field.values, field.grid, np.empty(field.values.shape, complex)))
 
 
 def _inverse(vals, grid: GridSpec, out) -> np.ndarray:
@@ -340,8 +350,8 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
     for a fixed seed.  `integrand` maps an (m, d) array to m complex values,
     or to (m, k) for k integrals on the same samples, and must be row-wise:
     the values of a row depend on that row alone.  Each chunk's weights are
-    computed on one row slab per worker and joined in row order, so the
-    estimate does not depend on the slab count.
+    computed on cache-sized row blocks of one row slab per worker and joined
+    in row order, so the estimate depends on neither the slabs nor blocks.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
@@ -359,12 +369,16 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
         x = mean + sigma * rng.standard_normal((m, d))
 
         def weights(s, x=x):
-            logpdf = lognorm - 0.5 * np.sum(((x[s] - mean) / sigma) ** 2,
-                                            axis=1)
-            vals = np.asarray(integrand(x[s]), dtype=complex)
-            return (vals.T * np.exp(-logpdf)).T  # one weight per row
+            out, rows = [], BLOCK_ENTRIES // 2  # two complex values a row
+            for a in range(s.start, s.stop, rows):
+                xb = x[a:min(a + rows, s.stop)]
+                logpdf = lognorm - 0.5 * np.sum(((xb - mean) / sigma) ** 2,
+                                                axis=1)
+                vals = np.asarray(integrand(xb), dtype=complex)
+                out.append((vals.T * np.exp(-logpdf)).T)  # one weight per row
+            return out
 
-        w = np.concatenate(_run_slabs(weights, m))
+        w = np.concatenate(sum(_run_slabs(weights, m), []))
         sums.append(pairwise_sum(w))
         sums2.append(pairwise_sum(np.abs(w) ** 2))
         remaining -= m

@@ -19,8 +19,9 @@ import numpy as np
 
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
-from .quadrature import (Axis, GridSpec, SampledField, _by_plane, _inverse,
-                         box_grid, dft_forward, dft_inverse, fft_lines, norm2)
+from .quadrature import (Axis, GridSpec, SampledField, _by_plane, _forward,
+                         _inverse, box_grid, dft_forward, dft_inverse,
+                         fft_lines, norm2)
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
@@ -92,8 +93,9 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
 
 def spectral_apply(op: PolyDiffOp, field: SampledField) -> SampledField:
     """Apply a polynomial-coefficient operator to a sampled field: spectral
-    derivatives, coefficient multiplication on the nodes."""
-    grid, spec = field.grid, dft_forward(field).values
+    derivatives, coefficient multiplication on the nodes.  Consumes the
+    field: its values are overwritten in place with their spectrum."""
+    grid, spec = field.grid, _forward(field.values, field.grid, field.values)
     xis, mesh = _per_axis(grid, Axis.freqs), _per_axis(grid, Axis.nodes)
     # one work buffer; multipliers and coefficients one first-axis plane at
     # a time, each in the full-grid formula's operation order
@@ -153,28 +155,29 @@ def _conjugated_solve(g, n: int, op: PolyDiffOp):
     yh, xh = sy + PAD, sx + PAD
     half = np.array([sz + 2.0 * yh * xh + PAD, yh, xh])
     grid = box_grid(SOLVE_AXES, -half, half, n)
-    gvals = np.asarray(
-        g(*shear_reflect_points(*_per_axis(grid, Axis.nodes))), complex)
+    gvals = np.empty(grid.shape, complex)
+    _by_plane(lambda p: np.copyto(gvals[p], g(*shear_reflect_points(
+        *_per_axis(grid, Axis.nodes, (p,))))), n)
     u, info = cr_solve(SampledField(grid, gvals), op)
     return shear_reflect_field(u), info
 
 
-def plateau_window(grid: GridSpec) -> np.ndarray:
-    """Smooth separable window: 1 on the central 60% of each axis, cos^2
-    roll-off to 0 at the boundary.  The solution of the conjugated
-    problem carries slowly decaying tails that are not periodic across the
-    box, so fields are windowed before spectral differentiation; since
-    derivatives are local, values on the interior (inside the flat region)
-    are unaffected."""
+def plateau_window(grid: GridSpec) -> list:
+    """Smooth separable window, one broadcastable factor per axis: 1 on the
+    central 60% of each axis, cos^2 roll-off to 0 at the boundary.  The
+    solution of the conjugated problem carries slowly decaying tails that
+    are not periodic across the box, so fields are windowed before spectral
+    differentiation; since derivatives are local, values on the interior
+    (inside the flat region) are unaffected."""
     flat = 0.6
-    window = 1.0
+    window = []
     for ax in grid.axes:
         t = (ax.nodes() - 0.5 * (ax.hi + ax.lo)) / (0.5 * (ax.hi - ax.lo))
         w = np.ones_like(t)
         s = (np.abs(t) - flat) / (1.0 - flat)
         roll = np.abs(t) > flat
         w[roll] = np.cos(0.5 * np.pi * np.clip(s[roll], 0.0, 1.0)) ** 2
-        window = window * grid.along(ax.name, w)
+        window.append(grid.along(ax.name, w))
     return window
 
 
@@ -218,10 +221,13 @@ def lewy_solve(g, n: int):
     grid = f.grid
 
     box = interior_mask(grid)
-    applied = spectral_apply(lewy_conjugate_true(), SampledField(
-        grid, f.values * plateau_window(grid))).values[box]
+    wz, wy, wx = plateau_window(grid)  # applied one z plane at a time
+    windowed = np.empty(grid.shape, complex)
+    _by_plane(lambda p: np.multiply(f.values[p], (wz[p] * wy) * wx,
+                                    out=windowed[p]), n)
+    applied = spectral_apply(lewy_conjugate_true(), SampledField(grid, windowed))
     g_inside = np.asarray(g(*_per_axis(grid, Axis.nodes, box)), complex)
-    residual = interior_rel_error(applied, g_inside)
+    residual = interior_rel_error(applied.values[box], g_inside)
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples
     return {"f": f, "residual": residual, **info}

@@ -325,3 +325,68 @@ def test_monte_carlo_integrand_may_transform_a_field(monkeypatch):
     split, = done
     assert split.estimate == serial.estimate
     assert split.stderr == serial.stderr
+
+
+def _mc_unblocked(integrand, mean, sigma, n, seed):
+    """monte_carlo's estimate and stderr with each chunk's weights computed
+    in one call on the whole chunk, the formula before row blocks."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    lognorm = -0.5 * mean.size * np.log(2.0 * np.pi) - np.sum(np.log(sigma))
+    sums, sums2, remaining = [], [], n
+    while remaining > 0:
+        m = min(Q._MC_CHUNK, remaining)
+        x = mean + sigma * rng.standard_normal((m, mean.size))
+        logpdf = lognorm - 0.5 * np.sum(((x - mean) / sigma) ** 2, axis=1)
+        vals = np.asarray(integrand(x), dtype=complex)
+        w = (vals.T * np.exp(-logpdf)).T
+        sums.append(pairwise_sum(w))
+        sums2.append(pairwise_sum(np.abs(w) ** 2))
+        remaining -= m
+    est = pairwise_sum(np.asarray(sums)) / n
+    var = np.maximum(pairwise_sum(np.asarray(sums2)).real / n
+                     - np.abs(est) ** 2, 0.0)
+    return est, np.sqrt(var / n)
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("integrand", (_mc_integrand, _mc_two_columns),
+                         ids=("one-value", "two-columns"))
+def test_monte_carlo_row_blocks_equal_the_unblocked_sum(monkeypatch, workers,
+                                                        integrand):
+    # five blocks and a ragged tail over all slabs; two chunks, the second
+    # one ragged too, so every slab ends in a partial block
+    rows = Q.BLOCK_ENTRIES // 2
+    monkeypatch.setattr(Q, "_WORKERS", workers)
+    monkeypatch.setattr(Q, "_MC_CHUNK", 3 * rows + 5)
+    args = (np.zeros(3), np.full(3, 0.8), 5 * rows + 123, 17)
+    seen = []
+
+    def spy(x):
+        seen.append(x.shape[0])
+        return integrand(x)
+
+    got = Q.monte_carlo(spy, *args)
+    est, se = _mc_unblocked(integrand, *args)
+    assert np.array_equal(got.estimate, est)
+    assert np.array_equal(got.stderr, se)
+    assert max(seen) <= rows and sum(seen) == args[2]
+    assert len(seen) >= 7
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_from_callable_planes_equal_the_serial_loop(monkeypatch, workers):
+    # more than 2^20 points, so the planes run on the workers in blocks;
+    # each plane holds 10^5 points, three blocks and a ragged tail
+    monkeypatch.setattr(Q, "_WORKERS", workers)
+    grid = Q.box_grid(tuple("uvwxyz"), -1.0, np.arange(1.0, 7.0),
+                      (11, 10, 10, 10, 10, 10))
+
+    def fn(*mesh):
+        pts = np.stack(mesh, axis=-1)
+        return np.exp(-np.sum(pts ** 2, axis=-1)) * (1 + 1j * pts[..., 2])
+
+    ref = np.empty(grid.shape, complex)
+    rest = np.meshgrid(*[a.nodes() for a in grid.axes[1:]], indexing="ij")
+    for i, x0 in enumerate(grid.axes[0].nodes()):
+        ref[i] = fn(np.full(rest[0].shape, x0), *rest)
+    assert np.array_equal(Q.SampledField.from_callable(grid, fn).values, ref)

@@ -174,7 +174,8 @@ def test_interior_mask_and_window():
     assert np.all(np.abs(zs[mask]) <= 0.5 * S.SUPPORT[0] + 1e-9)
     assert np.max(np.abs(zs[mask])) > 0.5 * S.SUPPORT[0] - grid.axes[0].step
     assert np.all(np.abs(ys[mask]) <= 1.0 + 1e-9)
-    win = S.plateau_window(grid)
+    wz, wy, wx = S.plateau_window(grid)
+    win = (wz * wy) * wx
     assert np.all(win[mask] == 1.0)
     assert win[0, 0, 0] < 1e-3  # cell-centered nodes stop short of the edge
 
@@ -236,10 +237,48 @@ def test_plane_wise_shear_and_division_equal_full_grid(monkeypatch, workers):
     assert np.array_equal(S.cr_solve(g, D.cauchy_riemann())[0].values, ref)
 
 
-def test_lewy_solve_holds_at_most_six_fields():
+def test_spectral_apply_consumes_its_input():
+    grid = _grid3((5.0, 3.0, 4.0), (11, 8, 6))
+    f = _random_field(grid, 13)
+    spec = Q.dft_forward(SampledField(grid, f.values.copy())).values
+    S.spectral_apply(D.lewy_conjugate_true(), f)
+    assert np.array_equal(f.values, spec)
+
+
+@pytest.mark.parametrize("workers", (1, 3))
+def test_lewy_solve_equals_the_full_grid_formulas(monkeypatch, workers):
+    # g sampled and the window multiplied in one z plane at a time; the
+    # returned f is the solution, not the buffer spectral_apply consumed
+    monkeypatch.setattr(Q, "_WORKERS", workers)
+    w = D.PolyGauss(D.Poly3({(0, 0, 1): 1.0, (0, 1, 0): 1.0j}), sigma=0.6)
+    qw = w.apply_diffop(D.cauchy_riemann())
+
+    def rhs(z, y, x):
+        return qw(*S.shear_reflect_points(z, y, x))
+
+    res = S.lewy_solve(rhs, 24)
+    grid = res["f"].grid
+    g = rhs(*S.shear_reflect_points(*S._per_axis(grid, Q.Axis.nodes)))
+    f = S.shear_reflect_field(
+        S.cr_solve(SampledField(grid, g), D.cauchy_riemann())[0]).values
+    assert np.array_equal(res["f"].values, f)
+    wz, wy, wx = S.plateau_window(grid)
+    applied = S.spectral_apply(D.lewy_conjugate_true(),
+                               SampledField(grid, f * ((wz * wy) * wx)))
+    box = S.interior_mask(grid)
+    g_inside = rhs(*S._per_axis(grid, Q.Axis.nodes, box))
+    assert res["residual"] == S.interior_rel_error(applied.values[box],
+                                                   g_inside)
+    href = w(*S.shear_reflect_points(*S._per_axis(grid, Q.Axis.nodes, box)))
+    assert S.interior_rel_error(res["f"].values[box], href) \
+        == S.interior_rel_error(f[box], href)
+
+
+def test_lewy_solve_holds_at_most_five_fields():
     # the transforms and solver steps build their factors one plane at a
-    # time, so a Lewy solve holds five complex n^3 fields at its peak; the
-    # sixth leaves room for the plane-sized temporaries
+    # time and spectral_apply transforms the windowed field in place, so a
+    # Lewy solve holds four complex n^3 fields at its peak; the fifth
+    # leaves room for the plane-sized temporaries
     n = 64
     g = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j}), sigma=0.65)
     tracemalloc.start()
@@ -249,4 +288,4 @@ def test_lewy_solve_holds_at_most_six_fields():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 16 * n ** 3, peak / (16 * n ** 3)
+    assert peak <= 5 * 16 * n ** 3, peak / (16 * n ** 3)
