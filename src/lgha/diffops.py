@@ -13,10 +13,14 @@ Reflected-argument evaluation
 Several conjugation identities in this calculus naturally produce operators
 evaluated "through a reflection": the displayed coefficient letters refer to
 the unreflected coordinates while the derivatives are taken at the reflected
-point.  Writing sigma for the reflection, such a statement is equivalent to
-the plain operator identity with the coefficients precomposed by sigma
-(`PolyDiffOp.coeff_reflect`).  `verify_identity` checks the plain form;
-`reflected_eval` packages the convention.
+point.  Writing sigma for the sign reflection `reflection(sz, sy, sx)`, such
+a statement is equivalent to the plain operator identity with the
+coefficients precomposed by sigma (`PolyDiffOp.coeff_reflect`).
+`transport(op, outer, inner)` applies op to f o inner at outer(points), so
+the reflected reading of op is
+`transport(op.coeff_reflect(sz, sy, sx), reflection(sz, sy, sx))` and the
+conjugate of op by a map m is `transport(op, m, m)`.  `verify_identity`
+compares two such evaluators over a corpus.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from math import comb
 
 import numpy as np
 
-from .jets import Jet, DegreeOverflow, substitute
+from .jets import Jet, DegreeOverflow, monomials, substitute
 
 __all__ = [
     "Poly3", "PolyVectorField", "PolyDiffOp", "CoordMap",
     "PolyGauss", "PlaneWave", "standard_corpus",
-    "conjugate_apply", "verify_identity", "reflected_eval",
+    "transport", "verify_identity",
     "lie_bracket", "hormander_rank",
     "vf_z", "vf_y", "vf_x",
     "cauchy_riemann", "cauchy_riemann_star", "lewy", "lewy_star",
@@ -41,8 +45,8 @@ __all__ = [
     "heis_laplacian_left", "heis_laplacian_right", "sheared_laplacian",
     "first_order_invariant",
     "hormander_P", "hormander_P_bar", "hormander_Q4",
-    "shear_reflect_map", "shear_map", "shear_map_inv", "flip_y_shear_map",
-    "flip_x_shear_map",
+    "reflection", "shear_reflect_map", "shear_map", "shear_map_inv",
+    "flip_y_shear_map", "flip_x_shear_map",
     "parse_op", "format_op",
 ]
 
@@ -354,11 +358,11 @@ class PolyDiffOp:
 
     def apply(self, f, points):
         """Exact value of (op f) at one point (3,) or a batch (..., 3),
-        using the degree-4 jet of f."""
+        using the degree-4 jet of f there; f may also be that Jet."""
         if self.order > 4:
             raise DegreeOverflow("operator order exceeds jet degree")
         pts = np.asarray(points, dtype=float)
-        jet = f.jet_at(pts)
+        jet = f if isinstance(f, Jet) else f.jet_at(pts)
         z, y, x = pts[..., 0], pts[..., 1], pts[..., 2]
         out = np.zeros(pts.shape[:-1], dtype=complex)
         for m, p in self.terms.items():
@@ -390,68 +394,57 @@ class CoordMap:
         z, y, x = pts[..., 0], pts[..., 1], pts[..., 2]
         return np.stack([np.real(p.eval(z, y, x)) for p in self.fwd], axis=-1)
 
-    def pullback_jet(self, f, points) -> Jet:
-        """Jet of f o m at the point(s) (exact: Taylor substitution of the
-        polynomial map into the jet of f at m(point))."""
+    def pullback(self, points):
+        """f -> the jet of f o m at the point(s), by Taylor substitution of
+        the map into the jet of f at m(point).  The monomials in the map's
+        delta jets do not depend on f; they are formed once, here."""
         pts = np.asarray(points, dtype=float)
         q = self.apply_points(pts)
-        outer = f.jet_at(q)
-        zj, yj, xj = Jet.coordinates(pts)
-        deltas = []
-        for i, p in enumerate(self.fwd):
-            dj = p.eval_jet(zj, yj, xj)
-            dj.coeffs = dj.coeffs.copy()
-            dj.coeffs[0] -= q[..., i]
-            deltas.append(dj)
-        return substitute(outer.coeffs, deltas)
+        coords = Jet.coordinates(pts)
+        monos = monomials([p.eval_jet(*coords) - q[..., i]
+                           for i, p in enumerate(self.fwd)])
+        return lambda f: substitute(f.jet_at(q).coeffs, monos)
 
 
-class _Pullback:
-    """f o m as a jet-evaluable function."""
-
-    def __init__(self, m: CoordMap, f):
-        self.m = m
-        self.f = f
-
-    def jet_at(self, point) -> Jet:
-        return self.m.pullback_jet(self.f, point)
-
-
-def conjugate_apply(m: CoordMap, op: PolyDiffOp, f, points):
-    """(m-hat o op o m-hat) f at the point(s), where m-hat is precomposition
-    with m; realized by jet composition, no symbolic pushforward."""
-    g = _Pullback(m, f)
-    q = m.apply_points(np.asarray(points, dtype=float))
-    return op.apply(g, q)
-
-
-def reflected_eval(op: PolyDiffOp, signs):
-    """Reflected-argument evaluation: coefficients keep their displayed
-    coordinate letters while the derivatives act at the reflected point."""
-    sz, sy, sx = signs
-    rop = op.coeff_reflect(sz, sy, sx)
-    flip = np.array([sz, sy, sx], dtype=float)
-
-    def ev(f, points):
-        return rop.apply(f, np.asarray(points, dtype=float) * flip)
-
-    return ev
+def transport(op: PolyDiffOp, outer=None, inner=None):
+    """op applied to f o inner at outer(points), as an evaluator
+    points -> (f -> values); a missing map is the identity.  outer(points)
+    and the inner map's pullback are computed once per point batch, so
+    conjugation by m, transport(op, m, m), costs one Taylor composition per
+    function."""
+    def at(points):
+        q = np.asarray(points, dtype=float)
+        if outer is not None:
+            q = outer.apply_points(q)
+        if inner is None:
+            return lambda f: op.apply(f, q)
+        pull = inner.pullback(q)
+        return lambda f: op.apply(pull(f), q)
+    return at
 
 
 def verify_identity(lhs, rhs, corpus, points) -> float:
-    """Maximum absolute discrepancy of two (f, points) -> values evaluators
-    over a corpus of jet-evaluable functions; the evaluators are handed the
-    whole (n, 3) point batch at once.  A NaN discrepancy makes the result
+    """Maximum absolute discrepancy of two points -> (f -> values)
+    evaluators, such as `transport` builds, over a corpus of jet-evaluable
+    functions.  Each side is built once for the whole (n, 3) point batch and
+    then applied to every function.  A NaN discrepancy makes the result
     NaN."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return float(np.max([np.max(np.abs(np.asarray(lhs(f, pts))
-                                       - np.asarray(rhs(f, pts))))
+    lhs, rhs = lhs(pts), rhs(pts)
+    return float(np.max([np.max(np.abs(np.asarray(lhs(f))
+                                       - np.asarray(rhs(f))))
                          for f in corpus], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # named coordinate maps
 # ---------------------------------------------------------------------------
+
+
+def reflection(sz: int, sy: int, sx: int) -> CoordMap:
+    """(z, y, x) -> (sz z, sy y, sx x) for signs of +-1; an involution."""
+    fwd = (float(sz) * Z, float(sy) * Y, float(sx) * X)
+    return CoordMap(fwd, fwd)
 
 
 def shear_reflect_map() -> CoordMap:

@@ -196,27 +196,28 @@ class Jet:
         return out * np.exp(c0)
 
 
-def substitute(outer_coeffs: np.ndarray, deltas) -> Jet:
-    """Taylor composition: outer is a jet at q, deltas are the jets (without
-    constant term) of the inner map's components around p with values q;
-    returns the jet of the composite at p."""
+def monomials(deltas) -> list:
+    """The products d0^a d1^b d2^c of the three delta jets, each formed as
+    (d0^a * d1^b) * d2^c, for every multi-index (a, b, c) in MULTI_INDICES
+    order; the deltas are the jets (without constant term) of an inner map's
+    components around p."""
     powers = []
     for d in deltas:
         ps = [Jet.const(1.0)]
         for _ in range(DEGREE):
             ps.append(ps[-1] * d)
         powers.append(ps)
+    return [(powers[0][a] * powers[1][b]) * powers[2][c]
+            for a, b, c in MULTI_INDICES]
+
+
+def substitute(outer_coeffs: np.ndarray, monos) -> Jet:
+    """Taylor composition: outer is a jet at q, monos are the `monomials` of
+    the inner map's delta jets around p, where the map takes the value q;
+    returns the jet of the composite at p."""
     out = Jet()
-    # (a, b) -> powers[0][a] * powers[1][b], shared by every c and dropped
-    # after the last one, c = DEGREE - a - b
-    head = {}
-    for k, (a, b, c) in enumerate(MULTI_INDICES):
-        co = outer_coeffs[k]
-        if not np.any(co):
-            continue
-        if (a, b) not in head:
-            head[a, b] = powers[0][a] * powers[1][b]
-        shared = head.pop((a, b)) if a + b + c == DEGREE else head[a, b]
-        out = out + shared * powers[2][c] * co
+    for co, mono in zip(outer_coeffs, monos):
+        if np.any(co):
+            out = out + mono * co
     return out
 

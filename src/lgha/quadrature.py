@@ -255,16 +255,12 @@ def _axis_phases(grid: GridSpec) -> list:
         -1j * ax.freqs() * (ax.lo + 0.5 * ax.step))) for ax in grid.axes]
 
 
-def _phase_factor(grid: GridSpec) -> np.ndarray:
-    """The product of the per-axis phases over the whole grid."""
-    return functools.reduce(np.multiply, _axis_phases(grid))
-
-
 def _phased(vals, grid: GridSpec, op, out) -> np.ndarray:
-    """op(vals, _phase_factor(grid)), op np.multiply or np.divide, written to
-    out one first-axis plane at a time; each plane's factor is built in
-    _phase_factor's order, so out is the same bit for bit.  A 1-D grid is
-    one whole-array call."""
+    """op(vals, (p0 * p1) * ...), op np.multiply or np.divide and p0, p1, ...
+    the per-axis phases of `_axis_phases`, multiplied first axis first.  It
+    is written to out one first-axis plane at a time, and each plane's
+    factor is formed in the same order, so out is the same bit for bit as
+    with the whole-grid factor.  A 1-D grid is one whole-array call."""
     first, *rest = _axis_phases(grid)
     if vals.ndim == 1:
         return op(vals, first, out=out)

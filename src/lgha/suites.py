@@ -540,65 +540,43 @@ def _semidirect(cfg, rng, row):
 # ---------------------------------------------------------------------------
 
 
-def _identity_battery(rng):
+def _operator_identities(cfg, rng, row):
     corpus = D.standard_corpus(rng)
     pts = rng.uniform(-1.2, 1.2, size=(100, 3))
-    hb = D.shear_reflect_map()
-    g = D.shear_map()
-    gi = D.shear_map_inv()
-    tau = D.flip_y_shear_map()
-    pim = D.flip_x_shear_map()
+    hb, g, gi = D.shear_reflect_map(), D.shear_map(), D.shear_map_inv()
+    tau, pim = D.flip_y_shear_map(), D.flip_x_shear_map()
+    # each side is transport(op, outer, inner): op on f o inner at outer(pts)
+    for name, lhs, rhs in (
+            ("lewy-conjugation", (D.cauchy_riemann(), hb, hb),
+             (D.lewy().coeff_reflect(sx=-1),)),
+            ("lewy-pair-conjugation", (D.laplacian_2d(), hb, hb),
+             (D.lewy().coeff_reflect(sx=-1)
+              @ D.lewy_star().coeff_reflect(sx=-1),)),
+            ("shear-first-order", (D.cauchy_riemann_star(), g, gi),
+             (D.first_order_invariant(),)),
+            ("shear-laplacian", (D.laplacian_3d(), g, gi),
+             (D.sheared_laplacian(),)),
+            ("left-laplacian-transport", (D.laplacian_3d(), tau, gi),
+             (D.heis_laplacian_left().coeff_reflect(1, -1, 1),
+              D.reflection(1, -1, 1))),
+            ("right-laplacian-transport", (D.laplacian_3d(), pim, gi),
+             (D.heis_laplacian_right().coeff_reflect(1, 1, -1),
+              D.reflection(1, 1, -1))),
+            ("four-factor-conjugation", (SV.four_stage_chain(), hb, hb),
+             (SV.four_stage_operator(),)),
+            ("single-factor-swap", (D.cr_pair_R(), hb, hb),
+             (D.hormander_P_bar().coeff_reflect(sx=-1),))):
+        row(name, D.verify_identity(D.transport(*lhs), D.transport(*rhs),
+                                    corpus, pts))
 
-    def chain_through(outer, inner_op, inner_map):
-        def ev(f, p):
-            q = outer.apply_points(np.asarray(p, dtype=float))
-            return inner_op.apply(D._Pullback(inner_map, f), q)
-        return ev
-
-    battery = []
-    battery.append(("lewy-conjugation",
-                    partial(D.conjugate_apply, hb, D.cauchy_riemann()),
-                    D.lewy().coeff_reflect(sx=-1).apply))
-    battery.append(("lewy-pair-conjugation",
-                    partial(D.conjugate_apply, hb, D.laplacian_2d()),
-                    (D.lewy().coeff_reflect(sx=-1)
-                     @ D.lewy_star().coeff_reflect(sx=-1)).apply))
-    battery.append(("shear-first-order",
-                    chain_through(g, D.cauchy_riemann_star(), gi),
-                    D.first_order_invariant().apply))
-    battery.append(("shear-laplacian",
-                    chain_through(g, D.laplacian_3d(), gi),
-                    D.sheared_laplacian().apply))
-    battery.append(("left-laplacian-transport",
-                    chain_through(tau, D.laplacian_3d(), gi),
-                    D.reflected_eval(D.heis_laplacian_left(), (1, -1, 1))))
-    battery.append(("right-laplacian-transport",
-                    chain_through(pim, D.laplacian_3d(), gi),
-                    D.reflected_eval(D.heis_laplacian_right(), (1, 1, -1))))
-    battery.append(("four-factor-conjugation",
-                    partial(D.conjugate_apply, hb, SV.four_stage_chain()),
-                    SV.four_stage_operator().apply))
-    battery.append(("single-factor-swap",
-                    partial(D.conjugate_apply, hb, D.cr_pair_R()),
-                    D.hormander_P_bar().coeff_reflect(sx=-1).apply))
-    return corpus, pts, battery
-
-
-def _operator_identities(cfg, rng, row):
-    corpus, pts, battery = _identity_battery(rng)
-    for name, lhs, rhs in battery:
-        row(name, D.verify_identity(lhs, rhs, corpus, pts))
-
-    hb = D.shear_reflect_map()
     row("coordinate-map-inverses", not all(
-        m.check_inverse() for m in (hb, D.shear_map(), D.flip_y_shear_map(),
-                                    D.flip_x_shear_map())))
+        m.check_inverse() for m in (hb, g, gi, tau, pim)))
 
     # sensitivity: a perturbed coefficient must be detected loudly
     wrong = D.lewy_conjugate_true() + D.PolyDiffOp(
         {(1, 0, 0): D.Poly3({(0, 1, 0): -0.1})})  # 2y dz -> 2.1y dz
-    err = D.verify_identity(partial(D.conjugate_apply, hb, D.cauchy_riemann()),
-                            wrong.apply, corpus, pts)
+    err = D.verify_identity(D.transport(D.cauchy_riemann(), hb, hb),
+                            D.transport(wrong), corpus, pts)
     row("mutation-sensitivity", err,
         passed=err > _ROWS["mutation-sensitivity"][2])
 

@@ -50,9 +50,10 @@ def test_bad_config_file(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-def test_bad_budget_rejected(tmp_path):
+def test_bad_budget_rejected(tmp_path, capsys):
     # budgets below their floors or not finite numbers, and seeds that are
-    # not nonnegative integers, from the config file or from a flag
+    # not nonnegative integers, from the config file or from a flag; the
+    # cases run in-process, and an exception escaping main fails the test
     cases = [
         ({"budgets": {"max_grid_points": -5}}, ()),
         (None, ("--budget-grid", "0")),
@@ -81,10 +82,14 @@ def test_bad_budget_rejected(tmp_path):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             args += ["--config", str(cfg)]
-        proc = run_cli(*args)
-        assert proc.returncode == 2, (config, flags, proc.stderr)
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("config error:"), proc.stderr
+        assert cli.main(args) == 2, (config, flags)
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), (config, flags, err)
+    # one real process: exit code 2, the message and no traceback
+    proc = run_cli("--suite", "hormander", "--budget-grid", "nan")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
 
 
 def test_integral_float_budget_accepted(tmp_path):

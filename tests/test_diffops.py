@@ -4,10 +4,11 @@ brackets, and the operator DSL."""
 import numpy as np
 import pytest
 
+from lgha import cli
 from lgha import diffops as D
 from lgha.diffops import PlaneWave, standard_corpus
 from lgha.jets import (DEGREE, MULTI_INDICES, N_COEFFS, DegreeOverflow, Jet,
-                       _align, substitute)
+                       _align, monomials, substitute)
 from lgha.solvers import four_stage_chain
 
 rng = np.random.default_rng(606)
@@ -215,6 +216,8 @@ def test_batched_product_equals_the_pointwise_products():
 
 
 def test_substitute_equals_the_three_factor_form():
+    # the monomial table, summed by substitute, equals the three-factor
+    # products formed term by term, bit for bit
     gen = np.random.default_rng(619)
     for shape in ((), (100,)):
         outer = _cplx(gen, N_COEFFS, *shape)
@@ -237,7 +240,7 @@ def test_substitute_equals_the_three_factor_form():
             term = powers[0][a] * powers[1][b] * powers[2][c]
             al, bl = _align(term.coeffs, np.asarray(outer[k])[None, ...])
             want = want + Jet(al * bl)
-        got = substitute(outer, deltas)
+        got = substitute(outer, monomials(deltas))
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
@@ -377,7 +380,7 @@ def test_conjugation_with_identity_map():
     ident = D.CoordMap((D.Z, D.Y, D.X), (D.Z, D.Y, D.X))
     f = D.PolyGauss(D.ONE, (0, 0, 0), 1.0)
     pts = rng.normal(size=(10, 3))
-    a = D.conjugate_apply(ident, D.lewy(), f, pts)
+    a = D.transport(D.lewy(), ident, ident)(pts)(f)
     b = D.lewy().apply(f, pts)
     assert np.max(np.abs(a - b)) < 1e-13
 
@@ -386,16 +389,14 @@ def test_lewy_conjugation_identity():
     corpus = standard_corpus(rng)
     pts = rng.uniform(-1.2, 1.2, size=(40, 3))
     hb = D.shear_reflect_map()
-    err = D.verify_identity(
-        lambda f, p: D.conjugate_apply(hb, D.cauchy_riemann(), f, p),
-        lambda f, p: D.lewy_conjugate_true().apply(f, p),
-        corpus, pts)
+    conj = D.transport(D.cauchy_riemann(), hb, hb)
+    err = D.verify_identity(conj, D.transport(D.lewy_conjugate_true()),
+                            corpus, pts)
     assert err < 1e-9
     # as displayed, with reflected-argument evaluation on both sides
     err2 = D.verify_identity(
-        lambda f, p: D.conjugate_apply(hb, D.cauchy_riemann(),
-                                       f, np.asarray(p) * [1, 1, -1]),
-        D.reflected_eval(D.lewy(), (1, 1, -1)),
+        lambda p: conj(np.asarray(p) * [1, 1, -1]),
+        D.transport(D.lewy().coeff_reflect(1, 1, -1), D.reflection(1, 1, -1)),
         corpus, pts)
     assert err2 < 1e-9
 
@@ -406,9 +407,8 @@ def test_mutation_is_detected():
     hb = D.shear_reflect_map()
     wrong = D.lewy_conjugate_true() + D.PolyDiffOp(
         {(1, 0, 0): D.Poly3({(0, 1, 0): -0.1})})
-    err = D.verify_identity(
-        lambda f, p: D.conjugate_apply(hb, D.cauchy_riemann(), f, p),
-        lambda f, p: wrong.apply(f, p), corpus, pts)
+    err = D.verify_identity(D.transport(D.cauchy_riemann(), hb, hb),
+                            D.transport(wrong), corpus, pts)
     assert not err < 1e-9
     assert err > 1e-3
 
@@ -418,13 +418,13 @@ def test_verify_identity_reports_a_nan_discrepancy():
     gen = np.random.default_rng(404)
     corpus = standard_corpus(gen)[:3]
     pts = gen.uniform(-1.2, 1.2, size=(5, 3))
-    lewy = D.lewy()
+    lewy = D.transport(D.lewy())
 
-    def off_by_one_then_nan(f, p):
-        return lewy.apply(f, p) + (np.nan if f is corpus[1] else 1.0)
+    def off_by_one_then_nan(p):
+        at = lewy(p)
+        return lambda f: at(f) + (np.nan if f is corpus[1] else 1.0)
 
-    err = D.verify_identity(lambda f, p: lewy.apply(f, p),
-                            off_by_one_then_nan, corpus, pts)
+    err = D.verify_identity(lewy, off_by_one_then_nan, corpus, pts)
     assert np.isnan(err)
 
 
@@ -435,15 +435,47 @@ def test_four_factor_conjugation_and_commutators():
     four = four_stage_chain()
     p1 = D.hormander_P_bar().coeff_reflect(sx=-1)
     p2 = D.hormander_P().coeff_reflect(sx=-1)
-    err = D.verify_identity(
-        lambda f, p: D.conjugate_apply(hb, four, f, p),
-        lambda f, p: (p1 @ p2 @ p2 @ p1).apply(f, p), corpus, pts)
+    err = D.verify_identity(D.transport(four, hb, hb),
+                            D.transport(p1 @ p2 @ p2 @ p1), corpus, pts)
     assert err < 1e-9
     # the conjugated factors commute; the displayed factors do not
     assert p1 @ p2 == p2 @ p1
     pd, pbd = D.hormander_P(), D.hormander_P_bar()
     comm = pd @ pbd - pbd @ pd
     assert comm == D.PolyDiffOp({(1, 0, 0): D.Poly3.const(8.0j)})
+
+
+def test_reflection_transport_evaluates_at_the_flipped_points():
+    # a sign reflection as the outer map moves the points exactly
+    corpus = standard_corpus(np.random.default_rng(405))
+    pts = rng.uniform(-1.2, 1.2, size=(30, 3))
+    op = D.heis_laplacian_left().coeff_reflect(1, -1, 1)
+    at = D.transport(op, D.reflection(1, -1, 1))(pts)
+    for f in corpus:
+        assert np.array_equal(at(f), op.apply(f, pts * [1.0, -1.0, 1.0]))
+
+
+def test_operator_identities_build_each_pullback_once(monkeypatch):
+    # one operator-identities run: eight battery identities and the mutation
+    # check pull f back through an inner map.  Each builds its monomial
+    # table once for the point batch and composes it with every one of the
+    # ten corpus functions.
+    calls = {"monomials": 0, "substitute": 0}
+
+    def spy(name):
+        real = getattr(D, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(D, name, counted)
+
+    spy("monomials")
+    spy("substitute")
+    report = cli.run_suite("operator-identities", cli.SuiteConfig())
+    assert calls == {"monomials": 9, "substitute": 90}
+    assert report["summary"]["failed"] == 0
 
 
 def test_hormander_q4_composition():

@@ -13,6 +13,7 @@ from lgha import diffops as D
 from lgha import quadrature as Q
 from lgha import solvers as S
 from lgha.quadrature import SampledField, box_grid
+from test_quadrature import _phase_factor
 
 rng = np.random.default_rng(707)
 
@@ -133,7 +134,7 @@ def test_four_stage_operator_is_conjugation_of_chain():
     corpus_pt = rng.uniform(-1, 1, size=(10, 3))
     w = D.PolyGauss(D.Poly3({(0, 1, 1): 1.0}), sigma=1.1)
     hb = D.shear_reflect_map()
-    lhs = D.conjugate_apply(hb, S.four_stage_chain(), w, corpus_pt)
+    lhs = D.transport(S.four_stage_chain(), hb, hb)(corpus_pt)(w)
     rhs = S.four_stage_operator().apply(w, corpus_pt)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -203,7 +204,7 @@ def test_plane_wise_spectral_apply_equals_full_grid(monkeypatch, workers,
     monkeypatch.setattr(Q, "_WORKERS", workers)
     f = _random_field(grid, 11)
     # the full-grid formula: whole-grid multipliers, coefficients and phase
-    phase = Q._phase_factor(grid)
+    phase = _phase_factor(grid)
     spec = np.fft.fftn(f.values) * phase
     xiz, xiy, xix = S._per_axis(grid, Q.Axis.freqs)
     mesh = S._per_axis(grid, Q.Axis.nodes)
@@ -228,7 +229,7 @@ def test_plane_wise_shear_and_division_equal_full_grid(monkeypatch, workers):
     # cr_solve divides and zeroes the kernel modes in the spectrum's buffer
     g = SampledField(grid, D.PolyGauss(D.Poly3({(0, 0, 1): 1.0}))(zs, ys, xs)
                      * np.ones(grid.shape))
-    phase = Q._phase_factor(grid)
+    phase = _phase_factor(grid)
     spec = np.fft.fftn(g.values) * phase
     sym = D.cauchy_riemann().symbol(*S._per_axis(grid, Q.Axis.freqs))
     mask = np.abs(sym) < 1e-10
