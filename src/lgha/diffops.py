@@ -1,8 +1,8 @@
 """The operator calculus on R^3: polynomial-coefficient differential
-operators, vector fields and their brackets, polynomial coordinate maps,
-conjugation, the corpus of jet-evaluable test functions (plane waves and
-polynomial-times-Gaussian bumps), identity verification over it, and a small
-text DSL for operator expressions.
+operators (vector fields are the first-order ones) and their brackets,
+polynomial coordinate maps, conjugation, the corpus of jet-evaluable test
+functions (plane waves and polynomial-times-Gaussian bumps), identity
+verification over it, and a small text DSL for operator expressions.
 
 Variable order is (z, y, x) throughout, matching the group coordinates of
 the three-parameter nilpotent symplectic group.  All coefficient arithmetic
@@ -35,7 +35,7 @@ import numpy as np
 from .jets import Jet, DegreeOverflow, monomials, substitute
 
 __all__ = [
-    "Poly3", "PolyVectorField", "PolyDiffOp", "CoordMap",
+    "Poly3", "PolyDiffOp", "CoordMap",
     "PolyGauss", "PlaneWave", "standard_corpus",
     "transport", "verify_identity",
     "lie_bracket", "hormander_rank",
@@ -206,33 +206,10 @@ ONE = Poly3.const(1.0)
 Z, Y, X = (Poly3.variable(i) for i in range(3))
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
-    """First-order operator pz dz + py dy + px dx with polynomial
-    coefficients (exact arithmetic)."""
-
-    pz: Poly3
-    py: Poly3
-    px: Poly3
-
-    def apply_to_poly(self, p: Poly3) -> Poly3:
-        return self.pz * p.partial(0) + self.py * p.partial(1) + self.px * p.partial(2)
-
-    def as_diffop(self) -> "PolyDiffOp":
-        return PolyDiffOp({(1, 0, 0): self.pz, (0, 1, 0): self.py,
-                           (0, 0, 1): self.px})
-
-    def __eq__(self, other):
-        return (self.pz, self.py, self.px) == (other.pz, other.py, other.px)
-
-
-def lie_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
-    """[V, W] = V W - W V, exact on polynomial coefficients."""
-    return PolyVectorField(
-        v.apply_to_poly(w.pz) - w.apply_to_poly(v.pz),
-        v.apply_to_poly(w.py) - w.apply_to_poly(v.py),
-        v.apply_to_poly(w.px) - w.apply_to_poly(v.px),
-    )
+def lie_bracket(v: "PolyDiffOp", w: "PolyDiffOp") -> "PolyDiffOp":
+    """[V, W] = V W - W V, exact on polynomial coefficients; for vector
+    fields (first-order operators) the second-order terms cancel."""
+    return v @ w - w @ v
 
 
 def hormander_rank(fields, points, depth: int = 2):
@@ -243,13 +220,14 @@ def hormander_rank(fields, points, depth: int = 2):
     for _ in range(depth - 1):
         # the nonzero brackets of the last layer with each field
         layer = [br for a in layer for b in fields
-                 if (br := lie_bracket(a, b)).pz or br.py or br.px]
+                 if (br := lie_bracket(a, b)).terms]
         allf = allf + layer
     pts = np.asarray(points, dtype=float)
     z, y, x = pts[..., 0], pts[..., 1], pts[..., 2]
-    # (..., fields, 3): one coefficient row per field at every point
-    rows = np.stack([np.stack([p.eval(z, y, x) for p in (f.pz, f.py, f.px)],
-                              axis=-1) for f in allf], axis=-2)
+    # (..., fields, 3): the dz, dy, dx coefficients of each field per point
+    rows = np.stack([np.stack([f.terms.get(m, ZERO).eval(z, y, x) for m in
+                               ((1, 0, 0), (0, 1, 0), (0, 0, 1))], axis=-1)
+                     for f in allf], axis=-2)
     ranks = np.linalg.matrix_rank(rows, tol=1e-10)
     return int(ranks) if ranks.ndim == 0 else ranks
 
@@ -479,16 +457,16 @@ def flip_x_shear_map() -> CoordMap:
 # ---------------------------------------------------------------------------
 
 
-def vf_z() -> PolyVectorField:
-    return PolyVectorField(ONE, ZERO, ZERO)
+def vf_z() -> PolyDiffOp:
+    return PolyDiffOp.partial(0)
 
 
-def vf_y() -> PolyVectorField:
-    return PolyVectorField(X, ONE, ZERO)
+def vf_y() -> PolyDiffOp:
+    return PolyDiffOp({(1, 0, 0): X, (0, 1, 0): ONE})
 
 
-def vf_x() -> PolyVectorField:
-    return PolyVectorField(-1.0 * Y, ZERO, ONE)
+def vf_x() -> PolyDiffOp:
+    return PolyDiffOp({(1, 0, 0): -1.0 * Y, (0, 0, 1): ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +524,7 @@ def laplacian_3d() -> PolyDiffOp:
 
 def heis_laplacian_left() -> PolyDiffOp:
     """Z^2 + Y^2 + X^2 for the left-invariant basis fields."""
-    zo, yo, xo = (v.as_diffop() for v in (vf_z(), vf_y(), vf_x()))
+    zo, yo, xo = vf_z(), vf_y(), vf_x()
     return zo @ zo + yo @ yo + xo @ xo
 
 

@@ -6,8 +6,8 @@ and Plancherel checks.
 L2 norms on the group side use the product coordinate measure
 dk . dn . dt(logA), under which the factorized transform satisfies the
 Plancherel identity by Fubini.  The primary evaluation path is separable
-functions u(k) v(n) w(t); a budget-capped nested-quadrature path exists for
-spot checks of the factorization.
+functions u(k) v(n) w(t); a nested-quadrature path exists for spot checks of
+the factorization.
 """
 
 from __future__ import annotations
@@ -23,16 +23,12 @@ from .quadrature import BLOCK_ENTRIES, EulerQuadSO4, U2Quad, factor_plancherel
 
 __all__ = [
     "SeparableKNAFunction", "KNASpectrum", "plancherel_sl4_check",
-    "sp4_n_chart", "sp4_restrict_check",
-    "semidirect_mul", "affine_embed", "plancherel_semidirect_check",
+    "sp4_n_chart", "semidirect_mul", "affine_embed",
     "lift_upsilon", "lift_q",
     "upsilon_invariance_error", "q_lift_invariance_error",
     "nested_transform_oracle",
 ]
 
-N_AXES = ("x1", "x2", "x3", "x4", "x5", "x6")
-A_AXES = ("t1", "t2", "t3")
-R_AXES = ("v1", "v2", "v3", "v4")
 # nodes per axis on which each 1-D Euclidean factor is sampled
 COUNT = 64
 
@@ -53,13 +49,12 @@ class SeparableKNAFunction:
 @dataclass
 class KNASpectrum:
     """Factorized transform: a matrix per compact label times per-axis
-    one-dimensional Euclidean spectra for the unipotent part (xi), the
-    diagonal part (lambda), and optionally the translation part (eta)."""
+    one-dimensional Euclidean spectra for the unipotent part (xi) and the
+    diagonal part (lambda)."""
 
     k_part: pw.CompactSpectrum
     n_spectra: list
     a_spectra: list
-    r_spectra: Optional[list] = None
 
     def value(self, label, n_idx, a_idx) -> np.ndarray:
         """Transform value at one spectral grid point: the label matrix scaled
@@ -72,33 +67,44 @@ class KNASpectrum:
         return scal * self.k_part.coeffs[label]
 
 
+# (dim N, dim A) and the translation-factor dims each compact group takes
+_FACTOR_DIMS = {EulerQuadSO4: ((6, 3), (None, 4)), U2Quad: ((4, 2), (None,))}
+
+
 def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=COUNT):
     """The factorized transform T F f(lambda, xi, label) = Tu(label) Fv(xi)
     Fw(lambda) (times Fr(eta) with a translation factor), and both sides of
     its Plancherel identity: ||f||^2 over dk dn dt against the label sum of
     weighted Hilbert-Schmidt masses with (2 pi)^{-1} per Euclidean axis on
-    the spectral side, (2 pi)^{-9} on SL(4).  Each side is a product by
-    Fubini: the compact check on u times one 1-D Euclidean identity per
-    axis.  u is synthesized once on the nodes of quad, whose type picks the
-    compact group, and each 1-D factor is sampled once on count nodes of its
-    own suggested box.  The character of the diagonal part is the Euclidean
-    phase exp(-i lambda . t) in the logA chart."""
+    the spectral side.  Each side is a product by Fubini: the compact check
+    on u times one 1-D Euclidean identity per axis.  u is synthesized once
+    on the nodes of quad, and each 1-D factor is sampled once on count nodes
+    of its own suggested box.  The character of the diagonal part is the
+    Euclidean phase exp(-i lambda . t) in the logA chart.
+
+    The type of quad picks the group.  An SO(4) rule is SL(4): dim N = 6 and
+    dim A = 3, (2 pi)^{-9}, or with a translation factor of dim 4 the
+    semidirect product with R^4, (2 pi)^{-13}.  A U(2) rule is the
+    symplectic restriction: dim N = 4 and dim A = 2, (2 pi)^{-6}, and no
+    translation factor.  Any other combination is a ValueError."""
+    dims = (f.v.dim, f.w.dim, None if f.r is None else f.r.dim)
+    na, r_dims = _FACTOR_DIMS.get(type(quad), (None, ()))
+    if dims[:2] != na or dims[2] not in r_dims:
+        raise ValueError(f"{type(quad).__name__} takes no factors of dims "
+                         f"(N, A, translation) = {dims}")
     uvals = pw.synthesize(f.u, quad)
     compact = pw.compact_plancherel_check(uvals, quad, J)
     lhs, rhs = compact["lhs"], compact["rhs"]
     spectra = []
-    for g, names in ((f.v, N_AXES), (f.w, A_AXES), (f.r, R_AXES)):
-        if g is None:
-            spectra.append(None)
-            continue
+    for g in (f.v, f.w) if f.r is None else (f.v, f.w, f.r):
         out = []
-        for name, factor in zip(names, g.factors):
-            norm, spectral, spectrum = factor_plancherel(factor, count, name)
+        for factor in g.factors:
+            norm, spectral, spectrum = factor_plancherel(factor, count)
             lhs *= norm
             rhs *= spectral
             out.append(spectrum)
         spectra.append(out)
-    spec = KNASpectrum(compact["spectrum"], *spectra)
+    spec = KNASpectrum(compact["spectrum"], *spectra[:2])
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
 
@@ -126,17 +132,6 @@ def sp4_n_chart(params) -> np.ndarray:
     return m
 
 
-def sp4_restrict_check(f: SeparableKNAFunction, quad: U2Quad, M: int):
-    """Plancherel identity restricted to the symplectic subgroup: U(2)
-    coefficients, a four-dimensional unipotent chart and a two-dimensional
-    diagonal chart, with (2 pi)^{-6} on the spectral side."""
-    if not isinstance(quad, U2Quad):
-        raise ValueError("symplectic restriction expects a U(2) quadrature")
-    if f.v.dim != 4 or f.w.dim != 2:
-        raise ValueError("expected dim N = 4 and dim A = 2")
-    return plancherel_sl4_check(f, quad, M)
-
-
 # ---------------------------------------------------------------------------
 # semidirect product with the translation group
 # ---------------------------------------------------------------------------
@@ -161,15 +156,6 @@ def affine_embed(v, g) -> np.ndarray:
     m[..., :4, 4] = v
     m[..., 4, 4] = 1.0
     return m
-
-
-def plancherel_semidirect_check(f: SeparableKNAFunction, quad: EulerQuadSO4,
-                                J):
-    """Plancherel on the semidirect product: thirteen Euclidean dimensions
-    (4 + 6 + 3), so (2 pi)^{-13} on the spectral side."""
-    if f.r is None:
-        raise ValueError("needs a translation factor")
-    return plancherel_sl4_check(f, quad, J)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +205,7 @@ def q_lift_invariance_error(f, v, g, h, q) -> np.ndarray:
 
 def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
                             n_freq_idx, a_freq_idx):
-    """Brute-force transform value at one spectral point, treating fn as an
+    """Brute-force transform values at S spectral points, treating fn as an
     opaque function of (compact node pair, unipotent point, diagonal point):
 
       sum over nodes of w_k rep(k^{-1}) fn(k, n, t) e^{-i xi.n} e^{-i lam.t}
@@ -228,9 +214,11 @@ def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
     nested sum: compact node pairs outside, the (n, t) product grid inside.
     The points and frequencies are those of the 1-D spectra of the
     factorized path (KNASpectrum.n_spectra, .a_spectra); only their grids
-    and frequencies are read.  fn maps node stacks ((P, 3), (P, 3)) and the
-    grid points ((Nn, dn), (Nt, dt)) to a (P, Nn, Nt) value array; it is
-    called on blocks of node pairs of about BLOCK_ENTRIES values each.
+    and frequencies are read.  The points are given by (S, dn) and (S, dt)
+    frequency index arrays, and the values come back as (S, d, d).  fn maps
+    node stacks ((P, 3), (P, 3)) and the grid points ((Nn, dn), (Nt, dt)) to
+    a (P, Nn, Nt) value array; it is called once on each block of node pairs
+    of about BLOCK_ENTRIES values, and each block serves every point.
     Intended for small grids; the cost is |K|^2 x |n-grid| x |t-grid|.
     """
     n_grids = [s.grid for s in n_spectra]
@@ -241,21 +229,29 @@ def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
     tpts = np.stack([m.ravel() for m in t_mesh], axis=-1)
     n_w = np.prod([g.axes[0].step for g in n_grids])
     t_w = np.prod([g.axes[0].step for g in a_grids])
-    xi = np.array([g.axes[0].freqs()[i] for g, i in zip(n_grids, n_freq_idx)])
-    lam = np.array([g.axes[0].freqs()[i] for g, i in zip(a_grids, a_freq_idx)])
 
-    pair_phase = np.outer(np.exp(-1j * npts @ xi), np.exp(-1j * tpts @ lam))
+    def freqs(grids, idx):
+        return np.array([g.axes[0].freqs()[i] for g, i in zip(grids, idx)])
+
+    # one pair-phase row per point, raveled like the (Nn, Nt) values
+    phases = [np.outer(np.exp(-1j * npts @ freqs(n_grids, n)),
+                       np.exp(-1j * tpts @ freqs(a_grids, a))).ravel()
+              for n, a in zip(n_freq_idx, a_freq_idx)]
 
     n_right = quad.right.node_count
     el = np.repeat(quad.left.euler, n_right, axis=0)
     er = np.tile(quad.right.euler, (quad.left.node_count, 1))
     w = np.outer(quad.left.weights, quad.right.weights).ravel()
-    step = -(-BLOCK_ENTRIES // pair_phase.size)  # rounded up, at least 1
-    phase = pair_phase.ravel()
-    s = np.concatenate([
-        fn(el[b:b + step], er[b:b + step], npts, tpts).reshape(-1, phase.size)
-        @ phase for b in range(0, w.size, step)])
+    size = npts.shape[0] * tpts.shape[0]
+    step = -(-BLOCK_ENTRIES // size)  # rounded up, at least 1
+    sums = [[] for _ in phases]
+    for b in range(0, w.size, step):
+        block = fn(el[b:b + step], er[b:b + step], npts, tpts).reshape(-1, size)
+        for s, phase in zip(sums, phases):
+            s.append(block @ phase)
+    rep = pw.so4_rep(label, el, er)
     # sum_p w s rep(k_p)^{-1} = conj(sum_p conj(w s) rep(k_p))^T: no
     # conjugated copy of the representation stack
-    acc = np.einsum("p,pij->ji", (w * s).conj(), pw.so4_rep(label, el, er))
-    return acc.conj() * n_w * t_w
+    return np.stack([
+        np.einsum("p,pij->ji", (w * np.concatenate(s)).conj(), rep).conj()
+        for s in sums]) * n_w * t_w

@@ -314,11 +314,11 @@ def dft_inverse(spec: Spectrum) -> SampledField:
         spec.values, spec.grid, np.empty(spec.values.shape, complex)))
 
 
-def factor_plancherel(factor, count: int, name: str = "x"):
+def factor_plancherel(factor, count: int):
     """Both sides of the 1-D Plancherel identity for one factor (anything
     with .values(x) and .suggested_axis()), sampled on count nodes of its
     suggested box: (int |f|^2 dx, (2 pi)^{-1} int |Ff|^2 dxi, the spectrum)."""
-    grid = box_grid((name,), *factor.suggested_axis(), count)
+    grid = box_grid(("x",), *factor.suggested_axis(), count)
     fld = SampledField(grid, factor.values(grid.axes[0].nodes()))
     spec = dft_forward(fld)
     return norm2(fld), spec.integrate_abs2() / (2.0 * np.pi), spec

@@ -448,8 +448,6 @@ def _kna_spot_error(rng):
         IP.SeparableKNAFunction(PW.CompactSpectrum(coeffs), v, w), quad, 0.5,
         count=count)["spectrum"]
 
-    euclid = {}
-
     def blackbox(el, er, npts, tpts):
         # D^{1/2} is the defining representation of SU(2), so the compact
         # factor 4 tr[C (U_l (x) U_r)] needs none of the Wigner code that the
@@ -457,22 +455,18 @@ def _kna_spot_error(rng):
         rep = np.einsum("pab,pcd->pacbd", PW.su2_from_euler(el),
                         PW.su2_from_euler(er)).reshape(-1, 4, 4)
         uval = 4.0 * np.einsum("ij,pji->p", coeffs[label], rep)
-        # the oracle passes the same points with every block of node pairs
-        key = (npts.tobytes(), tpts.tobytes())
-        if key not in euclid:
-            euclid[key] = np.outer(v.values(npts), w.values(tpts))
-        return uval[:, None, None] * euclid[key]
+        return uval[:, None, None] * np.outer(v.values(npts), w.values(tpts))
 
+    idx = [(rng.integers(0, count, size=6), rng.integers(0, count, size=3))
+           for _ in range(5)]
+    n_idx, a_idx = (np.array(i) for i in zip(*idx))
+    oracle = IP.nested_transform_oracle(blackbox, quad, label, spec.n_spectra,
+                                        spec.a_spectra, n_idx, a_idx)
     worst = 0.0
-    for _ in range(5):
-        n_idx = tuple(rng.integers(0, count, size=6))
-        a_idx = tuple(rng.integers(0, count, size=3))
-        oracle = IP.nested_transform_oracle(blackbox, quad, label,
-                                            spec.n_spectra, spec.a_spectra,
-                                            n_idx, a_idx)
-        fact = spec.value(label, n_idx, a_idx)
-        scale = max(np.max(np.abs(oracle)), 1e-300)
-        worst = _worst(worst, float(np.max(np.abs(oracle - fact)) / scale))
+    for o, n, a in zip(oracle, n_idx, a_idx):
+        fact = spec.value(label, n, a)
+        scale = max(np.max(np.abs(o)), 1e-300)
+        worst = _worst(worst, float(np.max(np.abs(o - fact)) / scale))
     return worst
 
 
@@ -483,13 +477,13 @@ def _sp4(cfg, rng, row):
     f = IP.SeparableKNAFunction(PW.random_spectrum(rng, M, quad),
                                 random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
-    res = IP.sp4_restrict_check(f, quad, M)
+    res = IP.plancherel_sl4_check(f, quad, M)
     row("sp4-plancherel", res["lhs"], res["rhs"])
 
     trivial = PW.CompactSpectrum({(0, 0): np.array([[1.0 + 0.0j]])})
     f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
-    res = IP.sp4_restrict_check(f, quad, M)
+    res = IP.plancherel_sl4_check(f, quad, M)
     row("sp4-plancherel-trivial", res["lhs"], res["rhs"])
 
     dims = G.sp4_iwasawa_dimension_audit()
@@ -513,7 +507,7 @@ def _semidirect(cfg, rng, row):
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3),
                                 r=random_gauss_product(rng, 4))
-    res = IP.plancherel_semidirect_check(f, quad, J)
+    res = IP.plancherel_sl4_check(f, quad, J)
     row("semidirect-plancherel", res["lhs"], res["rhs"])
 
     z = rng.standard_normal((1000, 40))  # (v, v2, g1, g2) per draw
@@ -589,8 +583,8 @@ def _operator_identities(cfg, rng, row):
 def _hormander(cfg, rng, row):
     X, Y, Z = D.vf_x(), D.vf_y(), D.vf_z()
     br = D.lie_bracket(X, Y)
-    ok = (br == D.PolyVectorField(2.0 * D.ONE, D.ZERO, D.ZERO))
-    zero = D.PolyVectorField(D.ZERO, D.ZERO, D.ZERO)
+    ok = br == D.PolyDiffOp.partial(0, 2.0)
+    zero = D.PolyDiffOp()
     ok = ok and D.lie_bracket(Z, X) == zero and D.lie_bracket(Z, Y) == zero
     row("bracket-identity", not ok)
 

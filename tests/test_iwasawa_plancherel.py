@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from lgha import cli
 from lgha import groups as G
 from lgha import iwasawa_plancherel as ip
 from lgha import peterweyl as pw
 from lgha.corpus import random_gauss_product
-from lgha.quadrature import so4_quadrature, u2_quadrature
+from lgha.quadrature import factor_plancherel, so4_quadrature, u2_quadrature
 
 rng = np.random.default_rng(505)
 
@@ -65,8 +66,11 @@ def _spot_case(quad, J, label, count, n_dim=6, a_dim=3):
         {label: (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d})
     v = random_gauss_product(rng, n_dim)
     w = random_gauss_product(rng, a_dim)
-    spec = ip.plancherel_sl4_check(ip.SeparableKNAFunction(coeffs, v, w),
-                                   quad, J, count=count)["spectrum"]
+    # the factors of plancherel_sl4_check's spectrum, for any number of axes
+    spec = ip.KNASpectrum(
+        pw.compact_transform(pw.synthesize(coeffs, quad), quad, J),
+        [factor_plancherel(h, count)[2] for h in v.factors],
+        [factor_plancherel(h, count)[2] for h in w.factors])
 
     def blackbox(el, er, npts, tpts):
         c = coeffs.coeffs[label]
@@ -84,10 +88,11 @@ def test_spot_check_against_nested_quadrature():
     n_idx = tuple(rng.integers(0, count, size=6))
     a_idx = tuple(rng.integers(0, count, size=3))
     oracle = ip.nested_transform_oracle(blackbox, quad, label, spec.n_spectra,
-                                        spec.a_spectra, n_idx, a_idx)
+                                        spec.a_spectra, [n_idx], [a_idx])
+    assert oracle.shape == (1, 4, 4)
     fact = spec.value(label, n_idx, a_idx)
-    scale = max(np.max(np.abs(oracle)), 1e-300)
-    assert np.max(np.abs(oracle - fact)) / scale < 1e-6
+    scale = max(np.max(np.abs(oracle[0])), 1e-300)
+    assert np.max(np.abs(oracle[0] - fact)) / scale < 1e-6
 
 
 def test_nested_oracle_fails_at_wrong_label_or_frequency():
@@ -102,12 +107,50 @@ def test_nested_oracle_fails_at_wrong_label_or_frequency():
         oracle = ip.nested_transform_oracle(blackbox, quad, lbl,
                                             spec.n_spectra, spec.a_spectra,
                                             n, a)
-        return np.max(np.abs(oracle - fact)) / np.max(np.abs(fact))
+        return np.max(np.abs(oracle - fact), axis=(1, 2)) \
+            / np.max(np.abs(fact))
 
-    assert rel_err(label, n_idx, a_idx) < 1e-6
-    assert rel_err(other, n_idx, a_idx) > 1e-6
-    assert rel_err(label, (2, 2), a_idx) > 1e-6
-    assert rel_err(label, n_idx, (2,)) > 1e-6
+    # the right point, then a wrong unipotent and a wrong diagonal frequency
+    errs = rel_err(label, [n_idx, (2, 2), n_idx], [a_idx, a_idx, (2,)])
+    assert errs[0] < 1e-6 and errs[1] > 1e-6 and errs[2] > 1e-6
+    assert rel_err(other, [n_idx], [a_idx])[0] > 1e-6
+
+
+def test_many_point_oracle_equals_one_point_calls():
+    quad = so4_quadrature(0.5)
+    label, count = (0.5, 0.5), 3
+    blackbox, spec = _spot_case(quad, 0.5, label, count, n_dim=3, a_dim=2)
+    gen = np.random.default_rng(5053)
+    n_idx = gen.integers(0, count, size=(4, 3))
+    a_idx = gen.integers(0, count, size=(4, 2))
+    many = ip.nested_transform_oracle(blackbox, quad, label, spec.n_spectra,
+                                      spec.a_spectra, n_idx, a_idx)
+    assert many.shape == (4, 4, 4)
+    for o, n, a in zip(many, n_idx, a_idx):
+        one = ip.nested_transform_oracle(blackbox, quad, label,
+                                         spec.n_spectra, spec.a_spectra,
+                                         [n], [a])
+        assert np.array_equal(o, one[0])
+
+
+def test_spot_check_row_calls_the_black_box_once_per_block(monkeypatch):
+    # 48^2 node pairs of 3^9 grid values each, two pairs a block: one oracle
+    # pass serves all five spot frequencies
+    original = ip.nested_transform_oracle
+    calls = {"oracle": 0, "blackbox": 0}
+
+    def counting(fn, *args):
+        def counted(*a):
+            calls["blackbox"] += 1
+            return fn(*a)
+        calls["oracle"] += 1
+        return original(counted, *args)
+
+    monkeypatch.setattr(ip, "nested_transform_oracle", counting)
+    cfg = cli.SuiteConfig(seed=42, budget_bandlimit=0.5)
+    rows = {c["name"]: c for c in cli.SUITES["sl4-plancherel"](cfg)}
+    assert rows["kna-spot-check"]["pass"]
+    assert calls == {"oracle": 1, "blackbox": 1152}
 
 
 def test_sp4_restriction_plancherel():
@@ -115,7 +158,7 @@ def test_sp4_restriction_plancherel():
     f = ip.SeparableKNAFunction(pw.random_spectrum(rng, 1, quad),
                                 random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
-    res = ip.sp4_restrict_check(f, quad, 1)
+    res = ip.plancherel_sl4_check(f, quad, 1)
     assert res["rel_err"] < 1e-6
     assert list(res["spectrum"].k_part.coeffs) == pw.u2_labels(1)
 
@@ -129,8 +172,12 @@ def test_u2_table_with_so4_quadrature_rejected():
         random_gauss_product(gen, 6), random_gauss_product(gen, 3))
     with pytest.raises(ValueError):
         ip.plancherel_sl4_check(f, so4_quadrature(1.0), 1.0)
+    # the symplectic factor dims on an SO(4) rule
+    f = ip.SeparableKNAFunction(
+        pw.CompactSpectrum({(0, 0): np.array([[1.0 + 0j]])}),
+        random_gauss_product(gen, 4), random_gauss_product(gen, 2))
     with pytest.raises(ValueError):
-        ip.sp4_restrict_check(f, so4_quadrature(1.0), 1)
+        ip.plancherel_sl4_check(f, so4_quadrature(1.0), 1)
 
 
 def test_kna_check_synthesizes_once_through_the_module(monkeypatch):
@@ -159,7 +206,7 @@ def test_sp4_restriction_dimension_validation():
         pw.CompactSpectrum({(0, 0): np.array([[1.0 + 0j]])}),
         random_gauss_product(rng, 6), random_gauss_product(rng, 3))
     with pytest.raises(ValueError):
-        ip.sp4_restrict_check(f, quad, 1)
+        ip.plancherel_sl4_check(f, quad, 1)
 
 
 def test_sp4_charts():
@@ -182,7 +229,7 @@ def test_semidirect_plancherel_and_law():
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3),
                                 r=random_gauss_product(rng, 4))
-    res = ip.plancherel_semidirect_check(f, quad, 0.5)
+    res = ip.plancherel_sl4_check(f, quad, 0.5)
     assert res["rel_err"] < 1e-6
 
     v, v2 = rng.normal(size=(2, 4))
@@ -193,13 +240,21 @@ def test_semidirect_plancherel_and_law():
     assert np.max(np.abs(ip.affine_embed(vv, gg) - oracle)) < 1e-12
 
 
-def test_semidirect_transform_requires_translation_factor():
-    quad = so4_quadrature(0.5)
-    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, 0.5, quad),
-                                random_gauss_product(rng, 6),
-                                random_gauss_product(rng, 3))
+def test_translation_factor_dimension_validation():
+    # a U(2) rule takes no translation factor; an SO(4) rule one of dim 4
+    gen = np.random.default_rng(5054)
+    trivial = pw.CompactSpectrum({(0, 0): np.array([[1.0 + 0j]])})
+    f = ip.SeparableKNAFunction(trivial, random_gauss_product(gen, 4),
+                                random_gauss_product(gen, 2),
+                                r=random_gauss_product(gen, 4))
     with pytest.raises(ValueError):
-        ip.plancherel_semidirect_check(f, quad, 0.5)
+        ip.plancherel_sl4_check(f, u2_quadrature(1), 1)
+    for dim in (3, 5):
+        f = ip.SeparableKNAFunction(trivial, random_gauss_product(gen, 6),
+                                    random_gauss_product(gen, 3),
+                                    r=random_gauss_product(gen, dim))
+        with pytest.raises(ValueError):
+            ip.plancherel_sl4_check(f, so4_quadrature(0.5), 0.5)
 
 
 def test_upsilon_lift_invariance_and_restriction():
