@@ -16,11 +16,11 @@ the unreflected coordinates while the derivatives are taken at the reflected
 point.  Writing sigma for the sign reflection `reflection(sz, sy, sx)`, such
 a statement is equivalent to the plain operator identity with the
 coefficients precomposed by sigma (`PolyDiffOp.coeff_reflect`).
-`transport(op, outer, inner)` applies op to f o inner at outer(points), so
-the reflected reading of op is
-`transport(op.coeff_reflect(sz, sy, sx), reflection(sz, sy, sx))` and the
-conjugate of op by a map m is `transport(op, m, m)`.  `verify_identity`
-compares two such evaluators over a corpus.
+`verify_identity` checks identities between sides (op, outer, inner), op
+applied to f o inner at outer(points), a missing map being the identity: so
+the reflected reading of op is the side
+(op.coeff_reflect(sz, sy, sx), reflection(sz, sy, sx)), and the conjugate of
+op by a map m is (op, m, m).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .jets import Jet, DegreeOverflow, monomials, substitute
 __all__ = [
     "Poly3", "PolyDiffOp", "CoordMap",
     "PolyGauss", "PlaneWave", "standard_corpus",
-    "transport", "verify_identity",
+    "verify_identity",
     "lie_bracket", "hormander_rank",
     "vf_z", "vf_y", "vf_x",
     "cauchy_riemann", "cauchy_riemann_star", "lewy", "lewy_star",
@@ -334,18 +334,23 @@ class PolyDiffOp:
             out = out + term
         return out
 
-    def apply(self, f, points):
-        """Exact value of (op f) at one point (3,) or a batch (..., 3),
-        using the degree-4 jet of f there; f may also be that Jet."""
+    def apply(self, fs, points) -> list:
+        """Exact values of (op f) at one point (3,) or a batch (..., 3) for
+        each f of a sequence, using the degree-4 jet of f there; an f may
+        also be that Jet.  Each coefficient is evaluated once per call."""
         if self.order > 4:
             raise DegreeOverflow("operator order exceeds jet degree")
         pts = np.asarray(points, dtype=float)
-        jet = f if isinstance(f, Jet) else f.jet_at(pts)
         z, y, x = pts[..., 0], pts[..., 1], pts[..., 2]
-        out = np.zeros(pts.shape[:-1], dtype=complex)
-        for m, p in self.terms.items():
-            out = out + p.eval(z, y, x) * jet.deriv(m)
-        return complex(out) if out.ndim == 0 else out
+        coeffs = [(m, p.eval(z, y, x)) for m, p in self.terms.items()]
+        values = []
+        for f in fs:
+            jet = f if isinstance(f, Jet) else f.jet_at(pts)
+            out = np.zeros(pts.shape[:-1], dtype=complex)
+            for m, c in coeffs:
+                out = out + c * jet.deriv(m)
+            values.append(complex(out) if out.ndim == 0 else out)
+        return values
 
     def __repr__(self):
         return f"PolyDiffOp({format_op(self)!r})"
@@ -372,46 +377,40 @@ class CoordMap:
         z, y, x = pts[..., 0], pts[..., 1], pts[..., 2]
         return np.stack([np.real(p.eval(z, y, x)) for p in self.fwd], axis=-1)
 
-    def pullback(self, points):
-        """f -> the jet of f o m at the point(s), by Taylor substitution of
-        the map into the jet of f at m(point).  The monomials in the map's
-        delta jets do not depend on f; they are formed once, here."""
+    def pullback(self, fs, points) -> list:
+        """The jet of f o m at the point(s) for each f of a sequence, by
+        Taylor substitution of the map into the jet of f at m(point); the
+        monomials in the map's delta jets are formed once per call."""
         pts = np.asarray(points, dtype=float)
         q = self.apply_points(pts)
         coords = Jet.coordinates(pts)
         monos = monomials([p.eval_jet(*coords) - q[..., i]
                            for i, p in enumerate(self.fwd)])
-        return lambda f: substitute(f.jet_at(q).coeffs, monos)
+        return [substitute(f.jet_at(q).coeffs, monos) for f in fs]
 
 
-def transport(op: PolyDiffOp, outer=None, inner=None):
-    """op applied to f o inner at outer(points), as an evaluator
-    points -> (f -> values); a missing map is the identity.  outer(points)
-    and the inner map's pullback are computed once per point batch, so
-    conjugation by m, transport(op, m, m), costs one Taylor composition per
-    function."""
-    def at(points):
-        q = np.asarray(points, dtype=float)
-        if outer is not None:
-            q = outer.apply_points(q)
-        if inner is None:
-            return lambda f: op.apply(f, q)
-        pull = inner.pullback(q)
-        return lambda f: op.apply(pull(f), q)
-    return at
-
-
-def verify_identity(lhs, rhs, corpus, points) -> float:
-    """Maximum absolute discrepancy of two points -> (f -> values)
-    evaluators, such as `transport` builds, over a corpus of jet-evaluable
-    functions.  Each side is built once for the whole (n, 3) point batch and
-    then applied to every function.  A NaN discrepancy makes the result
-    NaN."""
+def verify_identity(identities, corpus, points) -> dict:
+    """{name: maximum absolute discrepancy over a corpus of jet-evaluable
+    functions} for identities (name, lhs, rhs), each side a tuple (op,
+    outer=None, inner=None).  Sides are grouped by their (outer, inner)
+    pair; a group forms outer(points), the inner map's monomial table, the
+    corpus jets and each operator's coefficient values once, and frees them
+    before the next group.  A NaN discrepancy makes that identity NaN."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lhs, rhs = lhs(pts), rhs(pts)
-    return float(np.max([np.max(np.abs(np.asarray(lhs(f))
-                                       - np.asarray(rhs(f))))
-                         for f in corpus], initial=0.0))
+    identities, groups, values = list(identities), {}, {}
+    for i, (_, *sides) in enumerate(identities):
+        for s, (op, *maps) in enumerate(sides):
+            outer, inner = (*maps, None, None)[:2]
+            groups.setdefault((outer, inner), []).append(((i, s), op))
+    for (outer, inner), sides in groups.items():
+        q = pts if outer is None else outer.apply_points(pts)
+        jets = ([f.jet_at(q) for f in corpus] if inner is None
+                else inner.pullback(corpus, q))
+        values.update((key, op.apply(jets, q)) for key, op in sides)
+        del jets  # freed before the next group's are formed
+    return {name: float(np.max([np.max(np.abs(a - b)) for a, b in
+                                zip(values[i, 0], values[i, 1])], initial=0.0))
+            for i, (name, _, _) in enumerate(identities)}
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +673,11 @@ _ATOMS = {"i": (1j, _NO_INDEX, _NO_INDEX),
           **{"d" + v: (1.0, _NO_INDEX, u) for v, u in _UNITS.items()}}
 
 
-def _terms(node, src):
-    """A parsed node of the operator text src as a list of (coefficient,
-    coordinate monomial, derivative multi-index)."""
-    seg = ast.get_source_segment(src, node)
+def _terms(node, src: bytes):
+    """A parsed node of the one-line operator text src (UTF-8, since node
+    offsets count bytes) as a list of (coefficient, coordinate monomial,
+    derivative multi-index)."""
+    seg = src[node.col_offset:node.end_col_offset].decode()
     if isinstance(node, ast.Constant) and _NUMBER.fullmatch(seg):
         return [(complex(float(seg)), _NO_INDEX, _NO_INDEX)]
     if isinstance(node, ast.Name) and node.id in _ATOMS:
@@ -718,7 +718,7 @@ def parse_op(text: str) -> PolyDiffOp:
     src = re.sub(r"(?<![\w.])0+(?=\d)", "",
                  " ".join(text.replace("^", "**").split()))
     try:
-        parts = _terms(ast.parse(src, mode="eval").body, src)
+        parts = _terms(ast.parse(src, mode="eval").body, src.encode())
     except SyntaxError as exc:
         raise ValueError(f"cannot parse {text!r}: {exc.msg}") from None
     except RecursionError:

@@ -215,10 +215,10 @@ def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
     The points and frequencies are those of the 1-D spectra of the
     factorized path (KNASpectrum.n_spectra, .a_spectra); only their grids
     and frequencies are read.  The points are given by (S, dn) and (S, dt)
-    frequency index arrays, and the values come back as (S, d, d).  fn maps
-    node stacks ((P, 3), (P, 3)) and the grid points ((Nn, dn), (Nt, dt)) to
-    a (P, Nn, Nt) value array; it is called once on each block of node pairs
-    of about BLOCK_ENTRIES values, and each block serves every point.
+    frequency index arrays, and the values come back as (S, d, d).
+    fn(npts, tpts) takes the grid points ((Nn, dn), (Nt, dt)) once and
+    returns at(el, er), which maps node stacks ((P, 3), (P, 3)) to (P, Nn,
+    Nt) values, once on each block of about BLOCK_ENTRIES values.
     Intended for small grids; the cost is |K|^2 x |n-grid| x |t-grid|.
     """
     n_grids = [s.grid for s in n_spectra]
@@ -245,8 +245,9 @@ def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
     size = npts.shape[0] * tpts.shape[0]
     step = -(-BLOCK_ENTRIES // size)  # rounded up, at least 1
     sums = [[] for _ in phases]
+    at = fn(npts, tpts)
     for b in range(0, w.size, step):
-        block = fn(el[b:b + step], er[b:b + step], npts, tpts).reshape(-1, size)
+        block = at(el[b:b + step], er[b:b + step]).reshape(-1, size)
         for s, phase in zip(sums, phases):
             s.append(block @ phase)
     rep = pw.so4_rep(label, el, er)

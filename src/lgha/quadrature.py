@@ -38,28 +38,30 @@ _pool_lock = threading.Lock()
 _local = threading.local()  # .in_task is set in the pool's threads
 
 
-def _mark_task_thread():
-    _local.in_task = True
+def _shared_pool():
+    """The one worker pool, created on first use, or None where work runs
+    serially: on one CPU, and inside a pool task, so that nesting cannot
+    wait on a pool whose threads are all busy."""
+    if _WORKERS == 1 or getattr(_local, "in_task", False):
+        return None
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS, initializer=lambda: setattr(
+                _local, "in_task", True))
+    return _pool
 
 
 def _run_slabs(fn, count: int) -> list:
     """[fn(s) for s in contiguous slices covering range(count)], one slice
     per worker, in slice order.  Every fn(s) must touch only its own slice,
-    so the result does not depend on the number of slices.  A call made
-    inside a pool task runs its slices serially, so nesting cannot wait on
-    a pool whose threads are all busy."""
+    so the result does not depend on the number of slices."""
     k = max(1, min(_WORKERS, count))
     edges = [count * i // k for i in range(k + 1)]
     slabs = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    if k == 1 or getattr(_local, "in_task", False):
-        return [fn(s) for s in slabs]
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_WORKERS,
-                                       initializer=_mark_task_thread)
-    return list(_pool.map(fn, slabs))
+    pool = _shared_pool() if k > 1 else None
+    return list(map(fn, slabs) if pool is None else pool.map(fn, slabs))
 
 
 def _by_plane(fn, count: int):
@@ -345,9 +347,9 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
     Philox counter-based generator, so results are reproducible bit-for-bit
     for a fixed seed.  `integrand` maps an (m, d) array to m complex values,
     or to (m, k) for k integrals on the same samples, and must be row-wise:
-    the values of a row depend on that row alone.  Each chunk's weights are
-    computed on cache-sized row blocks of one row slab per worker and joined
-    in row order, so the estimate depends on neither the slabs nor blocks.
+    the values of a row depend on that row alone.  Each chunk is drawn as a
+    stream of power-of-two row blocks, each mapped, weighted and summed on a
+    worker once drawn; their pairwise sum equals that over the whole chunk.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
@@ -357,26 +359,26 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
     rng = np.random.Generator(np.random.Philox(seed))
     lognorm = -0.5 * d * np.log(2.0 * np.pi) - np.sum(np.log(sigma))
 
-    sums = []
-    sums2 = []
-    remaining = n
+    def block_sums(z):
+        x = mean + sigma * z
+        logpdf = lognorm - 0.5 * np.sum(((x - mean) / sigma) ** 2, axis=1)
+        vals = np.asarray(integrand(x), dtype=complex)
+        w = (vals.T * np.exp(-logpdf)).T  # one weight per row
+        return pairwise_sum(w), pairwise_sum(np.abs(w) ** 2)
+
+    pool = _shared_pool()
+    rows = BLOCK_ENTRIES // 2  # two complex values a row
+    sums, sums2, remaining = [], [], n
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
-        x = mean + sigma * rng.standard_normal((m, d))
-
-        def weights(s, x=x):
-            out, rows = [], BLOCK_ENTRIES // 2  # two complex values a row
-            for a in range(s.start, s.stop, rows):
-                xb = x[a:min(a + rows, s.stop)]
-                logpdf = lognorm - 0.5 * np.sum(((xb - mean) / sigma) ** 2,
-                                                axis=1)
-                vals = np.asarray(integrand(xb), dtype=complex)
-                out.append((vals.T * np.exp(-logpdf)).T)  # one weight per row
-            return out
-
-        w = np.concatenate(sum(_run_slabs(weights, m), []))
-        sums.append(pairwise_sum(w))
-        sums2.append(pairwise_sum(np.abs(w) ** 2))
+        blocks = []
+        for a in range(0, m, rows):
+            z = rng.standard_normal((min(rows, m - a), d))
+            blocks.append(block_sums(z) if pool is None
+                          else pool.submit(block_sums, z))
+        s, s2 = zip(*(b if pool is None else b.result() for b in blocks))
+        sums.append(pairwise_sum(np.asarray(s)))
+        sums2.append(pairwise_sum(np.asarray(s2)))
         remaining -= m
     est = pairwise_sum(np.asarray(sums)) / n
     var = np.maximum(pairwise_sum(np.asarray(sums2)).real / n

@@ -76,7 +76,7 @@ def test_degree_overflow():
     f = PlaneWave(1, 0, 0)
     op = D.PolyDiffOp({(5, 0, 0): D.ONE})
     with pytest.raises(DegreeOverflow):
-        op.apply(f, (0.0, 0.0, 0.0))
+        op.apply([f], (0.0, 0.0, 0.0))
 
 
 def test_deriv_rejects_a_malformed_multi_index():
@@ -312,9 +312,11 @@ class _R2:
 
 
 def test_apply_examples():
-    assert D.PolyDiffOp.partial(2).apply(_CoordX(), (0.2, 0.5, -0.9)) == 1.0
-    assert D.laplacian_2d().apply(_R2(), rng.normal(size=3)) == pytest.approx(4.0)
-    assert D.laplacian_3d().apply(_R2(), rng.normal(size=3)) == pytest.approx(6.0)
+    assert D.PolyDiffOp.partial(2).apply([_CoordX()], (0.2, 0.5, -0.9)) \
+        == [1.0]
+    [lap2] = D.laplacian_2d().apply([_R2()], rng.normal(size=3))
+    [lap3] = D.laplacian_3d().apply([_R2()], rng.normal(size=3))
+    assert lap2 == pytest.approx(4.0) and lap3 == pytest.approx(6.0)
 
 
 def test_plane_wave_symbol_oracle():
@@ -323,7 +325,7 @@ def test_plane_wave_symbol_oracle():
     pts = rng.normal(size=(20, 3))
     for op in (D.lewy(), D.lewy_star(), D.cauchy_riemann(),
                D.sheared_laplacian()):
-        vals = op.apply(f, pts)
+        [vals] = op.apply([f], pts)
         # exact action on a plane wave: polynomial coefficients at the point
         # times (ik)^alpha
         expect = np.zeros(20, dtype=complex)
@@ -376,29 +378,43 @@ def test_shear_reflect_is_involution_pointwise():
     assert np.max(np.abs(m.apply_points(m.apply_points(pts)) - pts)) < 1e-12
 
 
+def _discrepancy(lhs, rhs, corpus, pts):
+    """The one-identity verify_identity value, from PolyDiffOp.apply on
+    jets built directly: the jet at the outer point, or the inner map's
+    pullback of it."""
+    def values(op, outer=None, inner=None):
+        q = pts if outer is None else outer.apply_points(pts)
+        return [op.apply([f.jet_at(q) if inner is None
+                          else inner.pullback([f], q)[0]], q)[0]
+                for f in corpus]
+    return float(np.max([np.max(np.abs(a - b)) for a, b in
+                         zip(values(*lhs), values(*rhs))], initial=0.0))
+
+
 def test_conjugation_with_identity_map():
     ident = D.CoordMap((D.Z, D.Y, D.X), (D.Z, D.Y, D.X))
     f = D.PolyGauss(D.ONE, (0, 0, 0), 1.0)
     pts = rng.normal(size=(10, 3))
-    a = D.transport(D.lewy(), ident, ident)(pts)(f)
-    b = D.lewy().apply(f, pts)
-    assert np.max(np.abs(a - b)) < 1e-13
+    err = D.verify_identity([("identity", (D.lewy(), ident, ident),
+                              (D.lewy(),))], [f], pts)
+    assert err["identity"] < 1e-13
 
 
 def test_lewy_conjugation_identity():
     corpus = standard_corpus(rng)
     pts = rng.uniform(-1.2, 1.2, size=(40, 3))
-    hb = D.shear_reflect_map()
-    conj = D.transport(D.cauchy_riemann(), hb, hb)
-    err = D.verify_identity(conj, D.transport(D.lewy_conjugate_true()),
-                            corpus, pts)
-    assert err < 1e-9
-    # as displayed, with reflected-argument evaluation on both sides
-    err2 = D.verify_identity(
-        lambda p: conj(np.asarray(p) * [1, 1, -1]),
-        D.transport(D.lewy().coeff_reflect(1, 1, -1), D.reflection(1, 1, -1)),
-        corpus, pts)
-    assert err2 < 1e-9
+    hb, sigma = D.shear_reflect_map(), D.reflection(1, 1, -1)
+    # as displayed, with reflected-argument evaluation on both sides: the
+    # conjugate read at sigma(p) has the outer map hb o sigma
+    hb_sigma = D.CoordMap(tuple(p.substitute(sigma.fwd) for p in hb.fwd),
+                          tuple(p.substitute(hb.inv) for p in sigma.inv))
+    assert hb_sigma.check_inverse()
+    err = D.verify_identity([
+        ("true", (D.cauchy_riemann(), hb, hb), (D.lewy_conjugate_true(),)),
+        ("displayed", (D.cauchy_riemann(), hb_sigma, hb),
+         (D.lewy().coeff_reflect(1, 1, -1), sigma))], corpus, pts)
+    assert err["true"] < 1e-9
+    assert err["displayed"] < 1e-9
 
 
 def test_mutation_is_detected():
@@ -407,25 +423,38 @@ def test_mutation_is_detected():
     hb = D.shear_reflect_map()
     wrong = D.lewy_conjugate_true() + D.PolyDiffOp(
         {(1, 0, 0): D.Poly3({(0, 1, 0): -0.1})})
-    err = D.verify_identity(D.transport(D.cauchy_riemann(), hb, hb),
-                            D.transport(wrong), corpus, pts)
+    err = D.verify_identity([("mutant", (D.cauchy_riemann(), hb, hb),
+                              (wrong,))], corpus, pts)["mutant"]
     assert not err < 1e-9
     assert err > 1e-3
 
 
 def test_verify_identity_reports_a_nan_discrepancy():
-    # a NaN from one corpus function between finite errors must not vanish
+    # a NaN from one corpus function between finite errors must not vanish,
+    # and a NaN in one identity must not reach the others
     gen = np.random.default_rng(404)
     corpus = standard_corpus(gen)[:3]
     pts = gen.uniform(-1.2, 1.2, size=(5, 3))
-    lewy = D.transport(D.lewy())
+    hb = D.shear_reflect_map()
+    nan_op = D.lewy() + D.PolyDiffOp({(0, 0, 0): D.Poly3.const(np.nan)})
+    finite = [("conjugation", (D.cauchy_riemann(), hb, hb),
+               (D.lewy_conjugate_true(),)),
+              ("off", (D.lewy(),), (D.lewy_star(),))]
+    errs = D.verify_identity(finite + [("nan", (D.lewy(),), (nan_op,))],
+                             corpus, pts)
+    assert np.isnan(errs["nan"])
+    for name, lhs, rhs in finite:
+        alone = D.verify_identity([(name, lhs, rhs)], corpus, pts)[name]
+        assert np.isfinite(alone) and errs[name] == alone
 
-    def off_by_one_then_nan(p):
-        at = lewy(p)
-        return lambda f: at(f) + (np.nan if f is corpus[1] else 1.0)
+    class NanAtSecond:
+        # the second corpus function, its jet turned to NaN
+        def jet_at(self, pts):
+            return corpus[1].jet_at(pts) * np.nan
 
-    err = D.verify_identity(lewy, off_by_one_then_nan, corpus, pts)
-    assert np.isnan(err)
+    err = D.verify_identity([("off", (D.lewy(),), (D.lewy_star(),))],
+                            [corpus[0], NanAtSecond(), corpus[2]], pts)
+    assert np.isnan(err["off"])
 
 
 def test_four_factor_conjugation_and_commutators():
@@ -435,8 +464,8 @@ def test_four_factor_conjugation_and_commutators():
     four = four_stage_chain()
     p1 = D.hormander_P_bar().coeff_reflect(sx=-1)
     p2 = D.hormander_P().coeff_reflect(sx=-1)
-    err = D.verify_identity(D.transport(four, hb, hb),
-                            D.transport(p1 @ p2 @ p2 @ p1), corpus, pts)
+    err = D.verify_identity([("four", (four, hb, hb), (p1 @ p2 @ p2 @ p1,))],
+                            corpus, pts)["four"]
     assert err < 1e-9
     # the conjugated factors commute; the displayed factors do not
     assert p1 @ p2 == p2 @ p1
@@ -449,17 +478,49 @@ def test_reflection_transport_evaluates_at_the_flipped_points():
     # a sign reflection as the outer map moves the points exactly
     corpus = standard_corpus(np.random.default_rng(405))
     pts = rng.uniform(-1.2, 1.2, size=(30, 3))
+    refl = D.reflection(1, -1, 1)
+    assert np.array_equal(refl.apply_points(pts), pts * [1.0, -1.0, 1.0])
     op = D.heis_laplacian_left().coeff_reflect(1, -1, 1)
-    at = D.transport(op, D.reflection(1, -1, 1))(pts)
-    for f in corpus:
-        assert np.array_equal(at(f), op.apply(f, pts * [1.0, -1.0, 1.0]))
+    other = D.heis_laplacian_left()
+    flipped = op.apply(corpus, pts * [1.0, -1.0, 1.0])
+    expect = float(np.max([np.max(np.abs(a - b)) for a, b in
+                           zip(flipped, other.apply(corpus, pts))]))
+    err = D.verify_identity([("flip", (op, refl), (other,))], corpus, pts)
+    assert err["flip"] == expect and expect > 0
+
+
+def test_grouped_battery_equals_one_identity_calls():
+    # the whole battery in one call, sides sharing their maps and corpus
+    # jets, against one call per identity and against jets built directly
+    gen = np.random.default_rng(407)
+    corpus = standard_corpus(gen)
+    pts = gen.uniform(-1.2, 1.2, size=(20, 3))
+    hb, g, gi = D.shear_reflect_map(), D.shear_map(), D.shear_map_inv()
+    tau = D.flip_y_shear_map()
+    battery = [
+        ("lewy", (D.cauchy_riemann(), hb, hb),
+         (D.lewy().coeff_reflect(sx=-1),)),
+        ("shear", (D.laplacian_3d(), g, gi), (D.sheared_laplacian(),)),
+        ("transport", (D.laplacian_3d(), tau, gi),
+         (D.heis_laplacian_left().coeff_reflect(1, -1, 1),
+          D.reflection(1, -1, 1))),
+        ("swap", (D.cr_pair_R(), hb, hb),
+         (D.hormander_P_bar().coeff_reflect(sx=-1),)),
+        ("plain", (D.lewy(), None, None), (D.lewy_star(),))]
+    grouped = D.verify_identity(battery, corpus, pts)
+    assert list(grouped) == [name for name, _, _ in battery]
+    for name, lhs, rhs in battery:
+        alone = D.verify_identity([(name, lhs, rhs)], corpus, pts)
+        assert np.array_equal(grouped[name], alone[name])
+        assert np.array_equal(grouped[name],
+                              _discrepancy(lhs, rhs, corpus, pts))
 
 
 def test_operator_identities_build_each_pullback_once(monkeypatch):
-    # one operator-identities run: eight battery identities and the mutation
-    # check pull f back through an inner map.  Each builds its monomial
-    # table once for the point batch and composes it with every one of the
-    # ten corpus functions.
+    # one operator-identities run: the nine identities have 18 sides over
+    # four (outer, inner) pairs with an inner map.  Each pair builds its
+    # monomial table once for the point batch and composes it with every one
+    # of the ten corpus functions.
     calls = {"monomials": 0, "substitute": 0}
 
     def spy(name):
@@ -474,7 +535,7 @@ def test_operator_identities_build_each_pullback_once(monkeypatch):
     spy("monomials")
     spy("substitute")
     report = cli.run_suite("operator-identities", cli.SuiteConfig())
-    assert calls == {"monomials": 9, "substitute": 90}
+    assert calls == {"monomials": 4, "substitute": 40}
     assert report["summary"]["failed"] == 0
 
 
@@ -550,7 +611,8 @@ def test_polygauss_apply_matches_jets():
     op = D.lewy_conjugate_true()
     derived = pg.apply_diffop(op)
     pts = rng.normal(size=(30, 3))
-    assert np.max(np.abs(derived.values(pts) - op.apply(pg, pts))) < 1e-12
+    [vals] = op.apply([pg], pts)
+    assert np.max(np.abs(derived.values(pts) - vals)) < 1e-12
 
 
 def test_polygauss_on_broadcast_coordinates_equals_values_on_stacks():
@@ -606,6 +668,11 @@ def test_dsl_powers_and_errors():
     # past the interpreter's recursion limit: a ValueError, not a crash
     with pytest.raises(ValueError, match="too deeply"):
         D.parse_op(" + ".join(["x*dz"] * 5000))
+    # node offsets count UTF-8 bytes: a non-ASCII name is quoted whole
+    for text, seg in (("x*dz + é", "é"), ("é.real*dz", "é.real")):
+        with pytest.raises(ValueError) as exc:
+            D.parse_op(text)
+        assert str(exc.value) == f"not an operator expression: {seg!r}"
     assert D.parse_op("--x*dz") == D.PolyDiffOp({(1, 0, 0): D.X})
     assert D.parse_op("+3*x^3*y*dx*dx") == D.PolyDiffOp(
         {(0, 0, 2): D.Poly3({(0, 1, 3): 3.0})})

@@ -134,9 +134,9 @@ def test_four_stage_operator_is_conjugation_of_chain():
     corpus_pt = rng.uniform(-1, 1, size=(10, 3))
     w = D.PolyGauss(D.Poly3({(0, 1, 1): 1.0}), sigma=1.1)
     hb = D.shear_reflect_map()
-    lhs = D.transport(S.four_stage_chain(), hb, hb)(corpus_pt)(w)
-    rhs = S.four_stage_operator().apply(w, corpus_pt)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
+    err = D.verify_identity([("four-stage", (S.four_stage_chain(), hb, hb),
+                              (S.four_stage_operator(),))], [w], corpus_pt)
+    assert err["four-stage"] < 1e-10
 
 
 @pytest.mark.parametrize("grid", [
