@@ -395,7 +395,8 @@ def verify_identity(identities, corpus, points) -> dict:
     outer=None, inner=None).  Sides are grouped by their (outer, inner)
     pair; a group forms outer(points), the inner map's monomial table, the
     corpus jets and each operator's coefficient values once, and frees them
-    before the next group.  A NaN discrepancy makes that identity NaN."""
+    before the next group; sides of a group with equal operators share one
+    application.  A NaN discrepancy makes that identity NaN."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     identities, groups, values = list(identities), {}, {}
     for i, (_, *sides) in enumerate(identities):
@@ -406,7 +407,12 @@ def verify_identity(identities, corpus, points) -> dict:
         q = pts if outer is None else outer.apply_points(pts)
         jets = ([f.jet_at(q) for f in corpus] if inner is None
                 else inner.pullback(corpus, q))
-        values.update((key, op.apply(jets, q)) for key, op in sides)
+        ops, applied = [], []  # the group's distinct operators, by ==
+        for key, op in sides:
+            if op not in ops:
+                ops.append(op)
+                applied.append(op.apply(jets, q))
+            values[key] = applied[ops.index(op)]
         del jets  # freed before the next group's are formed
     return {name: float(np.max([np.max(np.abs(a - b)) for a, b in
                                 zip(values[i, 0], values[i, 1])], initial=0.0))

@@ -273,13 +273,16 @@ def _phased(vals, grid: GridSpec, op, out) -> np.ndarray:
 
 def fft_lines(vals, out, inverse=False, axes=None):
     """np.fft.fftn (ifftn if inverse) of the complex array vals over axes
-    (default all), written to out, which may be vals itself.  One 1-D pass
-    per axis, last axis first as fftn runs them; each pass splits its lines
-    into one slab per worker along another axis, so out equals fftn's
-    result bit for bit."""
+    (default all), written to out, which may be vals itself; no axes copies
+    vals into out.  One 1-D pass per axis, last axis first as fftn runs
+    them; each pass splits its lines into one slab per worker along another
+    axis, so out equals fftn's result bit for bit."""
     fn = np.fft.ifft if inverse else np.fft.fft
+    axes = range(vals.ndim) if axes is None else axes
+    if len(axes) == 0:
+        np.copyto(out, vals)
     src = vals
-    for axis in reversed(range(vals.ndim) if axes is None else axes):
+    for axis in reversed(axes):
         if vals.ndim == 1:
             fn(src, out=out)
         else:
@@ -294,26 +297,17 @@ def fft_lines(vals, out, inverse=False, axes=None):
     return out
 
 
-def _forward(vals, grid: GridSpec, out) -> np.ndarray:
-    """dft_forward of the values vals, written to out (which may be vals)."""
-    return _phased(fft_lines(vals, out), grid, np.multiply, out)
-
-
 def dft_forward(field: SampledField) -> Spectrum:
     """F(xi) = sum_j f(x_j) exp(-i xi x_j) h over every axis of the grid."""
-    return Spectrum(field.grid, _forward(
-        field.values, field.grid, np.empty(field.values.shape, complex)))
-
-
-def _inverse(vals, grid: GridSpec, out) -> np.ndarray:
-    """dft_inverse of the spectrum values vals, written to out."""
-    return fft_lines(_phased(vals, grid, np.divide, out), out, inverse=True)
+    out = fft_lines(field.values, np.empty(field.values.shape, complex))
+    return Spectrum(field.grid, _phased(out, field.grid, np.multiply, out))
 
 
 def dft_inverse(spec: Spectrum) -> SampledField:
     """Exact inverse of dft_forward (composes to the identity on grid data)."""
-    return SampledField(spec.grid, _inverse(
-        spec.values, spec.grid, np.empty(spec.values.shape, complex)))
+    out = _phased(spec.values, spec.grid, np.divide,
+                  np.empty(spec.values.shape, complex))
+    return SampledField(spec.grid, fft_lines(out, out, inverse=True))
 
 
 def factor_plancherel(factor, count: int):

@@ -3,12 +3,12 @@
     python -m lgha.report_diff OLD.json NEW.json
 
 prints one line per row whose lhs, rhs, error or verdict differs (a NaN
-equals a NaN): the change of lhs and of rhs (NEW - OLD), the relative error
-before and after, and the verdict before and after, followed by a summary
-line and, when both reports carry per-suite `timings`, one line of NEW/OLD
-time ratios for the suites both ran.  Exit codes: 0 when both reports have
-the same row names in the same order and the same verdicts, 1 when they do
-not, 2 on unreadable input.
+equals a NaN): the change of lhs (NEW - OLD, and relative to OLD) and of
+rhs, the relative error before and after, and the verdict before and
+after, followed by a summary line and, when both reports carry per-suite
+`timings`, one line of NEW/OLD time ratios for the suites both ran.  Exit
+codes: 0 when both reports have the same row names in the same order and
+the same verdicts, 1 when they do not, 2 on unreadable input.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ def _same(old, new) -> bool:
     return old == new or (old != old and new != new)
 
 
-def _delta(old, new) -> str:
+def _delta(old, new, relative=False) -> str:
+    """NEW - OLD, with |NEW - OLD| / max(|OLD|, 1e-300) if relative."""
     if _same(old, new):
         return "0"
     if isinstance(old, (int, float)) and isinstance(new, (int, float)):
-        return f"{new - old:+.3e}"
+        rel = abs(new - old) / max(abs(old), 1e-300)
+        return f"{new - old:+.3e}" + (f" (rel {rel:.3e})" if relative else "")
     return f"{old!r} -> {new!r}"
 
 
@@ -58,7 +60,7 @@ def _diff_rows(old: dict, new: dict):
         flip = _verdict(a) if a["pass"] == b["pass"] \
             else f"{_verdict(a)} -> {_verdict(b)}"
         same &= a["pass"] == b["pass"]
-        lines.append(f"{name}: d_lhs {_delta(a['lhs'], b['lhs'])}  "
+        lines.append(f"{name}: d_lhs {_delta(a['lhs'], b['lhs'], True)}  "
                      f"d_rhs {_delta(a['rhs'], b['rhs'])}  "
                      f"err {a['rel_err']!r} -> {b['rel_err']!r}  {flip}")
     lines.extend(f"{name}: only in NEW" for name in new_rows

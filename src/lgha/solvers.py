@@ -15,13 +15,14 @@ are rejected (the equation has no periodic solution for them).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
-from .quadrature import (Axis, GridSpec, SampledField, _by_plane, _forward,
-                         _inverse, box_grid, dft_forward, dft_inverse,
-                         fft_lines, norm2)
+from .quadrature import (Axis, GridSpec, SampledField, _by_plane, box_grid,
+                         fft_lines)
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
@@ -43,76 +44,73 @@ class IncompatibleRHS(ValueError):
 
 def _per_axis(grid: GridSpec, vec, index=()):
     """vec(axis) for the z, y and x axes, each shaped to broadcast over the
-    grid and cut to index (see _sliced), and zeros for an axis the grid
-    lacks."""
+    grid and cut to index (one slice per leading axis, on the axis along
+    which it varies), and zeros for an axis the grid lacks."""
     zero = np.zeros((1,) * len(grid.axes))
-    return _sliced([grid.along(name, vec(grid.axis(name)))
-                    if name in grid.names else zero for name in SOLVE_AXES],
-                   index)
-
-
-def _sliced(arrays, index):
-    """The broadcastable arrays indexed by index, one slice per leading
-    axis, on the axes along which each array varies."""
     return [a[tuple(s if n > 1 else slice(None)
-                    for s, n in zip(index, a.shape))] for a in arrays]
+                    for s, n in zip(index, a.shape))]
+            for a in (grid.along(name, vec(grid.axis(name)))
+                      if name in grid.names else zero for name in SOLVE_AXES)]
 
 
 def cr_solve(g: SampledField, op: PolyDiffOp):
-    """Solve op f = g spectrally for a constant-coefficient operator.
+    """Solve op f = g spectrally for a constant-coefficient operator,
+    transforming g only along the axes A along which the symbol varies (the
+    continuum phases would cancel and are left out).
 
-    Modes where |symbol| < 1e-10 are projected to zero; the projected
-    L2 mass relative to ||g|| is reported, and IncompatibleRHS is raised
-    when it exceeds 1e-6.  Returns (solution field, info dict).
+    Modes where |symbol| < 1e-10 are projected to zero; the projected L2
+    mass relative to ||g||, sum_masked |FFT_A g|^2 / (N_A sum |g|^2) by
+    Parseval, is reported, and IncompatibleRHS is raised when it exceeds
+    1e-6.  Returns (solution field, info dict).
     """
     if not op.is_constant_coefficient:
         raise ValueError("cr_solve needs a constant-coefficient operator")
-    spec = dft_forward(g)
-    # the symbol varies only along the axes the operator differentiates, and
-    # it and its mask stay that small, broadcast against the spectrum
-    sym = op.symbol(*_per_axis(g.grid, Axis.freqs))
+    sym = np.asarray(op.symbol(*_per_axis(g.grid, Axis.freqs)))
+    axes = tuple(a for a, n in enumerate(sym.shape) if n > 1)
     mask = np.abs(sym) < 1e-10
-    full_mask = np.broadcast_to(mask, spec.values.shape)
+    # sum |FFT_A g|^2 over every mode, by Parseval
+    total2 = float(np.sum(np.abs(g.values) ** 2)) \
+        * np.prod([g.grid.shape[a] for a in axes])
+    spec = fft_lines(g.values, np.empty(g.grid.shape, complex), axes=axes)
+    full_mask = np.broadcast_to(mask, spec.shape)
 
-    gnorm2 = norm2(g)
-    proj2 = float(np.sum(np.abs(spec.values[full_mask]) ** 2)) \
-        * spec.freq_weight() \
-        / (2.0 * np.pi) ** len(spec.grid.axes)
-    projected_rel = float(np.sqrt(proj2 / max(gnorm2, 1e-300)))
+    proj2 = float(np.sum(np.abs(spec[full_mask]) ** 2))
+    projected_rel = float(np.sqrt(proj2 / max(total2, 1e-300)))
     if projected_rel > 1e-6:
         raise IncompatibleRHS(
             f"projected mass {projected_rel:.3e} exceeds 1.0e-06")
 
-    spec.values /= np.where(mask, 1.0, sym)
-    spec.values[full_mask] = 0.0
-    sol = dft_inverse(spec)
+    spec /= np.where(mask, 1.0, sym)
+    spec[full_mask] = 0.0
+    sol = SampledField(g.grid, fft_lines(spec, spec, inverse=True, axes=axes))
     info = {"projected_rel": projected_rel,
             "n_projected": int(np.count_nonzero(full_mask))}
     return sol, info
 
 
-def spectral_apply(op: PolyDiffOp, field: SampledField) -> SampledField:
-    """Apply a polynomial-coefficient operator to a sampled field: spectral
-    derivatives, coefficient multiplication on the nodes.  Consumes the
-    field: its values are overwritten in place with their spectrum."""
-    grid, spec = field.grid, _forward(field.values, field.grid, field.values)
-    xis, mesh = _per_axis(grid, Axis.freqs), _per_axis(grid, Axis.nodes)
-    # one work buffer; multipliers and coefficients one first-axis plane at
-    # a time, each in the full-grid formula's operation order
-    work, out = np.empty(grid.shape, complex), np.zeros(grid.shape, complex)
+def spectral_apply(op: PolyDiffOp, field: SampledField,
+                   box=None) -> np.ndarray:
+    """op f on the index box (one slice per axis, the whole grid by
+    default), an array of the box's shape.  Each term transforms the lines
+    through the box along the axes it differentiates, and only along those
+    (the continuum phases would cancel and are left out), and multiplies
+    its coefficient in on the box's nodes."""
+    grid = field.grid
+    box = (slice(None),) * len(grid.axes) if box is None else tuple(box)
+    xis, mesh = _per_axis(grid, Axis.freqs), _per_axis(grid, Axis.nodes, box)
+    out = np.zeros(field.values[box].shape, complex)
     for m, poly in op.terms.items():
-        def derive(p):
-            xiz, xiy, xix = _sliced(xis, (p,))
-            mult = (1j * xiz) ** m[0] * (1j * xiy) ** m[1] * (1j * xix) ** m[2]
-            np.multiply(spec[p], mult, out=work[p])
-
-        def accumulate(p):
-            out[p] += poly.eval(*_sliced(mesh, (p,))) * work[p]
-
-        _by_plane(derive, grid.shape[0])
-        _inverse(work, grid, work)
-        _by_plane(accumulate, grid.shape[0])
-    return SampledField(grid, out)
+        axes = tuple(a for a, name in enumerate(grid.names)
+                     if m[SOLVE_AXES.index(name)])
+        vals = field.values[tuple(slice(None) if a in axes else s
+                                  for a, s in enumerate(box))]
+        vals = fft_lines(vals, np.empty(vals.shape, complex), axes=axes)
+        # (i xi)^k per derivative, zero along an axis the grid lacks
+        vals *= math.prod((1j * xi) ** k for xi, k in zip(xis, m) if k)
+        fft_lines(vals, vals, inverse=True, axes=axes)
+        out += poly.eval(*mesh) * vals[tuple(
+            s if a in axes else slice(None) for a, s in enumerate(box))]
+    return out
 
 
 def shear_reflect_field(field: SampledField) -> SampledField:
@@ -159,6 +157,7 @@ def _conjugated_solve(g, n: int, op: PolyDiffOp):
     _by_plane(lambda p: np.copyto(gvals[p], g(*shear_reflect_points(
         *_per_axis(grid, Axis.nodes, (p,))))), n)
     u, info = cr_solve(SampledField(grid, gvals), op)
+    del gvals  # freed before the shear allocates its buffer
     return shear_reflect_field(u), info
 
 
@@ -173,10 +172,8 @@ def plateau_window(grid: GridSpec) -> list:
     window = []
     for ax in grid.axes:
         t = (ax.nodes() - 0.5 * (ax.hi + ax.lo)) / (0.5 * (ax.hi - ax.lo))
-        w = np.ones_like(t)
-        s = (np.abs(t) - flat) / (1.0 - flat)
-        roll = np.abs(t) > flat
-        w[roll] = np.cos(0.5 * np.pi * np.clip(s[roll], 0.0, 1.0)) ** 2
+        s = (np.abs(t) - flat) / (1.0 - flat)  # <= 0 on the flat part
+        w = np.cos(0.5 * np.pi * np.clip(s, 0.0, 1.0)) ** 2
         window.append(grid.along(ax.name, w))
     return window
 
@@ -225,9 +222,10 @@ def lewy_solve(g, n: int):
     windowed = np.empty(grid.shape, complex)
     _by_plane(lambda p: np.multiply(f.values[p], (wz[p] * wy) * wx,
                                     out=windowed[p]), n)
-    applied = spectral_apply(lewy_conjugate_true(), SampledField(grid, windowed))
+    applied = spectral_apply(lewy_conjugate_true(),
+                             SampledField(grid, windowed), box)
     g_inside = np.asarray(g(*_per_axis(grid, Axis.nodes, box)), complex)
-    residual = interior_rel_error(applied.values[box], g_inside)
+    residual = interior_rel_error(applied, g_inside)
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples
     return {"f": f, "residual": residual, **info}

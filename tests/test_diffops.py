@@ -520,22 +520,24 @@ def test_operator_identities_build_each_pullback_once(monkeypatch):
     # one operator-identities run: the nine identities have 18 sides over
     # four (outer, inner) pairs with an inner map.  Each pair builds its
     # monomial table once for the point batch and composes it with every one
-    # of the ten corpus functions.
-    calls = {"monomials": 0, "substitute": 0}
+    # of the ten corpus functions.  The side (cauchy_riemann(), hb, hb)
+    # appears twice and is applied once, so 17 sides are applied.
+    calls = {"monomials": 0, "substitute": 0, "apply": 0}
 
-    def spy(name):
-        real = getattr(D, name)
+    def spy(owner, name):
+        real = getattr(owner, name)
 
         def counted(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(D, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    spy("monomials")
-    spy("substitute")
+    spy(D, "monomials")
+    spy(D, "substitute")
+    spy(D.PolyDiffOp, "apply")
     report = cli.run_suite("operator-identities", cli.SuiteConfig())
-    assert calls == {"monomials": 4, "substitute": 40}
+    assert calls == {"monomials": 4, "substitute": 40, "apply": 17}
     assert report["summary"]["failed"] == 0
 
 

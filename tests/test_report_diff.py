@@ -28,8 +28,19 @@ def test_report_diff_lists_moved_rows_and_flags_verdicts(tmp_path, capsys):
 
     code, out = run(base, _report(("a", 1e-9, True), ("b", 3e-9, True)))
     assert code == 0
-    assert "b: d_lhs +1.000e-09  d_rhs 0  err 2e-09 -> 3e-09  pass" in out
+    assert ("b: d_lhs +1.000e-09 (rel 5.000e-01)  d_rhs 0  "
+            "err 2e-09 -> 3e-09  pass") in out
     assert "a:" not in out
+
+    # a rounding-level move reads as such, and from a zero lhs the
+    # relative change is taken against 1e-300
+    code, out = run(_report(("a", 0.0, True), ("b", 1.6229802060855056e-06,
+                                               True)),
+                    _report(("a", 1e-310, True), ("b", 1.6229802060704295e-06,
+                                                  True)))
+    assert code == 0
+    assert "b: d_lhs -1.508e-17 (rel 9.289e-12)  d_rhs 0  " in out
+    assert "a: d_lhs +1.000e-310 (rel 1.000e-10)  d_rhs 0  " in out
 
     code, out = run(base, _report(("a", 1e-9, True), ("b", 2e-3, False)))
     assert code == 1 and "pass -> FAIL" in out
