@@ -179,7 +179,7 @@ def plancherel_N_check(f, box: float = 6.0, count: int = 14):
     else:
         grid = box_grid(NIL_AXES, -box, box, count)
         fld = SampledField.from_callable(
-            grid, lambda *mesh: f(np.stack(mesh, axis=-1)))
+            grid, lambda *xs: f(np.stack(np.broadcast_arrays(*xs), axis=-1)))
         lhs = norm2(fld)
         rhs = dft_forward(fld).integrate_abs2() / (2.0 * np.pi) ** 6
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)

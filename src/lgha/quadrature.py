@@ -9,6 +9,7 @@ inverse / spectral side, i.e. ||f||^2 = (2pi)^{-d} ||Ff||^2.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -134,15 +135,13 @@ class GridSpec:
                 return a
         raise KeyError(name)
 
-    def along(self, name: str, vec) -> np.ndarray:
-        """A vector over the named axis's nodes, shaped to broadcast over
-        the grid."""
-        shape = [1] * len(self.axes)
-        shape[self.names.index(name)] = self.axis(name).count
-        return np.reshape(vec, shape)
-
-    def meshgrid(self):
-        return np.meshgrid(*[a.nodes() for a in self.axes], indexing="ij")
+    def coords(self, vec=Axis.nodes, index=()) -> list:
+        """vec(axis) for every axis, cut to index (one slice per leading
+        axis) and shaped to broadcast over the grid."""
+        n = len(self.axes)
+        cut = tuple(index) + (slice(None),) * (n - len(index))
+        return [np.reshape(vec(a)[s], [-1 if j == i else 1 for j in range(n)])
+                for i, (a, s) in enumerate(zip(self.axes, cut))]
 
 
 def box_grid(names, lo, hi, count) -> GridSpec:
@@ -193,26 +192,24 @@ class SampledField:
 
     @classmethod
     def from_callable(cls, grid: GridSpec, fn):
-        """Sample fn(*coordinate_arrays) on the grid.
-
-        Large grids are evaluated plane by plane on the workers, in flat
-        blocks of BLOCK_ENTRIES points, so fn must be pointwise.
-        """
-        if grid.size <= 2 ** 20:
-            return cls(grid, np.asarray(fn(*grid.meshgrid()), dtype=complex))
-        first = grid.axes[0].nodes()
-        rest = [r.ravel() for r in np.meshgrid(
-            *[a.nodes() for a in grid.axes[1:]], indexing="ij")]
-        out = np.empty((first.size, rest[0].size), dtype=complex)
-
-        def plane(p):
-            for a in range(0, rest[0].size, BLOCK_ENTRIES):
-                b = slice(a, a + BLOCK_ENTRIES)
-                out[p.start, b] = fn(np.full(rest[0][b].shape, first[p.start]),
-                                     *(r[b] for r in rest))
-
-        _by_plane(plane, first.size)
-        return cls(grid, out.reshape(grid.shape))
+        """Sample the pointwise fn, which maps coordinate arrays shaped to
+        broadcast over the grid (GridSpec.coords) to values of their
+        broadcast shape, on index boxes split over the workers: with d the
+        first axis whose trailing block shape[d+1:] holds at most
+        BLOCK_ENTRIES points, a box fixes the axes before d and runs
+        BLOCK_ENTRIES // (block size) indices along d."""
+        shape = grid.shape
+        d = next(d for d in range(len(shape))
+                 if math.prod(shape[d + 1:]) <= BLOCK_ENTRIES)
+        run = BLOCK_ENTRIES // math.prod(shape[d + 1:])
+        boxes = [tuple(slice(i, i + 1) for i in lead) + (slice(a, a + run),)
+                 for lead in np.ndindex(*shape[:d])
+                 for a in range(0, shape[d], run)]
+        nodes = {a.name: a.nodes() for a in grid.axes}  # once, cut per box
+        out = np.empty(shape, complex)
+        _run_slabs(lambda s: [np.copyto(out[box], fn(*grid.coords(
+            lambda a: nodes[a.name], box))) for box in boxes[s]], len(boxes))
+        return cls(grid, out)
 
 
 def norm2(field: SampledField) -> float:
@@ -253,8 +250,8 @@ def _axis_phases(grid: GridSpec) -> list:
     """h * exp(-i xi x0) per axis, x0 the first node, shaped to broadcast
     over the grid: their product turns an FFT into the continuum
     transform's Riemann sum."""
-    return [grid.along(ax.name, ax.step * np.exp(
-        -1j * ax.freqs() * (ax.lo + 0.5 * ax.step))) for ax in grid.axes]
+    return grid.coords(lambda ax: ax.step * np.exp(
+        -1j * ax.freqs() * (ax.lo + 0.5 * ax.step)))
 
 
 def _phased(vals, grid: GridSpec, op, out) -> np.ndarray:

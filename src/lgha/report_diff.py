@@ -28,12 +28,12 @@ def _same(old, new) -> bool:
 
 
 def _delta(old, new, relative=False) -> str:
-    """NEW - OLD, with |NEW - OLD| / max(|OLD|, 1e-300) if relative."""
+    """NEW - OLD, with |NEW - OLD| / |OLD| if relative (n/a from OLD 0)."""
     if _same(old, new):
         return "0"
     if isinstance(old, (int, float)) and isinstance(new, (int, float)):
-        rel = abs(new - old) / max(abs(old), 1e-300)
-        return f"{new - old:+.3e}" + (f" (rel {rel:.3e})" if relative else "")
+        rel = f"{abs(new - old) / abs(old):.3e}" if old else "n/a"
+        return f"{new - old:+.3e}" + (f" (rel {rel})" if relative else "")
     return f"{old!r} -> {new!r}"
 
 

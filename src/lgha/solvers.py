@@ -43,14 +43,11 @@ class IncompatibleRHS(ValueError):
 
 
 def _per_axis(grid: GridSpec, vec, index=()):
-    """vec(axis) for the z, y and x axes, each shaped to broadcast over the
-    grid and cut to index (one slice per leading axis, on the axis along
-    which it varies), and zeros for an axis the grid lacks."""
+    """grid.coords(vec, index) reordered to the z, y and x axes, with zeros
+    for an axis the grid lacks."""
+    xs = dict(zip(grid.names, grid.coords(vec, index)))
     zero = np.zeros((1,) * len(grid.axes))
-    return [a[tuple(s if n > 1 else slice(None)
-                    for s, n in zip(index, a.shape))]
-            for a in (grid.along(name, vec(grid.axis(name)))
-                      if name in grid.names else zero for name in SOLVE_AXES)]
+    return [xs.get(name, zero) for name in SOLVE_AXES]
 
 
 def cr_solve(g: SampledField, op: PolyDiffOp):
@@ -126,9 +123,9 @@ def shear_reflect_field(field: SampledField) -> SampledField:
     vals = fft_lines(np.flip(field.values, axis=2),
                      np.empty(grid.shape, complex), axes=(0,))
     # s(y, x) = 2 x y; the z-shift's phase is built one z plane at a time
-    shift = 2.0 * (grid.along("y", grid.axis("y").nodes())
-                   * grid.along("x", ax_x.nodes()))
-    xiz = grid.along("z", grid.axis("z").freqs())
+    _, y, x = grid.coords()
+    shift = 2.0 * (y * x)
+    xiz = grid.coords(Axis.freqs)[0]
     _by_plane(lambda p: np.multiply(vals[p], np.exp(-1j * xiz[p] * shift),
                                     out=vals[p]), grid.shape[0])
     return SampledField(grid, fft_lines(vals, vals, inverse=True, axes=(0,)))
@@ -153,11 +150,9 @@ def _conjugated_solve(g, n: int, op: PolyDiffOp):
     yh, xh = sy + PAD, sx + PAD
     half = np.array([sz + 2.0 * yh * xh + PAD, yh, xh])
     grid = box_grid(SOLVE_AXES, -half, half, n)
-    gvals = np.empty(grid.shape, complex)
-    _by_plane(lambda p: np.copyto(gvals[p], g(*shear_reflect_points(
-        *_per_axis(grid, Axis.nodes, (p,))))), n)
-    u, info = cr_solve(SampledField(grid, gvals), op)
-    del gvals  # freed before the shear allocates its buffer
+    # the samples are freed before the shear allocates its buffer
+    u, info = cr_solve(SampledField.from_callable(
+        grid, lambda *zyx: g(*shear_reflect_points(*zyx))), op)
     return shear_reflect_field(u), info
 
 
@@ -169,13 +164,13 @@ def plateau_window(grid: GridSpec) -> list:
     differentiation; since derivatives are local, values on the interior
     (inside the flat region) are unaffected."""
     flat = 0.6
-    window = []
-    for ax in grid.axes:
+
+    def window(ax):
         t = (ax.nodes() - 0.5 * (ax.hi + ax.lo)) / (0.5 * (ax.hi - ax.lo))
         s = (np.abs(t) - flat) / (1.0 - flat)  # <= 0 on the flat part
-        w = np.cos(0.5 * np.pi * np.clip(s, 0.0, 1.0)) ** 2
-        window.append(grid.along(ax.name, w))
-    return window
+        return np.cos(0.5 * np.pi * np.clip(s, 0.0, 1.0)) ** 2
+
+    return grid.coords(window)
 
 
 def interior_mask(grid: GridSpec) -> tuple:
@@ -224,7 +219,7 @@ def lewy_solve(g, n: int):
                                     out=windowed[p]), n)
     applied = spectral_apply(lewy_conjugate_true(),
                              SampledField(grid, windowed), box)
-    g_inside = np.asarray(g(*_per_axis(grid, Axis.nodes, box)), complex)
+    g_inside = np.asarray(g(*grid.coords(index=box)), complex)
     residual = interior_rel_error(applied, g_inside)
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples

@@ -23,7 +23,7 @@ from . import iwasawa_plancherel as IP
 from . import diffops as D
 from . import solvers as SV
 from .corpus import random_gauss_product
-from .quadrature import (Axis, SampledField, box_grid, monte_carlo,
+from .quadrature import (SampledField, box_grid, monte_carlo,
                          so4_quadrature, u2_quadrature)
 
 # Every row the nine suites emit, by suite in report order: its name, the
@@ -250,6 +250,11 @@ def _fd_conjugation_jacobian(log_a):
 # nil-plancherel
 # ---------------------------------------------------------------------------
 
+# Monte Carlo samples of each row; cfg.budget_mc is a ceiling on each
+BUMP_MC_SAMPLES = 1 << 19
+PARSEVAL_MC_SAMPLES = 1 << 20
+LIFTED_MC_SAMPLES = 1 << 20  # for each of the ten integrals
+
 
 def _nil_plancherel(cfg, rng, row):
     worst = 0.0
@@ -274,7 +279,7 @@ def _nil_plancherel(cfg, rng, row):
     row("plancherel-bump", res["rel_err"], tol=2e-2 if count < 12 else None)
     mc = monte_carlo(lambda x: np.abs(bump(x)) ** 2, np.zeros(6),
                      np.full(6, 0.9 / np.sqrt(2.0)),
-                     min(cfg.budget_mc, 1 << 19),
+                     min(cfg.budget_mc, BUMP_MC_SAMPLES),
                      cfg.check_seed("plancherel-bump-mc"))
     row("plancherel-bump-mc", res["lhs"], mc.estimate.real,
         passed=mc.agrees(res["lhs"]))
@@ -290,7 +295,8 @@ def _nil_plancherel(cfg, rng, row):
     row("parseval-grid", res["lhs"], res["rhs"],
         tol=2e-2 if pcount < 17 else None)
 
-    res = NF.parseval_N_check(f, phi, method="mc", n=cfg.budget_mc,
+    res = NF.parseval_N_check(f, phi, method="mc",
+                              n=min(cfg.budget_mc, PARSEVAL_MC_SAMPLES),
                               seed=cfg.check_seed("parseval-mc"))
     row("parseval-mc", res["lhs"], res["rhs"], passed=res["within_3sigma"])
 
@@ -300,8 +306,9 @@ def _nil_plancherel(cfg, rng, row):
     for i in range(10):
         ell = 0.7 * rng.normal(size=9)
         ell[4] = 0.0  # the equality holds exactly on this slice of L
-        res = NF.lifted_convolution_check(fw, u, ell, n=cfg.budget_mc,
-                                          seed=cfg.check_seed(f"lifted-{i}"))
+        res = NF.lifted_convolution_check(
+            fw, u, ell, n=min(cfg.budget_mc, LIFTED_MC_SAMPLES),
+            seed=cfg.check_seed(f"lifted-{i}"))
         worst = _worst(worst, res["rel_err"])
     row("lifted-convolution", worst)
 
@@ -612,7 +619,7 @@ def _roundtrip(solve, w, op, n):
     res = solve(rhs, n)
     grid = res["f"].grid
     box = SV.interior_mask(grid)
-    href = w(*SV.shear_reflect_points(*SV._per_axis(grid, Axis.nodes, box)))
+    href = w(*SV.shear_reflect_points(*grid.coords(index=box)))
     return SV.interior_rel_error(res["f"].values[box], href), \
         res.get("residual")
 
@@ -620,7 +627,7 @@ def _roundtrip(solve, w, op, n):
 def _solvers(cfg, rng, row):
     # constant-coefficient roundtrip on a 2-D box
     grid2 = box_grid(("y", "x"), -6, 6, 64)
-    ym, xm = grid2.meshgrid()
+    ym, xm = grid2.coords()
     e = np.exp(-(xm ** 2 + ym ** 2) / 2.0)
     h = (xm + 1j * ym) * e
     gv = ((1 - xm * (xm + 1j * ym)) - 1j * (1j - ym * (xm + 1j * ym))) * e

@@ -39,15 +39,22 @@ def test_missing_suite_is_config_error():
     assert proc.returncode == 2
 
 
-def test_bad_config_file(tmp_path):
+def test_bad_config_file(tmp_path, capsys):
+    # the cases run in-process, and an exception escaping main fails the
+    # test; the first also runs as one real process
     cfg = tmp_path / "cfg.json"
     for payload in ({"unknown_key": 1}, 5, {"budgets": 5},
                     {"tolerances": [1]}, {"budgets": {"max_grid_points": True}},
                     {"tolerances": {"modulus-vs-jacobian": True}}):
         cfg.write_text(json.dumps(payload))
-        proc = run_cli("--suite", "hormander", "--config", str(cfg))
-        assert proc.returncode == 2, (payload, proc.stderr)
-        assert "Traceback" not in proc.stderr
+        args = ("--suite", "hormander", "--config", str(cfg))
+        assert cli.main(list(args)) == 2, payload
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, (payload, err)
+        if payload == {"unknown_key": 1}:
+            proc = run_cli(*args)
+            assert proc.returncode == 2, (payload, proc.stderr)
+            assert "Traceback" not in proc.stderr
 
 
 def test_bad_budget_rejected(tmp_path, capsys):
@@ -105,9 +112,10 @@ def test_integral_float_budget_accepted(tmp_path):
         assert budgets["max_mc_samples"] == 1000000
 
 
-def test_bad_tolerance_rejected(tmp_path):
+def test_bad_tolerance_rejected(tmp_path, capsys):
     # a key that names no check row, a value that is not a finite number
-    # >= 0, or a key of a row whose verdict no tolerance enters
+    # >= 0, or a key of a row whose verdict no tolerance enters; the cases
+    # run in-process, and the first also as one real process
     cfg = tmp_path / "cfg.json"
     for tolerances, word in (({"no-such-check": 1e-3}, "no-such-check"),
                              ({"nil-law-vs-matrix": "tight"}, "tight"),
@@ -117,10 +125,16 @@ def test_bad_tolerance_rejected(tmp_path):
                              ({"modulus-vs-jacobian": True}, "modulus-vs"),
                              ({"bracket-rank": 1e-30}, "bracket-rank")):
         cfg.write_text(json.dumps({"tolerances": tolerances}))
-        proc = run_cli("--suite", "hormander", "--config", str(cfg))
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("config error:")
-        assert word in proc.stderr
+        args = ("--suite", "hormander", "--config", str(cfg))
+        assert cli.main(list(args)) == 2, tolerances
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert word in err
+        if word == "no-such-check":
+            proc = run_cli(*args)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("config error:")
+            assert word in proc.stderr
     assert set(cli.FIXED_VERDICT_NAMES) < set(cli.CHECK_NAMES)
 
 

@@ -5,9 +5,11 @@ import numpy as np
 from lgha import cli
 from lgha import groups as G
 from lgha import nilfourier as nf
+from lgha import suites
 from lgha.corpus import (GaussPoly1D, GaussProduct, product_overlap,
                          random_gauss_product)
-from lgha.quadrature import (box_grid, SampledField, dft_forward, dft_inverse,
+from lgha.quadrature import (MIN_MC_SAMPLES, box_grid, SampledField,
+                             dft_forward, dft_inverse, monte_carlo,
                              pairwise_sum)
 
 rng = np.random.default_rng(404)
@@ -160,6 +162,23 @@ def test_nil_plancherel_passes_at_seed_51():
     assert lifted["rel_err"] < 1e-12
 
 
+def test_monte_carlo_budget_is_a_ceiling(monkeypatch):
+    # at a budget of 10^30 each row draws its own count; the spies draw
+    # MIN_MC_SAMPLES in its place, so the rows' values are not asserted
+    drawn = {suites: [], nf: []}
+    for module, counts in drawn.items():
+        def spy(integrand, mean, sigma, n, seed, counts=counts):
+            counts.append(n)
+            return monte_carlo(integrand, mean, sigma, MIN_MC_SAMPLES, seed)
+        monkeypatch.setattr(module, "monte_carlo", spy)
+    _suite_row(cli.SuiteConfig(budget_grid=6 ** 6, budget_mc=10 ** 30),
+               "lifted-convolution")
+    assert drawn[suites] == [suites.BUMP_MC_SAMPLES]  # plancherel-bump-mc
+    # parseval-mc, then the ten lifted-convolution integrals
+    assert drawn[nf] == [suites.PARSEVAL_MC_SAMPLES] \
+        + [suites.LIFTED_MC_SAMPLES] * 10
+
+
 def test_lifted_convolution_row_catches_a_wrong_t3_slot(monkeypatch):
     honest = nf.nil_shift_of_L
 
@@ -223,7 +242,7 @@ def test_convolution_associativity_three_parameter_group():
 
     phi, psi, f = make(0), make(1), make(2)
     grid = box_grid(("z", "y", "x"), -5.5, 5.5, 22)
-    mesh = grid.meshgrid()
+    mesh = np.broadcast_arrays(*grid.coords())
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     w = grid.axes[0].step ** 3
     at = np.array([0.3, -0.2, 0.1])
@@ -255,7 +274,8 @@ def _reference_convolution(phi, f, at, box, count):
         return f(u) * phi(G.nil_mul(np.broadcast_to(at, u.shape), G.nil_inv(u)))
 
     vals = SampledField.from_callable(
-        grid, lambda *mesh: integrand(np.stack(mesh, axis=-1))).values
+        grid, lambda *xs: integrand(np.stack(np.broadcast_arrays(*xs),
+                                             axis=-1))).values
     for ax in grid.axes:
         vals = vals * ax.step
     return complex(pairwise_sum(vals.ravel()))

@@ -1,6 +1,7 @@
 """Grids, quadrature, transforms, Monte Carlo, Haar node sets."""
 
 import functools
+import math
 import threading
 
 import numpy as np
@@ -33,7 +34,7 @@ def test_gaussian_integral():
 
 def test_separable_product_integrates_to_product():
     grid = Q.box_grid(("x", "y"), -6.0, 6.0, 40)
-    xs, ys = grid.meshgrid()
+    xs, ys = grid.coords()
     f = Q.SampledField(grid, np.exp(-xs ** 2) * np.exp(-2 * ys ** 2))
     g1 = Q.SampledField(Q.box_grid(("x",), -6.0, 6.0, 40),
                         np.exp(-grid.axes[0].nodes() ** 2))
@@ -266,9 +267,9 @@ def test_plane_wise_phase_equals_the_full_grid_factor(monkeypatch, workers):
     vals = gen.normal(size=shape) + 1j * gen.normal(size=shape)
     keep = vals.copy()
     phase = 1.0
-    for ax in grid.axes:  # the full-grid factor, axis by axis
-        phase = phase * grid.along(ax.name, ax.step * np.exp(
-            -1j * ax.freqs() * (ax.lo + 0.5 * ax.step)))
+    for p in grid.coords(lambda ax: ax.step * np.exp(
+            -1j * ax.freqs() * (ax.lo + 0.5 * ax.step))):
+        phase = phase * p  # the full-grid factor, axis by axis
     spec = Q.dft_forward(Q.SampledField(grid, vals))
     assert np.array_equal(spec.values, np.fft.fftn(vals) * phase)
     back = Q.dft_inverse(spec)
@@ -382,20 +383,35 @@ def test_monte_carlo_row_blocks_equal_the_unblocked_sum(monkeypatch, workers,
     assert len(seen) >= 7
 
 
+@pytest.mark.parametrize("shape, calls", [
+    ((50,), 1),
+    ((300, 200), 2),  # runs of 163 rows of 200 points
+    ((5, 6, 7), 1),
+    ((11, 10, 10, 10, 10, 10), 44),  # runs of 3 of the second axis, ragged
+    ((4, 200, 200), 8),  # planes of 40,000 points, runs of 163 rows
+], ids=["50", "300x200", "5x6x7", "11x10x10x10x10x10", "4x200x200"])
 @pytest.mark.parametrize("workers", (1, 2, 3))
-def test_from_callable_planes_equal_the_serial_loop(monkeypatch, workers):
-    # more than 2^20 points, so the planes run on the workers in blocks;
-    # each plane holds 10^5 points, three blocks and a ragged tail
+def test_from_callable_boxes_equal_the_whole_grid(monkeypatch, workers, shape,
+                                                  calls):
+    # the boxes, split over the workers, give fn evaluated on the whole grid
+    # bit for bit, and no call sees more than BLOCK_ENTRIES points
     monkeypatch.setattr(Q, "_WORKERS", workers)
-    grid = Q.box_grid(tuple("uvwxyz"), -1.0, np.arange(1.0, 7.0),
-                      (11, 10, 10, 10, 10, 10))
+    grid = Q.box_grid(tuple("uvwxyz"[:len(shape)]), -1.0,
+                      np.arange(1.0, 1.0 + len(shape)), shape)
 
-    def fn(*mesh):
-        pts = np.stack(mesh, axis=-1)
-        return np.exp(-np.sum(pts ** 2, axis=-1)) * (1 + 1j * pts[..., 2])
+    def fn(*xs):
+        pts = np.stack(np.broadcast_arrays(*xs), axis=-1)
+        return np.exp(-np.sum(pts ** 2, axis=-1)) * (1 + 1j * pts[..., -1])
 
-    ref = np.empty(grid.shape, complex)
-    rest = np.meshgrid(*[a.nodes() for a in grid.axes[1:]], indexing="ij")
-    for i, x0 in enumerate(grid.axes[0].nodes()):
-        ref[i] = fn(np.full(rest[0].shape, x0), *rest)
-    assert np.array_equal(Q.SampledField.from_callable(grid, fn).values, ref)
+    seen = []
+
+    def spy(*xs):
+        assert len(xs) == len(shape)
+        seen.append(np.broadcast_shapes(*(x.shape for x in xs)))
+        return fn(*xs)
+
+    ref = fn(*np.broadcast_arrays(*grid.coords()))
+    assert np.array_equal(Q.SampledField.from_callable(grid, spy).values, ref)
+    assert len(seen) == calls
+    assert sum(math.prod(s) for s in seen) == grid.size
+    assert all(math.prod(s) <= Q.BLOCK_ENTRIES for s in seen)

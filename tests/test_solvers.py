@@ -29,7 +29,7 @@ def _grid3(half, counts):
 
 def test_cr_solve_manufactured_2d():
     grid = _grid2()
-    ym, xm = grid.meshgrid()
+    ym, xm = grid.coords()
     e = np.exp(-(xm ** 2 + ym ** 2) / 2.0)
     h = (xm + 1j * ym) * e
     g = ((1 - xm * (xm + 1j * ym)) - 1j * (1j - ym * (xm + 1j * ym))) * e
@@ -42,7 +42,7 @@ def test_cr_solve_manufactured_2d():
 def test_cr_solve_grid_mode_residual():
     # on the retained modes the equation holds to roundoff
     grid = _grid2()
-    ym, xm = grid.meshgrid()
+    ym, xm = grid.coords()
     e = np.exp(-(xm ** 2 + ym ** 2) / 2.0)
     g = ((1 - xm * (xm + 1j * ym)) - 1j * (1j - ym * (xm + 1j * ym))) * e
     sol, _ = S.cr_solve(SampledField(grid, g), D.cauchy_riemann())
@@ -72,7 +72,7 @@ def test_cr_solve_zero_rhs():
 
 def test_cr_solve_rejects_incompatible():
     grid = _grid2(32)
-    ym, xm = grid.meshgrid()
+    ym, xm = grid.coords()
     g = np.exp(-(xm ** 2 + ym ** 2) / 2.0)
     with pytest.raises(S.IncompatibleRHS):
         S.cr_solve(SampledField(grid, g), D.cauchy_riemann())
@@ -95,7 +95,7 @@ def test_symbol_zero_set_is_origin_only():
 def test_shear_reflect_field_exact():
     grid = _grid3((4 + 2 * 9 + 1, 3, 3), (128, 40, 40))
     w = D.PolyGauss(D.Poly3({(0, 0, 1): 1.0, (0, 1, 0): 1.0j}), sigma=0.8)
-    zs, ys, xs = grid.meshgrid()
+    zs, ys, xs = np.broadcast_arrays(*grid.coords())
     f = SampledField(grid, w.values(np.stack([zs, ys, xs], axis=-1)))
     sheared = S.shear_reflect_field(f)
     direct = w.values(np.stack([zs - 2 * xs * ys, ys, -xs], axis=-1))
@@ -123,7 +123,7 @@ def test_spectral_apply_matches_exact_derivative():
     op = D.lewy_conjugate_true()
     exact = w.apply_diffop(op)
     grid = _grid3((6, 4, 4), 64)
-    zs, ys, xs = grid.meshgrid()
+    zs, ys, xs = np.broadcast_arrays(*grid.coords())
     f = SampledField(grid, w.values(np.stack([zs, ys, xs], axis=-1)))
     applied = S.spectral_apply(op, f)
     ref = exact.values(np.stack([zs, ys, xs], axis=-1))
@@ -147,8 +147,8 @@ def test_composed_division_equals_four_sequential_solves(grid):
     # R, Rbar, Rbar, R solved one after another
     w = D.PolyGauss(D.Poly3({(0, 0, 2): 1.0, (0, 2, 0): -1.0,
                              (0, 1, 1): 2.0j, (1, 0, 0): 0.5}), sigma=0.7)
-    mesh = [grid.along(n, grid.axis(n).nodes()) if n in grid.names else 0.0
-            for n in S.SOLVE_AXES]
+    xs = dict(zip(grid.names, grid.coords()))
+    mesh = [xs.get(n, 0.0) for n in S.SOLVE_AXES]
     pts = np.stack(np.broadcast_arrays(*mesh), axis=-1)
     g = SampledField(grid, w.apply_diffop(S.four_stage_chain()).values(pts))
 
@@ -170,7 +170,7 @@ def test_composed_division_equals_four_sequential_solves(grid):
 def test_interior_mask_and_window():
     grid = _grid3((10, 2, 2), (40, 16, 16))
     mask = S.interior_mask(grid)
-    zs, ys, xs = grid.meshgrid()
+    zs, ys, xs = np.broadcast_arrays(*grid.coords())
     # z is measured against the support's half-width, y and x against the box
     assert np.all(np.abs(zs[mask]) <= 0.5 * S.SUPPORT[0] + 1e-9)
     assert np.max(np.abs(zs[mask])) > 0.5 * S.SUPPORT[0] - grid.axes[0].step
@@ -290,8 +290,8 @@ def test_plane_wise_shear_and_division_equal_full_grid(monkeypatch, workers):
     monkeypatch.setattr(Q, "_WORKERS", workers)
     grid = _grid3((9.0, 2.0, 2.5), (13, 6, 8))
     f = _random_field(grid, 12)
-    zs, ys, xs = (grid.along(n, grid.axis(n).nodes()) for n in S.SOLVE_AXES)
-    xiz = grid.along("z", grid.axis("z").freqs())
+    zs, ys, xs = grid.coords()
+    xiz = grid.coords(Q.Axis.freqs)[0]
     vals = np.fft.fft(np.flip(f.values, axis=2), axis=0)
     vals *= np.exp(-1j * xiz * (2.0 * (ys * xs)))
     assert np.array_equal(S.shear_reflect_field(f).values,
