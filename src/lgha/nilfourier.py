@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 NIL_AXES = ("x1", "x2", "x3", "x4", "x5", "x6")
+PAIRING_COUNT = 17  # nodes per axis of the full Parseval pairing grid
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +197,27 @@ def parseval_N_check(f, phi, method: str = "grid", count: int = 16,
     the identity the group law cancels: phi-check(0 . u^{-1}) = conj(phi(u)),
     so the convolution side is int f conj(phi) du.  method="grid" takes it
     as a product of six 1-D box rules of f_k conj(phi_k), count nodes each,
-    on a box adapted to the pairing's Gaussian envelope; f and phi are read
-    through GaussProduct.factor_values.  method="mc" importance-samples the
-    convolution through the group law (convolve_N).
+    on the box c +- (7.5 w + 0.3) around the pairing's Gaussian envelope
+    (center c, width w), or c +- sqrt(pi count) w below PAIRING_COUNT nodes,
+    which balances truncation against aliasing (Trefethen & Weideman 2014);
+    f and phi are read through GaussProduct.factor_values.  method="mc"
+    importance-samples the convolution through the group law (convolve_N).
     """
     rhs = 1.0
     for ff, pf in zip(f.factors, phi.factors):
         lo = min(ff.suggested_axis()[0], pf.suggested_axis()[0])
         hi = max(ff.suggested_axis()[1], pf.suggested_axis()[1])
         grid = box_grid(("x",), lo, hi, count * 4)
-        sf = dft_forward(SampledField(grid, ff.values(grid.axes[0].nodes())))
-        sp = dft_forward(SampledField(grid, pf.values(grid.axes[0].nodes())))
+        sf = dft_forward(SampledField.from_callable(grid, ff.values))
+        sp = dft_forward(SampledField.from_callable(grid, pf.values))
         rhs *= complex(pairwise_sum(sf.values * np.conj(sp.values))
                        * sf.freq_weight()) / (2.0 * np.pi)
 
     center, width = product_overlap(f, phi)
     if method == "grid":
-        # box margins stay proportional to the envelope width so the node
-        # spacing tracks the integrand's bandwidth (polynomial factors
-        # included)
-        axes = [Axis(name, c - 7.5 * w - 0.3, c + 7.5 * w + 0.3, count)
+        k, m = (7.5, 0.3) if count >= PAIRING_COUNT \
+            else (np.sqrt(np.pi * count), 0.0)
+        axes = [Axis(name, c - k * w - m, c + k * w + m, count)
                 for name, c, w in zip(NIL_AXES, center, width)]
         nodes = [ax.nodes() for ax in axes]
         lhs = 1.0

@@ -254,13 +254,13 @@ def _axis_phases(grid: GridSpec) -> list:
         -1j * ax.freqs() * (ax.lo + 0.5 * ax.step)))
 
 
-def _phased(vals, grid: GridSpec, op, out) -> np.ndarray:
-    """op(vals, (p0 * p1) * ...), op np.multiply or np.divide and p0, p1, ...
-    the per-axis phases of `_axis_phases`, multiplied first axis first.  It
-    is written to out one first-axis plane at a time, and each plane's
-    factor is formed in the same order, so out is the same bit for bit as
-    with the whole-grid factor.  A 1-D grid is one whole-array call."""
-    first, *rest = _axis_phases(grid)
+def _by_factors(vals, factors, op, out) -> np.ndarray:
+    """op(vals, (f0 * f1) * ..., out=out), op np.multiply or np.divide and
+    f0, f1, ... per-axis factors shaped as GridSpec.coords returns them.  It
+    is written one first-axis plane at a time, each plane's factor formed in
+    the same order, so out is the same bit for bit as with the whole-array
+    factor.  A 1-D array is one whole-array call."""
+    first, *rest = factors
     if vals.ndim == 1:
         return op(vals, first, out=out)
     _by_plane(lambda p: op(vals[p], functools.reduce(
@@ -297,13 +297,14 @@ def fft_lines(vals, out, inverse=False, axes=None):
 def dft_forward(field: SampledField) -> Spectrum:
     """F(xi) = sum_j f(x_j) exp(-i xi x_j) h over every axis of the grid."""
     out = fft_lines(field.values, np.empty(field.values.shape, complex))
-    return Spectrum(field.grid, _phased(out, field.grid, np.multiply, out))
+    return Spectrum(field.grid, _by_factors(out, _axis_phases(field.grid),
+                                            np.multiply, out))
 
 
 def dft_inverse(spec: Spectrum) -> SampledField:
     """Exact inverse of dft_forward (composes to the identity on grid data)."""
-    out = _phased(spec.values, spec.grid, np.divide,
-                  np.empty(spec.values.shape, complex))
+    out = _by_factors(spec.values, _axis_phases(spec.grid), np.divide,
+                      np.empty(spec.values.shape, complex))
     return SampledField(spec.grid, fft_lines(out, out, inverse=True))
 
 
@@ -312,7 +313,7 @@ def factor_plancherel(factor, count: int):
     with .values(x) and .suggested_axis()), sampled on count nodes of its
     suggested box: (int |f|^2 dx, (2 pi)^{-1} int |Ff|^2 dxi, the spectrum)."""
     grid = box_grid(("x",), *factor.suggested_axis(), count)
-    fld = SampledField(grid, factor.values(grid.axes[0].nodes()))
+    fld = SampledField.from_callable(grid, factor.values)
     spec = dft_forward(fld)
     return norm2(fld), spec.integrate_abs2() / (2.0 * np.pi), spec
 

@@ -21,14 +21,13 @@ import numpy as np
 
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
-from .quadrature import (Axis, GridSpec, SampledField, _by_plane, box_grid,
-                         fft_lines)
+from .quadrature import (Axis, GridSpec, SampledField, _by_factors,
+                         _by_plane, _run_slabs, box_grid, fft_lines)
 
 __all__ = [
-    "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_field",
-    "shear_reflect_points", "lewy_solve", "four_stage_chain",
-    "four_stage_operator", "four_stage_solve", "interior_mask",
-    "interior_rel_error",
+    "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_points",
+    "lewy_solve", "four_stage_chain", "four_stage_operator",
+    "four_stage_solve", "interior_mask", "interior_rel_error",
 ]
 
 SOLVE_AXES = ("z", "y", "x")
@@ -58,40 +57,49 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
     Modes where |symbol| < 1e-10 are projected to zero; the projected L2
     mass relative to ||g||, sum_masked |FFT_A g|^2 / (N_A sum |g|^2) by
     Parseval, is reported, and IncompatibleRHS is raised when it exceeds
-    1e-6.  Returns (solution field, info dict).
+    1e-6.  g is left as it was.  Returns (solution field, info dict).
     """
+    vals = g.values.copy()
+    info = _divide(vals, g.grid, op)
+    return SampledField(g.grid, vals), info
+
+
+def _divide(vals, grid: GridSpec, op: PolyDiffOp) -> dict:
+    """cr_solve's body: the solution overwrites vals, sampled on grid."""
     if not op.is_constant_coefficient:
         raise ValueError("cr_solve needs a constant-coefficient operator")
-    sym = np.asarray(op.symbol(*_per_axis(g.grid, Axis.freqs)))
+    sym = np.asarray(op.symbol(*_per_axis(grid, Axis.freqs)))
     axes = tuple(a for a, n in enumerate(sym.shape) if n > 1)
     mask = np.abs(sym) < 1e-10
-    # sum |FFT_A g|^2 over every mode, by Parseval
-    total2 = float(np.sum(np.abs(g.values) ** 2)) \
-        * np.prod([g.grid.shape[a] for a in axes])
-    spec = fft_lines(g.values, np.empty(g.grid.shape, complex), axes=axes)
-    full_mask = np.broadcast_to(mask, spec.shape)
+    # sum |FFT_A g|^2 over every mode, by Parseval, one plane at a time
+    planes = _run_slabs(lambda s: [np.sum(np.abs(v) ** 2) for v in vals[s]],
+                        len(vals))
+    total2 = float(np.sum(np.concatenate(planes))) \
+        * np.prod([grid.shape[a] for a in axes])
+    fft_lines(vals, vals, axes=axes)
+    full_mask = np.broadcast_to(mask, vals.shape)
 
-    proj2 = float(np.sum(np.abs(spec[full_mask]) ** 2))
+    proj2 = float(np.sum(np.abs(vals[full_mask]) ** 2))
     projected_rel = float(np.sqrt(proj2 / max(total2, 1e-300)))
     if projected_rel > 1e-6:
         raise IncompatibleRHS(
             f"projected mass {projected_rel:.3e} exceeds 1.0e-06")
 
-    spec /= np.where(mask, 1.0, sym)
-    spec[full_mask] = 0.0
-    sol = SampledField(g.grid, fft_lines(spec, spec, inverse=True, axes=axes))
-    info = {"projected_rel": projected_rel,
+    vals /= np.where(mask, 1.0, sym)
+    vals[full_mask] = 0.0
+    fft_lines(vals, vals, inverse=True, axes=axes)
+    return {"projected_rel": projected_rel,
             "n_projected": int(np.count_nonzero(full_mask))}
-    return sol, info
 
 
-def spectral_apply(op: PolyDiffOp, field: SampledField,
-                   box=None) -> np.ndarray:
-    """op f on the index box (one slice per axis, the whole grid by
-    default), an array of the box's shape.  Each term transforms the lines
-    through the box along the axes it differentiates, and only along those
-    (the continuum phases would cancel and are left out), and multiplies
-    its coefficient in on the box's nodes."""
+def spectral_apply(op: PolyDiffOp, field: SampledField, box=None,
+                   window=None) -> np.ndarray:
+    """op (w f) on the index box (one slice per axis, the whole grid by
+    default), an array of the box's shape, w the product of the per-axis
+    factors window (as plateau_window gives them; 1 by default).  Each term
+    windows and transforms the lines through the box along the axes it
+    differentiates, and only along those (the continuum phases cancel), and
+    multiplies its coefficient in on the box's nodes."""
     grid = field.grid
     box = (slice(None),) * len(grid.axes) if box is None else tuple(box)
     xis, mesh = _per_axis(grid, Axis.freqs), _per_axis(grid, Axis.nodes, box)
@@ -99,9 +107,14 @@ def spectral_apply(op: PolyDiffOp, field: SampledField,
     for m, poly in op.terms.items():
         axes = tuple(a for a, name in enumerate(grid.names)
                      if m[SOLVE_AXES.index(name)])
-        vals = field.values[tuple(slice(None) if a in axes else s
-                                  for a, s in enumerate(box))]
-        vals = fft_lines(vals, np.empty(vals.shape, complex), axes=axes)
+        lines = tuple(slice(None) if a in axes else s
+                      for a, s in enumerate(box))
+        vals = field.values[lines]
+        buf = np.empty(vals.shape, complex)
+        if window is not None:  # each factor cut to the lines on its axis
+            vals = _by_factors(vals, [w[(slice(None),) * a + (s,)] for a, (
+                w, s) in enumerate(zip(window, lines))], np.multiply, buf)
+        vals = fft_lines(vals, buf, axes=axes)
         # (i xi)^k per derivative, zero along an axis the grid lacks
         vals *= math.prod((1j * xi) ** k for xi, k in zip(xis, m) if k)
         fft_lines(vals, vals, inverse=True, axes=axes)
@@ -110,25 +123,26 @@ def spectral_apply(op: PolyDiffOp, field: SampledField,
     return out
 
 
-def shear_reflect_field(field: SampledField) -> SampledField:
-    """Exact action of (z, y, x) -> (z - 2xy, y, -x) on a sampled field with
-    axes ("z", "y", "x"): x-index reversal (the x axis must be a symmetric
-    cell-centered box) followed by a per-column Fourier shift in z."""
-    grid = field.grid
+def _shear(vals, grid: GridSpec) -> np.ndarray:
+    """Exact action of (z, y, x) -> (z - 2xy, y, -x) on values sampled on a
+    grid with axes ("z", "y", "x"), in place: x-index reversal (the x axis
+    must be a symmetric cell-centered box) followed by a per-column Fourier
+    shift in z.  Returns vals."""
     if grid.names != SOLVE_AXES:
         raise ValueError("expected axes ('z', 'y', 'x')")
     ax_x = grid.axis("x")
     if abs(ax_x.lo + ax_x.hi) > 1e-12:
         raise ValueError("x axis must be a symmetric box")
-    vals = fft_lines(np.flip(field.values, axis=2),
-                     np.empty(grid.shape, complex), axes=(0,))
+    _by_plane(lambda p: np.copyto(vals[p], vals[p][..., ::-1].copy()),
+              grid.shape[0])
+    fft_lines(vals, vals, axes=(0,))
     # s(y, x) = 2 x y; the z-shift's phase is built one z plane at a time
     _, y, x = grid.coords()
     shift = 2.0 * (y * x)
     xiz = grid.coords(Axis.freqs)[0]
     _by_plane(lambda p: np.multiply(vals[p], np.exp(-1j * xiz[p] * shift),
                                     out=vals[p]), grid.shape[0])
-    return SampledField(grid, fft_lines(vals, vals, inverse=True, axes=(0,)))
+    return fft_lines(vals, vals, inverse=True, axes=(0,))
 
 
 def shear_reflect_points(z, y, x):
@@ -150,10 +164,11 @@ def _conjugated_solve(g, n: int, op: PolyDiffOp):
     yh, xh = sy + PAD, sx + PAD
     half = np.array([sz + 2.0 * yh * xh + PAD, yh, xh])
     grid = box_grid(SOLVE_AXES, -half, half, n)
-    # the samples are freed before the shear allocates its buffer
-    u, info = cr_solve(SampledField.from_callable(
-        grid, lambda *zyx: g(*shear_reflect_points(*zyx))), op)
-    return shear_reflect_field(u), info
+    # one n^3 buffer: the samples, divided and sheared in place
+    vals = SampledField.from_callable(
+        grid, lambda *zyx: g(*shear_reflect_points(*zyx))).values
+    info = _divide(vals, grid, op)
+    return SampledField(grid, _shear(vals, grid)), info
 
 
 def plateau_window(grid: GridSpec) -> list:
@@ -210,16 +225,10 @@ def lewy_solve(g, n: int):
     interior residual of the equation.
     """
     f, info = _conjugated_solve(g, n, cauchy_riemann())
-    grid = f.grid
-
-    box = interior_mask(grid)
-    wz, wy, wx = plateau_window(grid)  # applied one z plane at a time
-    windowed = np.empty(grid.shape, complex)
-    _by_plane(lambda p: np.multiply(f.values[p], (wz[p] * wy) * wx,
-                                    out=windowed[p]), n)
-    applied = spectral_apply(lewy_conjugate_true(),
-                             SampledField(grid, windowed), box)
-    g_inside = np.asarray(g(*grid.coords(index=box)), complex)
+    box = interior_mask(f.grid)
+    applied = spectral_apply(lewy_conjugate_true(), f, box,
+                             plateau_window(f.grid))
+    g_inside = np.asarray(g(*f.grid.coords(index=box)), complex)
     residual = interior_rel_error(applied, g_inside)
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples

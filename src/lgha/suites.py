@@ -253,7 +253,7 @@ def _fd_conjugation_jacobian(log_a):
 # Monte Carlo samples of each row; cfg.budget_mc is a ceiling on each
 BUMP_MC_SAMPLES = 1 << 19
 PARSEVAL_MC_SAMPLES = 1 << 20
-LIFTED_MC_SAMPLES = 1 << 20  # for each of the ten integrals
+LIFTED_MC_SAMPLES = 1 << 14  # for each of the ten integrals
 
 
 def _nil_plancherel(cfg, rng, row):
@@ -290,10 +290,10 @@ def _nil_plancherel(cfg, rng, row):
                                poly=True)
     # under a tight grid budget the pairing check degrades to a coarser grid
     # at Monte Carlo tolerance (the MC row below confirms independently)
-    pcount = min(17, max(6, int(cfg.budget_grid ** (1.0 / 6.0))))
+    pcount = min(NF.PAIRING_COUNT, max(6, int(cfg.budget_grid ** (1 / 6))))
     res = NF.parseval_N_check(f, phi, method="grid", count=pcount)
     row("parseval-grid", res["lhs"], res["rhs"],
-        tol=2e-2 if pcount < 17 else None)
+        tol=2e-2 if pcount < NF.PAIRING_COUNT else None)
 
     res = NF.parseval_N_check(f, phi, method="mc",
                               n=min(cfg.budget_mc, PARSEVAL_MC_SAMPLES),

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,27 @@ def test_budget_degradation_still_passes():
     bump = next(c for c in report["checks"] if c["name"] == "plancherel-bump")
     grid = next(c for c in report["checks"] if c["name"] == "parseval-grid")
     assert bump["tol"] == 2e-2 and grid["tol"] == 2e-2  # degraded tolerances
+
+
+@pytest.mark.parametrize("budget_grid", (10 ** 6, 1))
+def test_degraded_pairing_grid_passes_at_seed_42(budget_grid):
+    # 9 and 6 pairing nodes per axis; on the full count's box
+    # c +- (7.5w + 0.3) parseval-grid read 0.0224 and 0.506 here, against 2e-2
+    cfg = cli.SuiteConfig(seed=42, budget_grid=budget_grid, budget_mc=4096)
+    report = cli.run_suite("nil-plancherel", cfg)
+    assert report["summary"]["failed"] == 0
+    grid = next(c for c in report["checks"] if c["name"] == "parseval-grid")
+    assert grid["tol"] == 2e-2
+
+
+def test_readme_degraded_budget_example_exits_0(tmp_path):
+    # the --budget-grid line of README's "Command line" block, run as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    line = next(ln for ln in block.splitlines() if "--budget-grid" in ln)
+    prog, *argv = shlex.split(line, comments=True)
+    assert prog == "lgha"
+    assert cli.main(argv + ["--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_tolerance_override():

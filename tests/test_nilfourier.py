@@ -299,8 +299,10 @@ def test_separable_parseval_grid_equals_group_law_sum():
     def phi_check(x):
         return np.conj(phi.values(G.nil_inv(x)))
 
+    # below nf.PAIRING_COUNT nodes the box is c +- sqrt(pi count) w
     center, width = product_overlap(f, phi)
-    box = (center - 7.5 * width - 0.3, center + 7.5 * width + 0.3)
+    half = np.sqrt(np.pi * 6) * width
+    box = (center - half, center + half)
     ref = _reference_convolution(phi_check, f.values, np.zeros(6), box, 6)
     lhs = nf.parseval_N_check(f, phi, count=6)["lhs"]
     assert abs(lhs - ref) <= 1e-13 * abs(ref)
