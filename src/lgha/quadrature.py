@@ -65,11 +65,10 @@ def _run_slabs(fn, count: int) -> list:
     return list(map(fn, slabs) if pool is None else pool.map(fn, slabs))
 
 
-def _by_plane(fn, count: int):
-    """fn(slice(i, i + 1)) for every first-axis plane i < count, the planes
-    split over the workers."""
-    _run_slabs(lambda s: [fn(slice(i, i + 1)) for i in range(s.start, s.stop)],
-               count)
+def _by_plane(fn, count: int) -> list:
+    """[fn(slice(i, i + 1)) for i in range(count)], split over the workers."""
+    return sum(_run_slabs(lambda s: [
+        fn(slice(i, i + 1)) for i in range(s.start, s.stop)], count), [])
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,8 @@ class SampledField:
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"value shape {self.values.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(self.values)):
+        r = np.atleast_2d(self.values)  # a 1-D field is one serial call
+        if not all(_run_slabs(lambda s: np.all(np.isfinite(r[s])), len(r))):
             raise ValueError("field contains non-finite values")
 
     @classmethod

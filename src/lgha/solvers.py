@@ -22,7 +22,7 @@ import numpy as np
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
 from .quadrature import (Axis, GridSpec, SampledField, _by_factors,
-                         _by_plane, _run_slabs, box_grid, fft_lines)
+                         _by_plane, box_grid, fft_lines)
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_points",
@@ -65,31 +65,36 @@ def cr_solve(g: SampledField, op: PolyDiffOp):
 
 
 def _divide(vals, grid: GridSpec, op: PolyDiffOp) -> dict:
-    """cr_solve's body: the solution overwrites vals, sampled on grid."""
+    """cr_solve's body, in place on vals sampled on grid: one first-axis
+    plane per step where the symbol is constant along that axis, else one
+    block.  IncompatibleRHS is raised after the division (cr_solve divides
+    a copy, and a conjugated solve drops its buffer)."""
     if not op.is_constant_coefficient:
         raise ValueError("cr_solve needs a constant-coefficient operator")
     sym = np.asarray(op.symbol(*_per_axis(grid, Axis.freqs)))
     axes = tuple(a for a, n in enumerate(sym.shape) if n > 1)
     mask = np.abs(sym) < 1e-10
-    # sum |FFT_A g|^2 over every mode, by Parseval, one plane at a time
-    planes = _run_slabs(lambda s: [np.sum(np.abs(v) ** 2) for v in vals[s]],
-                        len(vals))
-    total2 = float(np.sum(np.concatenate(planes))) \
-        * np.prod([grid.shape[a] for a in axes])
-    fft_lines(vals, vals, axes=axes)
-    full_mask = np.broadcast_to(mask, vals.shape)
+    div = np.where(mask, 1.0, sym)
 
-    proj2 = float(np.sum(np.abs(vals[full_mask]) ** 2))
+    def block(b):  # divides b; its per-plane sums of |b|^2, its kernel modes
+        sums = [np.sum(np.abs(v) ** 2) for v in b]
+        kernel = np.broadcast_to(mask, b.shape)
+        modes = fft_lines(b, b, axes=axes)[kernel]
+        b /= div
+        b[kernel] = 0.0
+        fft_lines(b, b, inverse=True, axes=axes)
+        return sums, modes
+
+    sums, modes = zip(*([block(vals)] if 0 in axes else
+                        _by_plane(lambda p: block(vals[p]), len(vals))))
+    total2 = float(np.sum(np.concatenate(sums))) * sym.size  # N_A sum |g|^2
+    proj2 = float(np.sum(np.abs(np.concatenate(modes)) ** 2))
     projected_rel = float(np.sqrt(proj2 / max(total2, 1e-300)))
     if projected_rel > 1e-6:
         raise IncompatibleRHS(
             f"projected mass {projected_rel:.3e} exceeds 1.0e-06")
-
-    vals /= np.where(mask, 1.0, sym)
-    vals[full_mask] = 0.0
-    fft_lines(vals, vals, inverse=True, axes=axes)
-    return {"projected_rel": projected_rel,
-            "n_projected": int(np.count_nonzero(full_mask))}
+    n_projected = np.count_nonzero(mask) * (vals.size // mask.size)
+    return {"projected_rel": projected_rel, "n_projected": int(n_projected)}
 
 
 def spectral_apply(op: PolyDiffOp, field: SampledField, box=None,
@@ -127,22 +132,27 @@ def _shear(vals, grid: GridSpec) -> np.ndarray:
     """Exact action of (z, y, x) -> (z - 2xy, y, -x) on values sampled on a
     grid with axes ("z", "y", "x"), in place: x-index reversal (the x axis
     must be a symmetric cell-centered box) followed by a per-column Fourier
-    shift in z.  Returns vals."""
+    shift in z, one y row per step.  Returns vals."""
     if grid.names != SOLVE_AXES:
         raise ValueError("expected axes ('z', 'y', 'x')")
     ax_x = grid.axis("x")
     if abs(ax_x.lo + ax_x.hi) > 1e-12:
         raise ValueError("x axis must be a symmetric box")
-    _by_plane(lambda p: np.copyto(vals[p], vals[p][..., ::-1].copy()),
-              grid.shape[0])
-    fft_lines(vals, vals, axes=(0,))
-    # s(y, x) = 2 x y; the z-shift's phase is built one z plane at a time
+    # exp(-i xi s), s = 2 x y, at the first n // 2 + 1 z frequencies (an even
+    # n's Nyquist one too); the rest are their negatives, phases conjugated
+    n, h = grid.shape[0], grid.shape[0] // 2 + 1
     _, y, x = grid.coords()
-    shift = 2.0 * (y * x)
-    xiz = grid.coords(Axis.freqs)[0]
-    _by_plane(lambda p: np.multiply(vals[p], np.exp(-1j * xiz[p] * shift),
-                                    out=vals[p]), grid.shape[0])
-    return fft_lines(vals, vals, inverse=True, axes=(0,))
+    shift, kz = 2.0 * (y * x), -1j * grid.coords(Axis.freqs)[0][:h]
+
+    def row(p):
+        spec = np.fft.fft(vals[:, p, ::-1], axis=0)
+        phase = np.exp(kz * shift[:, p])
+        spec[:h] *= phase
+        spec[h:] *= np.conj(phase[n - h:0:-1])
+        np.fft.ifft(spec, axis=0, out=vals[:, p])
+
+    _by_plane(row, grid.shape[1])
+    return vals
 
 
 def shear_reflect_points(z, y, x):

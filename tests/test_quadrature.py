@@ -178,7 +178,7 @@ def test_axis_validation():
         Q.Axis("x", -1.0, 1.0, 1)
 
 
-def test_sampled_field_validation():
+def test_sampled_field_validation(monkeypatch):
     grid = Q.box_grid(("x",), -1.0, 1.0, 8)
     with pytest.raises(ValueError):
         Q.SampledField(grid, np.zeros(7))
@@ -186,6 +186,15 @@ def test_sampled_field_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         Q.SampledField(grid, bad)
+    # an n-D field is checked in first-axis slabs, one per worker
+    grid = Q.box_grid(("z", "y", "x"), -1.0, 1.0, (5, 4, 3))
+    for workers in (1, 3):
+        monkeypatch.setattr(Q, "_WORKERS", workers)
+        for index in ((0, 0, 0), (4, 3, 2)):
+            bad = np.zeros(grid.shape, complex)
+            bad[index] = complex(0.0, np.inf)
+            with pytest.raises(ValueError):
+                Q.SampledField(grid, bad)
 
 
 def test_pairwise_sum_empty_and_small():
