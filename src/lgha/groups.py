@@ -353,24 +353,50 @@ def sp4_iwasawa_dimension_audit(form=None):
     return subdim(antisym), subdim(diagonal), subdim(upper)
 
 
+# [13/13] Pade coefficients over the first, so that exp(0) = I exactly
+_PADE13 = np.array([
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1]) / 64764752532480000
+_THETA13 = 5.371920351148152  # the largest 1-norm needing no squaring
+
+
+def _expm(a) -> np.ndarray:
+    """exp of each matrix of a stack a (..., n, n) (Higham 2005): one [13/13]
+    Pade approximant for the stack, each matrix scaled by its own 2^-s, s =
+    ceil(log2(max(|a|_1, theta13) / theta13)), and squared s times."""
+    a = np.asarray(a, dtype=float)
+    # a NaN or an inf entry gives s = 0 and a NaN result
+    norm = np.nan_to_num(np.abs(a).sum(-2).max(-1, initial=0.0), posinf=0.0)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13))
+    a = a * (0.5 ** s)[..., None, None]
+    b, ident, a2 = _PADE13, np.eye(a.shape[-1]), a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(np.max(s, initial=0.0))):
+        r[s > k] = r[s > k] @ r[s > k]
+    return r
+
+
 def random_sl4(z) -> np.ndarray:
     """exp(traceless part of 0.5 z) for standard normals z (..., 4, 4)."""
-    from scipy.linalg import expm
-
     x = 0.5 * np.asarray(z, dtype=float)
     x = x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] / 4.0 * np.eye(4)
-    return check_group(expm(x), "SL4")
+    return check_group(_expm(x), "SL4")
 
 
 def random_sp4(z) -> np.ndarray:
     """exp of 0.4 z in the orthonormal basis of the symplectic algebra, for
     standard normals z (..., 10)."""
-    from scipy.linalg import expm
-
     w = 0.4 * np.asarray(z, dtype=float)
     # row vector @ flattened basis: one draw rounds as a slice of a stack
     x = w[..., None, :] @ _SP4_BASIS.reshape(len(_SP4_BASIS), 16)
-    return check_group(expm(x.reshape(w.shape[:-1] + (4, 4))), "SP4")
+    return check_group(_expm(x.reshape(w.shape[:-1] + (4, 4))), "SP4")
 
 
 def random_so4(z) -> np.ndarray:

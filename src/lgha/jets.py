@@ -32,8 +32,10 @@ N_COEFFS = len(MULTI_INDICES)
 # ascending), starting from zero: the order in which a scatter-add over the
 # flat pair list would add them.  Round r of the sum adds the r-th pair of
 # every output monomial that has one; taking the monomials by decreasing
-# pair count (_BY_COUNT) makes those a prefix, so a round is one slice of
-# the products, _PROD_I/_PROD_J[lo:hi] for (lo, hi) in _ROUNDS.
+# pair count (_BY_COUNT) makes those a prefix of the output rows.  Formed
+# _BLOCK at a time, a 100-point product holds under glibc's 128 KiB mmap and
+# trim thresholds.  A group is (I, J, runs), a run being one round's part of
+# it: its output rows and its slice of the group's products.
 _pairs = [[] for _ in MULTI_INDICES]
 for i, mi in enumerate(MULTI_INDICES):
     for j, mj in enumerate(MULTI_INDICES):
@@ -42,16 +44,14 @@ for i, mi in enumerate(MULTI_INDICES):
             _pairs[POS[s]].append((i, j))
 _BY_COUNT = sorted(range(N_COEFFS), key=lambda k: -len(_pairs[k]))
 _UNSORT = np.array([_BY_COUNT.index(k) for k in range(N_COEFFS)])
-_prod_i, _prod_j, _ROUNDS = [], [], []
-for r in range(len(_pairs[_BY_COUNT[0]])):
-    lo = len(_prod_i)
-    for k in _BY_COUNT:
-        if len(_pairs[k]) > r:
-            _prod_i.append(_pairs[k][r][0])
-            _prod_j.append(_pairs[k][r][1])
-    _ROUNDS.append((lo, len(_prod_i)))
-_PROD_I = np.array(_prod_i)
-_PROD_J = np.array(_prod_j)
+_flat = [(*_pairs[k][r], row) for r in range(len(_pairs[_BY_COUNT[0]]))
+         for row, k in enumerate(_BY_COUNT) if len(_pairs[k]) > r]
+_BLOCK, _GROUPS = 21, []
+for lo in range(0, len(_flat), _BLOCK):
+    i, j, rows = zip(*_flat[lo:lo + _BLOCK])
+    cuts = [0, *(c for c, row in enumerate(rows) if c and row == 0), len(i)]
+    _GROUPS.append((np.array(i), np.array(j), [(slice(rows[c], rows[d - 1] + 1),
+                    slice(c, d)) for c, d in zip(cuts, cuts[1:])]))
 
 _FACT = np.array([factorial(a) * factorial(b) * factorial(c)
                   for (a, b, c) in MULTI_INDICES], dtype=float)
@@ -162,13 +162,17 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = _align(self.coeffs, other.coeffs)
-            prod = a[_PROD_I] * b[_PROD_J]
-            out = np.zeros((N_COEFFS,) + prod.shape[1:], dtype=complex)
-            for lo, hi in _ROUNDS:
-                acc = out[:hi - lo]
-                # term + sum, the operand order of np.add.at on batches (it
-                # decides only the sign of a NaN sum of two NaNs)
-                np.add(prod[lo:hi], acc, out=acc)
+            out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+            for i, j, runs in _GROUPS:
+                x, y = a.take(i, 0), b.take(j, 0)
+                terms = np.multiply(  # in place in x, if it is out's shape
+                    x, y, out=x if x.shape[1:] == out.shape[1:] else None)
+                for rows, part in runs:
+                    acc = out[rows]
+                    # term + sum, the operand order of np.add.at on batches
+                    # (it decides only the sign of a NaN sum of two NaNs)
+                    np.add(terms[part], acc, out=acc)
+                del x, y, terms  # freed before the next group's are formed
             return Jet(out[_UNSORT])
         # a constant, one value or one per point, scales every coefficient
         a, b = _align(self.coeffs, np.asarray(other)[None])

@@ -217,6 +217,74 @@ def test_sampler_on_a_stack_equals_its_slices(sampler, shape):
         assert np.array_equal(sampler(zi), gi)
 
 
+def _rel_err(got, want):
+    """Largest entry of |got - want| over the largest of |want|, per matrix."""
+    return (np.max(np.abs(got - want), axis=(-2, -1))
+            / np.max(np.abs(want), axis=(-2, -1)))
+
+
+def test_expm_matches_scipy_on_the_drawn_algebras():
+    """The draws of random_sl4 (traceless 0.5 z) and random_sp4 (0.4 z in
+    the symplectic algebra), against scipy.linalg.expm."""
+    from scipy.linalg import expm
+    gen = np.random.default_rng(1015)
+    x = 0.5 * gen.standard_normal((2000, 4, 4))
+    x -= np.trace(x, axis1=-2, axis2=-1)[:, None, None] / 4.0 * np.eye(4)
+    w = 0.4 * gen.standard_normal((2000, 10))
+    y = (w @ G._SP4_BASIS.reshape(10, 16)).reshape(2000, 4, 4)
+    for a in (x, y):
+        assert np.max(_rel_err(G._expm(a), expm(a))) <= 1e-13
+
+
+def _scaled_to_norms(a, norms):
+    """The matrices a scaled to the given 1-norms (largest column sum)."""
+    return a * (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+@pytest.mark.parametrize("family", ["nilpotent", "symmetric", "antisymmetric"])
+def test_expm_up_to_norm_50(family):
+    """1-norms from 0 to 50, so that matrices are scaled by up to 2^-4 and
+    squared four times.  A strictly upper triangular matrix has the finite
+    series I + N + N^2/2 + N^3/6, also checked against scipy.linalg.expm; a
+    symmetric or antisymmetric one has the spectral formula of its
+    eigendecomposition.  (At these norms scipy's expm itself differs from
+    a 40-digit reference by up to 5e-12 on symmetric and general matrices,
+    where _expm stays within 4e-14, so it is the oracle only for N.)"""
+    from scipy.linalg import expm
+    gen = np.random.default_rng(1016)
+    norms = np.linspace(0.0, 50.0, 801)[1:]
+    a = gen.standard_normal((800, 4, 4))
+    assert norms[-1] > 8 * G._THETA13  # so the last matrices have s = 4
+    if family == "nilpotent":
+        a = _scaled_to_norms(np.triu(a, 1), norms)
+        a2 = a @ a
+        want = np.eye(4) + a + a2 / 2 + a2 @ a / 6
+        assert np.max(_rel_err(G._expm(a), expm(a))) <= 1e-13
+    elif family == "symmetric":
+        a = _scaled_to_norms(a + np.swapaxes(a, -1, -2), norms)
+        lam, v = np.linalg.eigh(a)
+        want = (v * np.exp(lam)[:, None, :]) @ np.swapaxes(v, -1, -2)
+    else:
+        a = _scaled_to_norms(a - np.swapaxes(a, -1, -2), norms)
+        lam, v = np.linalg.eigh(1j * a)  # eigenvalues of a are -i lam
+        want = ((v * np.exp(-1j * lam)[:, None, :])
+                @ np.conj(np.swapaxes(v, -1, -2))).real
+    assert np.max(_rel_err(G._expm(a), want)) <= 1e-13
+
+
+def test_expm_of_zero_and_of_a_diagonal():
+    """exp(0) is the identity exactly, on a stack and on one matrix, and a
+    diagonal matrix gives diag(exp(d)) within 4 units in the last place,
+    with zeros off the diagonal."""
+    assert np.array_equal(G._expm(np.zeros((3, 4, 4))), np.stack([np.eye(4)] * 3))
+    assert np.array_equal(G._expm(np.zeros((4, 4))), np.eye(4))
+    d = np.random.default_rng(1017).uniform(-1.0, 1.0, (500, 4))
+    e = G._expm(d[..., None] * np.eye(4))
+    diag = np.diagonal(e, axis1=-2, axis2=-1)
+    assert np.all(np.abs(diag - np.exp(d)) <= 4 * np.spacing(np.exp(d)))
+    assert np.array_equal(e, diag[..., None] * np.eye(4))
+
+
 def test_iwasawa_on_a_stack_equals_its_slices():
     gen = np.random.default_rng(1014)
     g = np.concatenate([G.random_sl4(gen.standard_normal((4, 4, 4))),

@@ -123,6 +123,19 @@ def test_importing_the_cli_starts_no_thread():
     assert proc.stdout.split() == ["1", "False", "False"]
 
 
+def test_the_group_suites_import_no_scipy():
+    """The library draws group elements with its own matrix exponential:
+    running the suites that draw them loads no part of scipy, whose import
+    added about 20 MB to the benchmark's peak resident set."""
+    code = ("import sys, lgha.cli as c; cfg = c.SuiteConfig(budget_bandlimit=1.0); "
+            "[c.run_suite(s, cfg) for s in ('groups', 'sl4-plancherel', "
+            "'semidirect-plancherel')]; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["[]"]
+
+
 def test_benchmark_tracer_finds_every_layer(monkeypatch):
     """The benchmark's tracer wraps functions by name (perfbench/tracing.py,
     LAYERS), some of which, like PolyGauss.values, no library code calls;
