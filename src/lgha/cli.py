@@ -118,8 +118,9 @@ class SuiteConfig:
         if type(self.budget_mc) is not int or self.budget_mc < MIN_MC_SAMPLES:
             raise ConfigError(
                 f"Monte Carlo budget must be an integer >= {MIN_MC_SAMPLES}")
-        if not self.budget_bandlimit >= 0:
-            raise ConfigError("band-limit budget must be >= 0")
+        # kna-plancherel-halfint needs the (1/2, 1/2) label
+        if not self.budget_bandlimit >= 0.5:
+            raise ConfigError("band-limit budget must be >= 0.5")
 
     def check_seed(self, name: str) -> int:
         """The seed of the named suite or check: the config's seed plus an

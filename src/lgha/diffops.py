@@ -28,11 +28,12 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import numpy as np
 
-from .jets import Jet, DegreeOverflow, monomials, substitute
+from .jets import Jet, DegreeOverflow, monomials, power_product, substitute
 
 __all__ = [
     "Poly3", "PolyDiffOp", "CoordMap",
@@ -67,22 +68,69 @@ def _fmt_complex(c: complex) -> str:
     return f"({_fmt_complex(re)}+{_fmt_complex(complex(0, im))})"
 
 
-class Poly3:
-    """Polynomial in (z, y, x) with complex coefficients, stored sparsely."""
+class _Terms:
+    """A finite sum {multi-index: value} with its zero values dropped: the
+    arithmetic that Poly3 (complex values) and PolyDiffOp (Poly3 values)
+    share.  A subclass gives `_value`, which makes a stored value, and
+    `_zero`, from which a sum starts a multi-index that it adds; `_coerce`
+    decides which operands + and - take."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                c = complex(c)
-                if c != 0:
-                    self.terms[tuple(m)] = c
+        for m, v in (terms or {}).items():
+            v = self._value(v)
+            if v:
+                self.terms[tuple(m)] = v
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    @classmethod
+    def _coerce(cls, other):
+        """An operand of + and -: an instance, else NotImplemented."""
+        return other if isinstance(other, cls) else NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for m, v in other.terms.items():
+            out[m] = out.get(m, self._zero) + v
+        return type(self)(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({m: -v for m, v in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
+
+
+class Poly3(_Terms):
+    """Polynomial in (z, y, x) with complex coefficients, stored sparsely;
+    a number added to or subtracted from one is a constant."""
+
+    __slots__ = ()
+    _value = complex
+    _zero = 0.0
 
     @classmethod
     def const(cls, c) -> "Poly3":
         return cls({(0, 0, 0): c})
+
+    @classmethod
+    def _coerce(cls, other):
+        return other if isinstance(other, cls) else cls.const(other)
 
     @classmethod
     def variable(cls, axis: int) -> "Poly3":
@@ -90,38 +138,8 @@ class Poly3:
         m[axis] = 1
         return cls({tuple(m): 1.0})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, Poly3):
-            other = Poly3.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0.0) + c
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
-        return Poly3(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly3({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly3):
-            other = Poly3.const(other)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Poly3):
@@ -146,44 +164,33 @@ class Poly3:
         return Poly3(out)
 
     def eval(self, z, y, x):
-        """Evaluate on broadcastable arrays (or scalars).  Powers of each
-        variable are built once by repeated multiplication; each monomial is
-        a real product added into one complex accumulator."""
+        """Evaluate on broadcastable arrays (or scalars): each monomial is
+        a real power_product, from powers of each variable formed once,
+        added into one complex accumulator."""
         args = [np.asarray(v) for v in (z, y, x)]
         out = np.zeros(np.broadcast_shapes(*(v.shape for v in args)),
                        dtype=complex)
-        powers = [[None, v] for v in args]  # powers[i][k] = args[i] ** k
+        powers = [[None, v] for v in args]
         for m, co in self.terms.items():
-            mono = None
-            for table, k in zip(powers, m):
-                if k == 0:
-                    continue
-                while len(table) <= k:
-                    table.append(table[-1] * table[1])
-                mono = table[k] if mono is None else mono * table[k]
+            mono = power_product(powers, m)
             out += co if mono is None else co * mono
         return out if out.ndim else out[()]
 
     def eval_jet(self, zj: Jet, yj: Jet, xj: Jet) -> Jet:
-        out = Jet()
-        for (a, b, c), co in self.terms.items():
-            out = out + co * (zj ** a * yj ** b * xj ** c)
-        return out
+        return self.substitute((zj, yj, xj))
 
     def reflect(self, sz: int = 1, sy: int = 1, sx: int = 1) -> "Poly3":
         """Substitute (z, y, x) -> (sz z, sy y, sx x)."""
         return Poly3({m: c * (sz ** m[0]) * (sy ** m[1]) * (sx ** m[2])
                       for m, c in self.terms.items()})
 
-    def substitute(self, polys) -> "Poly3":
-        """Full polynomial substitution (z, y, x) -> polys."""
-        out = Poly3()
-        for (a, b, c), co in self.terms.items():
-            term = Poly3.const(co)
-            for p, k in zip(polys, (a, b, c)):
-                for _ in range(k):
-                    term = term * p
-            out = out + term
+    def substitute(self, values):
+        """The polynomial at (z, y, x) = values, three Poly3s (a full
+        polynomial substitution) or three jets, summed from their zero."""
+        out, powers = type(values[0])(), [[None, v] for v in values]
+        for m, co in self.terms.items():
+            mono = power_product(powers, m)
+            out = out + (co if mono is None else co * mono)
         return out
 
     @property
@@ -232,19 +239,13 @@ def hormander_rank(fields, points, depth: int = 2):
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-class PolyDiffOp:
-    """Finite sum of terms poly(z,y,x) * d^(az,ay,ax), canonical form."""
+class PolyDiffOp(_Terms):
+    """Finite sum of terms poly(z,y,x) * d^(az,ay,ax), canonical form; only
+    operators add to or subtract from one."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, p in terms.items():
-                if not isinstance(p, Poly3):
-                    p = Poly3.const(p)
-                if p:
-                    self.terms[tuple(m)] = p
+    __slots__ = ()
+    _value = Poly3._coerce
+    _zero = ZERO
 
     @classmethod
     def partial(cls, axis: int, coeff=1.0):
@@ -256,29 +257,6 @@ class PolyDiffOp:
     def order(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyDiffOp):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, PolyDiffOp):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, p in other.terms.items():
-            q = out.get(m, ZERO) + p
-            if q:
-                out[m] = q
-            else:
-                out.pop(m, None)
-        return PolyDiffOp(out)
-
-    def __neg__(self):
-        return PolyDiffOp({m: -p for m, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, scalar):
         return PolyDiffOp({m: p * scalar for m, p in self.terms.items()})
 
@@ -286,27 +264,21 @@ class PolyDiffOp:
 
     def compose(self, other: "PolyDiffOp") -> "PolyDiffOp":
         """Operator product self . other via the Leibniz rule:
-        p d^a (q d^b) = sum_{mu <= a} C(a, mu) p (d^mu q) d^{a - mu + b}."""
-        out = PolyDiffOp()
+        p d^a (q d^b) = sum_{mu <= a} C(a, mu) p (d^mu q) d^{a - mu + b},
+        summed into one dict."""
+        out = {}
         for a, p in self.terms.items():
             for b, q in other.terms.items():
-                for m0 in range(a[0] + 1):
-                    for m1 in range(a[1] + 1):
-                        for m2 in range(a[2] + 1):
-                            dq = q
-                            for _ in range(m0):
-                                dq = dq.partial(0)
-                            for _ in range(m1):
-                                dq = dq.partial(1)
-                            for _ in range(m2):
-                                dq = dq.partial(2)
-                            if not dq:
-                                continue
-                            cnum = comb(a[0], m0) * comb(a[1], m1) * comb(a[2], m2)
-                            key = (a[0] - m0 + b[0], a[1] - m1 + b[1],
-                                   a[2] - m2 + b[2])
-                            out = out + PolyDiffOp({key: dq * p * cnum})
-        return out
+                for mu in product(*(range(k + 1) for k in a)):
+                    dq = q
+                    for axis, k in enumerate(mu):
+                        for _ in range(k):
+                            dq = dq.partial(axis)
+                    if dq:
+                        key = tuple(ai - mi + bi for ai, mi, bi in zip(a, mu, b))
+                        out[key] = (out.get(key, ZERO)
+                                    + dq * p * prod(map(comb, a, mu)))
+        return PolyDiffOp(out)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -480,15 +452,11 @@ def vf_x() -> PolyDiffOp:
 
 
 def _op(dz=None, dy=None, dx=None, dzz=None, dyy=None, dxx=None, dzy=None,
-        dzx=None, dyx=None, const=None):
-    terms = {}
-    for key, val in ((  (1, 0, 0), dz), ((0, 1, 0), dy), ((0, 0, 1), dx),
-                     ((2, 0, 0), dzz), ((0, 2, 0), dyy), ((0, 0, 2), dxx),
-                     ((1, 1, 0), dzy), ((1, 0, 1), dzx), ((0, 1, 1), dyx),
-                     ((0, 0, 0), const)):
-        if val is not None:
-            terms[key] = val if isinstance(val, Poly3) else Poly3.const(val)
-    return PolyDiffOp(terms)
+        dzx=None):
+    keys = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2),
+            (1, 1, 0), (1, 0, 1))
+    return PolyDiffOp({k: c for k, c in zip(keys, (dz, dy, dx, dzz, dyy, dxx,
+                                                   dzy, dzx)) if c is not None})
 
 
 def cauchy_riemann() -> PolyDiffOp:
@@ -625,10 +593,10 @@ class PolyGauss:
         return self(pts[..., 0], pts[..., 1], pts[..., 2])
 
     def jet_at(self, point) -> Jet:
-        zj, yj, xj = Jet.coordinates(point)
-        q = ((zj - self.mu[0]) ** 2 + (yj - self.mu[1]) ** 2
-             + (xj - self.mu[2]) ** 2)
-        return self.poly.eval_jet(zj, yj, xj) * (q * (-0.5 / self.sigma ** 2)).exp()
+        coords = Jet.coordinates(point)
+        d = [j - c for j, c in zip(coords, self.mu)]
+        q = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+        return self.poly.eval_jet(*coords) * (q * (-0.5 / self.sigma ** 2)).exp()
 
 
 class PlaneWave:

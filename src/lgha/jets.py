@@ -98,24 +98,14 @@ class Jet:
         return j
 
     @classmethod
-    def coordinate(cls, axis: int, value) -> "Jet":
-        """The jet of the coordinate function var_axis at a point (or batch
-        of points) where it takes the given value."""
-        j = cls.const(value)
-        unit = [0, 0, 0]
-        unit[axis] = 1
-        j.coeffs[POS[tuple(unit)]] = 1.0
-        return j
-
-    @classmethod
     def coordinates(cls, points):
-        """Coordinate jets at one point (3,) or a batch (..., 3)."""
+        """The jets of the coordinate functions z, y, x at one point (3,) or
+        a batch (..., 3)."""
         pts = np.asarray(points, dtype=float)
-        return tuple(cls.coordinate(i, pts[..., i]) for i in range(3))
-
-    @property
-    def value(self):
-        return self.coeffs[0]
+        jets = tuple(cls.const(pts[..., i]) for i in range(3))
+        for j, unit in zip(jets, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+            j.coeffs[POS[unit]] = 1.0
+        return jets
 
     def deriv(self, midx):
         """Exact partial derivative of the underlying function at the point
@@ -180,39 +170,42 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        out = Jet.const(1.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def exp(self) -> "Jet":
         """exp of the jet: exp(c0) times the (finite) series in the nilpotent
         part, exact because the nilpotent part to the fifth power vanishes."""
         nilp = Jet(self.coeffs.copy())
         c0 = np.array(nilp.coeffs[0], copy=True)
         nilp.coeffs[0] = 0.0
-        out = Jet.const(np.ones_like(c0))
-        term = Jet.const(np.ones_like(c0))
-        for k in range(1, DEGREE + 1):
+        out = Jet.const(np.ones_like(c0)) + nilp
+        term = nilp
+        for k in range(2, DEGREE + 1):
             term = term * nilp * (1.0 / k)
             out = out + term
         return out * np.exp(c0)
 
 
+def power_product(powers, m):
+    """The product of powers[i][k] over the axes i whose exponent k = m[i]
+    is nonzero, left to right, or None when every exponent is zero.  Each
+    table is [unused, v, v^2, ...] for one factor v and is extended as
+    needed, v^k formed as v^(k-1) * v; both arrays and jets multiply so."""
+    out = None
+    for table, k in zip(powers, m):
+        if k:
+            while len(table) <= k:
+                table.append(table[-1] * table[1])
+            out = table[k] if out is None else out * table[k]
+    return out
+
+
 def monomials(deltas) -> list:
-    """The products d0^a d1^b d2^c of the three delta jets, each formed as
-    (d0^a * d1^b) * d2^c, for every multi-index (a, b, c) in MULTI_INDICES
-    order; the deltas are the jets (without constant term) of an inner map's
-    components around p."""
-    powers = []
-    for d in deltas:
-        ps = [Jet.const(1.0)]
-        for _ in range(DEGREE):
-            ps.append(ps[-1] * d)
-        powers.append(ps)
-    return [(powers[0][a] * powers[1][b]) * powers[2][c]
-            for a, b, c in MULTI_INDICES]
+    """The products d0^a d1^b d2^c of the three delta jets (by
+    power_product) for every multi-index (a, b, c) in MULTI_INDICES order,
+    the unit jet for (0, 0, 0); the deltas are the jets (without constant
+    term) of an inner map's components around p."""
+    powers = [[None, d] for d in deltas]
+    return [Jet.const(1.0) if m == (0, 0, 0) else power_product(powers, m)
+            for m in MULTI_INDICES]
 
 
 def substitute(outer_coeffs: np.ndarray, monos) -> Jet:

@@ -256,6 +256,12 @@ PARSEVAL_MC_SAMPLES = 1 << 20
 LIFTED_MC_SAMPLES = 1 << 14  # for each of the ten integrals
 
 
+def _grid_count(budget: int, cap: int) -> int:
+    """The most nodes per axis, c in [6, cap], with c^6 <= budget: integer
+    arithmetic, so an exact sixth power counts and no budget overflows."""
+    return max([6] + [c for c in range(7, cap + 1) if c ** 6 <= budget])
+
+
 def _nil_plancherel(cfg, rng, row):
     worst = 0.0
     for _ in range(3):
@@ -265,7 +271,7 @@ def _nil_plancherel(cfg, rng, row):
 
     # non-separable bump on a capped grid; degrade to a coarser grid with
     # Monte Carlo confirmation when the point budget is tight
-    count = min(12, max(6, int(cfg.budget_grid ** (1.0 / 6.0))))
+    count = _grid_count(cfg.budget_grid, 12)
 
     def bump(pts):
         r2 = np.sum(pts ** 2, axis=-1)
@@ -290,7 +296,7 @@ def _nil_plancherel(cfg, rng, row):
                                poly=True)
     # under a tight grid budget the pairing check degrades to a coarser grid
     # at Monte Carlo tolerance (the MC row below confirms independently)
-    pcount = min(NF.PAIRING_COUNT, max(6, int(cfg.budget_grid ** (1 / 6))))
+    pcount = _grid_count(cfg.budget_grid, NF.PAIRING_COUNT)
     res = NF.parseval_N_check(f, phi, method="grid", count=pcount)
     row("parseval-grid", res["lhs"], res["rhs"],
         tol=2e-2 if pcount < NF.PAIRING_COUNT else None)

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -15,10 +16,15 @@ from lgha import cli, quadrature
 from lgha import iwasawa_plancherel as IP
 from lgha.suites import ROWS
 
+# the child imports this checkout's lgha first, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).parents[1] / "src"),
+     *filter(None, [os.environ.get("PYTHONPATH")])])}
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "lgha", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     return proc
 
 
@@ -68,6 +74,9 @@ def test_bad_budget_rejected(tmp_path, capsys):
         (None, ("--budget-mc", "500")),
         ({"budgets": {"max_mc_samples": 500}}, ()),
         (None, ("--budget-bandlimit", "-1")),
+        # below 1/2 kna-plancherel-halfint loses its (1/2, 1/2) label
+        (None, ("--budget-bandlimit", "0")),
+        (None, ("--budget-bandlimit", "0.25")),
         (None, ("--budget-grid", "nan")),
         (None, ("--budget-grid", "inf")),
         (None, ("--budget-mc", "nan")),
@@ -258,15 +267,31 @@ def test_budget_degradation_still_passes():
     assert bump["tol"] == 2e-2 and grid["tol"] == 2e-2  # degraded tolerances
 
 
-@pytest.mark.parametrize("budget_grid", (10 ** 6, 1))
+@pytest.mark.parametrize("budget_grid", (10 ** 6, 1, 12 ** 6, 17 ** 6))
 def test_degraded_pairing_grid_passes_at_seed_42(budget_grid):
-    # 9 and 6 pairing nodes per axis; on the full count's box
-    # c +- (7.5w + 0.3) parseval-grid read 0.0224 and 0.506 here, against 2e-2
+    # 10, 6, 12 and 17 pairing nodes per axis (on the full count's box
+    # c +- (7.5w + 0.3) parseval-grid read 0.0224 at 9 nodes and 0.506 at 6
+    # here, against 2e-2); an exact sixth power c^6 runs c nodes, so 12^6
+    # keeps the bump's full grid and 17^6 the pairing's too
     cfg = cli.SuiteConfig(seed=42, budget_grid=budget_grid, budget_mc=4096)
     report = cli.run_suite("nil-plancherel", cfg)
     assert report["summary"]["failed"] == 0
-    grid = next(c for c in report["checks"] if c["name"] == "parseval-grid")
-    assert grid["tol"] == 2e-2
+    tols = {c["name"]: c["tol"] for c in report["checks"]}
+    assert tols["plancherel-bump"] == (2e-2 if budget_grid < 12 ** 6 else 1e-6)
+    assert tols["parseval-grid"] == (2e-2 if budget_grid < 17 ** 6 else 1e-6)
+
+
+def test_a_grid_budget_beyond_float_range_runs_like_the_default(tmp_path):
+    # a config integer of 10^400 points: the node counts are capped at the
+    # full grids' 12 and 17, with no float overflow on the way
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"budgets": {"max_grid_points": 1' + "0" * 400
+                   + ', "max_mc_samples": 4096}}')
+    out = tmp_path / "report.json"
+    assert cli.main(["--suite", "nil-plancherel", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    tols = {c["name"]: c["tol"] for c in json.loads(out.read_text())["checks"]}
+    assert tols["plancherel-bump"] == tols["parseval-grid"] == 1e-6
 
 
 def test_readme_degraded_budget_example_exits_0(tmp_path):

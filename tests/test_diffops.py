@@ -36,7 +36,7 @@ def test_jet_ring_axioms():
 def test_jet_derivatives_of_polynomial():
     p = (0.3, -0.7, 1.1)
     zj, yj, xj = Jet.coordinates(p)
-    f = zj ** 2 * xj + 3.0 * yj
+    f = zj * zj * xj + 3.0 * yj
     assert f.deriv((0, 0, 0)) == pytest.approx(p[0] ** 2 * p[2] + 3 * p[1])
     assert f.deriv((1, 0, 1)) == pytest.approx(2 * p[0])
     assert f.deriv((2, 0, 1)) == pytest.approx(2.0)
@@ -49,7 +49,7 @@ def test_jet_exp_matches_plane_wave_derivatives():
     p = rng.normal(size=3)
     jet = f.jet_at(p)
     val = f.values(np.array(p))
-    assert abs(jet.value - val) < 1e-14
+    assert abs(jet.coeffs[0] - val) < 1e-14
     assert abs(jet.deriv((1, 0, 0)) - 1j * k[0] * val) < 1e-13
     assert abs(jet.deriv((0, 2, 0)) - (1j * k[1]) ** 2 * val) < 1e-13
 
@@ -101,10 +101,10 @@ def test_adding_an_array_broadcasts_the_jet_over_its_points():
     values = np.array([0.5, -1.0, 2.0])
     for got in (Jet.const(1.0) + values, values + Jet.const(1.0)):
         assert got.coeffs.shape == (N_COEFFS, 3)
-        assert np.array_equal(got.value, 1.0 + values)
+        assert np.array_equal(got.coeffs[0], 1.0 + values)
         assert not np.any(got.coeffs[1:])
-    assert np.array_equal((Jet.const(1.0) - values).value, 1.0 - values)
-    assert np.array_equal((values - Jet.const(1.0)).value, values - 1.0)
+    assert np.array_equal((Jet.const(1.0) - values).coeffs[0], 1.0 - values)
+    assert np.array_equal((values - Jet.const(1.0)).coeffs[0], values - 1.0)
     # a jet that already carries the points: the old in-place path, bit for
     # bit, -0.0 coefficients included
     coeffs = _cplx(rng, N_COEFFS, 3)
@@ -215,7 +215,7 @@ def test_jet_batch_shapes_broadcast_as_numpy_shapes():
     for total in (Jet(a) + Jet(b), Jet(b) + Jet(a)):
         assert np.array_equal(total.coeffs, a + b[:, None])
     ones = Jet.const(np.ones((3, 5))) * Jet.const(np.ones(5))
-    assert np.array_equal(ones.value, np.ones((3, 5)))
+    assert np.array_equal(ones.coeffs[0], np.ones((3, 5)))
     # a jet at one point times one value per point
     scaled = Jet(b[:, 0]) * np.arange(5.0)
     assert np.array_equal(scaled.coeffs, b[:, :1] * np.arange(5.0))
@@ -264,6 +264,33 @@ def test_substitute_equals_the_three_factor_form():
             want = want + Jet(al * bl)
         got = substitute(outer, monomials(deltas))
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_no_jet_product_has_a_unit_factor(monkeypatch):
+    """The monomial table, a polynomial's jet and the exponential form each
+    power from its factor alone: no jet is multiplied by the unit jet."""
+    gen = np.random.default_rng(623)
+    factors, mul = [], Jet.__mul__
+
+    def spy(a, b):
+        if isinstance(b, Jet):
+            factors.extend((a.coeffs.copy(), b.coeffs.copy()))
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", spy)
+    monkeypatch.setattr(Jet, "__rmul__", spy)
+    poly = D.Poly3({(0, 0, 0): 1.0, (2, 1, 0): 0.5, (0, 0, 3): -1j,
+                    (1, 1, 1): 2.0})
+    for shape in ((), (7,)):
+        deltas = [Jet(_cplx(gen, N_COEFFS, *shape)) for _ in range(3)]
+        for d in deltas:
+            d.coeffs[0] = 0.0
+        monomials(deltas)
+        poly.eval_jet(*Jet.coordinates(gen.normal(size=shape + (3,))))
+        Jet(_cplx(gen, N_COEFFS, *shape)).exp()
+    assert len(factors) > 100
+    for c in factors:
+        assert not (np.all(c[0] == 1.0) and not np.any(c[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +348,7 @@ def test_poly3_eval_matches_power_formula():
 
 class _CoordX:
     def jet_at(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return Jet.coordinate(2, pts[..., 2])
+        return Jet.coordinates(pts)[2]
 
 
 class _R2:

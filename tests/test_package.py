@@ -4,12 +4,18 @@ name has a caller outside the tests."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import lgha
+
+# the child imports this checkout's lgha first, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).parents[1] / "src"),
+     *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def test_every_all_name_resolves():
@@ -119,7 +125,7 @@ def test_importing_the_cli_starts_no_thread():
             "print(threading.active_count(), "
             "'concurrent.futures' in sys.modules, 'scipy.fft' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.split() == ["1", "False", "False"]
 
 
@@ -132,7 +138,7 @@ def test_the_group_suites_import_no_scipy():
             "'semidirect-plancherel')]; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=CHILD_ENV)
     assert proc.stdout.split() == ["[]"]
 
 
