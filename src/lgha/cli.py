@@ -27,7 +27,7 @@ import numpy as np
 # self-test (perfbench/test_perfbench.py, _bindings) reads lgha.cli.monte_carlo
 from .quadrature import (BudgetExceeded, DEFAULT_GRID_BUDGET, MIN_MC_SAMPLES,
                          monte_carlo)
-from .suites import CHECK_NAMES, FIXED_VERDICT_NAMES, SUITES
+from .suites import CHECK_NAMES, FIXED_VERDICT_NAMES, MIN_GRID_POINTS, SUITES
 
 SUITE_NAMES = (*SUITES, "all")
 
@@ -113,11 +113,11 @@ class SuiteConfig:
         if bad:
             raise ConfigError(
                 f"tolerances must be finite and >= 0: {bad}")
-        if type(self.budget_grid) is not int or not self.budget_grid > 0:
-            raise ConfigError("grid budget must be a positive integer")
-        if type(self.budget_mc) is not int or self.budget_mc < MIN_MC_SAMPLES:
-            raise ConfigError(
-                f"Monte Carlo budget must be an integer >= {MIN_MC_SAMPLES}")
+        for what, budget, floor in (
+                ("grid", self.budget_grid, MIN_GRID_POINTS),
+                ("Monte Carlo", self.budget_mc, MIN_MC_SAMPLES)):
+            if type(budget) is not int or budget < floor:
+                raise ConfigError(f"{what} budget must be an int >= {floor}")
         # kna-plancherel-halfint needs the (1/2, 1/2) label
         if not self.budget_bandlimit >= 0.5:
             raise ConfigError("band-limit budget must be >= 0.5")

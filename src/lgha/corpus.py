@@ -1,6 +1,7 @@
 """Closed-form test functions: products of one-dimensional Gaussians times
 low-degree polynomials.  Each factor knows its exact Fourier transform and
-exact L2 norm, which the Plancherel and Parseval checks use as ground truth.
+exact L2 norm.  Only the tests compare with these; the Plancherel and
+Parseval checks pair sampled factors (quadrature.factor_pairing).
 
 All transforms follow the package convention: forward kernel exp(-i xi x),
 (2 pi) factors on the spectral side.
@@ -9,7 +10,7 @@ All transforms follow the package convention: forward kernel exp(-i xi x),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import pi, prod, sqrt
 
 import numpy as np
 
@@ -88,18 +89,8 @@ class GaussProduct:
             out = out * f.values(pts[..., k])
         return out
 
-    def ft(self, xis):
-        xis = np.asarray(xis, dtype=float)
-        out = np.ones(xis.shape[:-1], dtype=complex)
-        for k, f in enumerate(self.factors):
-            out = out * f.ft(xis[..., k])
-        return out
-
     def norm2(self) -> float:
-        out = 1.0
-        for f in self.factors:
-            out *= f.norm2()
-        return out
+        return prod(f.norm2() for f in self.factors)
 
     def factor_values(self, nodes_per_axis):
         return [f.values(nodes) for f, nodes in zip(self.factors, nodes_per_axis)]

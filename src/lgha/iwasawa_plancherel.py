@@ -19,7 +19,8 @@ import numpy as np
 
 from . import peterweyl as pw
 from .corpus import GaussProduct
-from .quadrature import BLOCK_ENTRIES, EulerQuadSO4, U2Quad, factor_plancherel
+from .quadrature import (BLOCK_ENTRIES, FACTOR_COUNT, EulerQuadSO4, U2Quad,
+                         factor_pairing)
 
 __all__ = [
     "SeparableKNAFunction", "KNASpectrum", "plancherel_sl4_check",
@@ -28,9 +29,6 @@ __all__ = [
     "upsilon_invariance_error", "q_lift_invariance_error",
     "nested_transform_oracle",
 ]
-
-# nodes per axis on which each 1-D Euclidean factor is sampled
-COUNT = 64
 
 
 @dataclass
@@ -60,9 +58,7 @@ class KNASpectrum:
         """Transform value at one spectral grid point: the label matrix scaled
         by the scalar Euclidean factors."""
         scal = 1.0 + 0.0j
-        for s, i in zip(self.n_spectra, n_idx):
-            scal *= s.values[i]
-        for s, i in zip(self.a_spectra, a_idx):
+        for s, i in zip(self.n_spectra + self.a_spectra, (*n_idx, *a_idx)):
             scal *= s.values[i]
         return scal * self.k_part.coeffs[label]
 
@@ -71,15 +67,15 @@ class KNASpectrum:
 _FACTOR_DIMS = {EulerQuadSO4: ((6, 3), (None, 4)), U2Quad: ((4, 2), (None,))}
 
 
-def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=COUNT):
+def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=FACTOR_COUNT):
     """The factorized transform T F f(lambda, xi, label) = Tu(label) Fv(xi)
     Fw(lambda) (times Fr(eta) with a translation factor), and both sides of
     its Plancherel identity: ||f||^2 over dk dn dt against the label sum of
     weighted Hilbert-Schmidt masses with (2 pi)^{-1} per Euclidean axis on
     the spectral side.  Each side is a product by Fubini: the compact check
     on u times one 1-D Euclidean identity per axis.  u is synthesized once
-    on the nodes of quad, and each 1-D factor is sampled once on count nodes
-    of its own suggested box.  The character of the diagonal part is the
+    on the nodes of quad, and the 1-D factors are paired with themselves by
+    quadrature.factor_pairing.  The character of the diagonal part is the
     Euclidean phase exp(-i lambda . t) in the logA chart.
 
     The type of quad picks the group.  An SO(4) rule is SL(4): dim N = 6 and
@@ -94,17 +90,10 @@ def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=COUNT):
                          f"(N, A, translation) = {dims}")
     uvals = pw.synthesize(f.u, quad)
     compact = pw.compact_plancherel_check(uvals, quad, J)
-    lhs, rhs = compact["lhs"], compact["rhs"]
-    spectra = []
-    for g in (f.v, f.w) if f.r is None else (f.v, f.w, f.r):
-        out = []
-        for factor in g.factors:
-            norm, spectral, spectrum = factor_plancherel(factor, count)
-            lhs *= norm
-            rhs *= spectral
-            out.append(spectrum)
-        spectra.append(out)
-    spec = KNASpectrum(compact["spectrum"], *spectra[:2])
+    fs = sum((g.factors for g in (f.v, f.w, f.r) if g is not None), ())
+    norm, spectral, out = factor_pairing(fs, fs, count)
+    lhs, rhs = compact["lhs"] * norm.real, compact["rhs"] * spectral.real
+    spec = KNASpectrum(compact["spectrum"], out[:na[0]], out[na[0]:sum(na)])
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups
-from .corpus import GaussProduct, product_overlap
+from .corpus import product_overlap
 from .quadrature import (Axis, SampledField, box_grid, dft_forward,
-                         factor_plancherel, monte_carlo, norm2, pairwise_sum)
+                         factor_pairing, monte_carlo, norm2, pairwise_sum)
 
 __all__ = [
     "reduce_to_nil", "lift_to_L", "invariance_shift",
@@ -163,55 +163,38 @@ def convolve_N(phi, f, at, n: int, seed: int, sampler):
 # ---------------------------------------------------------------------------
 
 
-def plancherel_N_check(f, box: float = 6.0, count: int = 14):
+def plancherel_N_check(f, box: float, count: int):
     """lhs = int |f|^2 dX by quadrature, rhs = (2 pi)^{-6} int |Ff|^2 dxi,
-    with Ff the six-axis Euclidean transform in the global chart of N.
-
-    Separable inputs (GaussProduct) factor into one-dimensional checks on
-    4 * count nodes per axis; other callables are sampled on the full
-    count^6 grid.
-    """
-    if isinstance(f, GaussProduct):
-        lhs = rhs = 1.0
-        for factor in f.factors:
-            norm, spectral, _ = factor_plancherel(factor, count * 4)
-            lhs *= norm
-            rhs *= spectral
-    else:
-        grid = box_grid(NIL_AXES, -box, box, count)
-        fld = SampledField.from_callable(
-            grid, lambda *xs: f(np.stack(np.broadcast_arrays(*xs), axis=-1)))
-        lhs = norm2(fld)
-        rhs = dft_forward(fld).integrate_abs2() / (2.0 * np.pi) ** 6
+    with Ff the six-axis Euclidean transform in the global chart of N, for
+    a callable f on (..., 6) arrays sampled on the count^6 grid of +-box.
+    A separable f pairs its factors instead (quadrature.factor_pairing)."""
+    grid = box_grid(NIL_AXES, -box, box, count)
+    fld = SampledField.from_callable(
+        grid, lambda *xs: f(np.stack(np.broadcast_arrays(*xs), axis=-1)))
+    lhs = norm2(fld)
+    rhs = dft_forward(fld).integrate_abs2() / (2.0 * np.pi) ** 6
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel}
 
 
-def parseval_N_check(f, phi, method: str = "grid", count: int = 16,
+def parseval_N_check(f, phi, method: str = "grid", count: int = PAIRING_COUNT,
                      n: int = 1 << 20, seed: int = 0):
     """Bilinear pairing identity: (phi-check * f)(0) against
-    (2 pi)^{-6} int Ff conj(Fphi) dxi, where phi-check(X) = conj(phi(X^{-1})).
+    (2 pi)^{-6} int Ff conj(Fphi) dxi, where phi-check(X) = conj(phi(X^{-1})),
+    for separable GaussProduct f and phi; the spectral side is the product
+    of their factor pairings (quadrature.factor_pairing).
 
-    f and phi are separable GaussProduct functions; the spectral side is
-    evaluated from one-dimensional transforms sampled on the dual grid.  At
-    the identity the group law cancels: phi-check(0 . u^{-1}) = conj(phi(u)),
-    so the convolution side is int f conj(phi) du.  method="grid" takes it
-    as a product of six 1-D box rules of f_k conj(phi_k), count nodes each,
-    on the box c +- (7.5 w + 0.3) around the pairing's Gaussian envelope
-    (center c, width w), or c +- sqrt(pi count) w below PAIRING_COUNT nodes,
-    which balances truncation against aliasing (Trefethen & Weideman 2014);
-    f and phi are read through GaussProduct.factor_values.  method="mc"
-    importance-samples the convolution through the group law (convolve_N).
+    At the identity the group law cancels: phi-check(0 . u^{-1}) =
+    conj(phi(u)), so the convolution side is int f conj(phi) du.
+    method="grid" takes it as a product of six 1-D box rules of
+    f_k conj(phi_k), count nodes each, on the box c +- (7.5 w + 0.3) around
+    the pairing's Gaussian envelope (center c, width w), or
+    c +- sqrt(pi count) w below PAIRING_COUNT nodes, which balances
+    truncation against aliasing (Trefethen & Weideman 2014); f and phi are
+    read through GaussProduct.factor_values.  method="mc" importance-samples
+    the convolution through the group law (convolve_N).
     """
-    rhs = 1.0
-    for ff, pf in zip(f.factors, phi.factors):
-        lo = min(ff.suggested_axis()[0], pf.suggested_axis()[0])
-        hi = max(ff.suggested_axis()[1], pf.suggested_axis()[1])
-        grid = box_grid(("x",), lo, hi, count * 4)
-        sf = dft_forward(SampledField.from_callable(grid, ff.values))
-        sp = dft_forward(SampledField.from_callable(grid, pf.values))
-        rhs *= complex(pairwise_sum(sf.values * np.conj(sp.values))
-                       * sf.freq_weight()) / (2.0 * np.pi)
+    rhs = factor_pairing(f.factors, phi.factors)[1]
 
     center, width = product_overlap(f, phi)
     if method == "grid":

@@ -19,6 +19,7 @@ import numpy as np
 DEFAULT_GRID_BUDGET = 2 ** 25
 DEFAULT_SO4_NODE_BUDGET = 2 ** 21
 MIN_MC_SAMPLES = 1000
+FACTOR_COUNT = 64  # nodes on which factor_pairing samples each 1-D factor
 _MC_CHUNK = 1 << 19  # samples drawn and summed per Monte Carlo block
 # complex entries (512 KB) in one temporary block of the pointwise oracles
 BLOCK_ENTRIES = 1 << 15
@@ -109,9 +110,7 @@ class GridSpec:
         names = [a.name for a in axes]
         if len(set(names)) != len(names):
             raise ValueError("duplicate axis names")
-        total = 1
-        for a in axes:
-            total *= a.count
+        total = math.prod(a.count for a in axes)
         if total > DEFAULT_GRID_BUDGET:
             raise BudgetExceeded(f"grid has {total} points > {DEFAULT_GRID_BUDGET}")
         object.__setattr__(self, "axes", axes)
@@ -235,10 +234,8 @@ class Spectrum:
 
     def freq_weight(self) -> float:
         """Product of the dual-grid cell volumes (one Delta-xi per axis)."""
-        w = 1.0
-        for ax in self.grid.axes:
-            w *= 2.0 * np.pi / (ax.count * ax.step)
-        return w
+        return math.prod(2.0 * np.pi / (ax.count * ax.step)
+                         for ax in self.grid.axes)
 
     def integrate_abs2(self) -> float:
         """Quadrature of |F|^2 over the dual grid."""
@@ -308,14 +305,33 @@ def dft_inverse(spec: Spectrum) -> SampledField:
     return SampledField(spec.grid, fft_lines(out, out, inverse=True))
 
 
-def factor_plancherel(factor, count: int):
-    """Both sides of the 1-D Plancherel identity for one factor (anything
-    with .values(x) and .suggested_axis()), sampled on count nodes of its
-    suggested box: (int |f|^2 dx, (2 pi)^{-1} int |Ff|^2 dxi, the spectrum)."""
-    grid = box_grid(("x",), *factor.suggested_axis(), count)
-    fld = SampledField.from_callable(grid, factor.values)
-    spec = dft_forward(fld)
-    return norm2(fld), spec.integrate_abs2() / (2.0 * np.pi), spec
+def _conj_sum(u, v) -> complex:
+    """pairwise_sum(u * conj(v)), real for equal u and v (numpy's complex
+    product may fuse multiply-adds, leaving rounding in its imaginary part)."""
+    prod = u * np.conj(v)
+    return complex(pairwise_sum(prod.real if np.array_equal(u, v) else prod))
+
+
+def factor_pairing(fs, gs, count: int = FACTOR_COUNT):
+    """Both sides of the 1-D bilinear Plancherel identity, multiplied over
+    the factor pairs (a, b) of fs and gs (each with .values(x) and
+    .suggested_axis()), and the spectra of fs: prod int a conj(b) dx and
+    prod (2 pi)^{-1} int Fa conj(Fb) dxi.  A pair is sampled on count nodes
+    of the box holding both suggested boxes; a once when b is a."""
+    lhs = rhs = 1.0
+    spectra = []
+    for a, b in zip(fs, gs):
+        (alo, ahi), (blo, bhi) = a.suggested_axis(), b.suggested_axis()
+        grid = box_grid(("x",), min(alo, blo), max(ahi, bhi), count)
+        fa = SampledField.from_callable(grid, a.values)
+        fb = fa if b is a else SampledField.from_callable(grid, b.values)
+        sa = dft_forward(fa)
+        sb = sa if b is a else dft_forward(fb)
+        lhs *= _conj_sum(fa.values, fb.values) * grid.axes[0].step
+        rhs *= _conj_sum(sa.values, sb.values) * sa.freq_weight() \
+            / (2.0 * np.pi)
+        spectra.append(sa)
+    return lhs, rhs, spectra
 
 
 # ---------------------------------------------------------------------------

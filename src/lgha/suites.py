@@ -23,8 +23,8 @@ from . import iwasawa_plancherel as IP
 from . import diffops as D
 from . import solvers as SV
 from .corpus import random_gauss_product
-from .quadrature import (SampledField, box_grid, monte_carlo,
-                         so4_quadrature, u2_quadrature)
+from .quadrature import (SampledField, box_grid, factor_pairing,
+                         monte_carlo, so4_quadrature, u2_quadrature)
 
 # Every row the nine suites emit, by suite in report order: its name, the
 # anchor slug naming the identity or plumbing it checks, its default
@@ -116,6 +116,12 @@ def _worst(*vals):
     return math.nan if any(math.isnan(v) for v in vals) else max(vals)
 
 
+def _rel(lhs, rhs) -> float:
+    """|lhs - rhs| over the larger of |lhs| and |rhs|, for complex values."""
+    lhs, rhs = complex(lhs), complex(rhs)
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
 def _recorder(cfg):
     """A suite's list of rows and the function that appends one.
     row(name, err) records an observed error: lhs, abs_err and rel_err are
@@ -134,8 +140,7 @@ def _recorder(cfg):
             rhs = 0.0
         else:
             abs_err = abs(complex(lhs) - complex(rhs))
-            rel_err = abs_err / max(abs(complex(lhs)), abs(complex(rhs)),
-                                    1e-300)
+            rel_err = _rel(lhs, rhs)
             lhs, rhs = float(np.real(lhs)), float(np.real(rhs))
         if passed is None:
             passed = rel_err <= tol
@@ -254,19 +259,22 @@ def _fd_conjugation_jacobian(log_a):
 BUMP_MC_SAMPLES = 1 << 19
 PARSEVAL_MC_SAMPLES = 1 << 20
 LIFTED_MC_SAMPLES = 1 << 14  # for each of the ten integrals
+MIN_GRID_POINTS = 6 ** 6  # the coarsest degraded grid; a lower budget exits 2
 
 
 def _grid_count(budget: int, cap: int) -> int:
-    """The most nodes per axis, c in [6, cap], with c^6 <= budget: integer
-    arithmetic, so an exact sixth power counts and no budget overflows."""
-    return max([6] + [c for c in range(7, cap + 1) if c ** 6 <= budget])
+    """The most nodes per axis, c in [6, cap], with c^6 <= budget, for a
+    budget of at least MIN_GRID_POINTS: integer arithmetic, so an exact
+    sixth power counts and no budget overflows."""
+    return max(c for c in range(6, cap + 1) if c ** 6 <= budget)
 
 
 def _nil_plancherel(cfg, rng, row):
     worst = 0.0
     for _ in range(3):
         f = random_gauss_product(rng, 6, poly=True)
-        worst = _worst(worst, NF.plancherel_N_check(f)["rel_err"])
+        lhs, rhs, _ = factor_pairing(f.factors, f.factors)
+        worst = _worst(worst, _rel(lhs, rhs))
     row("plancherel-separable", worst)
 
     # non-separable bump on a capped grid; degrade to a coarser grid with

@@ -71,6 +71,9 @@ def test_bad_budget_rejected(tmp_path, capsys):
     cases = [
         ({"budgets": {"max_grid_points": -5}}, ()),
         (None, ("--budget-grid", "0")),
+        # below 6^6 no row has a grid it can run
+        (None, ("--budget-grid", "46655")),
+        ({"budgets": {"max_grid_points": 46655}}, ()),
         (None, ("--budget-mc", "500")),
         ({"budgets": {"max_mc_samples": 500}}, ()),
         (None, ("--budget-bandlimit", "-1")),
@@ -267,7 +270,7 @@ def test_budget_degradation_still_passes():
     assert bump["tol"] == 2e-2 and grid["tol"] == 2e-2  # degraded tolerances
 
 
-@pytest.mark.parametrize("budget_grid", (10 ** 6, 1, 12 ** 6, 17 ** 6))
+@pytest.mark.parametrize("budget_grid", (10 ** 6, 6 ** 6, 12 ** 6, 17 ** 6))
 def test_degraded_pairing_grid_passes_at_seed_42(budget_grid):
     # 10, 6, 12 and 17 pairing nodes per axis (on the full count's box
     # c +- (7.5w + 0.3) parseval-grid read 0.0224 at 9 nodes and 0.506 at 6

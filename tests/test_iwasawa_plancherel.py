@@ -8,7 +8,7 @@ from lgha import groups as G
 from lgha import iwasawa_plancherel as ip
 from lgha import peterweyl as pw
 from lgha.corpus import random_gauss_product
-from lgha.quadrature import factor_plancherel, so4_quadrature, u2_quadrature
+from lgha.quadrature import factor_pairing, so4_quadrature, u2_quadrature
 
 rng = np.random.default_rng(505)
 
@@ -69,8 +69,8 @@ def _spot_case(quad, J, label, count, n_dim=6, a_dim=3):
     # the factors of plancherel_sl4_check's spectrum, for any number of axes
     spec = ip.KNASpectrum(
         pw.compact_transform(pw.synthesize(coeffs, quad), quad, J),
-        [factor_plancherel(h, count)[2] for h in v.factors],
-        [factor_plancherel(h, count)[2] for h in w.factors])
+        factor_pairing(v.factors, v.factors, count)[2],
+        factor_pairing(w.factors, w.factors, count)[2])
 
     def blackbox(npts, tpts):
         euclid = np.outer(v.values(npts), w.values(tpts))

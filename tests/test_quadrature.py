@@ -1,5 +1,6 @@
 """Grids, quadrature, transforms, Monte Carlo, Haar node sets."""
 
+import dataclasses
 import functools
 import math
 import threading
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from lgha import quadrature as Q
+from lgha.corpus import GaussPoly1D, random_gauss_product
 from lgha.quadrature import pairwise_sum
 
 rng = np.random.default_rng(202)
@@ -98,6 +100,47 @@ def test_dft_gaussian_closed_form():
     xi = grid.axes[0].freqs()
     exact = np.sqrt(2 * np.pi) * np.exp(-xi ** 2 / 2.0)
     assert np.max(np.abs(spec.values - exact)) / np.max(exact) < 1e-8
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+def test_factor_pairing_samples_a_self_pair_once_bit_for_bit(monkeypatch):
+    f = random_gauss_product(np.random.default_rng(2022), 6, poly=True)
+    copies = [dataclasses.replace(a) for a in f.factors]
+    assert copies == list(f.factors)
+    samples, transforms = [], []
+    values, dft = GaussPoly1D.values, Q.dft_forward
+    monkeypatch.setattr(GaussPoly1D, "values",
+                        lambda a, x: samples.append(a) or values(a, x))
+    monkeypatch.setattr(Q, "dft_forward",
+                        lambda fld: transforms.append(fld) or dft(fld))
+    lhs, rhs, spectra = Q.factor_pairing(f.factors, f.factors)
+    # one sample and one transform per factor
+    assert len(samples) == len(transforms) == 6
+    lhs2, rhs2, spectra2 = Q.factor_pairing(f.factors, copies)
+    assert len(samples) == len(transforms) == 6 + 12
+    assert _bits(lhs) == _bits(lhs2) and _bits(rhs) == _bits(rhs2)
+    assert all(np.array_equal(s.values, t.values)
+               for s, t in zip(spectra, spectra2))
+    # a self-pairing is a norm: no rounding left in the imaginary parts
+    assert lhs.imag == 0.0 and rhs.imag == 0.0
+    assert abs(lhs - f.norm2()) <= 1e-10 * f.norm2()
+
+
+def test_factor_pairing_samples_a_pair_on_the_union_of_its_boxes():
+    a, b = GaussPoly1D(-1.0, 0.5), GaussPoly1D(2.0, 1.0)
+    assert a.suggested_axis() == (-5.0, 3.0)
+    assert b.suggested_axis() == (-6.0, 10.0)
+    lhs, rhs, (spec,) = Q.factor_pairing([a], [b])
+    ax = spec.grid.axes[0]
+    assert (ax.lo, ax.hi, ax.count) == (-6.0, 10.0, Q.FACTOR_COUNT)
+    # int exp(-(x+1)^2 / 0.5) exp(-(x-2)^2 / 2) dx in closed form
+    s2 = 0.5 ** 2 + 1.0 ** 2
+    exact = math.sqrt(2.0 * math.pi * 0.25 / s2) * math.exp(-9.0 / (2 * s2))
+    assert abs(lhs - exact) <= 1e-10 * exact
+    assert abs(rhs - exact) <= 1e-10 * exact
 
 
 def test_hermitian_symmetry_for_real_fields():
