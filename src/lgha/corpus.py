@@ -29,14 +29,19 @@ class GaussPoly1D:
     c2: complex = 0.0
 
     def values(self, x):
-        # zero coefficients are skipped: for finite x, c0 + 0 t + 0 t^2 is c0
+        p, e = self.parts(x)
+        return p * np.exp(e)
+
+    def parts(self, x):
+        """p(t) and the exponent -t^2 / (2 sigma^2) at t = x - mu; zero
+        coefficients are skipped: for finite x, c0 + 0 t + 0 t^2 is c0."""
         t = np.asarray(x, dtype=float) - self.mu
         p = self.c0
         if self.c1 != 0:
             p = p + self.c1 * t
         if self.c2 != 0:
             p = p + self.c2 * t * t
-        return p * np.exp(-t * t / (2.0 * self.sigma ** 2))
+        return p, -t * t / (2.0 * self.sigma ** 2)
 
     def ft(self, xi):
         """Exact continuum transform: int f(x) exp(-i xi x) dx."""
@@ -82,12 +87,13 @@ class GaussProduct:
         return len(self.factors)
 
     def values(self, pts):
-        """pts: (..., d) array."""
+        """pts: (..., d) array; one np.exp per point, of the summed exponents."""
         pts = np.asarray(pts, dtype=float)
-        out = np.ones(pts.shape[:-1], dtype=complex)
+        poly, expo = 1.0 + 0.0j, 0.0
         for k, f in enumerate(self.factors):
-            out = out * f.values(pts[..., k])
-        return out
+            p, e = f.parts(pts[..., k])
+            poly, expo = poly * p, expo + e
+        return poly * np.exp(expo)
 
     def norm2(self) -> float:
         return prod(f.norm2() for f in self.factors)

@@ -12,12 +12,15 @@ equality on the slice of L where it holds exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import groups
 from .corpus import product_overlap
-from .quadrature import (Axis, SampledField, box_grid, dft_forward,
-                         factor_pairing, monte_carlo, norm2, pairwise_sum)
+from .quadrature import (Axis, SampledField, Spectrum, box_grid,
+                         factor_pairing, fft_lines, monte_carlo, norm2,
+                         pairwise_sum)
 
 __all__ = [
     "reduce_to_nil", "lift_to_L", "invariance_shift",
@@ -86,9 +89,7 @@ def invariance_shift(lpts, h, r, k) -> np.ndarray:
     `reduce_to_nil`.
     """
     l = np.asarray(lpts, dtype=float)
-    x6, x5, x4 = l[..., 0].copy(), l[..., 1].copy(), l[..., 2].copy()
-    x3, x2 = l[..., 3].copy(), l[..., 4].copy()
-    t3, t2 = l[..., 5].copy(), l[..., 6].copy()
+    x6, x5, x4, x3, x2, t3, t2 = np.moveaxis(l[..., :7], -1, 0)
     out = l.copy()
     out[..., 0] = x6 + r * x4 + h * (x5 + x2 * x4)
     out[..., 1] = x5 + k * x4
@@ -167,60 +168,59 @@ def plancherel_N_check(f, box: float, count: int):
     """lhs = int |f|^2 dX by quadrature, rhs = (2 pi)^{-6} int |Ff|^2 dxi,
     with Ff the six-axis Euclidean transform in the global chart of N, for
     a callable f on (..., 6) arrays sampled on the count^6 grid of +-box.
-    A separable f pairs its factors instead (quadrature.factor_pairing)."""
+    f is transformed in its own buffer; dft_forward's phases h exp(-i xi x0)
+    have modulus h on each axis, so rhs takes prod h^2 and applies none."""
     grid = box_grid(NIL_AXES, -box, box, count)
     fld = SampledField.from_callable(
         grid, lambda *xs: f(np.stack(np.broadcast_arrays(*xs), axis=-1)))
     lhs = norm2(fld)
-    rhs = dft_forward(fld).integrate_abs2() / (2.0 * np.pi) ** 6
-    rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel}
+    spec = Spectrum(grid, fft_lines(fld.values, fld.values))
+    rhs = norm2(spec) * math.prod(ax.step for ax in grid.axes) \
+        * spec.freq_weight() / (2.0 * np.pi) ** 6
+    return {"lhs": lhs, "rhs": rhs}
 
 
-def parseval_N_check(f, phi, method: str = "grid", count: int = PAIRING_COUNT,
-                     n: int = 1 << 20, seed: int = 0):
+def parseval_N_check(f, phi, count: int = PAIRING_COUNT, n: int = 1 << 20,
+                     seed: int = 0):
     """Bilinear pairing identity: (phi-check * f)(0) against
     (2 pi)^{-6} int Ff conj(Fphi) dxi, where phi-check(X) = conj(phi(X^{-1})),
-    for separable GaussProduct f and phi; the spectral side is the product
-    of their factor pairings (quadrature.factor_pairing).
+    for separable GaussProduct f and phi: one spectral side, the product of
+    their factor pairings (quadrature.factor_pairing), against a "grid" and
+    an "mc" convolution side.
 
     At the identity the group law cancels: phi-check(0 . u^{-1}) =
     conj(phi(u)), so the convolution side is int f conj(phi) du.
-    method="grid" takes it as a product of six 1-D box rules of
+    The grid side takes it as a product of six 1-D box rules of
     f_k conj(phi_k), count nodes each, on the box c +- (7.5 w + 0.3) around
     the pairing's Gaussian envelope (center c, width w), or
     c +- sqrt(pi count) w below PAIRING_COUNT nodes, which balances
     truncation against aliasing (Trefethen & Weideman 2014); f and phi are
-    read through GaussProduct.factor_values.  method="mc" importance-samples
-    the convolution through the group law (convolve_N).
+    read through GaussProduct.factor_values.  The "mc" side importance-
+    samples it through the group law (convolve_N), n samples from seed.
     """
     rhs = factor_pairing(f.factors, phi.factors)[1]
 
     center, width = product_overlap(f, phi)
-    if method == "grid":
-        k, m = (7.5, 0.3) if count >= PAIRING_COUNT \
-            else (np.sqrt(np.pi * count), 0.0)
-        axes = [Axis(name, c - k * w - m, c + k * w + m, count)
-                for name, c, w in zip(NIL_AXES, center, width)]
-        nodes = [ax.nodes() for ax in axes]
-        lhs = 1.0
-        for ax, fv, pv in zip(axes, f.factor_values(nodes),
-                              phi.factor_values(nodes)):
-            lhs *= complex(pairwise_sum(fv * np.conj(pv) * ax.step))
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        return {"lhs": lhs, "rhs": rhs, "rel_err": rel}
-    if method == "mc":
-        def phi_check(x):
-            return np.conj(phi.values(groups.nil_inv(x)))
+    k, m = (7.5, 0.3) if count >= PAIRING_COUNT \
+        else (np.sqrt(np.pi * count), 0.0)
+    axes = [Axis(name, c - k * w - m, c + k * w + m, count)
+            for name, c, w in zip(NIL_AXES, center, width)]
+    nodes = [ax.nodes() for ax in axes]
+    lhs = math.prod(complex(pairwise_sum(fv * np.conj(pv) * ax.step))
+                    for ax, fv, pv in zip(axes, f.factor_values(nodes),
+                                          phi.factor_values(nodes)))
 
-        # the sampler is deliberately wider than the integrand's envelope so
-        # the importance weights carry genuine variance
-        mc = convolve_N(phi_check, f.values, np.zeros(6), n, seed,
-                        (center, 1.35 * width))
-        rel = abs(mc.estimate - rhs) / max(abs(rhs), 1e-300)
-        return {"lhs": mc.estimate, "rhs": rhs, "rel_err": rel,
-                "stderr": mc.stderr, "within_3sigma": mc.agrees(rhs)}
-    raise ValueError("method must be 'grid' or 'mc'")
+    def phi_check(x):
+        return np.conj(phi.values(groups.nil_inv(x)))
+
+    # the sampler is deliberately wider than the integrand's envelope so
+    # the importance weights carry genuine variance
+    mc = convolve_N(phi_check, f.values, np.zeros(6), n, seed,
+                    (center, 1.35 * width))
+    return {"grid": {"lhs": lhs, "rhs": rhs,
+                     "rel_err": abs(lhs - rhs) / max(abs(rhs), 1e-300)},
+            "mc": {"lhs": mc.estimate, "rhs": rhs, "stderr": mc.stderr,
+                   "within_3sigma": mc.agrees(rhs)}}
 
 
 def lifted_convolution_check(f, u, lpoint, n: int = 1 << 20, seed: int = 0):

@@ -211,12 +211,15 @@ class SampledField:
         return cls(grid, out)
 
 
-def norm2(field: SampledField) -> float:
-    """Quadrature of |f|^2: the box rule, one cell width per axis."""
-    vals = np.abs(field.values) ** 2
-    for ax in field.grid.axes:
-        vals *= ax.step
-    return float(pairwise_sum(vals.ravel()).real)
+def norm2(field) -> float:
+    """Quadrature of |f|^2 (a SampledField or Spectrum f): the pairwise sum
+    of its first-axis planes' sums of |f|^2, in plane order whatever the
+    worker count, times the cell volume prod h."""
+    vals = np.atleast_2d(field.values)  # a 1-D field is one plane
+    sums = _by_plane(lambda p: pairwise_sum(np.abs(vals[p].ravel()) ** 2),
+                     vals.shape[0])
+    return float(pairwise_sum(np.asarray(sums))
+                 * math.prod(ax.step for ax in field.grid.axes))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +239,6 @@ class Spectrum:
         """Product of the dual-grid cell volumes (one Delta-xi per axis)."""
         return math.prod(2.0 * np.pi / (ax.count * ax.step)
                          for ax in self.grid.axes)
-
-    def integrate_abs2(self) -> float:
-        """Quadrature of |F|^2 over the dual grid."""
-        return float(pairwise_sum(
-            (np.abs(self.values) ** 2).ravel()).real) * self.freq_weight()
 
 
 def _axis_phases(grid: GridSpec) -> list:

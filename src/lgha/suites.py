@@ -269,6 +269,18 @@ def _grid_count(budget: int, cap: int) -> int:
     return max(c for c in range(6, cap + 1) if c ** 6 <= budget)
 
 
+BUMP_SIGMA = 0.9
+# int |_bump|^2: odd terms vanish; t^2 averages sigma^2/2 on exp(-t^2/sigma^2)
+BUMP_NORM2 = (np.pi * BUMP_SIGMA ** 2) ** 3 \
+    * (1.0 + (0.3 ** 2 + 0.2 ** 2 + 0.15 ** 2) * (BUMP_SIGMA ** 2 / 2.0) ** 2)
+
+
+def _bump(pts):
+    x = np.moveaxis(pts, -1, 0)
+    mix = 1.0 + 0.3 * x[0] * x[3] + 0.2 * x[1] * x[5] - 0.15 * x[2] * x[4]
+    return mix * np.exp(-np.sum(pts ** 2, axis=-1) / (2.0 * BUMP_SIGMA ** 2))
+
+
 def _nil_plancherel(cfg, rng, row):
     worst = 0.0
     for _ in range(3):
@@ -280,19 +292,14 @@ def _nil_plancherel(cfg, rng, row):
     # non-separable bump on a capped grid; degrade to a coarser grid with
     # Monte Carlo confirmation when the point budget is tight
     count = _grid_count(cfg.budget_grid, 12)
-
-    def bump(pts):
-        r2 = np.sum(pts ** 2, axis=-1)
-        mix = 1.0 + 0.3 * pts[..., 0] * pts[..., 3] + 0.2 * pts[..., 1] * pts[..., 5] \
-            - 0.15 * pts[..., 2] * pts[..., 4]
-        return mix * np.exp(-r2 / (2.0 * 0.9 ** 2))
-
-    # box scales with the node count so the spacing stays adequate when the
-    # budget forces a coarser grid
-    res = NF.plancherel_N_check(bump, box=0.45 * count, count=count)
-    row("plancherel-bump", res["rel_err"], tol=2e-2 if count < 12 else None)
-    mc = monte_carlo(lambda x: np.abs(bump(x)) ** 2, np.zeros(6),
-                     np.full(6, 0.9 / np.sqrt(2.0)),
+    # on the box +-sqrt(pi count / 2) sigma, which balances truncation
+    # against aliasing at every count (Trefethen & Weideman 2014)
+    res = NF.plancherel_N_check(
+        _bump, np.sqrt(np.pi * count / 2.0) * BUMP_SIGMA, count)
+    row("plancherel-bump", res["rhs"], BUMP_NORM2,
+        tol=2e-2 if count < 12 else None)
+    mc = monte_carlo(lambda x: np.abs(_bump(x)) ** 2, np.zeros(6),
+                     np.full(6, BUMP_SIGMA / np.sqrt(2.0)),
                      min(cfg.budget_mc, BUMP_MC_SAMPLES),
                      cfg.check_seed("plancherel-bump-mc"))
     row("plancherel-bump-mc", res["lhs"], mc.estimate.real,
@@ -305,14 +312,13 @@ def _nil_plancherel(cfg, rng, row):
     # under a tight grid budget the pairing check degrades to a coarser grid
     # at Monte Carlo tolerance (the MC row below confirms independently)
     pcount = _grid_count(cfg.budget_grid, NF.PAIRING_COUNT)
-    res = NF.parseval_N_check(f, phi, method="grid", count=pcount)
-    row("parseval-grid", res["lhs"], res["rhs"],
-        tol=2e-2 if pcount < NF.PAIRING_COUNT else None)
-
-    res = NF.parseval_N_check(f, phi, method="mc",
+    res = NF.parseval_N_check(f, phi, pcount,
                               n=min(cfg.budget_mc, PARSEVAL_MC_SAMPLES),
                               seed=cfg.check_seed("parseval-mc"))
-    row("parseval-mc", res["lhs"], res["rhs"], passed=res["within_3sigma"])
+    row("parseval-grid", res["grid"]["lhs"], res["grid"]["rhs"],
+        tol=2e-2 if pcount < NF.PAIRING_COUNT else None)
+    row("parseval-mc", res["mc"]["lhs"], res["mc"]["rhs"],
+        passed=res["mc"]["within_3sigma"])
 
     fw = random_gauss_product(rng, 6, sigma_range=(1.1, 1.5), mu_scale=0.3)
     u = random_gauss_product(rng, 6, sigma_range=(0.4, 0.6), mu_scale=0.3)

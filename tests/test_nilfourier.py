@@ -1,10 +1,13 @@
 """Lift to the auxiliary group, convolution, transform and Plancherel on N."""
 
+import tracemalloc
+
 import numpy as np
 
 from lgha import cli
 from lgha import groups as G
 from lgha import nilfourier as nf
+from lgha import quadrature as Q
 from lgha import suites
 from lgha.corpus import (GaussPoly1D, GaussProduct, product_overlap,
                          random_gauss_product)
@@ -117,7 +120,7 @@ def test_plancherel_separable_closed_form():
 
 def test_parseval_self_pairing_equals_norm():
     f = random_gauss_product(rng, 6, sigma_range=(0.7, 0.9), mu_scale=0.0)
-    res = nf.parseval_N_check(f, f, method="grid", count=16)
+    res = nf.parseval_N_check(f, f, count=16, n=MIN_MC_SAMPLES)["grid"]
     assert abs(res["rhs"] - f.norm2()) / f.norm2() < 1e-8
     assert res["rel_err"] < 1e-6
 
@@ -125,7 +128,7 @@ def test_parseval_self_pairing_equals_norm():
 def test_parseval_mc_within_errorbars():
     f = random_gauss_product(rng, 6, sigma_range=(0.8, 1.1), poly=True)
     phi = random_gauss_product(rng, 6, sigma_range=(0.8, 1.1), poly=True)
-    res = nf.parseval_N_check(f, phi, method="mc", n=1 << 19, seed=21)
+    res = nf.parseval_N_check(f, phi, n=1 << 19, seed=21)["mc"]
     assert res["within_3sigma"]
     assert res["stderr"] > 0
 
@@ -160,6 +163,41 @@ def test_nil_plancherel_passes_at_seed_51():
                               "lifted-convolution")
     assert all(r["pass"] for r in rows)
     assert lifted["rel_err"] < 1e-12
+
+
+def _traced_bump_check():
+    """plancherel-bump's check on its full 12^6 grid, and its traced peak
+    in complex 12^6 fields."""
+    box = np.sqrt(np.pi * 12 / 2.0) * suites.BUMP_SIGMA
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = nf.plancherel_N_check(suites._bump, box, 12)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return res, peak / (16 * 12 ** 6)
+
+
+def test_bump_check_holds_one_field(monkeypatch):
+    # the bump is sampled into one buffer, its |.|^2 summed plane by plane
+    # and the buffer transformed in place, so the check holds one complex
+    # 12^6 field and the busy workers' plane temporaries (2.75 fields with
+    # a separate spectrum and whole-array |.|^2 temporaries); each worker
+    # count runs on a fresh pool and gives the same sums
+    results = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(Q, "_WORKERS", workers)
+        monkeypatch.setattr(Q, "_pool", None)
+        try:
+            res, peak = _traced_bump_check()
+        finally:
+            if Q._pool is not None:
+                Q._pool.shutdown()
+        assert peak <= 1.3, (workers, peak)
+        results.append(res)
+    assert results[0] == results[1] == results[2]
+    assert abs(results[0]["rhs"] - suites.BUMP_NORM2) <= 1e-6 * suites.BUMP_NORM2
 
 
 def test_monte_carlo_budget_is_a_ceiling(monkeypatch):
@@ -304,7 +342,7 @@ def test_separable_parseval_grid_equals_group_law_sum():
     half = np.sqrt(np.pi * 6) * width
     box = (center - half, center + half)
     ref = _reference_convolution(phi_check, f.values, np.zeros(6), box, 6)
-    lhs = nf.parseval_N_check(f, phi, count=6)["lhs"]
+    lhs = nf.parseval_N_check(f, phi, count=6, n=MIN_MC_SAMPLES)["grid"]["lhs"]
     assert abs(lhs - ref) <= 1e-13 * abs(ref)
 
 
@@ -325,7 +363,8 @@ def test_parseval_grid_fails_when_one_factor_of_f_is_perturbed(monkeypatch):
         return vals
 
     monkeypatch.setattr(GaussProduct, "factor_values", perturbed)
-    assert nf.parseval_N_check(f, phi, count=17)["rel_err"] > 1e-6
+    res = nf.parseval_N_check(f, phi, count=17, n=MIN_MC_SAMPLES)["grid"]
+    assert res["rel_err"] > 1e-6
 
 
 def test_gauss_poly_values_skips_zero_coefficients_bit_for_bit():
@@ -340,6 +379,19 @@ def test_gauss_poly_values_skips_zero_coefficients_bit_for_bit():
         assert new.shape == old.shape
         assert np.array_equal(new.view(float) if np.iscomplexobj(new) else new,
                               old.view(float) if np.iscomplexobj(old) else old)
+
+
+def test_gauss_product_values_equal_the_product_of_factor_values():
+    # one np.exp of the summed exponents in place of one per factor
+    gen = np.random.default_rng(4048)
+    pts = gen.normal(scale=2.0, size=(4096, 6))
+    for poly in (False, True):
+        f = random_gauss_product(gen, 6, poly=poly)
+        ref = np.prod([fac.values(pts[:, k])
+                       for k, fac in enumerate(f.factors)], axis=0)
+        vals = f.values(pts)
+        assert vals.dtype == complex and vals.shape == (4096,)
+        assert np.max(np.abs(vals - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_broadcast_invariance_shift_equals_pointwise_shifts():

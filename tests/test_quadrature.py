@@ -371,7 +371,7 @@ def test_monte_carlo_integrand_may_transform_a_field(monkeypatch):
     field = Q.SampledField(grid, np.arange(24.0).reshape(6, 4))
 
     def integrand(x):
-        scale = Q.dft_forward(field).integrate_abs2()
+        scale = pairwise_sum(np.abs(Q.dft_forward(field).values.ravel()) ** 2)
         return scale * np.exp(-np.sum(x ** 2, axis=1))
 
     args = (integrand, np.zeros(2), np.ones(2), 4000, 3)
