@@ -596,7 +596,10 @@ class PolyGauss:
         coords = Jet.coordinates(point)
         d = [j - c for j, c in zip(coords, self.mu)]
         q = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-        return self.poly.eval_jet(*coords) * (q * (-0.5 / self.sigma ** 2)).exp()
+        gauss = (q * (-0.5 / self.sigma ** 2)).exp()
+        if set(self.poly.terms) == {(0, 0, 0)}:  # a constant: no jet product
+            return Jet(gauss.coeffs * self.poly.terms[(0, 0, 0)])
+        return self.poly.eval_jet(*coords) * gauss
 
 
 class PlaneWave:

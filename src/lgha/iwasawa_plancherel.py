@@ -94,8 +94,7 @@ def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=FACTOR_COUNT):
     norm, spectral, out = factor_pairing(fs, fs, count)
     lhs, rhs = compact["lhs"] * norm.real, compact["rhs"] * spectral.real
     spec = KNASpectrum(compact["spectrum"], out[:na[0]], out[na[0]:sum(na)])
-    rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "spectrum": spec}
+    return {"lhs": lhs, "rhs": rhs, "spectrum": spec}
 
 
 # ---------------------------------------------------------------------------

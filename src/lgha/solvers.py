@@ -77,6 +77,8 @@ def _divide(vals, grid: GridSpec, op: PolyDiffOp) -> dict:
     div = np.where(mask, 1.0, sym)
 
     def block(b):  # divides b; its per-plane sums of |b|^2, its kernel modes
+        parts = b.view(float)  # subnormal samples slow every FFT pass
+        parts[np.abs(parts) < 1e-300] = 0.0
         sums = [np.sum(np.abs(v) ** 2) for v in b]
         kernel = np.broadcast_to(mask, b.shape)
         modes = fft_lines(b, b, axes=axes)[kernel]

@@ -370,16 +370,14 @@ def _so4(cfg, rng, row):
                    for l in ref.coeffs))
     row("transform-roundtrip", err)
 
-    worst = 0.0
-    for _ in range(20):
-        el = (rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
-              rng.uniform(0, 4 * np.pi))
-        er = (rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
-              rng.uniform(0, 4 * np.pi))
-        direct = sum(PW.so4_dim(l) * np.trace(ref.coeffs[l] @ PW.so4_rep(l, el, er))
-                     for l in ref.coeffs)
-        worst = _worst(worst, abs(PW.compact_inverse(back, el, er) - direct))
-    row("inversion-pointwise", worst)
+    # 20 draws of (left, right) Euler triples, in the order of scalar draws
+    el, er = np.moveaxis(rng.uniform(0.0, [2 * np.pi, np.pi, 4 * np.pi],
+                                     size=(20, 2, 3)), 1, 0)
+    direct = sum(PW.so4_dim(l) * np.trace(ref.coeffs[l] @ PW.so4_rep(l, el, er),
+                                          axis1=-2, axis2=-1)
+                 for l in ref.coeffs)
+    row("inversion-pointwise",
+        _worst(*np.abs(PW.compact_inverse(back, el, er) - direct)))
 
     ident = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
     lhs = PW.compact_inverse(back, *ident)

@@ -54,6 +54,17 @@ def test_jet_exp_matches_plane_wave_derivatives():
     assert abs(jet.deriv((0, 2, 0)) - (1j * k[1]) ** 2 * val) < 1e-13
 
 
+def test_constant_poly_gauss_jet_equals_the_unit_product():
+    # a constant polynomial scales the exp jet, with no Jet x Jet product
+    mu, sigma = (0.2, -0.1, 0.3), 1.1
+    pts = rng.normal(size=(5, 3))
+    gauss = D.PolyGauss(D.ONE, mu, sigma).jet_at(pts)
+    for c in (1.0, -2.5 + 0.5j):
+        product = D.Poly3.const(c).eval_jet(*Jet.coordinates(pts)) * gauss
+        jet = D.PolyGauss(D.Poly3.const(c), mu, sigma).jet_at(pts)
+        assert np.array_equal(jet.coeffs, product.coeffs)
+
+
 def test_jet_vs_finite_differences():
     # a plain Gaussian and a Gaussian times a polynomial
     for poly in (D.ONE, D.Poly3({(0, 0, 0): 1.0, (1, 0, 1): 0.3})):

@@ -10,6 +10,11 @@ from lgha.quadrature import (SU2Quad, U2Quad, so4_quadrature, su2_quadrature,
 rng = np.random.default_rng(303)
 
 
+def _rel(res):
+    """Relative error of a Plancherel check's two sides."""
+    return abs(res["lhs"] - res["rhs"]) / abs(res["lhs"])
+
+
 def test_wigner_d_trivial_cases():
     assert np.allclose(pw.wigner_d(0, 1.234), [[1.0]])
     assert np.allclose(pw.wigner_D(0, 0.3, 0.8, 2.0), [[1.0]])
@@ -129,6 +134,66 @@ def test_convolution_oracle_detects_swapped_product():
     assert pw.convolution_order_error(gspec, fvals, swapped, quad) > 1e-9
 
 
+def test_factored_label_values_equal_kronecker_traces():
+    quad = so4_quadrature(1.0)
+    left = pw.su2_from_euler(quad.left.euler)
+    right = pw.su2_from_euler(quad.right.euler)
+    # composed elements k^{-1} x at a spot node, four per factor
+    el = pw.euler_from_su2(left[:4].conj().swapaxes(-1, -2) @ left[3])
+    er = pw.euler_from_su2(right[5:9].conj().swapaxes(-1, -2) @ right[7])
+    spec = pw.random_spectrum(rng, 1.0, quad)
+    for (j1, j2), c in spec.coeffs.items():
+        g = pw._kron_trace(c, pw.wigner_D_stack(j1, el),
+                           pw.wigner_D_stack(j2, er))
+        d = pw.so4_dim((j1, j2))
+        want = np.array([[d * np.trace(c @ np.kron(pw.wigner_D(j1, *a),
+                                                   pw.wigner_D(j2, *b)))
+                          for b in er] for a in el])
+        assert g.shape == (4, 4)
+        assert np.max(np.abs(g - want)) <= 1e-13
+
+
+def _convolution_error_at_seed(seed):
+    """The oracle on a correct convolution table, every step looked up in
+    pw at call time so that a monkeypatched mutant enters."""
+    quad = so4_quadrature(1.0)
+    r = np.random.default_rng(seed)
+    _, fvals = pw.random_band_limited(r, 1.0, quad)
+    gspec, gvals = pw.random_band_limited(r, 1.0, quad)
+    tf = pw.compact_transform(fvals, quad, 1.0).coeffs
+    tg = pw.compact_transform(gvals, quad, 1.0).coeffs
+    conv = pw.synthesize(pw.CompactSpectrum({l: tg[l] @ tf[l] for l in tg}),
+                         quad)
+    return pw.convolution_order_error(gspec, fvals, conv, quad)
+
+
+def test_convolution_oracle_detects_alpha_sign_mutant(monkeypatch):
+    assert _convolution_error_at_seed(42) < 1e-12
+    real = pw.wigner_D
+    monkeypatch.setattr(pw, "wigner_D", lambda j, alpha, beta, gamma: real(
+        j, -np.asarray(alpha), beta, gamma))
+    assert _convolution_error_at_seed(42) > 1e-9
+
+
+def test_convolution_oracle_detects_transposed_coefficients(monkeypatch):
+    real = pw.compact_transform
+    monkeypatch.setattr(pw, "compact_transform", lambda *args: pw.CompactSpectrum(
+        {l: c.T for l, c in real(*args).coeffs.items()}))
+    assert _convolution_error_at_seed(42) > 1e-9
+
+
+def test_batched_compact_inverse_equals_point_calls():
+    quad = so4_quadrature(1.0)
+    spec = pw.random_spectrum(rng, 1.0, quad)
+    el, er = np.moveaxis(rng.uniform(0.0, [2 * np.pi, np.pi, 4 * np.pi],
+                                     size=(12, 2, 3)), 1, 0)
+    batch = pw.compact_inverse(spec, el, er)
+    assert batch.shape == (12,)
+    single = np.array([pw.compact_inverse(spec, a, b) for a, b in zip(el, er)])
+    assert type(pw.compact_inverse(spec, el[0], er[0])) is complex
+    assert np.max(np.abs(batch - single)) <= 1e-14
+
+
 def test_wigner_homomorphism():
     for j in (0.5, 1.0, 2.0):
         for _ in range(10):
@@ -215,7 +280,7 @@ def test_inversion_and_plancherel_band_limited():
     quad = so4_quadrature(2.0)
     spec, vals = pw.random_band_limited(rng, 2.0, quad)
     res = pw.compact_plancherel_check(vals, quad, 2.0)
-    assert res["rel_err"] < 1e-10
+    assert _rel(res) < 1e-10
     for _ in range(5):
         el = (rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
               rng.uniform(0, 4 * np.pi))
@@ -235,7 +300,7 @@ def test_u2_transform_roundtrip_and_plancherel():
               for l in spec.coeffs)
     assert err < 1e-12
     res = pw.compact_plancherel_check(vals, quad, 1)
-    assert res["rel_err"] < 1e-10
+    assert _rel(res) < 1e-10
     assert list(res["spectrum"].coeffs) == pw.u2_labels(1)
 
 
