@@ -8,6 +8,12 @@ Conventions
 * The six-parameter unipotent group N uses coordinates (x1..x6) placed in the
   unit upper-triangular matrix at slots (1,2)=x1, (2,3)=x2, (1,3)=x3,
   (3,4)=x4, (2,4)=x5, (1,4)=x6.
+* Each nilpotent group has one chart; the others are coordinate views of it:
+  L_embed_twisted(X) = nil_embed(X[..., L_TWISTED]), the twisted block
+  (t1, t2, t3, x4, x5, x6) of L being an N point;
+  heis_embed(z, y, x) = spn_matrix_block(x, z, y, 0), the t = 0 slice;
+  sp4_n_chart(n12, n13, n23, n14) = spn_matrix_block(n12, n14, n13, n23)
+  with rows and columns 3 and 4 swapped, the block chart in the adapted form.
 * The symplectic group is realized with the antidiagonal form Omega
   (`SP_FORM`): this is the unique choice (up to scale) for which the standard
   QR-type Iwasawa factors of a symplectic matrix are again symplectic, and
@@ -29,7 +35,7 @@ __all__ = [
     "nil_mul", "nil_inv", "nil_embed", "nil_from_matrix",
     "L_mul", "L_inv", "L_embed_twisted",
     "heis_mul", "heis_embed",
-    "spn_mul", "spn_matrix_block",
+    "spn_mul", "spn_matrix_block", "sp4_n_chart",
     "iwasawa_decompose", "modulus_factor",
     "SP_FORM", "SP_FORM_BLOCK",
     "symplectic_error", "sp4_algebra_basis", "sp4_iwasawa_dimension_audit",
@@ -47,7 +53,8 @@ class NearSingular(RuntimeError):
 
 # basis swap between the block form of the symplectic matrix and the
 # Iwasawa-adapted antidiagonal form
-_SWAP34 = np.eye(4)[[0, 1, 3, 2]]
+_E34 = [0, 1, 3, 2]
+_SWAP34 = np.eye(4)[_E34]
 
 SP_FORM_BLOCK = np.block([
     [np.zeros((2, 2)), np.eye(2)],
@@ -108,6 +115,9 @@ def _coords(obj, n):
 # six-parameter unipotent group N
 # ---------------------------------------------------------------------------
 
+# matrix slots of x1..x6
+_NIL_SLOTS = ((0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3))
+
 
 def nil_mul(p, q):
     """Group law of N in coordinates (vectorized over leading axes)."""
@@ -130,30 +140,32 @@ def nil_inv(p):
     return out
 
 
-def nil_embed(p) -> np.ndarray:
-    """Unit upper-triangular 4x4 embedding (vectorized: (..., 4, 4))."""
-    p = _coords(p, 6)
-    m = np.zeros(p.shape[:-1] + (4, 4))
+def _unit_stack(values, slots) -> np.ndarray:
+    """The identity stack (..., 4, 4) with values (..., k) written at the k
+    matrix slots."""
+    m = np.zeros(values.shape[:-1] + (4, 4))
     idx = np.arange(4)
     m[..., idx, idx] = 1.0
-    m[..., 0, 1] = p[..., 0]
-    m[..., 1, 2] = p[..., 1]
-    m[..., 0, 2] = p[..., 2]
-    m[..., 2, 3] = p[..., 3]
-    m[..., 1, 3] = p[..., 4]
-    m[..., 0, 3] = p[..., 5]
+    m[(..., *zip(*slots))] = values
     return m
 
 
+def nil_embed(p) -> np.ndarray:
+    """Unit upper-triangular 4x4 embedding (vectorized: (..., 4, 4))."""
+    return _unit_stack(_coords(p, 6), _NIL_SLOTS)
+
+
 def nil_from_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    return np.stack([m[..., 0, 1], m[..., 1, 2], m[..., 0, 2],
-                     m[..., 2, 3], m[..., 1, 3], m[..., 0, 3]], axis=-1)
+    return np.asarray(m, dtype=float)[(..., *zip(*_NIL_SLOTS))]
 
 
 # ---------------------------------------------------------------------------
 # nine-parameter group L; coordinate order (x6,x5,x4,x3,x2,t3,t2,x1,t1)
 # ---------------------------------------------------------------------------
+
+# the L slots of (t1, t2, t3, x4, x5, x6), the twisted block, which multiply
+# as the N coordinates (x1..x6)
+L_TWISTED = [8, 6, 5, 2, 1, 0]
 
 
 def L_mul(X, Y):
@@ -180,19 +192,10 @@ def L_inv(X):
 
 
 def L_embed_twisted(X) -> np.ndarray:
-    """4x4 oracle for the twisted part of the L law; the remaining three
-    coordinates (x3,x2,x1) add componentwise."""
-    X = _coords(X, 9)
-    m = np.zeros(X.shape[:-1] + (4, 4))
-    idx = np.arange(4)
-    m[..., idx, idx] = 1.0
-    m[..., 0, 1] = X[..., 8]   # t1
-    m[..., 0, 2] = X[..., 5]   # t3
-    m[..., 1, 2] = X[..., 6]   # t2
-    m[..., 0, 3] = X[..., 0]   # x6
-    m[..., 1, 3] = X[..., 1]   # x5
-    m[..., 2, 3] = X[..., 2]   # x4
-    return m
+    """4x4 oracle for the twisted part of the L law: the N matrix of its
+    L_TWISTED slots; the remaining three coordinates (x3,x2,x1) add
+    componentwise."""
+    return nil_embed(_coords(X, 9)[..., L_TWISTED])
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +213,12 @@ def heis_mul(p, q):
 
 
 def heis_embed(p) -> np.ndarray:
-    """4x4 homomorphic embedding, block symplectic convention.  Slot map:
-    (1,2) <- x, (1,3) <- z, (1,4) = (2,3) <- y, (4,3) <- -x."""
+    """4x4 homomorphic embedding, block symplectic convention: the t = 0
+    slice spn_matrix_block(x, z, y, 0).  Slot map: (1,2) <- x, (1,3) <- z,
+    (1,4) = (2,3) <- y, (4,3) <- -x."""
     p = _coords(p, 3)
-    z, y, x = p[..., 0], p[..., 1], p[..., 2]
-    m = np.zeros(p.shape[:-1] + (4, 4))
-    idx = np.arange(4)
-    m[..., idx, idx] = 1.0
-    m[..., 0, 1] = x
-    m[..., 0, 2] = z
-    m[..., 0, 3] = y
-    m[..., 1, 2] = y
-    m[..., 3, 2] = -x
-    return m
+    return spn_matrix_block(np.concatenate(
+        [p[..., [2, 0, 1]], np.zeros(p.shape[:-1] + (1,))], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +229,18 @@ def heis_embed(p) -> np.ndarray:
 def spn_matrix_block(p) -> np.ndarray:
     """The literal block-convention matrix of the four-parameter group."""
     p = _coords(p, 4)
-    x, y, z, t = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    m = np.zeros(p.shape[:-1] + (4, 4))
-    idx = np.arange(4)
-    m[..., idx, idx] = 1.0
-    m[..., 0, 1] = x
-    m[..., 0, 2] = y
-    m[..., 0, 3] = z
-    m[..., 1, 2] = z - x * t
-    m[..., 1, 3] = t
-    m[..., 3, 2] = -x
-    return m
+    x, y, z, t = np.moveaxis(p, -1, 0)
+    return _unit_stack(np.stack([x, y, z, z - x * t, t, -x], axis=-1),
+                       ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 2)))
+
+
+def sp4_n_chart(params) -> np.ndarray:
+    """Unit upper-triangular symplectic matrices (adapted form), charted by
+    the free entries (n12, n13, n23, n14); the remaining entries are
+    n34 = -n12 and n24 = n13 - n12 n23.  This is spn_matrix_block of
+    (n12, n14, n13, n23) in the basis swap e3 <-> e4."""
+    m = spn_matrix_block(_coords(params, 4)[..., [0, 3, 1, 2]])
+    return m[..., _E34, :][..., _E34]
 
 
 def spn_mul(p, q):

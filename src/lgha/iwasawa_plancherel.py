@@ -24,7 +24,7 @@ from .quadrature import (BLOCK_ENTRIES, FACTOR_COUNT, EulerQuadSO4, U2Quad,
 
 __all__ = [
     "SeparableKNAFunction", "KNASpectrum", "plancherel_sl4_check",
-    "sp4_n_chart", "semidirect_mul", "affine_embed",
+    "semidirect_mul", "affine_embed",
     "lift_upsilon", "lift_q",
     "upsilon_invariance_error", "q_lift_invariance_error",
     "nested_transform_oracle",
@@ -95,29 +95,6 @@ def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=FACTOR_COUNT):
     lhs, rhs = compact["lhs"] * norm.real, compact["rhs"] * spectral.real
     spec = KNASpectrum(compact["spectrum"], out[:na[0]], out[na[0]:sum(na)])
     return {"lhs": lhs, "rhs": rhs, "spectrum": spec}
-
-
-# ---------------------------------------------------------------------------
-# symplectic restriction: K = U(2), N four-dimensional, A two-dimensional
-# ---------------------------------------------------------------------------
-
-
-def sp4_n_chart(params) -> np.ndarray:
-    """Unit upper-triangular symplectic matrices (adapted form), charted by
-    the free entries (n12, n13, n23, n14); the remaining entries are
-    n34 = -n12 and n24 = n13 - n12 n23."""
-    p = np.asarray(params, dtype=float)
-    n12, n13, n23, n14 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    m = np.zeros(p.shape[:-1] + (4, 4))
-    idx = np.arange(4)
-    m[..., idx, idx] = 1.0
-    m[..., 0, 1] = n12
-    m[..., 0, 2] = n13
-    m[..., 0, 3] = n14
-    m[..., 1, 2] = n23
-    m[..., 1, 3] = n13 - n12 * n23
-    m[..., 2, 3] = -n12
-    return m
 
 
 # ---------------------------------------------------------------------------

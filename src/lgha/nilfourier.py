@@ -104,19 +104,11 @@ def invariance_shift(lpts, h, r, k) -> np.ndarray:
 
 def nil_shift_of_L(lpts, y) -> np.ndarray:
     """Left convolution shift of an L point in the N slots (x-block, t3, t2,
-    t1) by the inverse of the N point y; the slots (x3, x2, x1) ride along."""
-    l = np.asarray(lpts, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = groups.nil_inv(y)
-    out = l.copy()
-    z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
-    z4, z5, z6 = z[..., 3], z[..., 4], z[..., 5]
-    out[..., 0] = z6 + l[..., 0] + z1 * l[..., 1] + z3 * l[..., 2]
-    out[..., 1] = z5 + l[..., 1] + z2 * l[..., 2]
-    out[..., 2] = z4 + l[..., 2]
-    out[..., 5] = z3 + l[..., 5] + z1 * l[..., 6]
-    out[..., 6] = z2 + l[..., 6]
-    out[..., 8] = z1 + l[..., 8]
+    t1), groups.L_TWISTED, by the inverse of the N point y, through the law
+    of N; the slots (x3, x2, x1) ride along."""
+    out = np.array(lpts, dtype=float)
+    out[..., groups.L_TWISTED] = groups.nil_mul(groups.nil_inv(y),
+                                                out[..., groups.L_TWISTED])
     return out
 
 

@@ -322,7 +322,8 @@ def compact_group(quad) -> CompactGroup:
     right, for labels that keep the parity rule (ParityViolation
     otherwise).  U(2) for a U2Quad: the phase exp(i theta (m1+m2)) as a
     1 x 1 stack on the theta nodes, D^{(m1-m2)/2} on the SU(2) nodes.  The
-    only place that tells the two groups apart."""
+    one place in this module that tells the two groups apart;
+    iwasawa_plancherel._FACTOR_DIMS also keys on the quadrature type."""
     if isinstance(quad, EulerQuadSO4):
         def factors(labels):
             for l in labels:

@@ -444,10 +444,6 @@ class EulerQuadSO4:
     left: SU2Quad
     right: SU2Quad
 
-    @property
-    def node_count(self) -> int:
-        return self.left.node_count * self.right.node_count
-
 
 def so4_quadrature(J: float) -> EulerQuadSO4:
     q = su2_quadrature(J)
@@ -465,10 +461,6 @@ class U2Quad:
     theta: np.ndarray
     theta_weights: np.ndarray
     su2: SU2Quad
-
-    @property
-    def node_count(self) -> int:
-        return self.theta.size * self.su2.node_count
 
 
 def u2_band_limit(M) -> int:

@@ -57,6 +57,53 @@ def test_L_law_restricted_to_nil_subgroup():
     assert np.max(np.abs(prod - _nil_to_L(G.nil_mul(p, q)))) < 1e-12
 
 
+def test_L_twisted_block_is_the_N_matrix():
+    p = rng.uniform(-2, 2, size=(300, 6))
+    X = _nil_to_L(p)
+    X[:, [3, 4, 7]] = rng.uniform(-2, 2, size=(300, 3))  # they do not enter
+    assert np.array_equal(G.L_embed_twisted(X), G.nil_embed(p))
+
+
+def _literal(shape, slots):
+    """The identity stack with each (i, j): values entry of slots written."""
+    m = np.zeros(shape + (4, 4))
+    m[..., range(4), range(4)] = 1.0
+    for (i, j), v in slots.items():
+        m[..., i, j] = v
+    return m
+
+
+def test_derived_charts_equal_their_literal_slots_bit_for_bit():
+    gen = np.random.default_rng(1013)
+    z, y, x, t = gen.uniform(-3, 3, size=(4, 200))
+    assert np.array_equal(
+        G.heis_embed(np.stack([z, y, x], axis=-1)),
+        _literal(z.shape, {(0, 1): x, (0, 2): z, (0, 3): y, (1, 2): y,
+                           (3, 2): -x}))
+    assert np.array_equal(
+        G.spn_matrix_block(np.stack([x, y, z, t], axis=-1)),
+        _literal(z.shape, {(0, 1): x, (0, 2): y, (0, 3): z,
+                           (1, 2): z - x * t, (1, 3): t, (3, 2): -x}))
+    n12, n13, n23, n14 = z, y, x, t
+    assert np.array_equal(
+        G.sp4_n_chart(np.stack([n12, n13, n23, n14], axis=-1)),
+        _literal(z.shape, {(0, 1): n12, (0, 2): n13, (0, 3): n14,
+                           (1, 2): n23, (1, 3): n13 - n12 * n23,
+                           (2, 3): -n12}))
+
+
+@pytest.mark.parametrize("chart,n", [(G.nil_embed, 6), (G.L_embed_twisted, 9),
+                                     (G.heis_embed, 3),
+                                     (G.spn_matrix_block, 4),
+                                     (G.sp4_n_chart, 4)])
+def test_charts_reject_a_wrong_coordinate_count(chart, n):
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(ValueError):
+            chart(np.arange(float(wrong)))
+        with pytest.raises(ValueError):
+            chart(np.zeros((3, wrong)))
+
+
 def test_L_abelian_part_is_direct_factor():
     X = rng.uniform(-2, 2, size=(300, 9))
     Y = rng.uniform(-2, 2, size=(300, 9))

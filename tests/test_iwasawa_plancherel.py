@@ -225,7 +225,7 @@ def test_sp4_restriction_dimension_validation():
 def test_sp4_charts():
     assert G.sp4_iwasawa_dimension_audit() == (4, 2, 4)
     p = rng.normal(size=(20, 4))
-    mats = ip.sp4_n_chart(p)
+    mats = G.sp4_n_chart(p)
     for m in mats:
         assert G.symplectic_error(m) < 1e-12
         assert np.max(np.abs(np.tril(m, -1))) == 0.0

@@ -1,0 +1,130 @@
+"""Mutation checks: each seeded mistake in a group law or chart makes the
+check that guards it fail.  A mistake is patched into the module for one
+test and run through only the check that catches it, so the test also pins
+which check that is."""
+
+import numpy as np
+import pytest
+
+from lgha import cli
+from lgha import groups as G
+from lgha import nilfourier as nf
+from lgha import suites
+
+_TOL = {row[0]: row[2] for rows in suites.ROWS.values() for row in rows}
+
+
+def _flip_cross_term(law, slot, i, j):
+    """law with the sign of its cross term p[i] q[j] in the output slot
+    flipped."""
+
+    def mutant(p, q):
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        out = law(p, q)
+        out[..., slot] -= 2.0 * p[..., i] * q[..., j]
+        return out
+
+    return mutant
+
+
+def _failing_rows(suite):
+    return {r["name"] for r in cli.SUITES[suite](cli.SuiteConfig())
+            if not r["pass"]}
+
+
+@pytest.fixture(scope="module")
+def lifted_calls():
+    """The arguments of the ten lifted_convolution_check calls of the
+    nil-plancherel suite at its default seed; the coarsest grid budget
+    leaves them as they are and skips the 12^6 bump grid."""
+    calls = []
+    honest = nf.lifted_convolution_check
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return honest(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nf, "lifted_convolution_check", spy)
+        cli.SUITES["nil-plancherel"](
+            cli.SuiteConfig(budget_grid=suites.MIN_GRID_POINTS))
+    assert len(calls) == 10
+    return calls
+
+
+def _lifted_convolution_error(calls):
+    """The lifted-convolution row's value: the worst rel_err of its calls."""
+    return max(nf.lifted_convolution_check(*args, **kwargs)["rel_err"]
+               for args, kwargs in calls)
+
+
+def test_lifted_convolution_passes_on_the_law_of_N(lifted_calls):
+    assert _lifted_convolution_error(lifted_calls) <= 1e-12
+
+
+# the cross terms of nil_mul: (output slot, p index, q index)
+@pytest.mark.parametrize("slot,i,j", [(2, 0, 1), (4, 1, 3), (5, 0, 4),
+                                      (5, 2, 3)])
+def test_lifted_convolution_catches_a_flipped_nil_mul_cross_term(
+        monkeypatch, lifted_calls, slot, i, j):
+    # it reads 0.15 to 0.45
+    monkeypatch.setattr(G, "nil_mul", _flip_cross_term(G.nil_mul, slot, i, j))
+    tol = _TOL["lifted-convolution"]
+    assert _lifted_convolution_error(lifted_calls) > 5 * tol
+
+
+def test_the_honest_groups_and_sp4_suites_pass():
+    assert _failing_rows("groups") == set()
+    assert _failing_rows("sp4-plancherel") == set()
+
+
+def test_a_wrong_spn_matrix_block_slot_fails_both_charts(monkeypatch):
+    honest = G.spn_matrix_block
+
+    def mutant(p):
+        # (2,3) holds z + x t where z - x t belongs
+        p = np.asarray(p, dtype=float)
+        m = honest(p)
+        m[..., 1, 2] += 2.0 * p[..., 0] * p[..., 3]
+        return m
+
+    monkeypatch.setattr(G, "spn_matrix_block", mutant)
+    assert _failing_rows("groups") == {"spn-embedding"}
+    assert _failing_rows("sp4-plancherel") == {"sp4-unipotent-chart"}
+
+
+def test_a_flipped_heis_mul_cross_term_fails_its_row(monkeypatch):
+    monkeypatch.setattr(G, "heis_mul", _flip_cross_term(G.heis_mul, 0, 2, 1))
+    assert _failing_rows("groups") == {"heis-law-vs-matrix"}
+
+
+def test_a_flipped_L_mul_cross_term_fails_the_l_rows(monkeypatch):
+    # the t1 x5' term of x6
+    monkeypatch.setattr(G, "L_mul", _flip_cross_term(G.L_mul, 0, 8, 1))
+    assert _failing_rows("groups") == {"l-law-vs-matrix", "l-associativity",
+                                       "two-sided-inverse"}
+
+
+def test_a_swapped_L_TWISTED_entry_fails_the_l_law_row(monkeypatch):
+    swapped = list(G.L_TWISTED)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    monkeypatch.setattr(G, "L_TWISTED", swapped)
+    assert _failing_rows("groups") == {"l-law-vs-matrix"}
+
+
+def test_the_derived_charts_write_the_literal_slots():
+    heis = G.heis_embed([[2.0, 3.0, 5.0], [0.5, -1.25, 2.0]])
+    assert np.array_equal(heis, [
+        [[1, 5, 2, 3], [0, 1, 3, 0], [0, 0, 1, 0], [0, 0, -5, 1]],
+        [[1, 2, 0.5, -1.25], [0, 1, -1.25, 0], [0, 0, 1, 0], [0, 0, -2, 1]]])
+    # L coordinates (x6, x5, x4, x3, x2, t3, t2, x1, t1)
+    twisted = G.L_embed_twisted([[1.0, 2, 3, 4, 5, 6, 7, 8, 9],
+                                 [-0.5, 0.25, 1.5, 9, 9, 2.0, -3.0, 9, 4.0]])
+    assert np.array_equal(twisted, [
+        [[1, 9, 6, 1], [0, 1, 7, 2], [0, 0, 1, 3], [0, 0, 0, 1]],
+        [[1, 4, 2, -0.5], [0, 1, -3, 0.25], [0, 0, 1, 1.5], [0, 0, 0, 1]]])
+    # (n12, n13, n23, n14); n24 = n13 - n12 n23 and n34 = -n12
+    chart = G.sp4_n_chart([[2.0, 3.0, 5.0, 7.0], [0.5, -1.0, 4.0, 0.25]])
+    assert np.array_equal(chart, [
+        [[1, 2, 3, 7], [0, 1, 5, -7], [0, 0, 1, -2], [0, 0, 0, 1]],
+        [[1, 0.5, -1, 0.25], [0, 1, 4, -3], [0, 0, 1, -0.5], [0, 0, 0, 1]]])

@@ -75,7 +75,6 @@ def test_every_public_library_name_has_a_caller():
 _UNPASSED_DEFAULTS = {
     "cli.main": {"argv"},
     "report_diff.main": {"argv"},
-    "groups.symplectic_error": {"form"},
     "groups.sp4_algebra_basis": {"form"},
     "groups.sp4_iwasawa_dimension_audit": {"form"},
 }
