@@ -159,12 +159,12 @@ def convolve_N(phi, f, at, n: int, seed: int, sampler):
 def plancherel_N_check(f, box: float, count: int):
     """lhs = int |f|^2 dX by quadrature, rhs = (2 pi)^{-6} int |Ff|^2 dxi,
     with Ff the six-axis Euclidean transform in the global chart of N, for
-    a callable f on (..., 6) arrays sampled on the count^6 grid of +-box.
+    f(x1, ..., x6) on six broadcastable coordinate arrays (the contract of
+    SampledField.from_callable) sampled on the count^6 grid of +-box.
     f is transformed in its own buffer; dft_forward's phases h exp(-i xi x0)
     have modulus h on each axis, so rhs takes prod h^2 and applies none."""
     grid = box_grid(NIL_AXES, -box, box, count)
-    fld = SampledField.from_callable(
-        grid, lambda *xs: f(np.stack(np.broadcast_arrays(*xs), axis=-1)))
+    fld = SampledField.from_callable(grid, f)
     lhs = norm2(fld)
     spec = Spectrum(grid, fft_lines(fld.values, fld.values))
     rhs = norm2(spec) * math.prod(ax.step for ax in grid.axes) \

@@ -185,8 +185,8 @@ class SampledField:
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"value shape {self.values.shape} != grid shape {self.grid.shape}")
-        r = np.atleast_2d(self.values)  # a 1-D field is one serial call
-        if not all(_run_slabs(lambda s: np.all(np.isfinite(r[s])), len(r))):
+        r = np.atleast_2d(self.values)  # a 1-D field is one plane
+        if not all(_by_plane(lambda p: np.all(np.isfinite(r[p])), len(r))):
             raise ValueError("field contains non-finite values")
 
     @classmethod

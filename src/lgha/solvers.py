@@ -15,14 +15,15 @@ are rejected (the equation has no periodic solution for them).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
-from .quadrature import (Axis, GridSpec, SampledField, _by_factors,
-                         _by_plane, box_grid, fft_lines)
+from .quadrature import (Axis, GridSpec, SampledField, _by_plane,
+                         box_grid, fft_lines)
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_points",
@@ -106,7 +107,12 @@ def spectral_apply(op: PolyDiffOp, field: SampledField, box=None,
     factors window (as plateau_window gives them; 1 by default).  Each term
     windows and transforms the lines through the box along the axes it
     differentiates, and only along those (the continuum phases cancel), and
-    multiplies its coefficient in on the box's nodes."""
+    multiplies its coefficient in on the box's nodes.  A term runs one
+    index at a time along the first axis it does not transform (as one
+    chunk if it transforms every axis), the chunks split over the workers,
+    each writing its own slice of the result; a chunk forms its window
+    factor in _by_factors' order, so the result does not depend on the
+    chunking, bit for bit."""
     grid = field.grid
     box = (slice(None),) * len(grid.axes) if box is None else tuple(box)
     xis, mesh = _per_axis(grid, Axis.freqs), _per_axis(grid, Axis.nodes, box)
@@ -114,19 +120,33 @@ def spectral_apply(op: PolyDiffOp, field: SampledField, box=None,
     for m, poly in op.terms.items():
         axes = tuple(a for a, name in enumerate(grid.names)
                      if m[SOLVE_AXES.index(name)])
-        lines = tuple(slice(None) if a in axes else s
-                      for a, s in enumerate(box))
-        vals = field.values[lines]
-        buf = np.empty(vals.shape, complex)
-        if window is not None:  # each factor cut to the lines on its axis
-            vals = _by_factors(vals, [w[(slice(None),) * a + (s,)] for a, (
-                w, s) in enumerate(zip(window, lines))], np.multiply, buf)
-        vals = fft_lines(vals, buf, axes=axes)
         # (i xi)^k per derivative, zero along an axis the grid lacks
-        vals *= math.prod((1j * xi) ** k for xi, k in zip(xis, m) if k)
-        fft_lines(vals, vals, inverse=True, axes=axes)
-        out += poly.eval(*mesh) * vals[tuple(
-            s if a in axes else slice(None) for a, s in enumerate(box))]
+        mult = math.prod((1j * xi) ** k for xi, k in zip(xis, m) if k)
+        coef = poly.eval(*mesh)
+        c = next((a for a in range(out.ndim) if a not in axes), None)
+        # the grid indices of the box along c, one chunk each
+        steps = [None] if c is None else range(*box[c].indices(grid.shape[c]))
+
+        def chunk(p):
+            lines = [slice(None) if a in axes else s
+                     for a, s in enumerate(box)]
+            at = [slice(None)] * out.ndim  # the chunk's slice of out
+            if c is not None:
+                at[c], lines[c] = p, slice(steps[p.start], steps[p.start] + 1)
+            vals = field.values[tuple(lines)].copy()
+            if window is not None:  # each factor cut to the lines on its axis
+                vals *= functools.reduce(np.multiply, [
+                    w[(slice(None),) * a + (s,)] for a, (w, s) in enumerate(
+                        zip(window, lines))])
+            fft_lines(vals, vals, axes=axes)
+            vals *= mult
+            fft_lines(vals, vals, inverse=True, axes=axes)
+            out[tuple(at)] += coef[tuple(
+                s if n > 1 else slice(None) for s, n in zip(at, coef.shape))] \
+                * vals[tuple(s if a in axes else slice(None)
+                             for a, s in enumerate(box))]
+
+        _by_plane(chunk, len(steps))
     return out
 
 

@@ -274,10 +274,11 @@ BUMP_NORM2 = (np.pi * BUMP_SIGMA ** 2) ** 3 \
     * (1.0 + (0.3 ** 2 + 0.2 ** 2 + 0.15 ** 2) * (BUMP_SIGMA ** 2 / 2.0) ** 2)
 
 
-def _bump(pts):
-    x = np.moveaxis(pts, -1, 0)
+def _bump(*x):
+    """The bump at six broadcastable coordinate arrays x1..x6."""
     mix = 1.0 + 0.3 * x[0] * x[3] + 0.2 * x[1] * x[5] - 0.15 * x[2] * x[4]
-    return mix * np.exp(-np.sum(pts ** 2, axis=-1) / (2.0 * BUMP_SIGMA ** 2))
+    r2 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] ** 2 + x[4] ** 2 + x[5] ** 2
+    return mix * np.exp(-r2 / (2.0 * BUMP_SIGMA ** 2))
 
 
 def _nil_plancherel(cfg, rng, row):
@@ -297,7 +298,7 @@ def _nil_plancherel(cfg, rng, row):
         _bump, np.sqrt(np.pi * count / 2.0) * BUMP_SIGMA, count)
     row("plancherel-bump", res["rhs"], BUMP_NORM2,
         tol=2e-2 if count < 12 else None)
-    mc = monte_carlo(lambda x: np.abs(_bump(x)) ** 2, np.zeros(6),
+    mc = monte_carlo(lambda x: np.abs(_bump(*x.T)) ** 2, np.zeros(6),
                      np.full(6, BUMP_SIGMA / np.sqrt(2.0)),
                      min(cfg.budget_mc, BUMP_MC_SAMPLES),
                      cfg.check_seed("plancherel-bump-mc"))

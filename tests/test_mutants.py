@@ -1,14 +1,19 @@
-"""Mutation checks: each seeded mistake in a group law or chart makes the
-check that guards it fail.  A mistake is patched into the module for one
-test and run through only the check that catches it, so the test also pins
-which check that is."""
+"""Mutation checks: each seeded mistake in a group law, a chart or the
+Lewy solve's residual makes the check that guards it fail.  A mistake is
+patched into the module for one test and run through only the check that
+catches it, so the test also pins which check that is."""
+
+import math
+import types
 
 import numpy as np
 import pytest
 
 from lgha import cli
+from lgha import diffops as D
 from lgha import groups as G
 from lgha import nilfourier as nf
+from lgha import solvers as SV
 from lgha import suites
 
 _TOL = {row[0]: row[2] for rows in suites.ROWS.values() for row in rows}
@@ -128,3 +133,27 @@ def test_the_derived_charts_write_the_literal_slots():
     assert np.array_equal(chart, [
         [[1, 2, 3, 7], [0, 1, 5, -7], [0, 0, 1, -2], [0, 0, 0, 1]],
         [[1, 0.5, -1, 0.25], [0, 1, 4, -3], [0, 0, 1, -0.5], [0, 0, 0, 1]]])
+
+
+def _generic_residual():
+    """lewy-generic-residual's value: the residual of one Lewy solve at
+    n = 160 for the suite's right-hand side."""
+    gg = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j,
+                              (1, 1, 0): -0.15, (0, 1, 2): -0.1}), sigma=0.65)
+    return SV.lewy_solve(gg, 160)["residual"]
+
+
+def test_a_flipped_derivative_factor_fails_the_lewy_residual(monkeypatch):
+    # spectral_apply multiplies -(i xi)^k in: the residual applies -op and
+    # reads 2.0 (lewy-roundtrip-residual too); solvers takes math.prod for
+    # that factor alone
+    monkeypatch.setattr(SV, "math", types.SimpleNamespace(
+        prod=lambda factors: -math.prod(factors)))
+    assert _generic_residual() > 1e3 * _TOL["lewy-generic-residual"]
+
+
+def test_a_dropped_window_fails_the_generic_lewy_residual(monkeypatch):
+    # the unwindowed solution's tails are not periodic across the box, and
+    # their derivatives leak into the interior: 1.3e-2
+    monkeypatch.setattr(SV, "plateau_window", lambda grid: None)
+    assert _generic_residual() > 5 * _TOL["lewy-generic-residual"]

@@ -229,11 +229,12 @@ def test_sampled_field_validation(monkeypatch):
     bad[3] = np.nan
     with pytest.raises(ValueError):
         Q.SampledField(grid, bad)
-    # an n-D field is checked in first-axis slabs, one per worker
+    # an n-D field is checked one first-axis plane at a time, the planes
+    # split over the workers
     grid = Q.box_grid(("z", "y", "x"), -1.0, 1.0, (5, 4, 3))
     for workers in (1, 3):
         monkeypatch.setattr(Q, "_WORKERS", workers)
-        for index in ((0, 0, 0), (4, 3, 2)):
+        for index in ((0, 0, 0), (2, 1, 1), (4, 3, 2)):
             bad = np.zeros(grid.shape, complex)
             bad[index] = complex(0.0, np.inf)
             with pytest.raises(ValueError):
