@@ -36,6 +36,13 @@ class ConfigError(ValueError):
     pass
 
 
+# each JSON budget key, the SuiteConfig field it sets and its type; the
+# field budget_grid is also set by the flag --budget-grid, and so on
+_BUDGETS = {"max_grid_points": ("budget_grid", int),
+           "max_mc_samples": ("budget_mc", int),
+           "max_so4_bandlimit": ("budget_bandlimit", float)}
+
+
 def _number(kind, value, what):
     """kind(value) for a number read from a config file or a flag; a value
     kind rejects (a string, NaN or infinity for int) is a ConfigError, and
@@ -75,18 +82,12 @@ class SuiteConfig:
         tolerances = payload.get("tolerances", {})
         if not (isinstance(budgets, dict) and isinstance(tolerances, dict)):
             raise ConfigError('"budgets" and "tolerances" must be objects')
-        bkeys = {"max_grid_points", "max_mc_samples", "max_so4_bandlimit"}
-        bextra = set(budgets) - bkeys
+        bextra = set(budgets) - set(_BUDGETS)
         if bextra:
             raise ConfigError(f"unknown budget keys: {sorted(bextra)}")
-        cfg.budget_grid = _number(int, budgets.get("max_grid_points",
-                                                   cfg.budget_grid),
-                                  "max_grid_points")
-        cfg.budget_mc = _number(int, budgets.get("max_mc_samples",
-                                                 cfg.budget_mc),
-                                "max_mc_samples")
-        cfg.budget_bandlimit = _number(float, budgets.get(
-            "max_so4_bandlimit", cfg.budget_bandlimit), "max_so4_bandlimit")
+        for key, (name, kind) in _BUDGETS.items():
+            if key in budgets:
+                setattr(cfg, name, _number(kind, budgets[key], key))
         cfg.tolerances = {
             name: _number(float, tol, f"tolerance {name!r}")
             for name, tol in tolerances.items()}
@@ -148,9 +149,8 @@ def run_suite(suite: str, cfg: SuiteConfig) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seed": cfg.seed,
         "config": {
-            "budgets": {"max_grid_points": cfg.budget_grid,
-                        "max_mc_samples": cfg.budget_mc,
-                        "max_so4_bandlimit": cfg.budget_bandlimit},
+            "budgets": {key: getattr(cfg, name)
+                        for key, (name, _) in _BUDGETS.items()},
             "tolerances": cfg.tolerances,
         },
         "checks": checks,
@@ -196,9 +196,8 @@ def main(argv=None) -> int:
     parser.add_argument("--format", default="json", choices=("json", "csv"))
     parser.add_argument("--list", action="store_true",
                         help="list available suites")
-    parser.add_argument("--budget-grid", type=float, default=None)
-    parser.add_argument("--budget-mc", type=float, default=None)
-    parser.add_argument("--budget-bandlimit", type=float, default=None)
+    for name, _ in _BUDGETS.values():
+        parser.add_argument("--" + name.replace("_", "-"), type=float)
     args = parser.parse_args(argv)
 
     if args.list:
@@ -214,12 +213,10 @@ def main(argv=None) -> int:
             cfg = SuiteConfig()
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.budget_grid is not None:
-            cfg.budget_grid = _number(int, args.budget_grid, "--budget-grid")
-        if args.budget_mc is not None:
-            cfg.budget_mc = _number(int, args.budget_mc, "--budget-mc")
-        if args.budget_bandlimit is not None:
-            cfg.budget_bandlimit = args.budget_bandlimit
+        for name, kind in _BUDGETS.values():
+            if getattr(args, name) is not None:
+                setattr(cfg, name, _number(kind, getattr(args, name),
+                                           "--" + name.replace("_", "-")))
         cfg.validate()
         if args.suite is None:
             raise ConfigError("--suite is required (or use --list)")

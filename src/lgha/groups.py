@@ -48,7 +48,7 @@ class SymplecticViolation(ValueError):
 
 
 class NearSingular(RuntimeError):
-    """Gram-Schmidt pivot collapsed; the input is not a clean group element."""
+    """A QR diagonal entry collapsed; the input is not a clean group element."""
 
 
 # basis swap between the block form of the symplectic matrix and the
@@ -166,6 +166,8 @@ def nil_from_matrix(m) -> np.ndarray:
 # the L slots of (t1, t2, t3, x4, x5, x6), the twisted block, which multiply
 # as the N coordinates (x1..x6)
 L_TWISTED = [8, 6, 5, 2, 1, 0]
+# the L slots of x1..x6
+L_X = [7, 4, 3, 2, 1, 0]
 
 
 def L_mul(X, Y):
@@ -266,31 +268,22 @@ def iwasawa_decompose(g):
     the stacks (k, a, n) with k special orthogonal, a positive diagonal of
     determinant one, n unit upper triangular.
 
+    It is the QR factorization g = q r with the signs s of r's diagonal
+    moved into q, as random_so4 takes them: k = q diag(s), a = |diag r| and
+    n = (diag r)^{-1} r.  A diagonal entry of r below 1e-13 in modulus,
+    or a NaN, raises NearSingular.
+
     For a symplectic input (adapted form) all three factors are themselves
     symplectic; this is checked by the groups suite, not here.
     """
-    # modified Gram-Schmidt with one re-orthogonalization pass, g = q r, on
-    # the rows of a and q, which are the columns of g and of k
-    a = np.swapaxes(np.asarray(g, dtype=float), -1, -2)
-    q = np.zeros_like(a)
-    r = np.zeros_like(a)
-    for j in range(4):
-        v = a[..., j, :].copy()
-        for _ in range(2):
-            for i in range(j):
-                c = np.sum(q[..., i, :] * v, axis=-1)
-                r[..., i, j] += c
-                v -= c[..., None] * q[..., i, :]
-        piv = np.sqrt(np.sum(v * v, axis=-1))
-        if not np.all(piv >= 1e-13):
-            raise NearSingular(
-                f"column {j} pivot {np.min(piv):g} below threshold")
-        r[..., j, j] = piv
-        q[..., j, :] = v / piv[..., None]
+    q, r = np.linalg.qr(np.asarray(g, dtype=float))
     d = np.diagonal(r, axis1=-2, axis2=-1)
+    if not np.all(np.abs(d) >= 1e-13):
+        raise NearSingular(
+            f"QR diagonal {np.min(np.abs(d)):g} below threshold")
     n = np.triu(r / d[..., :, None], 1) + np.eye(4)
-    return (check_group(np.swapaxes(q, -1, -2), "SO4"),
-            check_group(d[..., :, None] * np.eye(4), "DiagPositive"),
+    return (check_group(q * np.sign(d)[..., None, :], "SO4"),
+            check_group(np.abs(d)[..., :, None] * np.eye(4), "DiagPositive"),
             check_group(n, "UpperUnipotent"))
 
 

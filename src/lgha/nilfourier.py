@@ -113,16 +113,10 @@ def nil_shift_of_L(lpts, y) -> np.ndarray:
 
 
 def flat_shift_of_L(lpts, y) -> np.ndarray:
-    """Commutative convolution shift in the (x-block, x3, x2, x1) slots."""
-    l = np.asarray(lpts, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = l.copy()
-    out[..., 0] = l[..., 0] - y[..., 5]
-    out[..., 1] = l[..., 1] - y[..., 4]
-    out[..., 2] = l[..., 2] - y[..., 3]
-    out[..., 3] = l[..., 3] - y[..., 2]
-    out[..., 4] = l[..., 4] - y[..., 1]
-    out[..., 7] = l[..., 7] - y[..., 0]
+    """Commutative convolution shift of an L point in the slots of x1..x6,
+    groups.L_X: y is subtracted slot by slot; t3, t2 and t1 ride along."""
+    out = np.array(lpts, dtype=float)
+    out[..., groups.L_X] -= np.asarray(y, dtype=float)
     return out
 
 
@@ -183,20 +177,19 @@ def parseval_N_check(f, phi, count: int = PAIRING_COUNT, n: int = 1 << 20,
     At the identity the group law cancels: phi-check(0 . u^{-1}) =
     conj(phi(u)), so the convolution side is int f conj(phi) du.
     The grid side takes it as a product of six 1-D box rules of
-    f_k conj(phi_k), count nodes each, on the box c +- (7.5 w + 0.3) around
-    the pairing's Gaussian envelope (center c, width w), or
-    c +- sqrt(pi count) w below PAIRING_COUNT nodes, which balances
-    truncation against aliasing (Trefethen & Weideman 2014); f and phi are
-    read through GaussProduct.factor_values.  The "mc" side importance-
-    samples it through the group law (convolve_N), n samples from seed.
+    f_k conj(phi_k), count nodes each, on the box c +- sqrt(pi count) w
+    around the pairing's Gaussian envelope (center c, width w), which
+    balances truncation against aliasing at every count (Trefethen &
+    Weideman 2014); f and phi are read through GaussProduct.factor_values.
+    The "mc" side importance-samples it through the group law (convolve_N),
+    n samples from seed.
     """
     rhs = factor_pairing(f.factors, phi.factors)[1]
 
     center, width = product_overlap(f, phi)
-    k, m = (7.5, 0.3) if count >= PAIRING_COUNT \
-        else (np.sqrt(np.pi * count), 0.0)
-    axes = [Axis(name, c - k * w - m, c + k * w + m, count)
-            for name, c, w in zip(NIL_AXES, center, width)]
+    half = np.sqrt(np.pi * count) * width
+    axes = [Axis(name, c - h, c + h, count)
+            for name, c, h in zip(NIL_AXES, center, half)]
     nodes = [ax.nodes() for ax in axes]
     lhs = math.prod(complex(pairwise_sum(fv * np.conj(pv) * ax.step))
                     for ax, fv, pv in zip(axes, f.factor_values(nodes),

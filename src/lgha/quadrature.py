@@ -249,20 +249,6 @@ def _axis_phases(grid: GridSpec) -> list:
         -1j * ax.freqs() * (ax.lo + 0.5 * ax.step)))
 
 
-def _by_factors(vals, factors, op, out) -> np.ndarray:
-    """op(vals, (f0 * f1) * ..., out=out), op np.multiply or np.divide and
-    f0, f1, ... per-axis factors shaped as GridSpec.coords returns them.  It
-    is written one first-axis plane at a time, each plane's factor formed in
-    the same order, so out is the same bit for bit as with the whole-array
-    factor.  A 1-D array is one whole-array call."""
-    first, *rest = factors
-    if vals.ndim == 1:
-        return op(vals, first, out=out)
-    _by_plane(lambda p: op(vals[p], functools.reduce(
-        np.multiply, rest, first[p]), out=out[p]), vals.shape[0])
-    return out
-
-
 def fft_lines(vals, out, inverse=False, axes=None):
     """np.fft.fftn (ifftn if inverse) of the complex array vals over axes
     (default all), written to out, which may be vals itself; no axes copies
@@ -290,16 +276,16 @@ def fft_lines(vals, out, inverse=False, axes=None):
 
 
 def dft_forward(field: SampledField) -> Spectrum:
-    """F(xi) = sum_j f(x_j) exp(-i xi x_j) h over every axis of the grid."""
+    """F(xi) = sum_j f(x_j) exp(-i xi x_j) h over every axis of the grid:
+    the FFT times the whole-grid factor (f0 * f1) * ... of the axis phases."""
     out = fft_lines(field.values, np.empty(field.values.shape, complex))
-    return Spectrum(field.grid, _by_factors(out, _axis_phases(field.grid),
-                                            np.multiply, out))
+    out *= functools.reduce(np.multiply, _axis_phases(field.grid))
+    return Spectrum(field.grid, out)
 
 
 def dft_inverse(spec: Spectrum) -> SampledField:
     """Exact inverse of dft_forward (composes to the identity on grid data)."""
-    out = _by_factors(spec.values, _axis_phases(spec.grid), np.divide,
-                      np.empty(spec.values.shape, complex))
+    out = spec.values / functools.reduce(np.multiply, _axis_phases(spec.grid))
     return SampledField(spec.grid, fft_lines(out, out, inverse=True))
 
 

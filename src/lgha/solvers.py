@@ -111,8 +111,8 @@ def spectral_apply(op: PolyDiffOp, field: SampledField, box=None,
     index at a time along the first axis it does not transform (as one
     chunk if it transforms every axis), the chunks split over the workers,
     each writing its own slice of the result; a chunk forms its window
-    factor in _by_factors' order, so the result does not depend on the
-    chunking, bit for bit."""
+    factor in axis order, (w0 * w1) * ..., so the result does not depend on
+    the chunking, bit for bit."""
     grid = field.grid
     box = (slice(None),) * len(grid.axes) if box is None else tuple(box)
     xis, mesh = _per_axis(grid, Axis.freqs), _per_axis(grid, Axis.nodes, box)

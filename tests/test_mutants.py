@@ -1,7 +1,7 @@
-"""Mutation checks: each seeded mistake in a group law, a chart or the
-Lewy solve's residual makes the check that guards it fail.  A mistake is
-patched into the module for one test and run through only the check that
-catches it, so the test also pins which check that is."""
+"""Mutation checks: each seeded mistake in a group law, a chart, a slot
+table, the corpus or the Lewy solve's residual makes the check that guards
+it fail.  A mistake is patched into the module for one test and run through
+only the check that catches it, so the test also pins which check that is."""
 
 import math
 import types
@@ -15,6 +15,8 @@ from lgha import groups as G
 from lgha import nilfourier as nf
 from lgha import solvers as SV
 from lgha import suites
+from lgha.corpus import GaussPoly1D
+from lgha.quadrature import MIN_MC_SAMPLES
 
 _TOL = {row[0]: row[2] for rows in suites.ROWS.values() for row in rows}
 
@@ -78,6 +80,67 @@ def test_lifted_convolution_catches_a_flipped_nil_mul_cross_term(
     assert _lifted_convolution_error(lifted_calls) > 5 * tol
 
 
+def test_a_swapped_L_X_entry_fails_lifted_convolution(monkeypatch,
+                                                     lifted_calls):
+    # the flat shift subtracts y2 from the x3 slot and y3 from x2: 0.39
+    swapped = list(G.L_X)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    monkeypatch.setattr(G, "L_X", swapped)
+    tol = _TOL["lifted-convolution"]
+    assert _lifted_convolution_error(lifted_calls) > 5 * tol
+
+
+@pytest.fixture(scope="module")
+def parseval_call():
+    """The arguments of the nil-plancherel suite's parseval_N_check call at
+    its default seed and grid budget, with the Monte Carlo side at its
+    minimum sample count.  The 12^6 bump grid is stubbed out, and the suite
+    stops at the captured call."""
+    calls = []
+
+    class Captured(Exception):
+        pass
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nf, "plancherel_N_check",
+                   lambda f, box, count: {"lhs": 1.0, "rhs": 1.0})
+        mp.setattr(nf, "parseval_N_check", spy)
+        with pytest.raises(Captured):
+            cli.SUITES["nil-plancherel"](
+                cli.SuiteConfig(budget_mc=MIN_MC_SAMPLES))
+    assert len(calls) == 1 and calls[0][0][2] == nf.PAIRING_COUNT
+    return calls[0]
+
+
+def _parseval_grid_error(call):
+    args, kwargs = call
+    return nf.parseval_N_check(*args, **kwargs)["grid"]["rel_err"]
+
+
+def test_parseval_grid_passes_on_the_honest_corpus(parseval_call):
+    # it reads 1.8e-10
+    assert _parseval_grid_error(parseval_call) <= _TOL["parseval-grid"]
+
+
+def test_a_narrowed_corpus_gaussian_fails_parseval_grid(monkeypatch,
+                                                        parseval_call):
+    # exp(-t^2 / sigma^2) for exp(-t^2 / (2 sigma^2)): both sides read the
+    # mutant, but the box rule's nodes, placed for the honest width, alias
+    # the narrower envelope: 2.3e-5
+    honest = GaussPoly1D.parts
+
+    def mutant(self, x):
+        p, e = honest(self, x)
+        return p, 2.0 * e
+
+    monkeypatch.setattr(GaussPoly1D, "parts", mutant)
+    assert _parseval_grid_error(parseval_call) > 5 * _TOL["parseval-grid"]
+
+
 def test_the_honest_groups_and_sp4_suites_pass():
     assert _failing_rows("groups") == set()
     assert _failing_rows("sp4-plancherel") == set()
@@ -133,6 +196,10 @@ def test_the_derived_charts_write_the_literal_slots():
     assert np.array_equal(chart, [
         [[1, 2, 3, 7], [0, 1, 5, -7], [0, 0, 1, -2], [0, 0, 0, 1]],
         [[1, 0.5, -1, 0.25], [0, 1, 4, -3], [0, 0, 1, -0.5], [0, 0, 0, 1]]])
+    # y = (y1..y6) leaves the x1..x6 slots of L; t3, t2 and t1 stay
+    flat = nf.flat_shift_of_L([1.0, 2, 3, 4, 5, 6, 7, 8, 9],
+                              [0.5, 1, 2, 4, 8, 16])
+    assert np.array_equal(flat, [-15, -6, -1, 2, 4, 6, 7, 7.5, 9])
 
 
 def _generic_residual():
