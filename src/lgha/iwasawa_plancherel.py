@@ -68,9 +68,10 @@ _FACTOR_DIMS = {EulerQuadSO4: ((6, 3), (None, 4)), U2Quad: ((4, 2), (None,))}
 
 
 def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=FACTOR_COUNT):
-    """The factorized transform T F f(lambda, xi, label) = Tu(label) Fv(xi)
-    Fw(lambda) (times Fr(eta) with a translation factor), and both sides of
-    its Plancherel identity: ||f||^2 over dk dn dt against the label sum of
+    """The two sides of the Plancherel identity of the factorized transform
+    T F f(lambda, xi, label) = Tu(label) Fv(xi) Fw(lambda) (times Fr(eta)
+    with a translation factor), and that transform, as the tuple lhs, rhs,
+    spectrum: ||f||^2 over dk dn dt against the label sum of
     weighted Hilbert-Schmidt masses with (2 pi)^{-1} per Euclidean axis on
     the spectral side.  Each side is a product by Fubini: the compact check
     on u times one 1-D Euclidean identity per axis.  u is synthesized once
@@ -89,12 +90,11 @@ def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=FACTOR_COUNT):
         raise ValueError(f"{type(quad).__name__} takes no factors of dims "
                          f"(N, A, translation) = {dims}")
     uvals = pw.synthesize(f.u, quad)
-    compact = pw.compact_plancherel_check(uvals, quad, J)
+    k_lhs, k_rhs, k_spec = pw.compact_plancherel_check(uvals, quad, J)
     fs = sum((g.factors for g in (f.v, f.w, f.r) if g is not None), ())
     norm, spectral, out = factor_pairing(fs, fs, count)
-    lhs, rhs = compact["lhs"] * norm.real, compact["rhs"] * spectral.real
-    spec = KNASpectrum(compact["spectrum"], out[:na[0]], out[na[0]:sum(na)])
-    return {"lhs": lhs, "rhs": rhs, "spectrum": spec}
+    spec = KNASpectrum(k_spec, out[:na[0]], out[na[0]:sum(na)])
+    return k_lhs * norm.real, k_rhs * spectral.real, spec
 
 
 # ---------------------------------------------------------------------------

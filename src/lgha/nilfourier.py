@@ -151,10 +151,11 @@ def convolve_N(phi, f, at, n: int, seed: int, sampler):
 
 
 def plancherel_N_check(f, box: float, count: int):
-    """lhs = int |f|^2 dX by quadrature, rhs = (2 pi)^{-6} int |Ff|^2 dxi,
-    with Ff the six-axis Euclidean transform in the global chart of N, for
-    f(x1, ..., x6) on six broadcastable coordinate arrays (the contract of
-    SampledField.from_callable) sampled on the count^6 grid of +-box.
+    """The two sides lhs, rhs: lhs = int |f|^2 dX by quadrature, rhs =
+    (2 pi)^{-6} int |Ff|^2 dxi, with Ff the six-axis Euclidean transform in
+    the global chart of N, for f(x1, ..., x6) on six broadcastable
+    coordinate arrays (the contract of SampledField.from_callable) sampled
+    on the count^6 grid of +-box.
     f is transformed in its own buffer; dft_forward's phases h exp(-i xi x0)
     have modulus h on each axis, so rhs takes prod h^2 and applies none."""
     grid = box_grid(NIL_AXES, -box, box, count)
@@ -163,16 +164,17 @@ def plancherel_N_check(f, box: float, count: int):
     spec = Spectrum(grid, fft_lines(fld.values, fld.values))
     rhs = norm2(spec) * math.prod(ax.step for ax in grid.axes) \
         * spec.freq_weight() / (2.0 * np.pi) ** 6
-    return {"lhs": lhs, "rhs": rhs}
+    return lhs, rhs
 
 
 def parseval_N_check(f, phi, count: int = PAIRING_COUNT, n: int = 1 << 20,
                      seed: int = 0):
     """Bilinear pairing identity: (phi-check * f)(0) against
     (2 pi)^{-6} int Ff conj(Fphi) dxi, where phi-check(X) = conj(phi(X^{-1})),
-    for separable GaussProduct f and phi: one spectral side, the product of
-    their factor pairings (quadrature.factor_pairing), against a "grid" and
-    an "mc" convolution side.
+    for separable GaussProduct f and phi.  Returns grid_lhs, rhs, mc: the
+    spectral side rhs, the product of their factor pairings
+    (quadrature.factor_pairing), between two convolution sides, a grid
+    value and an MCResult.
 
     At the identity the group law cancels: phi-check(0 . u^{-1}) =
     conj(phi(u)), so the convolution side is int f conj(phi) du.
@@ -181,7 +183,7 @@ def parseval_N_check(f, phi, count: int = PAIRING_COUNT, n: int = 1 << 20,
     around the pairing's Gaussian envelope (center c, width w), which
     balances truncation against aliasing at every count (Trefethen &
     Weideman 2014); f and phi are read through GaussProduct.factor_values.
-    The "mc" side importance-samples it through the group law (convolve_N),
+    The mc side importance-samples it through the group law (convolve_N),
     n samples from seed.
     """
     rhs = factor_pairing(f.factors, phi.factors)[1]
@@ -202,10 +204,7 @@ def parseval_N_check(f, phi, count: int = PAIRING_COUNT, n: int = 1 << 20,
     # the importance weights carry genuine variance
     mc = convolve_N(phi_check, f.values, np.zeros(6), n, seed,
                     (center, 1.35 * width))
-    return {"grid": {"lhs": lhs, "rhs": rhs,
-                     "rel_err": abs(lhs - rhs) / max(abs(rhs), 1e-300)},
-            "mc": {"lhs": mc.estimate, "rhs": rhs, "stderr": mc.stderr,
-                   "within_3sigma": mc.agrees(rhs)}}
+    return lhs, rhs, mc
 
 
 def lifted_convolution_check(f, u, lpoint, n: int = 1 << 20, seed: int = 0):
@@ -216,7 +215,8 @@ def lifted_convolution_check(f, u, lpoint, n: int = 1 << 20, seed: int = 0):
     the calling tests sample; off the slice the two sides differ by terms
     proportional to that coordinate.  Both sides are importance-sampled on
     one stream of samples (common random numbers), so on the slice they
-    differ by rounding alone; stderr is the hypot of the two sides' errors.
+    differ by rounding alone.  Returns monte_carlo's MCResult: its (2,)
+    estimate holds the two sides, its (2,) stderr their standard errors.
     """
     F = lift_to_L(f.values)
     lpoint = np.asarray(lpoint, dtype=float)
@@ -229,9 +229,4 @@ def lifted_convolution_check(f, u, lpoint, n: int = 1 << 20, seed: int = 0):
 
     mean = np.array([fac.mu for fac in u.factors])
     sig = np.array([fac.sigma for fac in u.factors])
-    mc = monte_carlo(both_sides, mean, sig, n, seed)
-    lhs, rhs = map(complex, mc.estimate)
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    sigma_comb = float(np.hypot(*mc.stderr))
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel, "stderr": sigma_comb,
-            "within_3sigma": abs(lhs - rhs) <= 3 * sigma_comb}
+    return monte_carlo(both_sides, mean, sig, n, seed)

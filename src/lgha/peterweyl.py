@@ -384,13 +384,14 @@ def synthesize(spec: CompactSpectrum, quad) -> np.ndarray:
 
 
 def compact_plancherel_check(f_values: np.ndarray, quad, J):
-    """Returns lhs = int |f|^2 dk, rhs = sum d ||Tf||_HS^2 and the spectrum."""
+    """The two sides lhs = int |f|^2 dk, rhs = sum d ||Tf||_HS^2, and the
+    spectrum Tf, as the tuple lhs, rhs, spectrum."""
     group = compact_group(quad)
     mass = np.abs(f_values) ** 2 * group.weights
     lhs = float(pairwise_sum(mass.ravel()).real)
     spec = compact_transform(f_values, quad, J)
     rhs = spec.hs_norm2_weighted(group.dim)
-    return {"lhs": lhs, "rhs": rhs, "spectrum": spec}
+    return lhs, rhs, spec
 
 
 def random_spectrum(rng, J, quad) -> CompactSpectrum:

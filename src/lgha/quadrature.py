@@ -393,7 +393,6 @@ class SU2Quad:
     [0, 4pi) uniform; weights normalized to total mass 1.
     """
 
-    bandlimit: float
     euler: np.ndarray    # (n, 3) columns alpha, beta, gamma
     weights: np.ndarray  # (n,)
 
@@ -418,7 +417,7 @@ def su2_quadrature(J: float) -> SU2Quad:
     A, B, G = np.meshgrid(alpha, beta, gamma, indexing="ij")
     W = np.broadcast_to((wb / 2.0)[None, :, None] / (na * ng), A.shape)
     euler = np.stack([A.ravel(), B.ravel(), G.ravel()], axis=1)
-    return SU2Quad(J, euler, W.ravel().copy())
+    return SU2Quad(euler, W.ravel().copy())
 
 
 @dataclass(frozen=True)
@@ -426,7 +425,6 @@ class EulerQuadSO4:
     """Product Haar quadrature on SU(2) x SU(2) (covering SO(4); only labels
     with j1 + j2 integral are well defined on the quotient)."""
 
-    bandlimit: float
     left: SU2Quad
     right: SU2Quad
 
@@ -435,7 +433,7 @@ def so4_quadrature(J: float) -> EulerQuadSO4:
     q = su2_quadrature(J)
     if q.node_count ** 2 > DEFAULT_SO4_NODE_BUDGET:
         raise BudgetExceeded("SO(4) quadrature exceeds node budget")
-    return EulerQuadSO4(J, q, q)
+    return EulerQuadSO4(q, q)
 
 
 @dataclass(frozen=True)
@@ -443,7 +441,6 @@ class U2Quad:
     """Haar quadrature on U(2) realized as (U(1) x SU(2)) / Z2: a phase theta
     in [0, pi) uniform plus an SU(2) factor."""
 
-    bandlimit: int
     theta: np.ndarray
     theta_weights: np.ndarray
     su2: SU2Quad
@@ -464,4 +461,4 @@ def u2_quadrature(M: int) -> U2Quad:
     su2 = su2_quadrature(M)
     if nt * su2.node_count > DEFAULT_SO4_NODE_BUDGET:
         raise BudgetExceeded("U(2) quadrature exceeds node budget")
-    return U2Quad(M, theta, np.full(nt, 1.0 / nt), su2)
+    return U2Quad(theta, np.full(nt, 1.0 / nt), su2)

@@ -252,9 +252,9 @@ def lewy_solve(g, n: int):
     SUPPORT.  The pullback of g under the conjugating map is sampled on a
     box whose z range covers the sheared image of the support; the
     Cauchy-Riemann factor is inverted spectrally; the solution
-    is sheared back without interpolation.  Returns a dict with the solution
-    field "f", the projected-mode report, and the independently computed
-    interior residual of the equation.
+    is sheared back without interpolation.  Returns the solution field and
+    a dict of the projected-mode report ("projected_rel", "n_projected")
+    and the independently computed interior "residual" of the equation.
     """
     f, info = _conjugated_solve(g, n, cauchy_riemann())
     box = interior_mask(f.grid)
@@ -264,7 +264,7 @@ def lewy_solve(g, n: int):
     residual = interior_rel_error(applied, g_inside)
     # residual is measured against g on the window, not against the solver's
     # own right-hand side samples
-    return {"f": f, "residual": residual, **info}
+    return f, {"residual": residual, **info}
 
 
 def four_stage_chain() -> PolyDiffOp:
@@ -288,8 +288,7 @@ def four_stage_operator() -> PolyDiffOp:
 def four_stage_solve(g, n: int):
     """Solve the four-stage composition inside the shear conjugation, on an
     n^3 grid around SUPPORT, by one division by the symbol of
-    four_stage_chain(); g(z, y, x) is as for lewy_solve.  Returns a dict
-    with the solution field "f" and the projected-mode report; the solve is
-    checked by its manufactured round trip, not by a residual."""
-    f, info = _conjugated_solve(g, n, four_stage_chain())
-    return {"f": f, **info}
+    four_stage_chain(); g(z, y, x) is as for lewy_solve.  Returns the
+    solution field and the projected-mode report; the solve is checked by
+    its manufactured round trip, not by a residual."""
+    return _conjugated_solve(g, n, four_stage_chain())

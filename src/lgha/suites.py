@@ -294,16 +294,14 @@ def _nil_plancherel(cfg, rng, row):
     count = _grid_count(cfg.budget_grid, 12)
     # on the box +-sqrt(pi count / 2) sigma, which balances truncation
     # against aliasing at every count (Trefethen & Weideman 2014)
-    res = NF.plancherel_N_check(
+    lhs, rhs = NF.plancherel_N_check(
         _bump, np.sqrt(np.pi * count / 2.0) * BUMP_SIGMA, count)
-    row("plancherel-bump", res["rhs"], BUMP_NORM2,
-        tol=2e-2 if count < 12 else None)
+    row("plancherel-bump", rhs, BUMP_NORM2, tol=2e-2 if count < 12 else None)
     mc = monte_carlo(lambda x: np.abs(_bump(*x.T)) ** 2, np.zeros(6),
                      np.full(6, BUMP_SIGMA / np.sqrt(2.0)),
                      min(cfg.budget_mc, BUMP_MC_SAMPLES),
                      cfg.check_seed("plancherel-bump-mc"))
-    row("plancherel-bump-mc", res["lhs"], mc.estimate.real,
-        passed=mc.agrees(res["lhs"]))
+    row("plancherel-bump-mc", lhs, mc.estimate.real, passed=mc.agrees(lhs))
 
     f = random_gauss_product(rng, 6, sigma_range=(0.8, 1.2), mu_scale=0.4,
                              poly=True)
@@ -312,13 +310,12 @@ def _nil_plancherel(cfg, rng, row):
     # under a tight grid budget the pairing check degrades to a coarser grid
     # at Monte Carlo tolerance (the MC row below confirms independently)
     pcount = _grid_count(cfg.budget_grid, NF.PAIRING_COUNT)
-    res = NF.parseval_N_check(f, phi, pcount,
-                              n=min(cfg.budget_mc, PARSEVAL_MC_SAMPLES),
-                              seed=cfg.check_seed("parseval-mc"))
-    row("parseval-grid", res["grid"]["lhs"], res["grid"]["rhs"],
+    lhs, rhs, mc = NF.parseval_N_check(
+        f, phi, pcount, n=min(cfg.budget_mc, PARSEVAL_MC_SAMPLES),
+        seed=cfg.check_seed("parseval-mc"))
+    row("parseval-grid", lhs, rhs,
         tol=2e-2 if pcount < NF.PAIRING_COUNT else None)
-    row("parseval-mc", res["mc"]["lhs"], res["mc"]["rhs"],
-        passed=res["mc"]["within_3sigma"])
+    row("parseval-mc", mc.estimate, rhs, passed=mc.agrees(rhs))
 
     fw = random_gauss_product(rng, 6, sigma_range=(1.1, 1.5), mu_scale=0.3)
     u = random_gauss_product(rng, 6, sigma_range=(0.4, 0.6), mu_scale=0.3)
@@ -326,10 +323,10 @@ def _nil_plancherel(cfg, rng, row):
     for i in range(10):
         ell = 0.7 * rng.normal(size=9)
         ell[4] = 0.0  # the equality holds exactly on this slice of L
-        res = NF.lifted_convolution_check(
+        mc = NF.lifted_convolution_check(
             fw, u, ell, n=min(cfg.budget_mc, LIFTED_MC_SAMPLES),
             seed=cfg.check_seed(f"lifted-{i}"))
-        worst = _worst(worst, res["rel_err"])
+        worst = _worst(worst, _rel(*mc.estimate))
     row("lifted-convolution", worst)
 
     F = NF.lift_to_L(fw.values)
@@ -384,8 +381,7 @@ def _so4(cfg, rng, row):
     rhs = sum(PW.so4_dim(l) * np.trace(back.coeffs[l]) for l in back.coeffs)
     row("identity-point-inversion", lhs.real, rhs.real)
 
-    res = PW.compact_plancherel_check(vals, quad, J)
-    row("compact-plancherel", res["lhs"], res["rhs"])
+    row("compact-plancherel", *PW.compact_plancherel_check(vals, quad, J)[:2])
 
     # center: the lift through (-1, -1) agrees with the identity lift for
     # every admissible label
@@ -422,21 +418,18 @@ def _sl4(cfg, rng, row):
     trivial = PW.CompactSpectrum({(0.0, 0.0): np.array([[1.0 + 0.5j]])})
     f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
-    res = IP.plancherel_sl4_check(f, quad, J)
-    row("kna-plancherel-trivial", res["lhs"], res["rhs"])
+    row("kna-plancherel-trivial", *IP.plancherel_sl4_check(f, quad, J)[:2])
 
     half = PW.CompactSpectrum({(0.5, 0.5): (rng.normal(size=(4, 4))
                                             + 1j * rng.normal(size=(4, 4))) / 4})
     f = IP.SeparableKNAFunction(half, random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
-    res = IP.plancherel_sl4_check(f, quad, J)
-    row("kna-plancherel-halfint", res["lhs"], res["rhs"])
+    row("kna-plancherel-halfint", *IP.plancherel_sl4_check(f, quad, J)[:2])
 
     f = IP.SeparableKNAFunction(PW.random_spectrum(rng, J, quad),
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
-    res = IP.plancherel_sl4_check(f, quad, J)
-    row("kna-plancherel-full", res["lhs"], res["rhs"])
+    row("kna-plancherel-full", *IP.plancherel_sl4_check(f, quad, J)[:2])
 
     row("kna-spot-check", _kna_spot_error(rng))
 
@@ -471,7 +464,7 @@ def _kna_spot_error(rng):
     count = 3
     spec = IP.plancherel_sl4_check(
         IP.SeparableKNAFunction(PW.CompactSpectrum(coeffs), v, w), quad, 0.5,
-        count=count)["spectrum"]
+        count=count)[2]
 
     def blackbox(npts, tpts):
         euclid = np.outer(v.values(npts), w.values(tpts))  # formed once
@@ -506,14 +499,12 @@ def _sp4(cfg, rng, row):
     f = IP.SeparableKNAFunction(PW.random_spectrum(rng, M, quad),
                                 random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
-    res = IP.plancherel_sl4_check(f, quad, M)
-    row("sp4-plancherel", res["lhs"], res["rhs"])
+    row("sp4-plancherel", *IP.plancherel_sl4_check(f, quad, M)[:2])
 
     trivial = PW.CompactSpectrum({(0, 0): np.array([[1.0 + 0.0j]])})
     f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
-    res = IP.plancherel_sl4_check(f, quad, M)
-    row("sp4-plancherel-trivial", res["lhs"], res["rhs"])
+    row("sp4-plancherel-trivial", *IP.plancherel_sl4_check(f, quad, M)[:2])
 
     dims = G.sp4_iwasawa_dimension_audit()
     row("sp4-dimension-audit", int(sum(dims)), 10,
@@ -536,8 +527,7 @@ def _semidirect(cfg, rng, row):
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3),
                                 r=random_gauss_product(rng, 4))
-    res = IP.plancherel_sl4_check(f, quad, J)
-    row("semidirect-plancherel", res["lhs"], res["rhs"])
+    row("semidirect-plancherel", *IP.plancherel_sl4_check(f, quad, J)[:2])
 
     z = rng.standard_normal((1000, 40))  # (v, v2, g1, g2) per draw
     v, v2 = z[:, :4], z[:, 4:8]
@@ -625,21 +615,19 @@ def _hormander(cfg, rng, row):
 
 def _roundtrip(solve, w, op, n):
     """Solve for the manufactured solution w o S on an n^3 grid, S the
-    shear-reflection, from the right-hand side (op w) o S.  Returns the
-    solution's relative error on the interior window and the solve's
-    residual (None where it reports none); the n^3 fields are freed when
-    this returns."""
+    shear-reflection, from the right-hand side (op w) o S, with a solve
+    that returns (field, info).  Returns the solution's relative error on
+    the interior window and info's "residual" (None where the solve reports
+    none); the n^3 fields are freed when this returns."""
     qw = w.apply_diffop(op)
 
     def rhs(z, y, x):
         return qw(*SV.shear_reflect_points(z, y, x))
 
-    res = solve(rhs, n)
-    grid = res["f"].grid
-    box = SV.interior_mask(grid)
-    href = w(*SV.shear_reflect_points(*grid.coords(index=box)))
-    return SV.interior_rel_error(res["f"].values[box], href), \
-        res.get("residual")
+    f, info = solve(rhs, n)
+    box = SV.interior_mask(f.grid)
+    href = w(*SV.shear_reflect_points(*f.grid.coords(index=box)))
+    return SV.interior_rel_error(f.values[box], href), info.get("residual")
 
 
 def _solvers(cfg, rng, row):
@@ -673,7 +661,7 @@ def _solvers(cfg, rng, row):
 
     gg = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j,
                               (1, 1, 0): -0.15, (0, 1, 2): -0.1}), sigma=0.65)
-    row("lewy-generic-residual", SV.lewy_solve(gg, 160)["residual"])
+    row("lewy-generic-residual", SV.lewy_solve(gg, 160)[1]["residual"])
 
     w2 = D.PolyGauss(D.Poly3({(0, 0, 2): 1.0, (0, 2, 0): -1.0,
                               (0, 1, 1): 2.0j}), sigma=0.6)

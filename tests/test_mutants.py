@@ -1,6 +1,6 @@
 """Mutation checks: each seeded mistake in a group law, a chart, a slot
-table, the corpus or the Lewy solve's residual makes the check that guards
-it fail.  A mistake is patched into the module for one test and run through
+table, the corpus, the compact transform and Wigner matrices or the Lewy
+solve's residual makes the check that guards it fail.  A mistake is patched into the module for one test and run through
 only the check that catches it, so the test also pins which check that is."""
 
 import math
@@ -13,6 +13,7 @@ from lgha import cli
 from lgha import diffops as D
 from lgha import groups as G
 from lgha import nilfourier as nf
+from lgha import peterweyl as PW
 from lgha import solvers as SV
 from lgha import suites
 from lgha.corpus import GaussPoly1D
@@ -60,8 +61,10 @@ def lifted_calls():
 
 
 def _lifted_convolution_error(calls):
-    """The lifted-convolution row's value: the worst rel_err of its calls."""
-    return max(nf.lifted_convolution_check(*args, **kwargs)["rel_err"]
+    """The lifted-convolution row's value: the worst relative error between
+    the two sides of its calls."""
+    return max(suites._rel(*nf.lifted_convolution_check(*args, **kwargs)
+                           .estimate)
                for args, kwargs in calls)
 
 
@@ -107,7 +110,7 @@ def parseval_call():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nf, "plancherel_N_check",
-                   lambda f, box, count: {"lhs": 1.0, "rhs": 1.0})
+                   lambda f, box, count: (1.0, 1.0))
         mp.setattr(nf, "parseval_N_check", spy)
         with pytest.raises(Captured):
             cli.SUITES["nil-plancherel"](
@@ -117,8 +120,10 @@ def parseval_call():
 
 
 def _parseval_grid_error(call):
+    """The parseval-grid row's value: the relative error between the grid
+    side and the spectral side."""
     args, kwargs = call
-    return nf.parseval_N_check(*args, **kwargs)["grid"]["rel_err"]
+    return suites._rel(*nf.parseval_N_check(*args, **kwargs)[:2])
 
 
 def test_parseval_grid_passes_on_the_honest_corpus(parseval_call):
@@ -144,6 +149,52 @@ def test_a_narrowed_corpus_gaussian_fails_parseval_grid(monkeypatch,
 def test_the_honest_groups_and_sp4_suites_pass():
     assert _failing_rows("groups") == set()
     assert _failing_rows("sp4-plancherel") == set()
+
+
+# so4 mutants: (owner, attribute, mutant of the honest function, the exact
+# set of so4 rows it fails), with the rows' errors at the default seed
+_SO4_KILLS = {
+    # 0.91, 30 and 8.7
+    "transposed-transform": (
+        PW, "compact_transform",
+        lambda honest: lambda f, quad, J: PW.CompactSpectrum(
+            {l: c.T for l, c in honest(f, quad, J).coeffs.items()}),
+        {"transform-roundtrip", "inversion-pointwise", "convolution-order"}),
+    # 0.90
+    "hs-norm-without-dimension": (
+        PW.CompactSpectrum, "hs_norm2_weighted",
+        lambda honest: lambda self, dim_fn: honest(self, lambda lbl: 1),
+        {"compact-plancherel"}),
+    # 2.0
+    "wigner-d-at-minus-beta": (
+        PW, "wigner_d",
+        lambda honest: lambda j, beta: honest(j, -np.asarray(beta)),
+        {"wigner-reference"}),
+    # 3.1
+    "wigner-D-at-minus-alpha": (
+        PW, "wigner_D",
+        lambda honest: lambda j, a, b, g: honest(j, -np.asarray(a), b, g),
+        {"convolution-order"}),
+    # gamma read as if it ran over 2 pi, not SU(2)'s 4 pi: 0.074 to 17
+    "wigner-D-at-half-gamma": (
+        PW, "wigner_D",
+        lambda honest: lambda j, a, b, g: honest(j, a, b, np.asarray(g) / 2),
+        {"schur-orthogonality", "transform-roundtrip", "inversion-pointwise",
+         "compact-plancherel", "center-parity", "convolution-order"}),
+    # 21 and 0.89: each label's term without its dimension d
+    "inverse-without-dimension": (
+        PW, "compact_inverse",
+        lambda honest: lambda spec, el, er: honest(PW.CompactSpectrum(
+            {l: c / PW.so4_dim(l) for l, c in spec.coeffs.items()}), el, er),
+        {"inversion-pointwise", "identity-point-inversion"}),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_SO4_KILLS))
+def test_each_so4_mutant_fails_exactly_its_rows(monkeypatch, mutant):
+    owner, name, make, rows = _SO4_KILLS[mutant]
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    assert _failing_rows("so4") == rows
 
 
 def test_a_wrong_spn_matrix_block_slot_fails_both_charts(monkeypatch):
@@ -207,7 +258,7 @@ def _generic_residual():
     n = 160 for the suite's right-hand side."""
     gg = D.PolyGauss(D.Poly3({(0, 0, 1): 0.7, (0, 1, 0): 0.3j,
                               (1, 1, 0): -0.15, (0, 1, 2): -0.1}), sigma=0.65)
-    return SV.lewy_solve(gg, 160)["residual"]
+    return SV.lewy_solve(gg, 160)[1]["residual"]
 
 
 def test_a_flipped_derivative_factor_fails_the_lewy_residual(monkeypatch):

@@ -120,17 +120,17 @@ def test_plancherel_separable_closed_form():
 
 def test_parseval_self_pairing_equals_norm():
     f = random_gauss_product(rng, 6, sigma_range=(0.7, 0.9), mu_scale=0.0)
-    res = nf.parseval_N_check(f, f, count=16, n=MIN_MC_SAMPLES)["grid"]
-    assert abs(res["rhs"] - f.norm2()) / f.norm2() < 1e-8
-    assert res["rel_err"] < 1e-6
+    lhs, rhs, _ = nf.parseval_N_check(f, f, count=16, n=MIN_MC_SAMPLES)
+    assert abs(rhs - f.norm2()) / f.norm2() < 1e-8
+    assert suites._rel(lhs, rhs) < 1e-6
 
 
 def test_parseval_mc_within_errorbars():
     f = random_gauss_product(rng, 6, sigma_range=(0.8, 1.1), poly=True)
     phi = random_gauss_product(rng, 6, sigma_range=(0.8, 1.1), poly=True)
-    res = nf.parseval_N_check(f, phi, n=1 << 19, seed=21)["mc"]
-    assert res["within_3sigma"]
-    assert res["stderr"] > 0
+    _, rhs, mc = nf.parseval_N_check(f, phi, n=1 << 19, seed=21)
+    assert mc.agrees(rhs)
+    assert mc.stderr > 0
 
 
 def test_lifted_convolution_on_slice_and_off_slice():
@@ -140,14 +140,17 @@ def test_lifted_convolution_on_slice_and_off_slice():
     u = random_gauss_product(gen, 6, sigma_range=(0.4, 0.6), mu_scale=0.2)
     on = 0.7 * gen.normal(size=9)
     on[4] = 0.0
-    res_on = nf.lifted_convolution_check(f, u, on, n=1 << 19, seed=31)
-    assert res_on["within_3sigma"]
-    assert res_on["rel_err"] < 2e-2
+    # each MCResult holds the two sides and their standard errors
+    mc_on = nf.lifted_convolution_check(f, u, on, n=1 << 19, seed=31)
+    lhs, rhs = mc_on.estimate
+    assert abs(lhs - rhs) <= 3 * np.hypot(*mc_on.stderr)
+    assert suites._rel(lhs, rhs) < 2e-2
     off = on.copy()
     off[4] = 1.5  # outside the slice the two convolutions genuinely differ
-    res_off = nf.lifted_convolution_check(f, u, off, n=1 << 19, seed=33)
-    assert res_off["rel_err"] > 5 * res_off["stderr"] / abs(res_off["lhs"])
-    assert res_off["rel_err"] > 3 * res_on["rel_err"]
+    mc_off = nf.lifted_convolution_check(f, u, off, n=1 << 19, seed=33)
+    rel_off = suites._rel(*mc_off.estimate)
+    assert rel_off > 5 * np.hypot(*mc_off.stderr) / abs(mc_off.estimate[0])
+    assert rel_off > 3 * suites._rel(lhs, rhs)
 
 
 def _suite_row(cfg, name):
@@ -197,7 +200,7 @@ def test_bump_check_holds_one_field(monkeypatch):
         assert peak <= 1.3, (workers, peak)
         results.append(res)
     assert results[0] == results[1] == results[2]
-    assert abs(results[0]["rhs"] - suites.BUMP_NORM2) <= 1e-6 * suites.BUMP_NORM2
+    assert abs(results[0][1] - suites.BUMP_NORM2) <= 1e-6 * suites.BUMP_NORM2
 
 
 def test_monte_carlo_budget_is_a_ceiling(monkeypatch):
@@ -344,7 +347,7 @@ def test_separable_parseval_grid_equals_group_law_sum():
     half = np.sqrt(np.pi * 6) * width
     box = (center - half, center + half)
     ref = _reference_convolution(phi_check, f.values, np.zeros(6), box, 6)
-    lhs = nf.parseval_N_check(f, phi, count=6, n=MIN_MC_SAMPLES)["grid"]["lhs"]
+    lhs = nf.parseval_N_check(f, phi, count=6, n=MIN_MC_SAMPLES)[0]
     assert abs(lhs - ref) <= 1e-13 * abs(ref)
 
 
@@ -365,8 +368,8 @@ def test_parseval_grid_fails_when_one_factor_of_f_is_perturbed(monkeypatch):
         return vals
 
     monkeypatch.setattr(GaussProduct, "factor_values", perturbed)
-    res = nf.parseval_N_check(f, phi, count=17, n=MIN_MC_SAMPLES)["grid"]
-    assert res["rel_err"] > 1e-6
+    lhs, rhs, _ = nf.parseval_N_check(f, phi, count=17, n=MIN_MC_SAMPLES)
+    assert suites._rel(lhs, rhs) > 1e-6
 
 
 def test_gauss_poly_values_skips_zero_coefficients_bit_for_bit():

@@ -1,5 +1,6 @@
-"""Package surface: every name a module exports exists, and every public
-name has a caller outside the tests."""
+"""Package surface: every name a module exports exists, every public name
+has a caller outside the tests, and only the row modules form errors and
+verdicts."""
 
 import ast
 import importlib
@@ -160,3 +161,32 @@ def test_benchmark_tracer_finds_every_layer(monkeypatch):
     with tracing.instrumented(tracing.Tracer()):
         assert vars(diffops.PolyGauss)["values"] is not before
     assert vars(diffops.PolyGauss)["values"] is before
+
+
+# the modules that turn check results into report rows
+_ROW_MODULES = {"suites", "cli", "report_diff"}
+_ROW_KEYS = {"rel_err", "abs_err", "within_3sigma"}
+
+
+def test_only_the_row_modules_form_errors_and_verdicts():
+    """A check returns its sides, as a tuple or an MCResult, and a solve
+    returns (field, info); the relative error, absolute error and 3-sigma
+    verdict of a row are formed where rows are made.  So no other lgha
+    module uses a row's error or verdict key as a dict key or a
+    subscript."""
+    pkg, trees = _library_trees()
+    found = []
+    for path, tree in trees.items():
+        if path.parent != pkg or path.stem in _ROW_MODULES:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys = node.keys
+            elif isinstance(node, ast.Subscript):
+                keys = [node.slice]
+            else:
+                continue
+            found += [f"{path.stem}:{node.lineno} {key.value}"
+                      for key in keys if isinstance(key, ast.Constant)
+                      and key.value in _ROW_KEYS]
+    assert not found, found

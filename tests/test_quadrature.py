@@ -195,7 +195,6 @@ def test_su2_quadrature_normalized():
 
 def test_u2_quadrature_accepts_an_integral_float():
     q, ref = Q.u2_quadrature(1.0), Q.u2_quadrature(1)
-    assert type(q.bandlimit) is int and q.bandlimit == 1
     assert np.array_equal(q.theta, ref.theta)
     assert np.array_equal(q.theta_weights, ref.theta_weights)
     assert np.array_equal(q.su2.euler, ref.su2.euler)
