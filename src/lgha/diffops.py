@@ -33,7 +33,8 @@ from math import comb, prod
 
 import numpy as np
 
-from .jets import Jet, DegreeOverflow, monomials, power_product, substitute
+from .jets import VARS, Jet, DegreeOverflow, monomials, power_product, \
+    substitute
 
 __all__ = [
     "Poly3", "PolyDiffOp", "CoordMap",
@@ -50,9 +51,6 @@ __all__ = [
     "flip_y_shear_map", "flip_x_shear_map",
     "parse_op", "format_op",
 ]
-
-_VARS = ("z", "y", "x")
-
 
 def _fmt_complex(c: complex) -> str:
     re, im = c.real, c.imag
@@ -176,9 +174,6 @@ class Poly3(_Terms):
             out += co if mono is None else co * mono
         return out if out.ndim else out[()]
 
-    def eval_jet(self, zj: Jet, yj: Jet, xj: Jet) -> Jet:
-        return self.substitute((zj, yj, xj))
-
     def reflect(self, sz: int = 1, sy: int = 1, sx: int = 1) -> "Poly3":
         """Substitute (z, y, x) -> (sz z, sy y, sx x)."""
         return Poly3({m: c * (sz ** m[0]) * (sy ** m[1]) * (sx ** m[2])
@@ -202,7 +197,7 @@ class Poly3(_Terms):
             return "Poly3(0)"
         bits = []
         for m in sorted(self.terms):
-            mono = "".join(f"{_VARS[i]}^{m[i]}" if m[i] > 1 else _VARS[i]
+            mono = "".join(f"{VARS[i]}^{m[i]}" if m[i] > 1 else VARS[i]
                            for i in range(3) if m[i])
             bits.append(f"{_fmt_complex(self.terms[m])}{'*' + mono if mono else ''}")
         return "Poly3(" + " + ".join(bits) + ")"
@@ -356,7 +351,7 @@ class CoordMap:
         pts = np.asarray(points, dtype=float)
         q = self.apply_points(pts)
         coords = Jet.coordinates(pts)
-        monos = monomials([p.eval_jet(*coords) - q[..., i]
+        monos = monomials([p.substitute(coords) - q[..., i]
                            for i, p in enumerate(self.fwd)])
         return [substitute(f.jet_at(q).coeffs, monos) for f in fs]
 
@@ -599,7 +594,7 @@ class PolyGauss:
         gauss = (q * (-0.5 / self.sigma ** 2)).exp()
         if set(self.poly.terms) == {(0, 0, 0)}:  # a constant: no jet product
             return Jet(gauss.coeffs * self.poly.terms[(0, 0, 0)])
-        return self.poly.eval_jet(*coords) * gauss
+        return self.poly.substitute(coords) * gauss
 
 
 class PlaneWave:
@@ -643,7 +638,7 @@ def standard_corpus(rng):
 _NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?")
 _POWER = re.compile(r"[zyx] ?\*\* ?\d+")
 _NO_INDEX = (0, 0, 0)
-_UNITS = dict(zip(_VARS, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+_UNITS = dict(zip(VARS, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
 # name -> (coefficient, coordinate monomial, derivative multi-index)
 _ATOMS = {"i": (1j, _NO_INDEX, _NO_INDEX),
           **{v: (1.0, u, _NO_INDEX) for v, u in _UNITS.items()},
@@ -711,11 +706,11 @@ def format_op(op: PolyDiffOp) -> str:
     bits = []
     for d in sorted(op.terms):
         poly = op.terms[d]
-        dstr = "*".join("*".join(["d" + _VARS[i]] * d[i])
+        dstr = "*".join("*".join(["d" + VARS[i]] * d[i])
                         for i in range(3) if d[i])
         for m in sorted(poly.terms):
             mono = "*".join(
-                "*".join([_VARS[i]] * m[i]) for i in range(3) if m[i])
+                "*".join([VARS[i]] * m[i]) for i in range(3) if m[i])
             chunk = f"({_fmt_complex(poly.terms[m])})"
             if mono:
                 chunk += "*" + mono

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import groups
 from .corpus import product_overlap
-from .quadrature import (Axis, SampledField, Spectrum, box_grid,
-                         factor_pairing, fft_lines, monte_carlo, norm2,
-                         pairwise_sum)
+from .quadrature import (Axis, SampledField, Spectrum, _by_plane, box_grid,
+                         factor_pairing, monte_carlo, norm2, pairwise_sum)
 
 __all__ = [
     "reduce_to_nil", "lift_to_L", "invariance_shift",
@@ -156,12 +155,18 @@ def plancherel_N_check(f, box: float, count: int):
     the global chart of N, for f(x1, ..., x6) on six broadcastable
     coordinate arrays (the contract of SampledField.from_callable) sampled
     on the count^6 grid of +-box.
-    f is transformed in its own buffer; dft_forward's phases h exp(-i xi x0)
-    have modulus h on each axis, so rhs takes prod h^2 and applies none."""
+    f is transformed in its own buffer, as np.fft.fftn runs it, last axis
+    first: axes 1 to 5 one first-axis plane at a time, then axis 0 one
+    second-axis index at a time, the planes split over the workers.
+    dft_forward's phases h exp(-i xi x0) have modulus h on each axis, so rhs
+    takes prod h^2 and applies none."""
     grid = box_grid(NIL_AXES, -box, box, count)
     fld = SampledField.from_callable(grid, f)
     lhs = norm2(fld)
-    spec = Spectrum(grid, fft_lines(fld.values, fld.values))
+    v = fld.values
+    _by_plane(lambda p: np.fft.fftn(v[p], axes=range(1, 6), out=v[p]), len(v))
+    _by_plane(lambda p: np.fft.fft(v[:, p], axis=0, out=v[:, p]), v.shape[1])
+    spec = Spectrum(grid, v)
     rhs = norm2(spec) * math.prod(ax.step for ax in grid.axes) \
         * spec.freq_weight() / (2.0 * np.pi) ** 6
     return lhs, rhs

@@ -3,7 +3,9 @@ integration, and Haar quadrature on SU(2)xSU(2) and U(2).
 
 Fourier convention used throughout the package: the forward transform carries
 the kernel exp(-i <xi, x>) and no prefactor; every (2pi) factor sits on the
-inverse / spectral side, i.e. ||f||^2 = (2pi)^{-d} ||Ff||^2.
+inverse / spectral side, i.e. ||f||^2 = (2pi)^{-d} ||Ff||^2.  Every transform
+calls np.fft directly; the solvers and plancherel_N_check split theirs into
+per-plane calls over the workers (_by_plane).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ class BudgetExceeded(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# one slab per CPU for work that is independent per line or per sample
+# one run of planes per CPU for work that is independent per plane, and one
+# block stream for Monte Carlo
 # ---------------------------------------------------------------------------
 
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -55,21 +58,19 @@ def _shared_pool():
     return _pool
 
 
-def _run_slabs(fn, count: int) -> list:
-    """[fn(s) for s in contiguous slices covering range(count)], one slice
-    per worker, in slice order.  Every fn(s) must touch only its own slice,
-    so the result does not depend on the number of slices."""
+def _by_plane(fn, count: int) -> list:
+    """[fn(slice(i, i + 1)) for i in range(count)], in plane order, each
+    worker running one contiguous run of the planes.  Every fn(p) must touch
+    only its own plane, so the result does not depend on the worker count."""
     k = max(1, min(_WORKERS, count))
     edges = [count * i // k for i in range(k + 1)]
-    slabs = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+    def run(j):
+        return [fn(slice(i, i + 1)) for i in range(edges[j], edges[j + 1])]
+
     pool = _shared_pool() if k > 1 else None
-    return list(map(fn, slabs) if pool is None else pool.map(fn, slabs))
-
-
-def _by_plane(fn, count: int) -> list:
-    """[fn(slice(i, i + 1)) for i in range(count)], split over the workers."""
-    return sum(_run_slabs(lambda s: [
-        fn(slice(i, i + 1)) for i in range(s.start, s.stop)], count), [])
+    return sum(map(run, range(k)) if pool is None else pool.map(run, range(k)),
+               [])
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ class SampledField:
     def from_callable(cls, grid: GridSpec, fn):
         """Sample the pointwise fn, which maps coordinate arrays shaped to
         broadcast over the grid (GridSpec.coords) to values of their
-        broadcast shape, on index boxes split over the workers: with d the
+        broadcast shape, on index boxes, one _by_plane step each: with d the
         first axis whose trailing block shape[d+1:] holds at most
         BLOCK_ENTRIES points, a box fixes the axes before d and runs
         BLOCK_ENTRIES // (block size) indices along d."""
@@ -206,8 +207,8 @@ class SampledField:
                  for a in range(0, shape[d], run)]
         nodes = {a.name: a.nodes() for a in grid.axes}  # once, cut per box
         out = np.empty(shape, complex)
-        _run_slabs(lambda s: [np.copyto(out[box], fn(*grid.coords(
-            lambda a: nodes[a.name], box))) for box in boxes[s]], len(boxes))
+        _by_plane(lambda p: [np.copyto(out[box], fn(*grid.coords(
+            lambda a: nodes[a.name], box))) for box in boxes[p]], len(boxes))
         return cls(grid, out)
 
 
@@ -249,36 +250,11 @@ def _axis_phases(grid: GridSpec) -> list:
         -1j * ax.freqs() * (ax.lo + 0.5 * ax.step)))
 
 
-def fft_lines(vals, out, inverse=False, axes=None):
-    """np.fft.fftn (ifftn if inverse) of the complex array vals over axes
-    (default all), written to out, which may be vals itself; no axes copies
-    vals into out.  One 1-D pass per axis, last axis first as fftn runs
-    them; each pass splits its lines into one slab per worker along another
-    axis, so out equals fftn's result bit for bit."""
-    fn = np.fft.ifft if inverse else np.fft.fft
-    axes = range(vals.ndim) if axes is None else axes
-    if len(axes) == 0:
-        np.copyto(out, vals)
-    src = vals
-    for axis in reversed(axes):
-        if vals.ndim == 1:
-            fn(src, out=out)
-        else:
-            split = 1 if axis == 0 else 0
-            lead = (slice(None),) * split
-
-            def one(s, src=src, axis=axis, lead=lead):
-                fn(src[lead + (s,)], axis=axis, out=out[lead + (s,)])
-
-            _run_slabs(one, vals.shape[split])
-        src = out
-    return out
-
-
 def dft_forward(field: SampledField) -> Spectrum:
     """F(xi) = sum_j f(x_j) exp(-i xi x_j) h over every axis of the grid:
-    the FFT times the whole-grid factor (f0 * f1) * ... of the axis phases."""
-    out = fft_lines(field.values, np.empty(field.values.shape, complex))
+    np.fft.fftn times the whole-grid factor (f0 * f1) * ... of the axis
+    phases."""
+    out = np.fft.fftn(field.values)
     out *= functools.reduce(np.multiply, _axis_phases(field.grid))
     return Spectrum(field.grid, out)
 
@@ -286,7 +262,7 @@ def dft_forward(field: SampledField) -> Spectrum:
 def dft_inverse(spec: Spectrum) -> SampledField:
     """Exact inverse of dft_forward (composes to the identity on grid data)."""
     out = spec.values / functools.reduce(np.multiply, _axis_phases(spec.grid))
-    return SampledField(spec.grid, fft_lines(out, out, inverse=True))
+    return SampledField(spec.grid, np.fft.ifftn(out, out=out))
 
 
 def _conj_sum(u, v) -> complex:

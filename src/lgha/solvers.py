@@ -22,8 +22,8 @@ import numpy as np
 
 from .diffops import PolyDiffOp, cauchy_riemann, cr_pair_R, \
     cr_pair_R_star, hormander_P, hormander_P_bar, lewy_conjugate_true
-from .quadrature import (Axis, GridSpec, SampledField, _by_plane,
-                         box_grid, fft_lines)
+from .jets import VARS
+from .quadrature import Axis, GridSpec, SampledField, _by_plane, box_grid
 
 __all__ = [
     "IncompatibleRHS", "cr_solve", "spectral_apply", "shear_reflect_points",
@@ -31,7 +31,7 @@ __all__ = [
     "four_stage_solve", "interior_mask", "interior_rel_error",
 ]
 
-SOLVE_AXES = ("z", "y", "x")
+SOLVE_AXES = VARS
 # (z, y, x) half-widths holding the effective support of a conjugated
 # solve's right-hand side, and the margin added to them on every axis
 SUPPORT = (2.5, 2.8, 2.8)
@@ -82,10 +82,10 @@ def _divide(vals, grid: GridSpec, op: PolyDiffOp) -> dict:
         parts[np.abs(parts) < 1e-300] = 0.0
         sums = [np.sum(np.abs(v) ** 2) for v in b]
         kernel = np.broadcast_to(mask, b.shape)
-        modes = fft_lines(b, b, axes=axes)[kernel]
+        modes = np.fft.fftn(b, axes=axes, out=b)[kernel]
         b /= div
         b[kernel] = 0.0
-        fft_lines(b, b, inverse=True, axes=axes)
+        np.fft.ifftn(b, axes=axes, out=b)
         return sums, modes
 
     sums, modes = zip(*([block(vals)] if 0 in axes else
@@ -138,9 +138,9 @@ def spectral_apply(op: PolyDiffOp, field: SampledField, box=None,
                 vals *= functools.reduce(np.multiply, [
                     w[(slice(None),) * a + (s,)] for a, (w, s) in enumerate(
                         zip(window, lines))])
-            fft_lines(vals, vals, axes=axes)
+            np.fft.fftn(vals, axes=axes, out=vals)
             vals *= mult
-            fft_lines(vals, vals, inverse=True, axes=axes)
+            np.fft.ifftn(vals, axes=axes, out=vals)
             out[tuple(at)] += coef[tuple(
                 s if n > 1 else slice(None) for s, n in zip(at, coef.shape))] \
                 * vals[tuple(s if a in axes else slice(None)

@@ -334,7 +334,12 @@ def _nil_plancherel(cfg, rng, row):
     hrk = rng.normal(size=(1000, 3))
     shifted = NF.invariance_shift(lpts, *hrk.T)
     err = np.max(np.abs(F(shifted) - F(lpts)))
-    row("lift-invariance", err)
+    # the flows are affine in (h, r, k): the unit flows' displacements span
+    # the family, which must move every point along three directions
+    moves = np.stack([NF.invariance_shift(lpts, *e) - lpts
+                      for e in np.eye(3)], axis=-1)
+    rank = np.linalg.matrix_rank(moves)
+    row("lift-invariance", _worst(err, float(np.any(rank != 3))))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_constant_poly_gauss_jet_equals_the_unit_product():
     pts = rng.normal(size=(5, 3))
     gauss = D.PolyGauss(D.ONE, mu, sigma).jet_at(pts)
     for c in (1.0, -2.5 + 0.5j):
-        product = D.Poly3.const(c).eval_jet(*Jet.coordinates(pts)) * gauss
+        product = D.Poly3.const(c).substitute(Jet.coordinates(pts)) * gauss
         jet = D.PolyGauss(D.Poly3.const(c), mu, sigma).jet_at(pts)
         assert np.array_equal(jet.coeffs, product.coeffs)
 
@@ -297,7 +297,7 @@ def test_no_jet_product_has_a_unit_factor(monkeypatch):
         for d in deltas:
             d.coeffs[0] = 0.0
         monomials(deltas)
-        poly.eval_jet(*Jet.coordinates(gen.normal(size=shape + (3,))))
+        poly.substitute(Jet.coordinates(gen.normal(size=shape + (3,))))
         Jet(_cplx(gen, N_COEFFS, *shape)).exp()
     assert len(factors) > 100
     for c in factors:

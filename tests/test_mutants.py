@@ -1,6 +1,6 @@
 """Mutation checks: each seeded mistake in a group law, a chart, a slot
-table, the corpus, the compact transform and Wigner matrices or the Lewy
-solve's residual makes the check that guards it fail.  A mistake is patched into the module for one test and run through
+table, an invariance flow, the corpus, the compact transform and Wigner
+matrices or the Lewy solve's residual makes the check that guards it fail.  A mistake is patched into the module for one test and run through
 only the check that catches it, so the test also pins which check that is."""
 
 import math
@@ -91,6 +91,27 @@ def test_a_swapped_L_X_entry_fails_lifted_convolution(monkeypatch,
     monkeypatch.setattr(G, "L_X", swapped)
     tol = _TOL["lifted-convolution"]
     assert _lifted_convolution_error(lifted_calls) > 5 * tol
+
+
+def _failing_nil_rows():
+    """The failing nil-plancherel rows at the coarsest grid and Monte Carlo
+    budgets, which leave lift-invariance's inputs as they are."""
+    return {r["name"] for r in cli.SUITES["nil-plancherel"](cli.SuiteConfig(
+        budget_grid=suites.MIN_GRID_POINTS, budget_mc=MIN_MC_SAMPLES))
+        if not r["pass"]}
+
+
+# invariance_shift with its k flow, or every flow, at 0: the lifted function
+# stays invariant, but the unit flows' displacements have rank 2 or 0
+@pytest.mark.parametrize("flows", [lambda h, r, k: (h, r, 0 * k),
+                                   lambda h, r, k: (0 * h, 0 * r, 0 * k)],
+                         ids=["k-at-0", "all-at-0"])
+def test_a_stalled_invariance_flow_fails_lift_invariance(monkeypatch, flows):
+    assert _failing_nil_rows() == set()
+    honest = nf.invariance_shift
+    monkeypatch.setattr(nf, "invariance_shift",
+                        lambda lpts, *hrk: honest(lpts, *flows(*hrk)))
+    assert _failing_nil_rows() == {"lift-invariance"}
 
 
 @pytest.fixture(scope="module")

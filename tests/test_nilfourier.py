@@ -1,5 +1,6 @@
 """Lift to the auxiliary group, convolution, transform and Plancherel on N."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -187,9 +188,17 @@ def test_bump_check_holds_one_field(monkeypatch):
     # and the buffer transformed in place, so the check holds one complex
     # 12^6 field and the busy workers' plane temporaries (2.75 fields with
     # a separate spectrum and whole-array |.|^2 temporaries); each worker
-    # count runs on a fresh pool and gives the same sums
+    # count runs on a fresh pool and gives the same sums, 5 workers taking
+    # the 12 planes unevenly, and the in-place transform equals np.fft.fftn
+    box = np.sqrt(np.pi * 12 / 2.0) * suites.BUMP_SIGMA
+    grid = Q.box_grid(nf.NIL_AXES, -box, box, 12)
+    spec = Q.Spectrum(grid, np.fft.fftn(
+        Q.SampledField.from_callable(grid, suites._bump).values))
+    rhs = Q.norm2(spec) * math.prod(ax.step for ax in grid.axes) \
+        * spec.freq_weight() / (2.0 * np.pi) ** 6
+    del spec
     results = []
-    for workers in (1, 2, 4):
+    for workers in (1, 2, 4, 5):
         monkeypatch.setattr(Q, "_WORKERS", workers)
         monkeypatch.setattr(Q, "_pool", None)
         try:
@@ -199,7 +208,8 @@ def test_bump_check_holds_one_field(monkeypatch):
                 Q._pool.shutdown()
         assert peak <= 1.3, (workers, peak)
         results.append(res)
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1] == results[2] == results[3]
+    assert results[0][1] == rhs
     assert abs(results[0][1] - suites.BUMP_NORM2) <= 1e-6 * suites.BUMP_NORM2
 
 

@@ -45,28 +45,39 @@ def _library_trees():
                  for path in sorted(pkg.glob("*.py")) + sorted(bench.glob("*.py"))}
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a function's or class's, or
+    the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [
+        node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
 def test_every_public_library_name_has_a_caller():
-    """Each public top-level function or class of an lgha module is named,
-    as a name or an attribute, somewhere in the package or the benchmark
-    besides its own definition, or is a layer the benchmark's tracer wraps
-    by module and name, _L("module", "name", ...) in perfbench/tracing.py,
-    whose per-layer metrics BENCHMARK.json lists.  Tests, other strings and
-    __all__ do not count."""
+    """Each top-level function, class or constant of an lgha module, public
+    or private, is read, as a name or an attribute, somewhere in the package
+    or the benchmark besides its own definition, or is a layer the
+    benchmark's tracer wraps by module and name, _L("module", "name", ...)
+    in perfbench/tracing.py, whose per-layer metrics BENCHMARK.json lists.
+    Tests, other strings, assignments and __all__ do not count."""
     pkg, trees = _library_trees()
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
     traced = {f"{node.args[0].value}.{node.args[1].value}"
               for node in ast.walk(trees[pkg.parents[1] / "perfbench"
                                          / "tracing.py"])
               if isinstance(node, ast.Call)
               and getattr(node.func, "id", None) == "_L"}
-    unused = [f"{path.stem}.{node.name}"
+    unused = [f"{path.stem}.{name}"
               for path, tree in trees.items() if path.parent == pkg
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in used
-              and f"{path.stem}.{node.name}" not in traced]
+              for node in tree.body for name in _defined_names(node)
+              if name != "__all__" and name not in used
+              and f"{path.stem}.{name}" not in traced]
     assert not unused, unused
 
 

@@ -270,31 +270,11 @@ def test_pairwise_sum_matches_fsum():
 
 
 # ---------------------------------------------------------------------------
-# the per-CPU slabs change nothing: every result equals the serial one
+# the per-CPU runs of planes change nothing: every result equals the serial
+# one
 # ---------------------------------------------------------------------------
 
 _SPLIT_SHAPES = ((33,), (7, 6, 5), (3, 4, 2, 3, 2, 3))
-
-
-@pytest.mark.parametrize("workers", (1, 2, 3))
-@pytest.mark.parametrize("shape", _SPLIT_SHAPES)
-def test_fft_lines_equal_fftn_for_any_slab_count(monkeypatch, workers, shape):
-    monkeypatch.setattr(Q, "_WORKERS", workers)
-    gen = np.random.default_rng(len(shape))
-    vals = gen.normal(size=shape) + 1j * gen.normal(size=shape)
-    keep = vals.copy()
-    out = Q.fft_lines(vals, np.empty(shape, complex))
-    assert np.array_equal(out, np.fft.fftn(vals))
-    assert np.array_equal(vals, keep)
-    assert np.array_equal(Q.fft_lines(keep, keep, inverse=True),
-                          np.fft.ifftn(vals))
-    assert np.array_equal(
-        Q.fft_lines(vals, np.empty(shape, complex), axes=(0,)),
-        np.fft.fft(vals, axis=0))
-    # no axes: the values are copied into a distinct out
-    for inverse in (False, True):
-        assert np.array_equal(Q.fft_lines(vals, np.full(shape, np.nan + 0j),
-                                          inverse, axes=()), vals)
 
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
