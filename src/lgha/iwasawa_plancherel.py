@@ -19,8 +19,7 @@ import numpy as np
 
 from . import peterweyl as pw
 from .corpus import GaussProduct
-from .quadrature import (BLOCK_ENTRIES, FACTOR_COUNT, EulerQuadSO4, U2Quad,
-                         factor_pairing)
+from .quadrature import FACTOR_COUNT, EulerQuadSO4, U2Quad, factor_pairing
 
 __all__ = [
     "SeparableKNAFunction", "KNASpectrum", "plancherel_sl4_check",
@@ -167,6 +166,8 @@ def q_lift_invariance_error(f, v, g, h, q) -> np.ndarray:
 # nested-quadrature spot check of the factorized transform
 # ---------------------------------------------------------------------------
 
+_ORACLE_ENTRIES = 1 << 17  # values a black-box block holds, about 2 MiB
+
 
 def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
                             n_freq_idx, a_freq_idx):
@@ -183,7 +184,10 @@ def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
     frequency index arrays, and the values come back as (S, d, d).
     fn(npts, tpts) takes the grid points ((Nn, dn), (Nt, dt)) once and
     returns at(el, er), which maps node stacks ((P, 3), (P, 3)) to (P, Nn,
-    Nt) values, once on each block of about BLOCK_ENTRIES values.
+    Nt) values, on equal blocks of about _ORACLE_ENTRIES values and never
+    one pair alone while there are two (a fixed step can leave one in the
+    last block, and a (1, Nn Nt) block goes through a dot product, not a
+    matrix-vector product, and rounds differently).
     Intended for small grids; the cost is |K|^2 x |n-grid| x |t-grid|.
     """
     n_grids = [s.grid for s in n_spectra]
@@ -208,13 +212,14 @@ def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
     er = np.tile(quad.right.euler, (quad.left.node_count, 1))
     w = np.outer(quad.left.weights, quad.right.weights).ravel()
     size = npts.shape[0] * tpts.shape[0]
-    step = -(-BLOCK_ENTRIES // size)  # rounded up, at least 1
+    parts = max(1, min(-(-w.size * size // _ORACLE_ENTRIES), w.size // 2))
     sums = [[] for _ in phases]
     at = fn(npts, tpts)
-    for b in range(0, w.size, step):
-        block = at(el[b:b + step], er[b:b + step]).reshape(-1, size)
+    for bl, br in zip(np.array_split(el, parts), np.array_split(er, parts)):
+        block = at(bl, br).reshape(-1, size)
         for s, phase in zip(sums, phases):
             s.append(block @ phase)
+        del block  # one block live at a time
     rep = pw.so4_rep(label, el, er)
     # sum_p w s rep(k_p)^{-1} = conj(sum_p conj(w s) rep(k_p))^T: no
     # conjugated copy of the representation stack

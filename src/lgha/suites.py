@@ -444,10 +444,11 @@ def _sl4(cfg, rng, row):
     row("upsilon-invariance", np.max(IP.upsilon_invariance_error(
         fm, G.random_sl4(z[:, 0]), h, k1)))
 
+    # U(g k1^T, k1) = f(g): a side that reads the lift's k1 slot
     lifted = IP.lift_upsilon(fm)
     g = G.random_sl4(rng.standard_normal((4, 4)))
-    err = abs(lifted(g, np.eye(4)) - fm(g))
-    row("upsilon-restriction", err)
+    k1 = G.random_so4(rng.standard_normal((4, 4)))
+    row("upsilon-restriction", abs(lifted(g @ k1.T, k1) - fm(g)))
 
 
 def _matrix_test_function(rng):

@@ -126,28 +126,40 @@ def test_nested_oracle_fails_at_wrong_label_or_frequency():
     assert rel_err(other, [n_idx], [a_idx])[0] > 1e-6
 
 
-def test_many_point_oracle_equals_one_point_calls():
+def _four_point_case():
+    """Oracle arguments at four random points, 3^5 grid values a pair."""
     quad = so4_quadrature(0.5)
     label, count = (0.5, 0.5), 3
     blackbox, spec = _spot_case(quad, 0.5, label, count, n_dim=3, a_dim=2)
     gen = np.random.default_rng(5053)
     n_idx = gen.integers(0, count, size=(4, 3))
     a_idx = gen.integers(0, count, size=(4, 2))
-    many = ip.nested_transform_oracle(blackbox, quad, label, spec.n_spectra,
-                                      spec.a_spectra, n_idx, a_idx)
+    return blackbox, quad, label, spec.n_spectra, spec.a_spectra, n_idx, a_idx
+
+
+def test_many_point_oracle_equals_one_point_calls():
+    *common, n_idx, a_idx = _four_point_case()
+    many = ip.nested_transform_oracle(*common, n_idx, a_idx)
     assert many.shape == (4, 4, 4)
     for o, n, a in zip(many, n_idx, a_idx):
-        one = ip.nested_transform_oracle(blackbox, quad, label,
-                                         spec.n_spectra, spec.a_spectra,
-                                         [n], [a])
+        one = ip.nested_transform_oracle(*common, [n], [a])
         assert np.array_equal(o, one[0])
 
 
+def test_pair_blocks_leave_the_oracle_output_as_it_is(monkeypatch):
+    # blocks of two pairs against the default blocks of about 2^17 values
+    args = _four_point_case()
+    default = ip.nested_transform_oracle(*args)
+    monkeypatch.setattr(ip, "_ORACLE_ENTRIES", 2 * 3 ** 5)
+    assert np.array_equal(ip.nested_transform_oracle(*args), default)
+
+
 def test_spot_check_row_calls_the_black_box_once_per_block(monkeypatch):
-    # 48^2 node pairs of 3^9 grid values each, two pairs a block: one oracle
-    # pass serves all five spot frequencies
+    # 48^2 node pairs of 3^9 grid values each, split into 346 equal blocks
+    # of 6 or 7 pairs: one oracle pass serves all five spot frequencies
     original = ip.nested_transform_oracle
     calls = {"oracle": 0, "blackbox": 0}
+    most = -(-ip._ORACLE_ENTRIES // 3 ** 9)
 
     def counting(fn, *args):
         def grid(npts, tpts):
@@ -155,6 +167,7 @@ def test_spot_check_row_calls_the_black_box_once_per_block(monkeypatch):
 
             def counted(el, er):
                 calls["blackbox"] += 1
+                assert 2 <= len(el) == len(er) <= most
                 return at(el, er)
             return counted
         calls["oracle"] += 1
@@ -164,7 +177,7 @@ def test_spot_check_row_calls_the_black_box_once_per_block(monkeypatch):
     cfg = cli.SuiteConfig(seed=42, budget_bandlimit=0.5)
     rows = {c["name"]: c for c in cli.SUITES["sl4-plancherel"](cfg)}
     assert rows["kna-spot-check"]["pass"]
-    assert calls == {"oracle": 1, "blackbox": 1152}
+    assert calls == {"oracle": 1, "blackbox": 346}
 
 
 def test_sp4_restriction_plancherel():

@@ -1,7 +1,9 @@
 """Mutation checks: each seeded mistake in a group law, a chart, a slot
-table, an invariance flow, the corpus, the compact transform and Wigner
-matrices or the Lewy solve's residual makes the check that guards it fail.  A mistake is patched into the module for one test and run through
-only the check that catches it, so the test also pins which check that is."""
+table, an invariance flow, a lift, the corpus, the Euclidean and compact
+transforms and Wigner matrices or the Lewy solve's residual makes the check
+that guards it fail.  A mistake is patched into the module for one test and
+run through only the check that catches it, so the test also pins which
+check that is."""
 
 import math
 import types
@@ -12,12 +14,14 @@ import pytest
 from lgha import cli
 from lgha import diffops as D
 from lgha import groups as G
+from lgha import iwasawa_plancherel as IP
 from lgha import nilfourier as nf
 from lgha import peterweyl as PW
+from lgha import quadrature as Q
 from lgha import solvers as SV
 from lgha import suites
 from lgha.corpus import GaussPoly1D
-from lgha.quadrature import MIN_MC_SAMPLES
+from lgha.quadrature import MIN_MC_SAMPLES, SampledField, Spectrum
 
 _TOL = {row[0]: row[2] for rows in suites.ROWS.values() for row in rows}
 
@@ -216,6 +220,49 @@ def test_each_so4_mutant_fails_exactly_its_rows(monkeypatch, mutant):
     owner, name, make, rows = _SO4_KILLS[mutant]
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
     assert _failing_rows("so4") == rows
+
+
+def _flipped_kernel(honest):
+    """dft_forward with exp(+i xi x) for exp(-i xi x): the conjugate of the
+    honest transform of the conjugate field."""
+    return lambda field: Spectrum(field.grid, honest(SampledField(
+        field.grid, np.conj(field.values))).values.conj())
+
+
+def _kna_spot_error():
+    return suites._kna_spot_error(np.random.default_rng(42))
+
+
+def test_the_honest_kna_spot_check_passes():
+    # it reads 6.1e-15
+    assert _kna_spot_error() <= _TOL["kna-spot-check"]
+
+
+# a wrong Euclidean kernel, Wigner phase or coefficient layout in the
+# factorized transform; the oracle's black box needs none of these
+@pytest.mark.parametrize("owner,name,make", [
+    (Q, "dft_forward", _flipped_kernel),  # 0.77
+    (PW, "wigner_D", _SO4_KILLS["wigner-D-at-minus-alpha"][2]),  # 1.6
+    (PW, "compact_transform", _SO4_KILLS["transposed-transform"][2]),  # 0.85
+], ids=["flipped-dft-kernel", "wigner-D-at-minus-alpha",
+        "transposed-transform"])
+def test_a_wrong_factor_transform_fails_kna_spot_check(monkeypatch, owner,
+                                                       name, make):
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    assert _kna_spot_error() > 5 * _TOL["kna-spot-check"]
+
+
+# lift_upsilon as f(k1 g) or f(g k1^T): the restriction reads the k1 slot
+@pytest.mark.parametrize("lift", [
+    lambda f: lambda g, k1: f(k1 @ g),
+    lambda f: lambda g, k1: f(g @ np.swapaxes(k1, -1, -2))],
+    ids=["k1-on-the-left", "k1-transposed"])
+def test_a_wrong_upsilon_lift_fails_both_upsilon_rows(monkeypatch, lift):
+    monkeypatch.setattr(suites, "_kna_spot_error", lambda rng: 0.0)
+    assert _failing_rows("sl4-plancherel") == set()
+    monkeypatch.setattr(IP, "lift_upsilon", lift)
+    assert _failing_rows("sl4-plancherel") == {"upsilon-invariance",
+                                               "upsilon-restriction"}
 
 
 def test_a_wrong_spn_matrix_block_slot_fails_both_charts(monkeypatch):
