@@ -33,8 +33,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .jets import VARS, Jet, DegreeOverflow, monomials, power_product, \
-    substitute
+from .jets import VARS, Jet, DegreeOverflow, power_product, substitute
 
 __all__ = [
     "Poly3", "PolyDiffOp", "CoordMap",
@@ -179,15 +178,6 @@ class Poly3(_Terms):
         return Poly3({m: c * (sz ** m[0]) * (sy ** m[1]) * (sx ** m[2])
                       for m, c in self.terms.items()})
 
-    def substitute(self, values):
-        """The polynomial at (z, y, x) = values, three Poly3s (a full
-        polynomial substitution) or three jets, summed from their zero."""
-        out, powers = type(values[0])(), [[None, v] for v in values]
-        for m, co in self.terms.items():
-            mono = power_product(powers, m)
-            out = out + (co if mono is None else co * mono)
-        return out
-
     @property
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -301,18 +291,17 @@ class PolyDiffOp(_Terms):
             out = out + term
         return out
 
-    def apply(self, fs, points) -> list:
+    def apply(self, jets, points) -> list:
         """Exact values of (op f) at one point (3,) or a batch (..., 3) for
-        each f of a sequence, using the degree-4 jet of f there; an f may
-        also be that Jet.  Each coefficient is evaluated once per call."""
+        each of a sequence of degree-4 jets of functions f there.  Each
+        coefficient is evaluated once per call."""
         if self.order > 4:
             raise DegreeOverflow("operator order exceeds jet degree")
         pts = np.asarray(points, dtype=float)
         z, y, x = pts[..., 0], pts[..., 1], pts[..., 2]
         coeffs = [(m, p.eval(z, y, x)) for m, p in self.terms.items()]
         values = []
-        for f in fs:
-            jet = f if isinstance(f, Jet) else f.jet_at(pts)
+        for jet in jets:
             out = np.zeros(pts.shape[:-1], dtype=complex)
             for m, c in coeffs:
                 out = out + c * jet.deriv(m)
@@ -336,7 +325,7 @@ class CoordMap:
     inv: tuple
 
     def check_inverse(self) -> bool:
-        comp = [p.substitute(self.inv) for p in self.fwd]
+        comp = [substitute(p.terms, self.inv) for p in self.fwd]
         return comp == [Z, Y, X]
 
     def apply_points(self, pts):
@@ -345,25 +334,22 @@ class CoordMap:
         return np.stack([np.real(p.eval(z, y, x)) for p in self.fwd], axis=-1)
 
     def pullback(self, fs, points) -> list:
-        """The jet of f o m at the point(s) for each f of a sequence, by
-        Taylor substitution of the map into the jet of f at m(point); the
-        monomials in the map's delta jets are formed once per call."""
-        pts = np.asarray(points, dtype=float)
-        q = self.apply_points(pts)
-        coords = Jet.coordinates(pts)
-        monos = monomials([p.substitute(coords) - q[..., i]
-                           for i, p in enumerate(self.fwd)])
-        return [substitute(f.jet_at(q).coeffs, monos) for f in fs]
+        """The jet of f o m at the point(s) for each f of a sequence: f's
+        jet formula at the map's component jets, formed once per call."""
+        coords = Jet.coordinates(points)
+        zyx = [substitute(p.terms, coords) for p in self.fwd]
+        return [f.jet_at(zyx) for f in fs]
 
 
 def verify_identity(identities, corpus, points) -> dict:
     """{name: maximum absolute discrepancy over a corpus of jet-evaluable
     functions} for identities (name, lhs, rhs), each side a tuple (op,
     outer=None, inner=None).  Sides are grouped by their (outer, inner)
-    pair; a group forms outer(points), the inner map's monomial table, the
-    corpus jets and each operator's coefficient values once, and frees them
-    before the next group; sides of a group with equal operators share one
-    application.  A NaN discrepancy makes that identity NaN."""
+    pair; a group forms outer(points), the corpus jets there (through the
+    inner map's component jets) and each operator's coefficient values
+    once, and frees them before the next group; sides of a group with
+    equal operators share one application.  A NaN discrepancy makes that
+    identity NaN."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     identities, groups, values = list(identities), {}, {}
     for i, (_, *sides) in enumerate(identities):
@@ -372,8 +358,8 @@ def verify_identity(identities, corpus, points) -> dict:
             groups.setdefault((outer, inner), []).append(((i, s), op))
     for (outer, inner), sides in groups.items():
         q = pts if outer is None else outer.apply_points(pts)
-        jets = ([f.jet_at(q) for f in corpus] if inner is None
-                else inner.pullback(corpus, q))
+        jets = ([f.jet_at(Jet.coordinates(q)) for f in corpus]
+                if inner is None else inner.pullback(corpus, q))
         ops, applied = [], []  # the group's distinct operators, by ==
         for key, op in sides:
             if op not in ops:
@@ -587,14 +573,15 @@ class PolyGauss:
         pts = np.asarray(pts, dtype=float)
         return self(pts[..., 0], pts[..., 1], pts[..., 2])
 
-    def jet_at(self, point) -> Jet:
-        coords = Jet.coordinates(point)
-        d = [j - c for j, c in zip(coords, self.mu)]
+    def jet_at(self, zyx) -> Jet:
+        """The jet of f at the three coordinate jets zyx: Jet.coordinates
+        of a point or a batch, or a map's component jets there."""
+        d = [j - c for j, c in zip(zyx, self.mu)]
         q = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
         gauss = (q * (-0.5 / self.sigma ** 2)).exp()
         if set(self.poly.terms) == {(0, 0, 0)}:  # a constant: no jet product
             return Jet(gauss.coeffs * self.poly.terms[(0, 0, 0)])
-        return self.poly.substitute(coords) * gauss
+        return substitute(self.poly.terms, zyx) * gauss
 
 
 class PlaneWave:
@@ -603,8 +590,9 @@ class PlaneWave:
     def __init__(self, kz, ky, kx):
         self.k = (complex(kz), complex(ky), complex(kx))
 
-    def jet_at(self, point) -> Jet:
-        zj, yj, xj = Jet.coordinates(point)
+    def jet_at(self, zyx) -> Jet:
+        """The jet of f at the three coordinate jets zyx, as for PolyGauss."""
+        zj, yj, xj = zyx
         return (1j * (self.k[0] * zj + self.k[1] * yj + self.k[2] * xj)).exp()
 
     def values(self, pts):
@@ -675,7 +663,7 @@ def _terms(node, src: bytes):
 
 
 def parse_op(text: str) -> PolyDiffOp:
-    """Parse a sum of products of complex scalars, coordinate monomials, and
+    """Parse a sum of products of complex scalars, coordinates, and
     derivative symbols dz, dy, dx (repeat factors for higher order).
 
     The text is read by Python's expression grammar, with `^` for powers:

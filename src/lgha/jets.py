@@ -2,9 +2,11 @@
 (z, y, x), total degree <= 4.
 
 A jet holds the Taylor coefficients of a function at a point; ring
-operations, exponentials of nilpotent parts, and substitution of polynomial
-coordinate changes are all exact, which makes pointwise derivative
-evaluation and conjugation by polynomial maps exact as well.
+operations and exponentials of nilpotent parts are exact.  So a formula
+evaluated at the jets of a polynomial map's components gives the jet of
+its composite with the map (Taylor-mode propagation), which makes
+pointwise derivative evaluation and conjugation by polynomial maps exact
+as well.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ N_COEFFS = len(MULTI_INDICES)
 # the pairs (i, j) with m_i + m_j = m_k, in table order (i, then j,
 # ascending), starting from zero: the order in which a scatter-add over the
 # flat pair list would add them.  Round r of the sum adds the r-th pair of
-# every output monomial that has one; taking the monomials by decreasing
+# every output monomial that has one; taking the outputs by decreasing
 # pair count (_BY_COUNT) makes those a prefix of the output rows.  Formed
 # _BLOCK at a time, a 100-point product holds under glibc's 128 KiB mmap and
 # trim thresholds.  A group is (I, J, runs), a run being one round's part of
@@ -198,23 +200,13 @@ def power_product(powers, m):
     return out
 
 
-def monomials(deltas) -> list:
-    """The products d0^a d1^b d2^c of the three delta jets (by
-    power_product) for every multi-index (a, b, c) in MULTI_INDICES order,
-    the unit jet for (0, 0, 0); the deltas are the jets (without constant
-    term) of an inner map's components around p."""
-    powers = [[None, d] for d in deltas]
-    return [Jet.const(1.0) if m == (0, 0, 0) else power_product(powers, m)
-            for m in MULTI_INDICES]
-
-
-def substitute(outer_coeffs: np.ndarray, monos) -> Jet:
-    """Taylor composition: outer is a jet at q, monos are the `monomials` of
-    the inner map's delta jets around p, where the map takes the value q;
-    returns the jet of the composite at p."""
-    out = Jet()
-    for co, mono in zip(outer_coeffs, monos):
-        if np.any(co):
-            out = out + mono * co
+def substitute(terms: dict, values):
+    """The polynomial {multi-index (az, ay, ax): coefficient} at (z, y, x)
+    = values, three ring values of one type (Poly3s or jets): each
+    coefficient times its power_product, summed from the values' zero.  At
+    the jets of a map's components this is the jet of the composite."""
+    out, powers = type(values[0])(), [[None, v] for v in values]
+    for m, co in terms.items():
+        mono = power_product(powers, m)
+        out = out + (co if mono is None else co * mono)
     return out
-

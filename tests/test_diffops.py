@@ -2,6 +2,7 @@
 brackets, and the operator DSL."""
 
 import tracemalloc
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from lgha import cli
 from lgha import diffops as D
 from lgha.diffops import PlaneWave, standard_corpus
-from lgha.jets import (DEGREE, MULTI_INDICES, N_COEFFS, DegreeOverflow, Jet,
-                       _align, monomials, substitute)
+from lgha.jets import (MULTI_INDICES, N_COEFFS, DegreeOverflow, Jet,
+                       substitute)
 from lgha.solvers import four_stage_chain
 
 rng = np.random.default_rng(606)
@@ -47,7 +48,7 @@ def test_jet_exp_matches_plane_wave_derivatives():
     k = (0.7, -0.4, 1.1)
     f = PlaneWave(*k)
     p = rng.normal(size=3)
-    jet = f.jet_at(p)
+    jet = f.jet_at(Jet.coordinates(p))
     val = f.values(np.array(p))
     assert abs(jet.coeffs[0] - val) < 1e-14
     assert abs(jet.deriv((1, 0, 0)) - 1j * k[0] * val) < 1e-13
@@ -57,11 +58,11 @@ def test_jet_exp_matches_plane_wave_derivatives():
 def test_constant_poly_gauss_jet_equals_the_unit_product():
     # a constant polynomial scales the exp jet, with no Jet x Jet product
     mu, sigma = (0.2, -0.1, 0.3), 1.1
-    pts = rng.normal(size=(5, 3))
-    gauss = D.PolyGauss(D.ONE, mu, sigma).jet_at(pts)
+    coords = Jet.coordinates(rng.normal(size=(5, 3)))
+    gauss = D.PolyGauss(D.ONE, mu, sigma).jet_at(coords)
     for c in (1.0, -2.5 + 0.5j):
-        product = D.Poly3.const(c).substitute(Jet.coordinates(pts)) * gauss
-        jet = D.PolyGauss(D.Poly3.const(c), mu, sigma).jet_at(pts)
+        product = substitute(D.Poly3.const(c).terms, coords) * gauss
+        jet = D.PolyGauss(D.Poly3.const(c), mu, sigma).jet_at(coords)
         assert np.array_equal(jet.coeffs, product.coeffs)
 
 
@@ -70,7 +71,7 @@ def test_jet_vs_finite_differences():
     for poly in (D.ONE, D.Poly3({(0, 0, 0): 1.0, (1, 0, 1): 0.3})):
         f = D.PolyGauss(poly, (0.2, -0.1, 0.3), 1.1)
         p = np.array([0.4, 0.2, -0.5])
-        jet = f.jet_at(p)
+        jet = f.jet_at(Jet.coordinates(p))
         h = 1e-5
         for axis in range(3):
             e = np.zeros(3)
@@ -86,10 +87,10 @@ def test_jet_vs_finite_differences():
 
 
 def test_degree_overflow():
-    f = PlaneWave(1, 0, 0)
+    p = (0.0, 0.0, 0.0)
     op = D.PolyDiffOp({(5, 0, 0): D.ONE})
     with pytest.raises(DegreeOverflow):
-        op.apply([f], (0.0, 0.0, 0.0))
+        op.apply([PlaneWave(1, 0, 0).jet_at(Jet.coordinates(p))], p)
 
 
 def test_deriv_rejects_a_malformed_multi_index():
@@ -248,38 +249,64 @@ def test_batched_product_equals_the_pointwise_products():
         assert batch[:, p].tobytes() == point.tobytes()
 
 
-def test_substitute_equals_the_three_factor_form():
-    # the monomial table, summed by substitute, equals the three-factor
-    # products formed term by term, bit for bit
+_NAMED_MAPS = (D.shear_reflect_map, D.shear_map, D.shear_map_inv,
+               D.flip_y_shear_map, D.flip_x_shear_map)
+
+
+def _taylor_pullback(m, f, p):
+    """The jet of f o m at one point p by the Taylor composition formula:
+    the jet of f at q = m(p), its coefficient c_(a,b,c) times d0^a d1^b d2^c
+    summed, the d_i the jets of m's components around p minus q_i, each
+    coefficient of those from the components' partial derivatives."""
+    q = m.apply_points(p)
+    deltas = []
+    for i, poly in enumerate(m.fwd):
+        d = Jet()
+        for k, midx in enumerate(MULTI_INDICES):
+            part = poly
+            for axis, order in enumerate(midx):
+                for _ in range(order):
+                    part = part.partial(axis)
+            d.coeffs[k] = part.eval(*p) / prod(map(factorial, midx))
+        d.coeffs[0] -= q[i]
+        deltas.append(d)
+    outer = f.jet_at(Jet.coordinates(q)).coeffs
+    want = Jet()
+    for k, midx in enumerate(MULTI_INDICES):
+        term = Jet.const(outer[k])
+        for d, order in zip(deltas, midx):
+            for _ in range(order):
+                term = term * d
+        want = want + term
+    return want
+
+
+@pytest.mark.parametrize("make", _NAMED_MAPS, ids=lambda f: f.__name__)
+def test_pullback_equals_the_taylor_composition(make):
+    # the corpus jets at the map's component jets, against the composition
+    # formula at each point and against finite differences of f o m
     gen = np.random.default_rng(619)
-    for shape in ((), (100,)):
-        outer = _cplx(gen, N_COEFFS, *shape)
-        outer[7] = 0.0  # a zero coefficient is skipped in both forms
-        deltas = []
-        for _ in range(3):
-            d = Jet(_cplx(gen, N_COEFFS, *shape))
-            d.coeffs[0] = 0.0
-            deltas.append(d)
-        powers = []
-        for d in deltas:
-            ps = [Jet.const(1.0)]
-            for _ in range(DEGREE):
-                ps.append(ps[-1] * d)
-            powers.append(ps)
-        want = Jet()
-        for k, (a, b, c) in enumerate(MULTI_INDICES):
-            if not np.any(outer[k]):
-                continue
-            term = powers[0][a] * powers[1][b] * powers[2][c]
-            al, bl = _align(term.coeffs, np.asarray(outer[k])[None, ...])
-            want = want + Jet(al * bl)
-        got = substitute(outer, monomials(deltas))
-        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    m, corpus = make(), standard_corpus(gen)
+    pts = gen.uniform(-1.2, 1.2, size=(6, 3))
+    for f, got in zip(corpus, m.pullback(corpus, pts)):
+        assert got.coeffs.shape == (N_COEFFS, 6)
+        for n, p in enumerate(pts):
+            want = _taylor_pullback(m, f, p).coeffs
+            assert np.max(np.abs(got.coeffs[:, n] - want)) \
+                <= 1e-13 * np.max(np.abs(want))
+        h = 1e-5
+        for axis in range(3):
+            e = np.zeros(3)
+            e[axis] = h
+            fd = (f.values(m.apply_points(pts + e))
+                  - f.values(m.apply_points(pts - e))) / (2 * h)
+            unit = tuple(int(a == axis) for a in range(3))
+            assert np.max(np.abs(got.deriv(unit) - fd)) < 1e-8
 
 
 def test_no_jet_product_has_a_unit_factor(monkeypatch):
-    """The monomial table, a polynomial's jet and the exponential form each
-    power from its factor alone: no jet is multiplied by the unit jet."""
+    """A polynomial at jets, the exponential form and a pullback each power
+    from its factor alone: no jet is multiplied by the unit jet."""
     gen = np.random.default_rng(623)
     factors, mul = [], Jet.__mul__
 
@@ -292,13 +319,12 @@ def test_no_jet_product_has_a_unit_factor(monkeypatch):
     monkeypatch.setattr(Jet, "__rmul__", spy)
     poly = D.Poly3({(0, 0, 0): 1.0, (2, 1, 0): 0.5, (0, 0, 3): -1j,
                     (1, 1, 1): 2.0})
+    corpus = standard_corpus(gen)
     for shape in ((), (7,)):
-        deltas = [Jet(_cplx(gen, N_COEFFS, *shape)) for _ in range(3)]
-        for d in deltas:
-            d.coeffs[0] = 0.0
-        monomials(deltas)
-        poly.substitute(Jet.coordinates(gen.normal(size=shape + (3,))))
+        pts = gen.normal(size=shape + (3,))
+        substitute(poly.terms, Jet.coordinates(pts))
         Jet(_cplx(gen, N_COEFFS, *shape)).exp()
+        D.shear_reflect_map().pullback(corpus, pts)
     assert len(factors) > 100
     for c in factors:
         assert not (np.all(c[0] == 1.0) and not np.any(c[1:]))
@@ -357,24 +383,18 @@ def test_poly3_eval_matches_power_formula():
     assert D.Poly3.const(2.0).eval(zc, yc, xc).shape == (n, n, n)
 
 
-class _CoordX:
-    def jet_at(self, pts):
-        return Jet.coordinates(pts)[2]
-
-
-class _R2:
-    """x^2 + y^2 + z^2 as a jet-evaluable function."""
-
-    def jet_at(self, pts):
-        zj, yj, xj = Jet.coordinates(pts)
-        return zj * zj + yj * yj + xj * xj
+def _corpus_jets(corpus, pts):
+    return [f.jet_at(Jet.coordinates(pts)) for f in corpus]
 
 
 def test_apply_examples():
-    assert D.PolyDiffOp.partial(2).apply([_CoordX()], (0.2, 0.5, -0.9)) \
-        == [1.0]
-    [lap2] = D.laplacian_2d().apply([_R2()], rng.normal(size=3))
-    [lap3] = D.laplacian_3d().apply([_R2()], rng.normal(size=3))
+    p = (0.2, 0.5, -0.9)
+    assert D.PolyDiffOp.partial(2).apply([Jet.coordinates(p)[2]], p) == [1.0]
+    # x^2 + y^2 + z^2
+    p = rng.normal(size=3)
+    r2 = sum(j * j for j in Jet.coordinates(p))
+    [lap2] = D.laplacian_2d().apply([r2], p)
+    [lap3] = D.laplacian_3d().apply([r2], p)
     assert lap2 == pytest.approx(4.0) and lap3 == pytest.approx(6.0)
 
 
@@ -384,7 +404,7 @@ def test_plane_wave_symbol_oracle():
     pts = rng.normal(size=(20, 3))
     for op in (D.lewy(), D.lewy_star(), D.cauchy_riemann(),
                D.sheared_laplacian()):
-        [vals] = op.apply([f], pts)
+        [vals] = op.apply(_corpus_jets([f], pts), pts)
         # exact action on a plane wave: polynomial coefficients at the point
         # times (ik)^alpha
         expect = np.zeros(20, dtype=complex)
@@ -443,7 +463,7 @@ def _discrepancy(lhs, rhs, corpus, pts):
     pullback of it."""
     def values(op, outer=None, inner=None):
         q = pts if outer is None else outer.apply_points(pts)
-        return [op.apply([f.jet_at(q) if inner is None
+        return [op.apply([f.jet_at(Jet.coordinates(q)) if inner is None
                           else inner.pullback([f], q)[0]], q)[0]
                 for f in corpus]
     return float(np.max([np.max(np.abs(a - b)) for a, b in
@@ -465,8 +485,9 @@ def test_lewy_conjugation_identity():
     hb, sigma = D.shear_reflect_map(), D.reflection(1, 1, -1)
     # as displayed, with reflected-argument evaluation on both sides: the
     # conjugate read at sigma(p) has the outer map hb o sigma
-    hb_sigma = D.CoordMap(tuple(p.substitute(sigma.fwd) for p in hb.fwd),
-                          tuple(p.substitute(hb.inv) for p in sigma.inv))
+    hb_sigma = D.CoordMap(
+        tuple(substitute(p.terms, sigma.fwd) for p in hb.fwd),
+        tuple(substitute(p.terms, hb.inv) for p in sigma.inv))
     assert hb_sigma.check_inverse()
     err = D.verify_identity([
         ("true", (D.cauchy_riemann(), hb, hb), (D.lewy_conjugate_true(),)),
@@ -508,8 +529,8 @@ def test_verify_identity_reports_a_nan_discrepancy():
 
     class NanAtSecond:
         # the second corpus function, its jet turned to NaN
-        def jet_at(self, pts):
-            return corpus[1].jet_at(pts) * np.nan
+        def jet_at(self, zyx):
+            return corpus[1].jet_at(zyx) * np.nan
 
     err = D.verify_identity([("off", (D.lewy(),), (D.lewy_star(),))],
                             [corpus[0], NanAtSecond(), corpus[2]], pts)
@@ -541,9 +562,10 @@ def test_reflection_transport_evaluates_at_the_flipped_points():
     assert np.array_equal(refl.apply_points(pts), pts * [1.0, -1.0, 1.0])
     op = D.heis_laplacian_left().coeff_reflect(1, -1, 1)
     other = D.heis_laplacian_left()
-    flipped = op.apply(corpus, pts * [1.0, -1.0, 1.0])
-    expect = float(np.max([np.max(np.abs(a - b)) for a, b in
-                           zip(flipped, other.apply(corpus, pts))]))
+    at = pts * [1.0, -1.0, 1.0]
+    flipped = op.apply(_corpus_jets(corpus, at), at)
+    expect = float(np.max([np.max(np.abs(a - b)) for a, b in zip(
+        flipped, other.apply(_corpus_jets(corpus, pts), pts))]))
     err = D.verify_identity([("flip", (op, refl), (other,))], corpus, pts)
     assert err["flip"] == expect and expect > 0
 
@@ -577,11 +599,11 @@ def test_grouped_battery_equals_one_identity_calls():
 
 def test_operator_identities_build_each_pullback_once(monkeypatch):
     # one operator-identities run: the nine identities have 18 sides over
-    # four (outer, inner) pairs with an inner map.  Each pair builds its
-    # monomial table once for the point batch and composes it with every one
-    # of the ten corpus functions.  The side (cauchy_riemann(), hb, hb)
+    # four (outer, inner) pairs with an inner map.  Each pair builds the
+    # map's component jets once for the point batch and evaluates every one
+    # of the ten corpus functions at them.  The side (cauchy_riemann(), hb, hb)
     # appears twice and is applied once, so 17 sides are applied.
-    calls = {"monomials": 0, "substitute": 0, "apply": 0}
+    calls = {"pullback": 0, "apply": 0}
 
     def spy(owner, name):
         real = getattr(owner, name)
@@ -592,11 +614,10 @@ def test_operator_identities_build_each_pullback_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    spy(D, "monomials")
-    spy(D, "substitute")
+    spy(D.CoordMap, "pullback")
     spy(D.PolyDiffOp, "apply")
     report = cli.run_suite("operator-identities", cli.SuiteConfig())
-    assert calls == {"monomials": 4, "substitute": 40, "apply": 17}
+    assert calls == {"pullback": 4, "apply": 17}
     assert report["summary"]["failed"] == 0
 
 
@@ -672,7 +693,7 @@ def test_polygauss_apply_matches_jets():
     op = D.lewy_conjugate_true()
     derived = pg.apply_diffop(op)
     pts = rng.normal(size=(30, 3))
-    [vals] = op.apply([pg], pts)
+    [vals] = op.apply(_corpus_jets([pg], pts), pts)
     assert np.max(np.abs(derived.values(pts) - vals)) < 1e-12
 
 

@@ -1,7 +1,8 @@
 """Mutation checks: each seeded mistake in a group law, a chart, a slot
 table, an invariance flow, a lift, the corpus, the Euclidean and compact
-transforms and Wigner matrices or the Lewy solve's residual makes the check
-that guards it fail.  A mistake is patched into the module for one test and
+transforms and Wigner matrices, a coordinate map, a pullback, the identity
+battery, the operator DSL or the Lewy solve's residual makes the check that
+guards it fail.  A mistake is patched into the module for one test and
 run through only the check that catches it, so the test also pins which
 check that is."""
 
@@ -21,6 +22,7 @@ from lgha import quadrature as Q
 from lgha import solvers as SV
 from lgha import suites
 from lgha.corpus import GaussPoly1D
+from lgha.jets import Jet
 from lgha.quadrature import MIN_MC_SAMPLES, SampledField, Spectrum
 
 _TOL = {row[0]: row[2] for rows in suites.ROWS.values() for row in rows}
@@ -220,6 +222,70 @@ def test_each_so4_mutant_fails_exactly_its_rows(monkeypatch, mutant):
     owner, name, make, rows = _SO4_KILLS[mutant]
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
     assert _failing_rows("so4") == rows
+
+
+def _involution(*fwd):
+    """A mutant named map: the coordinate map fwd, its own claimed inverse."""
+    return lambda honest: lambda: D.CoordMap(fwd, fwd)
+
+
+def test_the_honest_operator_identities_suite_passes():
+    assert _failing_rows("operator-identities") == set()
+
+
+# operator-identities mutants, as _SO4_KILLS, with the rows' errors at the
+# default seed
+_OPERATOR_KILLS = {
+    # f's jet at m(p) read as the jet of f o m: 1.5 to 463
+    "pullback-without-chain-rule": (
+        D.CoordMap, "pullback",
+        lambda honest: lambda self, fs, points: [
+            f.jet_at(Jet.coordinates(self.apply_points(points))) for f in fs],
+        {"lewy-conjugation", "lewy-pair-conjugation", "shear-first-order",
+         "shear-laplacian", "left-laplacian-transport",
+         "right-laplacian-transport", "four-factor-conjugation",
+         "single-factor-swap"}),
+    # z + xy for z - xy: 5.5 and 19
+    "shear-with-plus-xy": (
+        D, "shear_map", _involution(D.Z + D.X * D.Y, D.Y, D.X),
+        {"shear-first-order", "shear-laplacian", "coordinate-map-inverses"}),
+    # z - xy for z + xy: 4.4 to 12
+    "inverse-shear-with-minus-xy": (
+        D, "shear_map_inv", _involution(D.Z - D.X * D.Y, D.Y, D.X),
+        {"shear-first-order", "shear-laplacian", "left-laplacian-transport",
+         "right-laplacian-transport", "coordinate-map-inverses"}),
+    # (z - 2xy, y, x): 5.5 to 470
+    "shear-reflection-without-x-flip": (
+        D, "shear_reflect_map", _involution(D.Z - 2.0 * D.X * D.Y, D.Y, D.X),
+        {"lewy-conjugation", "lewy-pair-conjugation",
+         "four-factor-conjugation", "single-factor-swap",
+         "coordinate-map-inverses"}),
+    # 17
+    "flip-y-shear-without-y-flip": (
+        D, "flip_y_shear_map", _involution(D.Z + D.X * D.Y, D.Y, D.X),
+        {"left-laplacian-transport", "coordinate-map-inverses"}),
+    # 16
+    "flip-x-shear-without-x-flip": (
+        D, "flip_x_shear_map", _involution(D.Z + D.X * D.Y, D.Y, D.X),
+        {"right-laplacian-transport", "coordinate-map-inverses"}),
+    # every discrepancy 0: the perturbed coefficient goes unseen
+    "verify-identity-reads-0": (
+        D, "verify_identity",
+        lambda honest: lambda identities, corpus, points: {
+            name: 0.0 for name, _, _ in identities},
+        {"mutation-sensitivity"}),
+    # every coefficient printed with the wrong sign
+    "format-op-sign-slip": (
+        D, "format_op", lambda honest: lambda op: honest(-1.0 * op),
+        {"operator-dsl-roundtrip"}),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_OPERATOR_KILLS))
+def test_each_operator_mutant_fails_exactly_its_rows(monkeypatch, mutant):
+    owner, name, make, rows = _OPERATOR_KILLS[mutant]
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    assert _failing_rows("operator-identities") == rows
 
 
 def _flipped_kernel(honest):
