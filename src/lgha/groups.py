@@ -22,8 +22,7 @@ Conventions
   equivalent via the basis swap e3 <-> e4.
 * The diagonal subgroup A is charted by logA in R^3 with the fourth entry
   e^{-t1-t2-t3}.
-* Group elements are plain float arrays, stacked as (..., 4, 4);
-  `check_group` is the one membership check.
+* Group elements are plain float arrays, stacked as (..., 4, 4).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "check_group", "SymplecticViolation", "NearSingular",
+    "SymplecticViolation", "NearSingular",
     "nil_mul", "nil_inv", "nil_embed", "nil_from_matrix",
     "L_mul", "L_inv", "L_embed_twisted",
     "heis_mul", "heis_embed",
@@ -69,39 +68,6 @@ def symplectic_error(g, form=None) -> float:
     form = SP_FORM if form is None else form
     g = np.asarray(g, dtype=float)
     return float(np.max(np.abs(g @ form @ np.swapaxes(g, -1, -2) - form)))
-
-
-def check_group(m, tag) -> np.ndarray:
-    """The stack m (..., 4, 4) as a float array, once every matrix in it is
-    checked to lie in the group named by tag: "SL4", "SP4", "SO4",
-    "UpperUnipotent" or "DiagPositive".  A failure raises ValueError
-    (SymplecticViolation for "SP4"); each test is written so that a NaN
-    fails it."""
-    m = np.asarray(m, dtype=float)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError("expected a stack of 4x4 matrices")
-    if tag == "SL4":
-        if not np.all(np.abs(np.linalg.det(m) - 1.0) <= 1e-10):
-            raise ValueError("determinant is not 1")
-    elif tag == "SP4":
-        if not symplectic_error(m) <= 1e-10:
-            raise SymplecticViolation("symplectic relation violated")
-    elif tag == "SO4":
-        if not (np.all(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(4)) <= 1e-10)
-                and np.all(np.linalg.det(m) > 0)):
-            raise ValueError("not special orthogonal")
-    elif tag == "UpperUnipotent":
-        if not (np.all(np.tril(m) == np.eye(4)) and np.all(np.isfinite(m))):
-            raise ValueError("not exactly unit upper triangular")
-    elif tag == "DiagPositive":
-        diag = np.diagonal(m, axis1=-2, axis2=-1)
-        if not (np.all(m == diag[..., None] * np.eye(4)) and np.all(diag > 0)):
-            raise ValueError("not positive diagonal")
-        if not np.all(np.abs(np.prod(diag, axis=-1) - 1.0) <= 1e-12):
-            raise ValueError("diagonal product is not 1")
-    else:
-        raise ValueError(f"unknown tag {tag!r}")
-    return m
 
 
 def _coords(obj, n):
@@ -273,8 +239,8 @@ def iwasawa_decompose(g):
     n = (diag r)^{-1} r.  A diagonal entry of r below 1e-13 in modulus,
     or a NaN, raises NearSingular.
 
-    For a symplectic input (adapted form) all three factors are themselves
-    symplectic; this is checked by the groups suite, not here.
+    The groups suite, not this function, checks every factor's shape and,
+    for a symplectic input (adapted form), that each factor is symplectic.
     """
     q, r = np.linalg.qr(np.asarray(g, dtype=float))
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -282,9 +248,7 @@ def iwasawa_decompose(g):
         raise NearSingular(
             f"QR diagonal {np.min(np.abs(d)):g} below threshold")
     n = np.triu(r / d[..., :, None], 1) + np.eye(4)
-    return (check_group(q * np.sign(d)[..., None, :], "SO4"),
-            check_group(np.abs(d)[..., :, None] * np.eye(4), "DiagPositive"),
-            check_group(n, "UpperUnipotent"))
+    return q * np.sign(d)[..., None, :], np.abs(d)[..., :, None] * np.eye(4), n
 
 
 def modulus_factor(log_a):
@@ -374,27 +338,39 @@ def _expm(a) -> np.ndarray:
 
 
 def random_sl4(z) -> np.ndarray:
-    """exp(traceless part of 0.5 z) for standard normals z (..., 4, 4)."""
+    """exp(traceless part of 0.5 z) for standard normals z (..., 4, 4);
+    ValueError unless each determinant is within 1e-10 of 1."""
     x = 0.5 * np.asarray(z, dtype=float)
     x = x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] / 4.0 * np.eye(4)
-    return check_group(_expm(x), "SL4")
+    g = _expm(x)
+    if not np.all(np.abs(np.linalg.det(g) - 1.0) <= 1e-10):
+        raise ValueError("determinant is not 1")
+    return g
 
 
 def random_sp4(z) -> np.ndarray:
     """exp of 0.4 z in the orthonormal basis of the symplectic algebra, for
-    standard normals z (..., 10)."""
+    standard normals z (..., 10); SymplecticViolation unless each is
+    symplectic within 1e-10."""
     w = 0.4 * np.asarray(z, dtype=float)
     # row vector @ flattened basis: one draw rounds as a slice of a stack
     x = w[..., None, :] @ _SP4_BASIS.reshape(len(_SP4_BASIS), 16)
-    return check_group(_expm(x.reshape(w.shape[:-1] + (4, 4))), "SP4")
+    g = _expm(x.reshape(w.shape[:-1] + (4, 4)))
+    if not symplectic_error(g) <= 1e-10:
+        raise SymplecticViolation("symplectic relation violated")
+    return g
 
 
 def random_so4(z) -> np.ndarray:
     """The orthogonal QR factor of standard normals z (..., 4, 4), with the
     signs of r's diagonal taken into q and its first two columns swapped
-    where the determinant is negative."""
+    where the determinant is negative; ValueError unless each q^T q is
+    within 1e-10 of I and each determinant is positive."""
     q, r = np.linalg.qr(np.asarray(z, dtype=float))
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
     flip = np.linalg.det(q) < 0
     q[flip] = q[flip][..., [1, 0, 2, 3]]
-    return check_group(q, "SO4")
+    if not (np.all(np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(4)) <= 1e-10)
+            and np.all(np.linalg.det(q) > 0)):
+        raise ValueError("not special orthogonal")
+    return q

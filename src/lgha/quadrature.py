@@ -304,9 +304,6 @@ class MCResult:
     estimate: complex  # (k,) arrays for an integrand of k values per sample
     stderr: float
 
-    def agrees(self, other_value: complex) -> bool:
-        return abs(self.estimate - other_value) <= 3.0 * max(self.stderr, 1e-300)
-
 
 def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
     """Importance-sampled integral of `integrand` over R^d.

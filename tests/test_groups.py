@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lgha import groups as G
+from lgha import suites
 
 rng = np.random.default_rng(101)
 
@@ -162,8 +163,23 @@ def test_iwasawa_identity():
 def test_iwasawa_reconstruction_sl4():
     g = G.random_sl4(rng.standard_normal((200, 4, 4)))
     k, a, n = G.iwasawa_decompose(g)
-    # factor tags validated on return
     assert np.max(np.abs(k @ a @ n - g)) < 1e-10
+    assert suites._iwasawa_shape_error(k, a, n) < 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+def test_iwasawa_shape_error_reads_each_bad_factor():
+    k, a, n = G.iwasawa_decompose(G.random_sl4(rng.standard_normal((5, 4, 4))))
+    bad_k = k.copy()
+    bad_k[2, 1, 1] = np.nan
+    bad_a = a.copy()
+    bad_a[3, 0, 0] *= -1.0
+    bad_n = n.copy()
+    bad_n[1, 2, 1] = 1.0
+    for err in (suites._iwasawa_shape_error(bad_k, a, n),
+                suites._iwasawa_shape_error(k, bad_a, n),
+                suites._iwasawa_shape_error(k, a, bad_n)):
+        assert np.isnan(err) or err >= 1.0
 
 
 def test_iwasawa_roundtrip_on_factors():
@@ -200,32 +216,44 @@ def test_near_singular_raises():
         G.iwasawa_decompose(bad)
 
 
-def test_matrix_element_validation():
+# each sampler, the shape of its normals and the error its check raises
+_SAMPLERS = {"SL4": (G.random_sl4, (4, 4), ValueError),
+             "SP4": (G.random_sp4, (10,), G.SymplecticViolation),
+             "SO4": (G.random_so4, (4, 4), ValueError)}
+
+
+def _sample_as(monkeypatch, tag, m):
+    """The tag's sampler run with its exponential, or random_so4's QR, patched
+    to return the stack m (with r = I, so no sign moves), so that m meets
+    the sampler's own group check."""
+    sampler, shape, _ = _SAMPLERS[tag]
+    if sampler is G.random_so4:
+        monkeypatch.setattr(np.linalg, "qr", lambda z: (
+            m.copy(), np.broadcast_to(np.eye(4), m.shape).copy()))
+    else:
+        monkeypatch.setattr(G, "_expm", lambda x: m)
+    return sampler(np.zeros(m.shape[:-2] + shape))
+
+
+def test_matrix_element_validation(monkeypatch):
     with pytest.raises(ValueError):
-        G.check_group(2 * np.eye(4), "SL4")
+        _sample_as(monkeypatch, "SL4", 2 * np.eye(4))
     with pytest.raises(G.SymplecticViolation):
-        G.check_group(np.diag([2.0, 1.0, 0.5, 1.0]), "SP4")
-    m = np.eye(4)
-    m[1, 0] = 1e-14
+        _sample_as(monkeypatch, "SP4", np.diag([2.0, 1.0, 0.5, 1.0]))
     with pytest.raises(ValueError):
-        G.check_group(m, "UpperUnipotent")
-
-
-_TAG_ERRORS = {"SL4": ValueError, "SP4": G.SymplecticViolation,
-               "SO4": ValueError, "UpperUnipotent": ValueError,
-               "DiagPositive": ValueError}
+        _sample_as(monkeypatch, "SO4", np.diag([2.0, 1.0, 0.5, 1.0]))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
-@pytest.mark.parametrize("tag", sorted(_TAG_ERRORS))
-def test_nan_matrix_fails_every_group_check(tag):
-    # each test reads not (err <= tol), so a NaN entry cannot pass
-    with pytest.raises(_TAG_ERRORS[tag]):
-        G.check_group(np.full((3, 4, 4), np.nan), tag)
+@pytest.mark.parametrize("tag", sorted(_SAMPLERS))
+def test_nan_matrix_fails_every_group_check(monkeypatch, tag):
+    # each check reads not (err <= tol), so a NaN entry cannot pass
+    with pytest.raises(_SAMPLERS[tag][2]):
+        _sample_as(monkeypatch, tag, np.full((3, 4, 4), np.nan))
     m = np.eye(4)
     m[0, 3] = np.nan
-    with pytest.raises(_TAG_ERRORS[tag]):
-        G.check_group(m, tag)
+    with pytest.raises(_SAMPLERS[tag][2]):
+        _sample_as(monkeypatch, tag, m)
 
 
 def test_nan_matrix_has_no_iwasawa_factors():
@@ -237,20 +265,16 @@ def test_nan_matrix_has_no_iwasawa_factors():
         G.iwasawa_decompose(g)
 
 
-def test_check_group_rejects_a_stack_with_one_bad_matrix():
+def test_each_sampler_rejects_a_stack_with_one_bad_matrix(monkeypatch):
     gen = np.random.default_rng(1013)
-    for tag, good in (("SL4", G.random_sl4(gen.standard_normal((5, 4, 4)))),
-                      ("SP4", G.random_sp4(gen.standard_normal((5, 10)))),
-                      ("SO4", G.random_so4(gen.standard_normal((5, 4, 4)))),
-                      ("UpperUnipotent", G.nil_embed(gen.normal(size=(5, 6)))),
-                      ("DiagPositive", np.stack([np.eye(4)] * 5))):
-        assert np.array_equal(G.check_group(good, tag), good)
+    for tag, (sampler, shape, error) in _SAMPLERS.items():
+        good = sampler(gen.standard_normal((5,) + shape))
+        assert np.array_equal(_sample_as(monkeypatch, tag, good), good)
         bad = good.copy()
         bad[3] = np.diag([2.0, 1.0, 1.0, 1.0]) @ bad[3]
-        with pytest.raises(_TAG_ERRORS[tag]):
-            G.check_group(bad, tag)
-    with pytest.raises(ValueError):
-        G.check_group(np.eye(4), "GL4")
+        with pytest.raises(error):
+            _sample_as(monkeypatch, tag, bad)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("sampler, shape", [(G.random_sl4, (4, 4)),

@@ -1,8 +1,9 @@
 """Mutation checks: each seeded mistake in a group law, a chart, a slot
-table, an invariance flow, a lift, the corpus, the Euclidean and compact
-transforms and Wigner matrices, a coordinate map, a pullback, the identity
-battery, the operator DSL or the Lewy solve's residual makes the check that
-guards it fail.  A mistake is patched into the module for one test and
+table, the Iwasawa factors, the modulus function, the dimension audit, an
+invariance flow, a lift, the corpus, the Euclidean and compact transforms
+and Wigner matrices, a coordinate map, a pullback, the identity battery,
+the operator DSL, a Lie bracket, the bracket depth or the Lewy solve's
+residual makes the check that guards it fail.  A mistake is patched into the module for one test and
 run through only the check that catches it, so the test also pins which
 check that is."""
 
@@ -178,34 +179,58 @@ def test_the_honest_groups_and_sp4_suites_pass():
     assert _failing_rows("sp4-plancherel") == set()
 
 
-# so4 mutants: (owner, attribute, mutant of the honest function, the exact
-# set of so4 rows it fails), with the rows' errors at the default seed
-_SO4_KILLS = {
+def _involution(*fwd):
+    """A mutant named map: the coordinate map fwd, its own claimed inverse."""
+    return lambda honest: lambda: D.CoordMap(fwd, fwd)
+
+
+def _unsigned_qr(g):
+    """iwasawa_decompose without the sign move: k = q, a = diag r and
+    n = (diag r)^{-1} r, so that k a n = g still."""
+    q, r = np.linalg.qr(np.asarray(g, dtype=float))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    n = np.triu(r / d[..., :, None], 1) + np.eye(4)
+    return q, d[..., :, None] * np.eye(4), n
+
+
+def _at_depth(fixed):
+    """A hormander_rank mutant that spans the brackets to a fixed depth,
+    whatever depth it is asked for."""
+    return lambda honest: lambda fields, points, depth=2: honest(
+        fields, points, fixed)
+
+
+# mutants: (owner, attribute, mutant of the honest function, the suite it
+# runs, the exact set of that suite's rows it fails), with the rows'
+# errors at the default seed
+_KILLS = {
     # 0.91, 30 and 8.7
     "transposed-transform": (
         PW, "compact_transform",
         lambda honest: lambda f, quad, J: PW.CompactSpectrum(
             {l: c.T for l, c in honest(f, quad, J).coeffs.items()}),
+        "so4",
         {"transform-roundtrip", "inversion-pointwise", "convolution-order"}),
     # 0.90
     "hs-norm-without-dimension": (
         PW.CompactSpectrum, "hs_norm2_weighted",
         lambda honest: lambda self, dim_fn: honest(self, lambda lbl: 1),
-        {"compact-plancherel"}),
+        "so4", {"compact-plancherel"}),
     # 2.0
     "wigner-d-at-minus-beta": (
         PW, "wigner_d",
         lambda honest: lambda j, beta: honest(j, -np.asarray(beta)),
-        {"wigner-reference"}),
+        "so4", {"wigner-reference"}),
     # 3.1
     "wigner-D-at-minus-alpha": (
         PW, "wigner_D",
         lambda honest: lambda j, a, b, g: honest(j, -np.asarray(a), b, g),
-        {"convolution-order"}),
+        "so4", {"convolution-order"}),
     # gamma read as if it ran over 2 pi, not SU(2)'s 4 pi: 0.074 to 17
     "wigner-D-at-half-gamma": (
         PW, "wigner_D",
         lambda honest: lambda j, a, b, g: honest(j, a, b, np.asarray(g) / 2),
+        "so4",
         {"schur-orthogonality", "transform-roundtrip", "inversion-pointwise",
          "compact-plancherel", "center-parity", "convolution-order"}),
     # 21 and 0.89: each label's term without its dimension d
@@ -213,34 +238,13 @@ _SO4_KILLS = {
         PW, "compact_inverse",
         lambda honest: lambda spec, el, er: honest(PW.CompactSpectrum(
             {l: c / PW.so4_dim(l) for l, c in spec.coeffs.items()}), el, er),
-        {"inversion-pointwise", "identity-point-inversion"}),
-}
-
-
-@pytest.mark.parametrize("mutant", sorted(_SO4_KILLS))
-def test_each_so4_mutant_fails_exactly_its_rows(monkeypatch, mutant):
-    owner, name, make, rows = _SO4_KILLS[mutant]
-    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
-    assert _failing_rows("so4") == rows
-
-
-def _involution(*fwd):
-    """A mutant named map: the coordinate map fwd, its own claimed inverse."""
-    return lambda honest: lambda: D.CoordMap(fwd, fwd)
-
-
-def test_the_honest_operator_identities_suite_passes():
-    assert _failing_rows("operator-identities") == set()
-
-
-# operator-identities mutants, as _SO4_KILLS, with the rows' errors at the
-# default seed
-_OPERATOR_KILLS = {
+        "so4", {"inversion-pointwise", "identity-point-inversion"}),
     # f's jet at m(p) read as the jet of f o m: 1.5 to 463
     "pullback-without-chain-rule": (
         D.CoordMap, "pullback",
         lambda honest: lambda self, fs, points: [
             f.jet_at(Jet.coordinates(self.apply_points(points))) for f in fs],
+        "operator-identities",
         {"lewy-conjugation", "lewy-pair-conjugation", "shear-first-order",
          "shear-laplacian", "left-laplacian-transport",
          "right-laplacian-transport", "four-factor-conjugation",
@@ -248,44 +252,125 @@ _OPERATOR_KILLS = {
     # z + xy for z - xy: 5.5 and 19
     "shear-with-plus-xy": (
         D, "shear_map", _involution(D.Z + D.X * D.Y, D.Y, D.X),
+        "operator-identities",
         {"shear-first-order", "shear-laplacian", "coordinate-map-inverses"}),
     # z - xy for z + xy: 4.4 to 12
     "inverse-shear-with-minus-xy": (
         D, "shear_map_inv", _involution(D.Z - D.X * D.Y, D.Y, D.X),
+        "operator-identities",
         {"shear-first-order", "shear-laplacian", "left-laplacian-transport",
          "right-laplacian-transport", "coordinate-map-inverses"}),
     # (z - 2xy, y, x): 5.5 to 470
     "shear-reflection-without-x-flip": (
         D, "shear_reflect_map", _involution(D.Z - 2.0 * D.X * D.Y, D.Y, D.X),
+        "operator-identities",
         {"lewy-conjugation", "lewy-pair-conjugation",
          "four-factor-conjugation", "single-factor-swap",
          "coordinate-map-inverses"}),
     # 17
     "flip-y-shear-without-y-flip": (
         D, "flip_y_shear_map", _involution(D.Z + D.X * D.Y, D.Y, D.X),
+        "operator-identities",
         {"left-laplacian-transport", "coordinate-map-inverses"}),
     # 16
     "flip-x-shear-without-x-flip": (
         D, "flip_x_shear_map", _involution(D.Z + D.X * D.Y, D.Y, D.X),
+        "operator-identities",
         {"right-laplacian-transport", "coordinate-map-inverses"}),
     # every discrepancy 0: the perturbed coefficient goes unseen
     "verify-identity-reads-0": (
         D, "verify_identity",
         lambda honest: lambda identities, corpus, points: {
             name: 0.0 for name, _, _ in identities},
-        {"mutation-sensitivity"}),
+        "operator-identities", {"mutation-sensitivity"}),
     # every coefficient printed with the wrong sign
     "format-op-sign-slip": (
         D, "format_op", lambda honest: lambda op: honest(-1.0 * op),
-        {"operator-dsl-roundtrip"}),
+        "operator-identities", {"operator-dsl-roundtrip"}),
+    # (g, I, I): k a n = g, but k is no rotation: 20 and 8.2
+    "iwasawa-g-I-I": (
+        G, "iwasawa_decompose",
+        lambda honest: lambda g: (
+            g, *[np.broadcast_to(np.eye(4), g.shape)] * 2),
+        "groups", {"iwasawa-sl4", "iwasawa-sp4"}),
+    # det k = -1 and a with negative entries: 2.0 each
+    "iwasawa-unsigned-qr": (
+        G, "iwasawa_decompose", lambda honest: _unsigned_qr,
+        "groups", {"iwasawa-sl4", "iwasawa-sp4", "iwasawa-sp4-factors"}),
+    # 9.4 and 2.6
+    "iwasawa-k-n-a": (
+        G, "iwasawa_decompose",
+        lambda honest: lambda g: tuple(honest(g)[i] for i in (0, 2, 1)),
+        "groups", {"iwasawa-sl4", "iwasawa-sp4"}),
+    # the cross term p1 q2 of x3: 4.3 to 4.4
+    "nil-mul-flipped-x3-term": (
+        G, "nil_mul", lambda honest: _flip_cross_term(honest, 2, 0, 1),
+        "groups",
+        {"nil-law-vs-matrix", "nil-inverse-formula", "two-sided-inverse"}),
+    # 11
+    "nil-inv-negated-x6": (
+        G, "nil_inv", lambda honest: lambda p: honest(p) * [1, 1, 1, 1, 1, -1],
+        "groups", {"nil-inverse-formula", "two-sided-inverse"}),
+    # a1^2 for a1^3: 1.7
+    "modulus-with-a1-squared": (
+        G, "modulus_factor",
+        lambda honest: lambda t: honest(t) * np.exp(-np.asarray(t)[..., 0]),
+        "groups", {"modulus-vs-jacobian"}),
+    # the block form, for which the audit reads (4, 2, 3)
+    "dimension-audit-on-the-block-form": (
+        G, "sp4_iwasawa_dimension_audit",
+        lambda honest: lambda form=None: honest(G.SP_FORM_BLOCK),
+        "sp4-plancherel", {"sp4-dimension-audit"}),
+    # (v + v2, g g2) for (v + g v2, g g2): 7.2
+    "semidirect-mul-without-g-on-v2": (
+        IP, "semidirect_mul",
+        lambda honest: lambda v, g, v2, g2: (np.asarray(v) + v2, g @ g2),
+        "semidirect-plancherel", {"semidirect-law"}),
+    # f(v, g h) for f(g v, g h): 1.3
+    "lift-q-without-g-on-v": (
+        IP, "lift_q", lambda honest: lambda f: lambda v, g, h: f(v, g @ h),
+        "semidirect-plancherel", {"translation-lift-invariance"}),
+    # W V - V W for V W - W V
+    "lie-bracket-reversed": (
+        D, "lie_bracket", lambda honest: lambda v, w: honest(w, v),
+        "hormander", {"bracket-identity"}),
+    "hormander-rank-at-depth-1": (
+        D, "hormander_rank", _at_depth(1), "hormander", {"bracket-rank"}),
+    "hormander-rank-at-depth-2": (
+        D, "hormander_rank", _at_depth(2), "hormander", {"bracket-depth-one"}),
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(_OPERATOR_KILLS))
-def test_each_operator_mutant_fails_exactly_its_rows(monkeypatch, mutant):
-    owner, name, make, rows = _OPERATOR_KILLS[mutant]
+def _mutants_of(*names):
+    """Parametrise a test over the _KILLS mutants that run one of the named
+    suites."""
+    return pytest.mark.parametrize("mutant", sorted(
+        m for m, kill in _KILLS.items() if kill[3] in names))
+
+
+def _fails_exactly_its_rows(monkeypatch, mutant):
+    owner, name, make, suite, rows = _KILLS[mutant]
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
-    assert _failing_rows("operator-identities") == rows
+    assert _failing_rows(suite) == rows
+
+
+@_mutants_of("so4")
+def test_each_so4_mutant_fails_exactly_its_rows(monkeypatch, mutant):
+    _fails_exactly_its_rows(monkeypatch, mutant)
+
+
+def test_the_honest_operator_identities_suite_passes():
+    assert _failing_rows("operator-identities") == set()
+
+
+@_mutants_of("operator-identities")
+def test_each_operator_mutant_fails_exactly_its_rows(monkeypatch, mutant):
+    _fails_exactly_its_rows(monkeypatch, mutant)
+
+
+@_mutants_of("groups", "sp4-plancherel", "semidirect-plancherel", "hormander")
+def test_each_mutant_fails_exactly_its_rows(monkeypatch, mutant):
+    _fails_exactly_its_rows(monkeypatch, mutant)
 
 
 def _flipped_kernel(honest):
@@ -308,8 +393,8 @@ def test_the_honest_kna_spot_check_passes():
 # factorized transform; the oracle's black box needs none of these
 @pytest.mark.parametrize("owner,name,make", [
     (Q, "dft_forward", _flipped_kernel),  # 0.77
-    (PW, "wigner_D", _SO4_KILLS["wigner-D-at-minus-alpha"][2]),  # 1.6
-    (PW, "compact_transform", _SO4_KILLS["transposed-transform"][2]),  # 0.85
+    (PW, "wigner_D", _KILLS["wigner-D-at-minus-alpha"][2]),  # 1.6
+    (PW, "compact_transform", _KILLS["transposed-transform"][2]),  # 0.85
 ], ids=["flipped-dft-kernel", "wigner-D-at-minus-alpha",
         "transposed-transform"])
 def test_a_wrong_factor_transform_fails_kna_spot_check(monkeypatch, owner,

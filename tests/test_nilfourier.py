@@ -130,7 +130,8 @@ def test_parseval_mc_within_errorbars():
     f = random_gauss_product(rng, 6, sigma_range=(0.8, 1.1), poly=True)
     phi = random_gauss_product(rng, 6, sigma_range=(0.8, 1.1), poly=True)
     _, rhs, mc = nf.parseval_N_check(f, phi, n=1 << 19, seed=21)
-    assert mc.agrees(rhs)
+    # the parseval-mc row's rule: within tol = 3 standard errors
+    assert abs(mc.estimate - rhs) <= suites._ROWS["parseval-mc"][2] * mc.stderr
     assert mc.stderr > 0
 
 
