@@ -236,13 +236,15 @@ def _groups(cfg, rng, row):
 
 def _iwasawa_shape_error(k, a, n):
     """The worst of |k^T k - I|, |det k - 1|, a's off-diagonal part, 1 if a
-    diagonal entry of a is not > 0 (a NaN counts), |prod diag a - 1| and
-    |tril(n) - I|: the stacks' departure from the Iwasawa shapes."""
+    diagonal entry of a is not > 0 (a NaN counts), |prod diag a - 1|,
+    |tril(n) - I| and 1 if an entry of n is not finite: the stacks'
+    departure from the Iwasawa shapes."""
     diag = np.diagonal(a, axis1=-2, axis2=-1)
     return _worst(*(float(np.max(np.abs(e))) for e in (
         np.swapaxes(k, -1, -2) @ k - np.eye(4), np.linalg.det(k) - 1.0,
         a - diag[..., None] * np.eye(4), float(not np.all(diag > 0)),
-        np.prod(diag, axis=-1) - 1.0, np.tril(n) - np.eye(4))))
+        np.prod(diag, axis=-1) - 1.0, np.tril(n) - np.eye(4),
+        float(not np.all(np.isfinite(n))))))
 
 
 def _fd_conjugation_jacobian(log_a):

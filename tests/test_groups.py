@@ -244,16 +244,30 @@ def test_matrix_element_validation(monkeypatch):
         _sample_as(monkeypatch, "SO4", np.diag([2.0, 1.0, 0.5, 1.0]))
 
 
+# the Iwasawa factor, by its slot in (k, a, n), whose shape each tag names
+_SHAPES = {"DiagPositive": 1, "UpperUnipotent": 2}
+
+
+def _shape_fails(tag, m):
+    """Whether the iwasawa rows' check, at their tolerance 1e-10, fails on
+    identity factors with the tag's factor replaced by the stack m."""
+    factors = [np.eye(4)] * 3
+    factors[_SHAPES[tag]] = m
+    return not suites._iwasawa_shape_error(*factors) <= 1e-10
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
-@pytest.mark.parametrize("tag", sorted(_SAMPLERS))
+@pytest.mark.parametrize("tag", sorted(_SAMPLERS) + sorted(_SHAPES))
 def test_nan_matrix_fails_every_group_check(monkeypatch, tag):
     # each check reads not (err <= tol), so a NaN entry cannot pass
-    with pytest.raises(_SAMPLERS[tag][2]):
-        _sample_as(monkeypatch, tag, np.full((3, 4, 4), np.nan))
     m = np.eye(4)
     m[0, 3] = np.nan
-    with pytest.raises(_SAMPLERS[tag][2]):
-        _sample_as(monkeypatch, tag, m)
+    for bad in (np.full((3, 4, 4), np.nan), m):
+        if tag in _SHAPES:
+            assert _shape_fails(tag, bad)
+        else:
+            with pytest.raises(_SAMPLERS[tag][2]):
+                _sample_as(monkeypatch, tag, bad)
 
 
 def test_nan_matrix_has_no_iwasawa_factors():
