@@ -231,22 +231,6 @@ def test_monte_carlo_budget_is_a_ceiling(monkeypatch):
         + [suites.LIFTED_MC_SAMPLES] * 10
 
 
-def test_lifted_convolution_row_catches_a_wrong_t3_slot(monkeypatch):
-    honest = nf.nil_shift_of_L
-
-    def wrong_t3_slot(lpts, y):
-        out = honest(lpts, y)
-        z = G.nil_inv(np.asarray(y, dtype=float))
-        # the t3 slot adds z1 t1 where z1 t2 belongs
-        out[..., 5] = z[..., 2] + lpts[..., 5] + z[..., 0] * lpts[..., 8]
-        return out
-
-    cfg = cli.SuiteConfig(budget_mc=1 << 12)
-    assert _suite_row(cfg, "lifted-convolution")[1]["pass"]
-    monkeypatch.setattr(nf, "nil_shift_of_L", wrong_t3_slot)
-    assert not _suite_row(cfg, "lifted-convolution")[1]["pass"]
-
-
 def _heis_conv_grid(phi_vals, axes, mpts, mu, sig, kvec, weight):
     """out[m] = weight * sum_g phi[g] psi(g^{-1} . pt[m]) on the
     three-parameter group, psi(p) = exp(-|p - mu|^2 / (2 sig^2)) exp(i k.p),

@@ -140,6 +140,18 @@ def test_importing_the_cli_starts_no_thread():
     assert proc.stdout.split() == ["1", "False", "False"]
 
 
+def test_python_m_lgha_exits_with_mains_code():
+    """`python -m lgha` turns main's return value into the exit code: a
+    budget main rejects exits 2 with its message and no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "lgha", "--suite", "hormander",
+         "--budget-grid", "nan"], capture_output=True, text=True,
+        env=CHILD_ENV)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_the_group_suites_import_no_scipy():
     """The library draws group elements with its own matrix exponential:
     running the suites that draw them loads no part of scipy, whose import
