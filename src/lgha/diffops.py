@@ -595,11 +595,6 @@ class PlaneWave:
         zj, yj, xj = zyx
         return (1j * (self.k[0] * zj + self.k[1] * yj + self.k[2] * xj)).exp()
 
-    def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.exp(1j * (self.k[0] * pts[..., 0] + self.k[1] * pts[..., 1]
-                            + self.k[2] * pts[..., 2]))
-
 
 def standard_corpus(rng):
     """Mixed corpus of four plane waves and six bumps, alternately Gaussians

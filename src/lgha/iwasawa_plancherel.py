@@ -66,15 +66,16 @@ class KNASpectrum:
 _FACTOR_DIMS = {EulerQuadSO4: ((6, 3), (None, 4)), U2Quad: ((4, 2), (None,))}
 
 
-def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=FACTOR_COUNT):
+def plancherel_sl4_check(f: SeparableKNAFunction, quad, count=FACTOR_COUNT):
     """The two sides of the Plancherel identity of the factorized transform
     T F f(lambda, xi, label) = Tu(label) Fv(xi) Fw(lambda) (times Fr(eta)
     with a translation factor), and that transform, as the tuple lhs, rhs,
-    spectrum: ||f||^2 over dk dn dt against the label sum of
-    weighted Hilbert-Schmidt masses with (2 pi)^{-1} per Euclidean axis on
-    the spectral side.  Each side is a product by Fubini: the compact check
-    on u times one 1-D Euclidean identity per axis.  u is synthesized once
-    on the nodes of quad, and the 1-D factors are paired with themselves by
+    spectrum: ||f||^2 over dk dn dt against the sum over the labels up to
+    the band limit of quad of weighted Hilbert-Schmidt masses with
+    (2 pi)^{-1} per Euclidean axis on the spectral side.  Each side is a
+    product by Fubini: the compact check on u times one 1-D Euclidean
+    identity per axis.  u is synthesized once on the nodes of quad, and
+    the 1-D factors are paired with themselves by
     quadrature.factor_pairing.  The character of the diagonal part is the
     Euclidean phase exp(-i lambda . t) in the logA chart.
 
@@ -89,7 +90,7 @@ def plancherel_sl4_check(f: SeparableKNAFunction, quad, J, count=FACTOR_COUNT):
         raise ValueError(f"{type(quad).__name__} takes no factors of dims "
                          f"(N, A, translation) = {dims}")
     uvals = pw.synthesize(f.u, quad)
-    k_lhs, k_rhs, k_spec = pw.compact_plancherel_check(uvals, quad, J)
+    k_lhs, k_rhs, k_spec = pw.compact_plancherel_check(uvals, quad)
     fs = sum((g.factors for g in (f.v, f.w, f.r) if g is not None), ())
     norm, spectral, out = factor_pairing(fs, fs, count)
     spec = KNASpectrum(k_spec, out[:na[0]], out[na[0]:sum(na)])
@@ -207,10 +208,10 @@ def nested_transform_oracle(fn, quad, label, n_spectra, a_spectra,
                        np.exp(-1j * tpts @ freqs(a_grids, a))).ravel()
               for n, a in zip(n_freq_idx, a_freq_idx)]
 
-    n_right = quad.right.node_count
-    el = np.repeat(quad.left.euler, n_right, axis=0)
-    er = np.tile(quad.right.euler, (quad.left.node_count, 1))
-    w = np.outer(quad.left.weights, quad.right.weights).ravel()
+    su2 = quad.su2
+    el = np.repeat(su2.euler, su2.node_count, axis=0)
+    er = np.tile(su2.euler, (su2.node_count, 1))
+    w = np.outer(su2.weights, su2.weights).ravel()
     size = npts.shape[0] * tpts.shape[0]
     parts = max(1, min(-(-w.size * size // _ORACLE_ENTRIES), w.size // 2))
     sums = [[] for _ in phases]

@@ -262,18 +262,16 @@ def convolution_order_error(g_spec: CompactSpectrum, f_values: np.ndarray,
     two.  Neither synthesize nor the convolution theorem T(g * f) = Tg . Tf,
     which conv_values (node values) is expected to satisfy, enters.
     """
-    left = su2_from_euler(quad.left.euler)
-    right = su2_from_euler(quad.right.euler)
-    wl, wr = quad.left.weights, quad.right.weights
+    su2 = su2_from_euler(quad.su2.euler)
+    inv, w = su2.conj().swapaxes(-1, -2), quad.su2.weights
     errs = []
     for i, j in _CONV_SPOT_NODES:
-        # composed elements k^{-1} x on each factor, (n_left, 3), (n_right, 3)
-        el = euler_from_su2(left.conj().swapaxes(-1, -2) @ left[i])
-        er = euler_from_su2(right.conj().swapaxes(-1, -2) @ right[j])
+        # composed elements k^{-1} x on each factor, (n, 3) each
+        el, er = euler_from_su2(inv @ su2[i]), euler_from_su2(inv @ su2[j])
         val = 0.0
         for (j1, j2), c in g_spec.coeffs.items():
             g = _kron_trace(c, wigner_D_stack(j1, el), wigner_D_stack(j2, er))
-            val += wl @ (g * f_values) @ wr
+            val += w @ (g * f_values) @ w
         errs.append(abs(val - conv_values[i, j]))
     return float(np.max(errs))
 
@@ -306,34 +304,35 @@ def u2_labels(M):
 
 
 class CompactGroup(NamedTuple):
-    """The label set, dimensions, factor stacks and product node weights of
-    one compact group.  factors(labels) maps each label to its left
-    (n_left, a, a) and right (n_right, b, b) stacks on the two node sets;
-    its representation at the node pair (n, m) is left[n] kron right[m]."""
+    """The labels up to the quadrature's band limit, dimensions, factor
+    stacks and node weights of one compact group.  factors(labels) maps each
+    label to its left (n_left, a, a) and right (n_right, b, b) stacks on the
+    two node sets; its rep at the node pair (n, m) is left[n] kron right[m]."""
 
-    labels: Callable
+    labels: list
     dim: Callable
     factors: Callable
     weights: np.ndarray
 
 
 def compact_group(quad) -> CompactGroup:
-    """SO(4) for an EulerQuadSO4: D^{j1} on the left nodes, D^{j2} on the
-    right, for labels that keep the parity rule (ParityViolation
+    """SO(4) for an EulerQuadSO4: D^{j1} and D^{j2} on the nodes of its one
+    SU(2) rule, for labels that keep the parity rule (ParityViolation
     otherwise).  U(2) for a U2Quad: the phase exp(i theta (m1+m2)) as a
     1 x 1 stack on the theta nodes, D^{(m1-m2)/2} on the SU(2) nodes.  The
-    one place in this module that tells the two groups apart;
+    SU(2) rule's band limit bounds the labels of both.  The one place in
+    this module that tells the two groups apart;
     iwasawa_plancherel._FACTOR_DIMS also keys on the quadrature type."""
     if isinstance(quad, EulerQuadSO4):
         def factors(labels):
             for l in labels:
                 _check_parity(l)
-            left = _dstacks(quad.left, [l[0] for l in labels])
-            right = _dstacks(quad.right, [l[1] for l in labels])
-            return {l: (left[l[0]], right[l[1]]) for l in labels}
+            stacks = _dstacks(quad.su2, [j for l in labels for j in l])
+            return {l: (stacks[l[0]], stacks[l[1]]) for l in labels}
 
-        return CompactGroup(so4_labels, so4_dim, factors,
-                            np.outer(quad.left.weights, quad.right.weights))
+        w = quad.su2.weights
+        return CompactGroup(so4_labels(quad.su2.band_limit), so4_dim, factors,
+                            np.outer(w, w))
     if isinstance(quad, U2Quad):
         def factors(labels):
             right = _dstacks(quad.su2, [(m1 - m2) / 2.0 for m1, m2 in labels])
@@ -341,7 +340,7 @@ def compact_group(quad) -> CompactGroup:
                                right[(m1 - m2) / 2.0])
                     for m1, m2 in labels}
 
-        return CompactGroup(u2_labels, u2_dim, factors,
+        return CompactGroup(u2_labels(quad.su2.band_limit), u2_dim, factors,
                             np.outer(quad.theta_weights, quad.su2.weights))
     raise TypeError(f"no compact group for {type(quad).__name__}")
 
@@ -350,9 +349,9 @@ def _dstacks(quad: SU2Quad, js):
     return {j: wigner_D_stack(j, quad.euler) for j in sorted(set(js))}
 
 
-def compact_transform(f_values: np.ndarray, quad, J) -> CompactSpectrum:
+def compact_transform(f_values: np.ndarray, quad) -> CompactSpectrum:
     """Tf(label) = sum over nodes of w * f(k) * rep(k^{-1}) for every label
-    up to band limit J.
+    up to the band limit of quad, in the order of compact_group's labels.
 
     f_values has shape (n_left, n_right) over the product node set.  With
     A, B the factor stacks of compact_group flattened to (n, a * a), entry
@@ -362,7 +361,7 @@ def compact_transform(f_values: np.ndarray, quad, J) -> CompactSpectrum:
     group = compact_group(quad)
     wf = group.weights * f_values
     out = {}
-    for lbl, (left, right) in group.factors(group.labels(J)).items():
+    for lbl, (left, right) in group.factors(group.labels).items():
         a, b = left.shape[-1], right.shape[-1]
         t = left.reshape(-1, a * a).conj().T @ wf @ right.reshape(-1, b * b).conj()
         out[lbl] = t.reshape(a, a, b, b).transpose(1, 3, 0, 2).reshape(a * b, a * b)
@@ -383,30 +382,30 @@ def synthesize(spec: CompactSpectrum, quad) -> np.ndarray:
     return vals
 
 
-def compact_plancherel_check(f_values: np.ndarray, quad, J):
-    """The two sides lhs = int |f|^2 dk, rhs = sum d ||Tf||_HS^2, and the
-    spectrum Tf, as the tuple lhs, rhs, spectrum."""
+def compact_plancherel_check(f_values: np.ndarray, quad):
+    """The two sides lhs = int |f|^2 dk, rhs = sum d ||Tf||_HS^2 over the
+    labels of quad, and the spectrum Tf, as the tuple lhs, rhs, spectrum."""
     group = compact_group(quad)
     mass = np.abs(f_values) ** 2 * group.weights
     lhs = float(pairwise_sum(mass.ravel()).real)
-    spec = compact_transform(f_values, quad, J)
+    spec = compact_transform(f_values, quad)
     rhs = spec.hs_norm2_weighted(group.dim)
     return lhs, rhs, spec
 
 
-def random_spectrum(rng, J, quad) -> CompactSpectrum:
-    """Random coefficient table up to band limit J, each label's d x d
-    matrix of complex normals scaled by 1/d, drawn in label order."""
+def random_spectrum(rng, quad) -> CompactSpectrum:
+    """Random coefficient table up to the band limit of quad, each label's
+    d x d matrix of complex normals scaled by 1/d, drawn in label order."""
     group = compact_group(quad)
     coeffs = {}
-    for lbl in group.labels(J):
+    for lbl in group.labels:
         d = group.dim(lbl)
         coeffs[lbl] = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
     return CompactSpectrum(coeffs)
 
 
-def random_band_limited(rng, J, quad):
+def random_band_limited(rng, quad):
     """Random coefficient table and its synthesized node values; by Schur
     orthogonality the transform of the synthesis returns the table."""
-    spec = random_spectrum(rng, J, quad)
+    spec = random_spectrum(rng, quad)
     return spec, synthesize(spec, quad)

@@ -360,7 +360,8 @@ def monte_carlo(integrand, mean, sigma, n: int, seed: int) -> MCResult:
 @dataclass(frozen=True)
 class SU2Quad:
     """Euler-angle product rule on SU(2), exact for matrix coefficients of
-    irreducibles up to band limit J (and their pairwise products).
+    irreducibles up to band_limit (and their pairwise products), the one
+    band limit the compact transforms built on the rule read.
 
     alpha in [0, 2pi) uniform, beta Gauss-Legendre in cos(beta), gamma in
     [0, 4pi) uniform; weights normalized to total mass 1.
@@ -368,6 +369,7 @@ class SU2Quad:
 
     euler: np.ndarray    # (n, 3) columns alpha, beta, gamma
     weights: np.ndarray  # (n,)
+    band_limit: float    # J rounded to a half-integer, round(2 J) / 2
 
     @property
     def node_count(self) -> int:
@@ -390,29 +392,30 @@ def su2_quadrature(J: float) -> SU2Quad:
     A, B, G = np.meshgrid(alpha, beta, gamma, indexing="ij")
     W = np.broadcast_to((wb / 2.0)[None, :, None] / (na * ng), A.shape)
     euler = np.stack([A.ravel(), B.ravel(), G.ravel()], axis=1)
-    return SU2Quad(euler, W.ravel().copy())
+    return SU2Quad(euler, W.ravel().copy(), twoJ / 2)
 
 
 @dataclass(frozen=True)
 class EulerQuadSO4:
     """Product Haar quadrature on SU(2) x SU(2) (covering SO(4); only labels
-    with j1 + j2 integral are well defined on the quotient)."""
+    with j1 + j2 integral are well defined on the quotient): the one SU(2)
+    rule su2 on both factors, whose band limit bounds both spins."""
 
-    left: SU2Quad
-    right: SU2Quad
+    su2: SU2Quad
 
 
 def so4_quadrature(J: float) -> EulerQuadSO4:
     q = su2_quadrature(J)
     if q.node_count ** 2 > DEFAULT_SO4_NODE_BUDGET:
         raise BudgetExceeded("SO(4) quadrature exceeds node budget")
-    return EulerQuadSO4(q, q)
+    return EulerQuadSO4(q)
 
 
 @dataclass(frozen=True)
 class U2Quad:
     """Haar quadrature on U(2) realized as (U(1) x SU(2)) / Z2: a phase theta
-    in [0, pi) uniform plus an SU(2) factor."""
+    in [0, pi) uniform plus an SU(2) factor, whose integral band limit M
+    bounds |m1| and |m2|."""
 
     theta: np.ndarray
     theta_weights: np.ndarray

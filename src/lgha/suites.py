@@ -367,8 +367,7 @@ def _nil_plancherel(cfg, rng, row):
 
 
 def _so4(cfg, rng, row):
-    J = min(2.0, cfg.budget_bandlimit)
-    quad = so4_quadrature(J)
+    quad = so4_quadrature(min(2.0, cfg.budget_bandlimit))
 
     worst = 0.0
     for j in (0.5, 1.0, 1.5, 2.0, 3.0):
@@ -377,16 +376,16 @@ def _so4(cfg, rng, row):
                 PW.wigner_d(j, beta) - PW.wigner_d_reference(j, beta))))
     row("wigner-reference", worst)
 
-    ones = np.ones((quad.left.node_count, quad.right.node_count))
-    spec = PW.compact_transform(ones, quad, J)
+    ones = np.ones((quad.su2.node_count,) * 2)
+    spec = PW.compact_transform(ones, quad)
     err = abs(spec.coeffs[(0.0, 0.0)][0, 0] - 1.0)
     for lbl, c in spec.coeffs.items():
         if lbl != (0.0, 0.0):
             err = _worst(err, float(np.max(np.abs(c))))
     row("schur-orthogonality", err)
 
-    ref, vals = PW.random_band_limited(rng, J, quad)
-    back = PW.compact_transform(vals, quad, J)
+    ref, vals = PW.random_band_limited(rng, quad)
+    back = PW.compact_transform(vals, quad)
     err = _worst(*(np.max(np.abs(back.coeffs[l] - ref.coeffs[l]))
                    for l in ref.coeffs))
     row("transform-roundtrip", err)
@@ -405,13 +404,13 @@ def _so4(cfg, rng, row):
     rhs = sum(PW.so4_dim(l) * np.trace(back.coeffs[l]) for l in back.coeffs)
     row("identity-point-inversion", lhs.real, rhs.real)
 
-    row("compact-plancherel", *PW.compact_plancherel_check(vals, quad, J)[:2])
+    row("compact-plancherel", *PW.compact_plancherel_check(vals, quad)[:2])
 
     # center: the lift through (-1, -1) agrees with the identity lift for
     # every admissible label
     el_neg = (0.0, 0.0, 2.0 * np.pi)
     err = 0.0
-    for lbl in PW.so4_labels(J):
+    for lbl in PW.so4_labels(quad.su2.band_limit):
         d = PW.so4_dim(lbl)
         err = _worst(err, np.max(np.abs(PW.so4_rep(lbl, el_neg, el_neg)
                                         - np.eye(d))))
@@ -420,10 +419,10 @@ def _so4(cfg, rng, row):
     # convolution theorem T(g * f) = Tg . Tf at band limit 1, synthesized on
     # the nodes and checked against the convolution integral by quadrature
     cquad = so4_quadrature(1.0)
-    _, fvals = PW.random_band_limited(rng, 1.0, cquad)
-    gspec, gvals = PW.random_band_limited(rng, 1.0, cquad)
-    tf = PW.compact_transform(fvals, cquad, 1.0).coeffs
-    tg = PW.compact_transform(gvals, cquad, 1.0).coeffs
+    _, fvals = PW.random_band_limited(rng, cquad)
+    gspec, gvals = PW.random_band_limited(rng, cquad)
+    tf = PW.compact_transform(fvals, cquad).coeffs
+    tg = PW.compact_transform(gvals, cquad).coeffs
     conv = PW.synthesize(PW.CompactSpectrum({l: tg[l] @ tf[l] for l in tg}),
                          cquad)
     row("convolution-order",
@@ -436,24 +435,23 @@ def _so4(cfg, rng, row):
 
 
 def _sl4(cfg, rng, row):
-    J = min(2.0, cfg.budget_bandlimit)
-    quad = so4_quadrature(J)
+    quad = so4_quadrature(min(2.0, cfg.budget_bandlimit))
 
     trivial = PW.CompactSpectrum({(0.0, 0.0): np.array([[1.0 + 0.5j]])})
     f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
-    row("kna-plancherel-trivial", *IP.plancherel_sl4_check(f, quad, J)[:2])
+    row("kna-plancherel-trivial", *IP.plancherel_sl4_check(f, quad)[:2])
 
     half = PW.CompactSpectrum({(0.5, 0.5): (rng.normal(size=(4, 4))
                                             + 1j * rng.normal(size=(4, 4))) / 4})
     f = IP.SeparableKNAFunction(half, random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
-    row("kna-plancherel-halfint", *IP.plancherel_sl4_check(f, quad, J)[:2])
+    row("kna-plancherel-halfint", *IP.plancherel_sl4_check(f, quad)[:2])
 
-    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, J, quad),
+    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, quad),
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
-    row("kna-plancherel-full", *IP.plancherel_sl4_check(f, quad, J)[:2])
+    row("kna-plancherel-full", *IP.plancherel_sl4_check(f, quad)[:2])
 
     row("kna-spot-check", _kna_spot_error(rng))
 
@@ -488,7 +486,7 @@ def _kna_spot_error(rng):
     w = random_gauss_product(rng, 3)
     count = 3
     spec = IP.plancherel_sl4_check(
-        IP.SeparableKNAFunction(PW.CompactSpectrum(coeffs), v, w), quad, 0.5,
+        IP.SeparableKNAFunction(PW.CompactSpectrum(coeffs), v, w), quad,
         count=count)[2]
 
     def blackbox(npts, tpts):
@@ -518,18 +516,17 @@ def _kna_spot_error(rng):
 
 
 def _sp4(cfg, rng, row):
-    M = 1
-    quad = u2_quadrature(M)
+    quad = u2_quadrature(1)
 
-    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, M, quad),
+    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, quad),
                                 random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
-    row("sp4-plancherel", *IP.plancherel_sl4_check(f, quad, M)[:2])
+    row("sp4-plancherel", *IP.plancherel_sl4_check(f, quad)[:2])
 
     trivial = PW.CompactSpectrum({(0, 0): np.array([[1.0 + 0.0j]])})
     f = IP.SeparableKNAFunction(trivial, random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
-    row("sp4-plancherel-trivial", *IP.plancherel_sl4_check(f, quad, M)[:2])
+    row("sp4-plancherel-trivial", *IP.plancherel_sl4_check(f, quad)[:2])
 
     dims = G.sp4_iwasawa_dimension_audit()
     row("sp4-dimension-audit", int(sum(dims)), 10,
@@ -545,14 +542,13 @@ def _sp4(cfg, rng, row):
 
 
 def _semidirect(cfg, rng, row):
-    J = 1.0
-    quad = so4_quadrature(J)
+    quad = so4_quadrature(1.0)
 
-    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, J, quad),
+    f = IP.SeparableKNAFunction(PW.random_spectrum(rng, quad),
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3),
                                 r=random_gauss_product(rng, 4))
-    row("semidirect-plancherel", *IP.plancherel_sl4_check(f, quad, J)[:2])
+    row("semidirect-plancherel", *IP.plancherel_sl4_check(f, quad)[:2])
 
     z = rng.standard_normal((1000, 40))  # (v, v2, g1, g2) per draw
     v, v2 = z[:, :4], z[:, 4:8]

@@ -2,30 +2,13 @@
 pass/fail line each.
 
 The expensive machinery runs once through the full verification harness
-(module-scoped fixture); each criterion inspects the relevant check rows and
-re-derives its verdict against the pinned tolerance.  A second full run under
-the same seed backs the determinism criterion.
+(conftest.py's session fixture full_report); each criterion inspects the
+relevant check rows and re-derives its verdict against the pinned
+tolerance.  A second full run under the same seed backs the determinism
+criterion.
 """
 
-import time
-
-import pytest
-
 from lgha import cli
-
-SEED = 42
-
-_WALL = {}
-
-
-@pytest.fixture(scope="module")
-def full_report():
-    cfg = cli.SuiteConfig()
-    cfg.seed = SEED
-    t0 = time.time()
-    report = cli.run_suite("all", cfg)
-    _WALL["all"] = time.time() - t0
-    return report
 
 
 def _rows(report, *names):
@@ -160,11 +143,8 @@ def test_criterion_13_constructive_solvers(full_report):
 
 def test_criterion_14_determinism_and_wall_time(full_report):
     assert full_report["summary"]["failed"] == 0
-    cfg = cli.SuiteConfig()
-    cfg.seed = SEED
-    second = cli.run_suite("all", cfg)
+    second = cli.run_suite("all", cli.SuiteConfig(seed=full_report["seed"]))
     same = full_report["checks"] == second["checks"]
-    wall = _WALL["all"] + second["summary"]["wall_time_s"]
     ok = same and full_report["summary"]["wall_time_s"] < 600 \
         and second["summary"]["wall_time_s"] < 600
     _verdict(14, "full suite deterministic and under ten minutes", ok,

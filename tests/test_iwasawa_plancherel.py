@@ -24,7 +24,7 @@ def test_plancherel_trivial_label():
     f = ip.SeparableKNAFunction(
         pw.CompactSpectrum({(0.0, 0.0): np.array([[2.0 - 1.0j]])}),
         random_gauss_product(rng, 6), random_gauss_product(rng, 3))
-    res = ip.plancherel_sl4_check(f, quad, 1.0)
+    res = ip.plancherel_sl4_check(f, quad)
     assert _rel(res) < 1e-6
     # trivial-label input: closed-form group-side value
     expect = abs(2.0 - 1.0j) ** 2 * f.v.norm2() * f.w.norm2()
@@ -33,10 +33,10 @@ def test_plancherel_trivial_label():
 
 def test_plancherel_full_band():
     quad = so4_quadrature(2.0)
-    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, 2.0, quad),
+    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, quad),
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3))
-    res = ip.plancherel_sl4_check(f, quad, 2.0)
+    res = ip.plancherel_sl4_check(f, quad)
     assert _rel(res) < 1e-6
 
 
@@ -45,7 +45,7 @@ def test_zero_function():
     f = ip.SeparableKNAFunction(
         pw.CompactSpectrum({(0.0, 0.0): np.array([[0.0 + 0.0j]])}),
         random_gauss_product(rng, 6), random_gauss_product(rng, 3))
-    lhs, rhs, _ = ip.plancherel_sl4_check(f, quad, 0.5)
+    lhs, rhs, _ = ip.plancherel_sl4_check(f, quad)
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -55,15 +55,15 @@ def test_transform_linearity_in_f():
     w = random_gauss_product(rng, 3)
     t1 = ip.plancherel_sl4_check(ip.SeparableKNAFunction(
         pw.CompactSpectrum({(0.5, 0.5): np.eye(4, dtype=complex)}), v, w),
-        quad, 0.5)[2]
+        quad)[2]
     t2 = ip.plancherel_sl4_check(ip.SeparableKNAFunction(
         pw.CompactSpectrum({(0.5, 0.5): 3.0 * np.eye(4, dtype=complex)}), v, w),
-        quad, 0.5)[2]
+        quad)[2]
     assert np.max(np.abs(t2.k_part.coeffs[(0.5, 0.5)]
                          - 3.0 * t1.k_part.coeffs[(0.5, 0.5)])) < 1e-12
 
 
-def _spot_case(quad, J, label, count, n_dim=6, a_dim=3):
+def _spot_case(quad, label, count, n_dim=6, a_dim=3):
     """A separable K/N/A function with one compact label, as an opaque
     function of node stacks for the nested oracle, and its factorized
     transform on count-point grids."""
@@ -74,7 +74,7 @@ def _spot_case(quad, J, label, count, n_dim=6, a_dim=3):
     w = random_gauss_product(rng, a_dim)
     # the factors of plancherel_sl4_check's spectrum, for any number of axes
     spec = ip.KNASpectrum(
-        pw.compact_transform(pw.synthesize(coeffs, quad), quad, J),
+        pw.compact_transform(pw.synthesize(coeffs, quad), quad),
         factor_pairing(v.factors, v.factors, count)[2],
         factor_pairing(w.factors, w.factors, count)[2])
 
@@ -94,7 +94,7 @@ def test_spot_check_against_nested_quadrature():
     quad = so4_quadrature(0.5)
     label = (0.5, 0.5)
     count = 3
-    blackbox, spec = _spot_case(quad, 0.5, label, count)
+    blackbox, spec = _spot_case(quad, label, count)
     n_idx = tuple(rng.integers(0, count, size=6))
     a_idx = tuple(rng.integers(0, count, size=3))
     oracle = ip.nested_transform_oracle(blackbox, quad, label, spec.n_spectra,
@@ -109,7 +109,7 @@ def test_nested_oracle_fails_at_wrong_label_or_frequency():
     quad = so4_quadrature(1.0)
     label, other = (1.0, 0.0), (0.0, 1.0)  # same dimension
     # band limit 1 has 144^2 node pairs: few Euclidean axes keep it quick
-    blackbox, spec = _spot_case(quad, 1.0, label, 6, n_dim=2, a_dim=1)
+    blackbox, spec = _spot_case(quad, label, 6, n_dim=2, a_dim=1)
     n_idx, a_idx = (1, 2), (1,)
     fact = spec.value(label, n_idx, a_idx)
 
@@ -130,7 +130,7 @@ def _four_point_case():
     """Oracle arguments at four random points, 3^5 grid values a pair."""
     quad = so4_quadrature(0.5)
     label, count = (0.5, 0.5), 3
-    blackbox, spec = _spot_case(quad, 0.5, label, count, n_dim=3, a_dim=2)
+    blackbox, spec = _spot_case(quad, label, count, n_dim=3, a_dim=2)
     gen = np.random.default_rng(5053)
     n_idx = gen.integers(0, count, size=(4, 3))
     a_idx = gen.integers(0, count, size=(4, 2))
@@ -182,10 +182,10 @@ def test_spot_check_row_calls_the_black_box_once_per_block(monkeypatch):
 
 def test_sp4_restriction_plancherel():
     quad = u2_quadrature(1)
-    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, 1, quad),
+    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, quad),
                                 random_gauss_product(rng, 4),
                                 random_gauss_product(rng, 2))
-    res = ip.plancherel_sl4_check(f, quad, 1)
+    res = ip.plancherel_sl4_check(f, quad)
     assert _rel(res) < 1e-6
     assert list(res[2].k_part.coeffs) == pw.u2_labels(1)
 
@@ -198,13 +198,13 @@ def test_u2_table_with_so4_quadrature_rejected():
         pw.CompactSpectrum({(1, -1): np.eye(3, dtype=complex)}),
         random_gauss_product(gen, 6), random_gauss_product(gen, 3))
     with pytest.raises(ValueError):
-        ip.plancherel_sl4_check(f, so4_quadrature(1.0), 1.0)
+        ip.plancherel_sl4_check(f, so4_quadrature(1.0))
     # the symplectic factor dims on an SO(4) rule
     f = ip.SeparableKNAFunction(
         pw.CompactSpectrum({(0, 0): np.array([[1.0 + 0j]])}),
         random_gauss_product(gen, 4), random_gauss_product(gen, 2))
     with pytest.raises(ValueError):
-        ip.plancherel_sl4_check(f, so4_quadrature(1.0), 1)
+        ip.plancherel_sl4_check(f, so4_quadrature(1.0))
 
 
 def test_kna_check_synthesizes_once_through_the_module(monkeypatch):
@@ -220,10 +220,10 @@ def test_kna_check_synthesizes_once_through_the_module(monkeypatch):
 
     monkeypatch.setattr(pw, "synthesize", counting)
     quad = so4_quadrature(0.5)
-    f = ip.SeparableKNAFunction(pw.random_spectrum(gen, 0.5, quad),
+    f = ip.SeparableKNAFunction(pw.random_spectrum(gen, quad),
                                 random_gauss_product(gen, 6),
                                 random_gauss_product(gen, 3))
-    assert _rel(ip.plancherel_sl4_check(f, quad, 0.5)) < 1e-6
+    assert _rel(ip.plancherel_sl4_check(f, quad)) < 1e-6
     assert len(calls) == 1
 
 
@@ -233,7 +233,7 @@ def test_sp4_restriction_dimension_validation():
         pw.CompactSpectrum({(0, 0): np.array([[1.0 + 0j]])}),
         random_gauss_product(rng, 6), random_gauss_product(rng, 3))
     with pytest.raises(ValueError):
-        ip.plancherel_sl4_check(f, quad, 1)
+        ip.plancherel_sl4_check(f, quad)
 
 
 def test_sp4_charts():
@@ -252,11 +252,11 @@ def test_sp4_charts():
 
 def test_semidirect_plancherel_and_law():
     quad = so4_quadrature(0.5)
-    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, 0.5, quad),
+    f = ip.SeparableKNAFunction(pw.random_spectrum(rng, quad),
                                 random_gauss_product(rng, 6),
                                 random_gauss_product(rng, 3),
                                 r=random_gauss_product(rng, 4))
-    res = ip.plancherel_sl4_check(f, quad, 0.5)
+    res = ip.plancherel_sl4_check(f, quad)
     assert _rel(res) < 1e-6
 
     v, v2 = rng.normal(size=(2, 4))
@@ -275,13 +275,13 @@ def test_translation_factor_dimension_validation():
                                 random_gauss_product(gen, 2),
                                 r=random_gauss_product(gen, 4))
     with pytest.raises(ValueError):
-        ip.plancherel_sl4_check(f, u2_quadrature(1), 1)
+        ip.plancherel_sl4_check(f, u2_quadrature(1))
     for dim in (3, 5):
         f = ip.SeparableKNAFunction(trivial, random_gauss_product(gen, 6),
                                     random_gauss_product(gen, 3),
                                     r=random_gauss_product(gen, dim))
         with pytest.raises(ValueError):
-            ip.plancherel_sl4_check(f, so4_quadrature(0.5), 0.5)
+            ip.plancherel_sl4_check(f, so4_quadrature(0.5))
 
 
 def test_upsilon_lift_invariance_and_restriction():

@@ -75,7 +75,7 @@ def _euler_from_su2_loop(u):
 def test_batched_euler_helpers_on_composed_nodes():
     # all composed elements k_a^{-1} k_b of the band-limit-1 node set, the
     # elements the convolution oracle builds
-    su2 = pw.su2_from_euler(so4_quadrature(1.0).left.euler)
+    su2 = pw.su2_from_euler(so4_quadrature(1.0).su2.euler)
     u = su2.conj().swapaxes(-1, -2)[:, None] @ su2[None, :]
     e = pw.euler_from_su2(u)
     assert e.shape == (144, 144, 3)
@@ -123,10 +123,10 @@ def test_stacked_so4_rep_matches_single_points():
 
 def test_convolution_oracle_detects_swapped_product():
     quad = so4_quadrature(1.0)
-    _, fvals = pw.random_band_limited(rng, 1.0, quad)
-    gspec, gvals = pw.random_band_limited(rng, 1.0, quad)
-    tf = pw.compact_transform(fvals, quad, 1.0).coeffs
-    tg = pw.compact_transform(gvals, quad, 1.0).coeffs
+    _, fvals = pw.random_band_limited(rng, quad)
+    gspec, gvals = pw.random_band_limited(rng, quad)
+    tf = pw.compact_transform(fvals, quad).coeffs
+    tg = pw.compact_transform(gvals, quad).coeffs
     right = pw.synthesize(pw.CompactSpectrum({l: tg[l] @ tf[l] for l in tg}),
                           quad)
     swapped = pw.synthesize(pw.CompactSpectrum({l: tf[l] @ tg[l] for l in tg}),
@@ -137,12 +137,11 @@ def test_convolution_oracle_detects_swapped_product():
 
 def test_factored_label_values_equal_kronecker_traces():
     quad = so4_quadrature(1.0)
-    left = pw.su2_from_euler(quad.left.euler)
-    right = pw.su2_from_euler(quad.right.euler)
+    su2 = pw.su2_from_euler(quad.su2.euler)
     # composed elements k^{-1} x at a spot node, four per factor
-    el = pw.euler_from_su2(left[:4].conj().swapaxes(-1, -2) @ left[3])
-    er = pw.euler_from_su2(right[5:9].conj().swapaxes(-1, -2) @ right[7])
-    spec = pw.random_spectrum(rng, 1.0, quad)
+    el = pw.euler_from_su2(su2[:4].conj().swapaxes(-1, -2) @ su2[3])
+    er = pw.euler_from_su2(su2[5:9].conj().swapaxes(-1, -2) @ su2[7])
+    spec = pw.random_spectrum(rng, quad)
     for (j1, j2), c in spec.coeffs.items():
         g = pw._kron_trace(c, pw.wigner_D_stack(j1, el),
                            pw.wigner_D_stack(j2, er))
@@ -159,10 +158,10 @@ def _convolution_error_at_seed(seed):
     pw at call time so that a monkeypatched mutant enters."""
     quad = so4_quadrature(1.0)
     r = np.random.default_rng(seed)
-    _, fvals = pw.random_band_limited(r, 1.0, quad)
-    gspec, gvals = pw.random_band_limited(r, 1.0, quad)
-    tf = pw.compact_transform(fvals, quad, 1.0).coeffs
-    tg = pw.compact_transform(gvals, quad, 1.0).coeffs
+    _, fvals = pw.random_band_limited(r, quad)
+    gspec, gvals = pw.random_band_limited(r, quad)
+    tf = pw.compact_transform(fvals, quad).coeffs
+    tg = pw.compact_transform(gvals, quad).coeffs
     conv = pw.synthesize(pw.CompactSpectrum({l: tg[l] @ tf[l] for l in tg}),
                          quad)
     return pw.convolution_order_error(gspec, fvals, conv, quad)
@@ -185,7 +184,7 @@ def test_convolution_oracle_detects_transposed_coefficients(monkeypatch):
 
 def test_batched_compact_inverse_equals_point_calls():
     quad = so4_quadrature(1.0)
-    spec = pw.random_spectrum(rng, 1.0, quad)
+    spec = pw.random_spectrum(rng, quad)
     el, er = np.moveaxis(rng.uniform(0.0, [2 * np.pi, np.pi, 4 * np.pi],
                                      size=(12, 2, 3)), 1, 0)
     batch = pw.compact_inverse(spec, el, er)
@@ -242,8 +241,8 @@ def test_quadrature_exact_for_wigner_products():
 
 def test_transform_of_constant():
     quad = so4_quadrature(1.0)
-    ones = np.ones((quad.left.node_count, quad.right.node_count))
-    spec = pw.compact_transform(ones, quad, 1.0)
+    ones = np.ones((quad.su2.node_count,) * 2)
+    spec = pw.compact_transform(ones, quad)
     assert abs(spec.coeffs[(0.0, 0.0)][0, 0] - 1.0) < 1e-13
     for lbl, c in spec.coeffs.items():
         if lbl != (0.0, 0.0):
@@ -258,7 +257,7 @@ def test_transform_of_single_coefficient():
     c[1, 2] = 1.0 / d  # synthesis gives the (2,1) matrix coefficient
     spec0 = pw.CompactSpectrum({lbl: c})
     vals = pw.synthesize(spec0, quad)
-    back = pw.compact_transform(vals, quad, 1.0)
+    back = pw.compact_transform(vals, quad)
     assert np.max(np.abs(back.coeffs[lbl] - c)) < 1e-12
     for other, mat in back.coeffs.items():
         if other != lbl:
@@ -267,11 +266,11 @@ def test_transform_of_single_coefficient():
 
 def test_transform_linearity():
     quad = so4_quadrature(1.0)
-    _, v1 = pw.random_band_limited(rng, 1.0, quad)
-    _, v2 = pw.random_band_limited(rng, 1.0, quad)
-    a = pw.compact_transform(v1 + 2j * v2, quad, 1.0)
-    b1 = pw.compact_transform(v1, quad, 1.0)
-    b2 = pw.compact_transform(v2, quad, 1.0)
+    _, v1 = pw.random_band_limited(rng, quad)
+    _, v2 = pw.random_band_limited(rng, quad)
+    a = pw.compact_transform(v1 + 2j * v2, quad)
+    b1 = pw.compact_transform(v1, quad)
+    b2 = pw.compact_transform(v2, quad)
     for lbl in a.coeffs:
         assert np.max(np.abs(a.coeffs[lbl] - b1.coeffs[lbl]
                              - 2j * b2.coeffs[lbl])) < 1e-12
@@ -279,8 +278,8 @@ def test_transform_linearity():
 
 def test_inversion_and_plancherel_band_limited():
     quad = so4_quadrature(2.0)
-    spec, vals = pw.random_band_limited(rng, 2.0, quad)
-    res = pw.compact_plancherel_check(vals, quad, 2.0)
+    spec, vals = pw.random_band_limited(rng, quad)
+    res = pw.compact_plancherel_check(vals, quad)
     assert _rel(res) < 1e-10
     for _ in range(5):
         el = (rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi),
@@ -295,25 +294,25 @@ def test_inversion_and_plancherel_band_limited():
 
 def test_u2_transform_roundtrip_and_plancherel():
     quad = u2_quadrature(1)
-    spec, vals = pw.random_band_limited(rng, 1, quad)
-    back = pw.compact_transform(vals, quad, 1)
+    spec, vals = pw.random_band_limited(rng, quad)
+    back = pw.compact_transform(vals, quad)
     err = max(np.max(np.abs(back.coeffs[l] - spec.coeffs[l]))
               for l in spec.coeffs)
     assert err < 1e-12
-    res = pw.compact_plancherel_check(vals, quad, 1)
+    res = pw.compact_plancherel_check(vals, quad)
     assert _rel(res) < 1e-10
     assert list(res[2].coeffs) == pw.u2_labels(1)
 
 
-def _so4_transform_reference(f_values, quad, J):
+def _so4_transform_reference(f_values, quad, labels):
     """The per-label SO(4) transform as two einsum steps, kept as a
     reference for the matrix-product compact_transform."""
     out = {}
-    for j1, j2 in pw.so4_labels(J):
-        d1inv = pw.wigner_D_stack(j1, quad.left.euler).conj().transpose(0, 2, 1)
-        d2inv = pw.wigner_D_stack(j2, quad.right.euler).conj().transpose(0, 2, 1)
-        a = np.einsum("n,nm,nij->mij", quad.left.weights, f_values, d1inv)
-        t = np.einsum("m,mij,mkl->ikjl", quad.right.weights, a, d2inv)
+    for j1, j2 in labels:
+        d1inv = pw.wigner_D_stack(j1, quad.su2.euler).conj().transpose(0, 2, 1)
+        d2inv = pw.wigner_D_stack(j2, quad.su2.euler).conj().transpose(0, 2, 1)
+        a = np.einsum("n,nm,nij->mij", quad.su2.weights, f_values, d1inv)
+        t = np.einsum("m,mij,mkl->ikjl", quad.su2.weights, a, d2inv)
         dd = t.shape[0] * t.shape[1]
         out[(j1, j2)] = t.reshape(dd, dd)
     return out
@@ -323,19 +322,19 @@ def _so4_synthesize_reference(spec, quad):
     """The per-label SO(4) synthesis as one five-index einsum."""
     vals = 0.0
     for (j1, j2), c in spec.coeffs.items():
-        d1 = pw.wigner_D_stack(j1, quad.left.euler)
-        d2 = pw.wigner_D_stack(j2, quad.right.euler)
+        d1 = pw.wigner_D_stack(j1, quad.su2.euler)
+        d2 = pw.wigner_D_stack(j2, quad.su2.euler)
         k1, k2 = d1.shape[1], d2.shape[1]
         c4 = c.reshape(k1, k2, k1, k2)
         vals = vals + k1 * k2 * np.einsum("ikjl,nji,mlk->nm", c4, d1, d2)
     return vals
 
 
-def _u2_transform_reference(f_values, quad, M):
+def _u2_transform_reference(f_values, quad, labels):
     """The per-label U(2) transform: a phase sum over theta, then the SU(2)
     factor."""
     out = {}
-    for m1, m2 in pw.u2_labels(M):
+    for m1, m2 in labels:
         dinv = pw.wigner_D_stack((m1 - m2) / 2.0, quad.su2.euler)
         dinv = dinv.conj().transpose(0, 2, 1)
         ph = np.exp(-1j * quad.theta * (m1 + m2)) * quad.theta_weights
@@ -356,10 +355,13 @@ def _u2_synthesize_reference(spec, quad):
 
 
 # SO(4) at band limit 1 has labels with a = b and with a != b; a transposed
-# or swapped reordering, a dropped conj or dimension fails both tests there
+# or swapped reordering, a dropped conj or dimension fails both tests there.
+# Each rule's labels are those of the band limit it was built for.
 _REFERENCE_CASES = (
-    (so4_quadrature(1.0), 1.0, _so4_transform_reference, _so4_synthesize_reference),
-    (u2_quadrature(1), 1, _u2_transform_reference, _u2_synthesize_reference),
+    (so4_quadrature(1.0), pw.so4_labels(1.0), _so4_transform_reference,
+     _so4_synthesize_reference),
+    (u2_quadrature(1), pw.u2_labels(1), _u2_transform_reference,
+     _u2_synthesize_reference),
 )
 
 
@@ -368,45 +370,46 @@ def _random_node_values(gen, quad):
     return gen.normal(size=shape) + 1j * gen.normal(size=shape)
 
 
-@pytest.mark.parametrize("quad, J, transform_ref, synthesize_ref",
+@pytest.mark.parametrize("quad, labels, transform_ref, synthesize_ref",
                          _REFERENCE_CASES, ids=("so4", "u2"))
-def test_transform_pair_matches_per_label_references(quad, J, transform_ref,
+def test_transform_pair_matches_per_label_references(quad, labels,
+                                                     transform_ref,
                                                      synthesize_ref):
     gen = np.random.default_rng(3033)
-    spec = pw.random_spectrum(gen, J, quad)
+    spec = pw.random_spectrum(gen, quad)
     vals = pw.synthesize(spec, quad)
     ref = synthesize_ref(spec, quad)
     assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
     # a node function outside the band limit, so every label sees noise
     f = _random_node_values(gen, quad)
-    tf = pw.compact_transform(f, quad, J).coeffs
-    ref = transform_ref(f, quad, J)
-    assert list(tf) == list(ref)
+    tf = pw.compact_transform(f, quad).coeffs
+    assert list(tf) == labels
+    ref = transform_ref(f, quad, labels)
     scale = max(np.max(np.abs(c)) for c in ref.values())
     for lbl, c in ref.items():
         assert np.max(np.abs(tf[lbl] - c)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("quad, J", [c[:2] for c in _REFERENCE_CASES],
+@pytest.mark.parametrize("quad", [c[0] for c in _REFERENCE_CASES],
                          ids=("so4", "u2"))
-def test_synthesis_is_adjoint_of_transform(quad, J):
+def test_synthesis_is_adjoint_of_transform(quad):
     # sum_k w S(C) conj(f) = sum_labels d tr[C (Tf)^H] for any node values f
     gen = np.random.default_rng(3034)
     group = pw.compact_group(quad)
-    spec = pw.random_spectrum(gen, J, quad)
+    spec = pw.random_spectrum(gen, quad)
     f = _random_node_values(gen, quad)
     lhs = np.sum(group.weights * pw.synthesize(spec, quad) * f.conj())
-    tf = pw.compact_transform(f, quad, J).coeffs
+    tf = pw.compact_transform(f, quad).coeffs
     rhs = sum(group.dim(l) * np.trace(c @ tf[l].conj().T)
               for l, c in spec.coeffs.items())
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 def test_random_spectrum_matches_per_label_loop():
-    for quad, J, labels, dim in (
-            (so4_quadrature(2.0), 2.0, pw.so4_labels(2.0), pw.so4_dim),
-            (u2_quadrature(1), 1, pw.u2_labels(1), pw.u2_dim)):
-        spec = pw.random_spectrum(np.random.default_rng(3031), J, quad)
+    for quad, labels, dim in (
+            (so4_quadrature(2.0), pw.so4_labels(2.0), pw.so4_dim),
+            (u2_quadrature(1), pw.u2_labels(1), pw.u2_dim)):
+        spec = pw.random_spectrum(np.random.default_rng(3031), quad)
         assert list(spec.coeffs) == labels
         # the per-label loop random_spectrum replaces, kept as a reference
         gen = np.random.default_rng(3031)
@@ -423,7 +426,8 @@ def test_u2_rep_well_defined_on_quotient():
     # half-odd label takes one value at both node pairs
     e = np.array([1.1, 0.9, 2.3])
     e_neg = pw.euler_from_su2(-pw.su2_from_euler(e))
-    su2 = SU2Quad(np.stack([e, e_neg]), np.full(2, 0.5))
+    # two nodes of equal weight integrate the constants alone: band limit 0
+    su2 = SU2Quad(np.stack([e, e_neg]), np.full(2, 0.5), 0.0)
     quad = U2Quad(np.array([0.7, 0.7 + np.pi]), np.full(2, 0.5), su2)
     c = np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)
     vals = pw.synthesize(pw.CompactSpectrum({(2, -1): c}), quad)
@@ -440,7 +444,7 @@ def test_u2_labels():
 def test_u2_labels_accept_an_integral_float():
     assert pw.u2_labels(1.0) == pw.u2_labels(1)
     assert all(type(m) is int for lbl in pw.u2_labels(1.0) for m in lbl)
-    spec = pw.random_spectrum(np.random.default_rng(3032), 1.0, u2_quadrature(1))
+    spec = pw.random_spectrum(np.random.default_rng(3032), u2_quadrature(1.0))
     assert list(spec.coeffs) == pw.u2_labels(1)
 
 

@@ -191,6 +191,10 @@ def test_su2_quadrature_normalized():
     q = Q.su2_quadrature(1.5)
     assert pairwise_sum(q.weights) == pytest.approx(1.0, abs=1e-14)
     assert np.all(q.weights > 0)
+    # the band limit the rule records, rounded to a half-integer as built
+    assert q.band_limit == 1.5
+    assert Q.su2_quadrature(1.3).band_limit == 1.5
+    assert Q.su2_quadrature(0.5).band_limit == 0.5
 
 
 def test_u2_quadrature_accepts_an_integral_float():
