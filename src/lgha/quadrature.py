@@ -197,11 +197,13 @@ class SampledField:
         broadcast shape, on index boxes, one _by_plane step each: with d the
         first axis whose trailing block shape[d+1:] holds at most
         BLOCK_ENTRIES points, a box fixes the axes before d and runs
-        BLOCK_ENTRIES // (block size) indices along d."""
+        BLOCK_ENTRIES // (_WORKERS * block size) indices along d, at least
+        one, so the busy workers' boxes together hold at most BLOCK_ENTRIES
+        points unless one index along d alone holds more."""
         shape = grid.shape
         d = next(d for d in range(len(shape))
                  if math.prod(shape[d + 1:]) <= BLOCK_ENTRIES)
-        run = BLOCK_ENTRIES // math.prod(shape[d + 1:])
+        run = max(1, BLOCK_ENTRIES // (_WORKERS * math.prod(shape[d + 1:])))
         boxes = [tuple(slice(i, i + 1) for i in lead) + (slice(a, a + run),)
                  for lead in np.ndindex(*shape[:d])
                  for a in range(0, shape[d], run)]

@@ -405,17 +405,20 @@ def test_monte_carlo_row_blocks_equal_the_unblocked_sum(monkeypatch, workers,
 
 
 @pytest.mark.parametrize("shape, calls", [
-    ((50,), 1),
-    ((300, 200), 2),  # runs of 163 rows of 200 points
-    ((5, 6, 7), 1),
-    ((11, 10, 10, 10, 10, 10), 44),  # runs of 3 of the second axis, ragged
-    ((4, 200, 200), 8),  # planes of 40,000 points, runs of 163 rows
-], ids=["50", "300x200", "5x6x7", "11x10x10x10x10x10", "4x200x200"])
+    ((50,), (1, 1, 1)),
+    ((300, 200), (2, 4, 6)),  # runs of 163, 81 and 54 rows of 200 points
+    ((5, 6, 7), (1, 1, 1)),
+    ((11, 10, 10, 10, 10, 10), (44, 110, 110)),  # runs of 3, 1 and 1
+    ((4, 200, 200), (8, 12, 16)),  # planes of 40,000 points, runs as 300x200
+    ((3, 160, 160), (3, 3, 3)),  # one plane a box, whatever the workers
+], ids=["50", "300x200", "5x6x7", "11x10x10x10x10x10", "4x200x200",
+        "3x160x160"])
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_from_callable_boxes_equal_the_whole_grid(monkeypatch, workers, shape,
                                                   calls):
     # the boxes, split over the workers, give fn evaluated on the whole grid
-    # bit for bit, and no call sees more than BLOCK_ENTRIES points
+    # bit for bit; no call sees more than BLOCK_ENTRIES points, and the runs
+    # along the cut axis are 1/workers as long, at least one index
     monkeypatch.setattr(Q, "_WORKERS", workers)
     grid = Q.box_grid(tuple("uvwxyz"[:len(shape)]), -1.0,
                       np.arange(1.0, 1.0 + len(shape)), shape)
@@ -433,6 +436,6 @@ def test_from_callable_boxes_equal_the_whole_grid(monkeypatch, workers, shape,
 
     ref = fn(*np.broadcast_arrays(*grid.coords()))
     assert np.array_equal(Q.SampledField.from_callable(grid, spy).values, ref)
-    assert len(seen) == calls
+    assert len(seen) == calls[workers - 1]
     assert sum(math.prod(s) for s in seen) == grid.size
     assert all(math.prod(s) <= Q.BLOCK_ENTRIES for s in seen)
